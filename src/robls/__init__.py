@@ -11,8 +11,6 @@ from .adaptive import (
     CHEBROLU_DOMAIN,
     AlphaDomain,
     AlphaOptResult,
-    grad_lambda,
-    neg_log_likelihood,
     optimize_alpha,
     partition_z,
 )
@@ -42,7 +40,6 @@ from .se3 import (
     left_jacobian,
     log_map,
     pose_error_norms,
-    right_jacobian,
     sample_perturbation,
     so3_exp,
     so3_log,

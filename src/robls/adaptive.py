@@ -29,8 +29,6 @@ __all__ = [
     "BARRON_DOMAIN",
     "CHEBROLU_DOMAIN",
     "partition_z",
-    "neg_log_likelihood",
-    "grad_lambda",
     "optimize_alpha",
 ]
 
@@ -119,31 +117,6 @@ def _clamp_residuals(residuals, bounds) -> np.ndarray:
     if r.size == 0:
         raise ValueError("residual list must be nonempty")
     return np.clip(r, bounds[0], bounds[1])
-
-
-def neg_log_likelihood(residuals, alpha: float, bounds: tuple[float, float]) -> float:
-    """Truncated-likelihood objective ``N log(Z) + sum rho`` at a given alpha.
-
-    Residuals outside the bounds are clamped onto them before evaluation;
-    the density is only defined on the truncated interval.
-    """
-    r = _clamp_residuals(residuals, bounds)
-    z = partition_z(alpha, bounds)
-    return float(r.size * np.log(z) + np.sum(rho(r, alpha)))
-
-
-def grad_lambda(residuals, alpha: float, bounds: tuple[float, float]) -> float:
-    """Analytic derivative of :func:`neg_log_likelihood` in alpha.
-
-    Requires alpha strictly inside the general branch (same restriction as
-    :func:`robls.loss.drho_dalpha`).
-    """
-    r = _clamp_residuals(residuals, bounds)
-    z = partition_z(alpha, bounds)
-    # dZ/dalpha = -integral(exp(-rho) * drho/dalpha), so the partition term
-    # of d/dalpha [N log Z] carries a minus sign.
-    moment = _moment_integral(alpha, bounds)
-    return float(-r.size / z * moment + np.sum(drho_dalpha(r, alpha)))
 
 
 def _untruncated_z(alpha: float, tau_span: float) -> float:

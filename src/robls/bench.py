@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cloud_io, icp, pose_avg, scenes, stats
 from .mbfit import chi_quantile
-from .se3 import Pose, pose_error_norms, sample_perturbation
+from .se3 import pose_error_norms, sample_perturbation
 from .weighting import RobustLoss
 
 __all__ = [
@@ -95,31 +95,23 @@ def _trial_seed(master: int, group_index: int, trial: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-# --- pose averaging --------------------------------------------------------
+def _solve_kinds(cfg, group, trial, seed, init, truth, solve):
+    """Run ``solve(rlf)`` for every configured loss kind from one start.
 
-def _pose_avg_trial(args) -> tuple[list[stats.TrialRecord], dict]:
-    cfg, level_idx, trial = args
-    level = cfg.outlier_levels[level_idx]
-    seed = _trial_seed(cfg.master_seed, level_idx, trial)
-    spec = pose_avg.TrialSpec(seed=seed, n_inliers=cfg.n_inliers, outlier_fraction=level)
-    measurements, init, truth = pose_avg.generate_trial(spec)
+    Returns the trial records, the norm-aware audit totals and the solver
+    results in ``cfg.rlfs`` order.
+    """
     prior_phi, prior_rho = pose_error_norms(truth.inverse() @ init)
-
-    records = []
+    records, results = [], []
     audit = {"invocations": 0, "below_mode": 0, "violations": 0}
     for rlf_kind in cfg.rlfs:
-        solver_cfg = pose_avg.PoseAvgConfig(
-            max_iters=cfg.max_iters,
-            rlf=RobustLoss(rlf_kind, tau=cfg.tau),
-            weight_exponent=cfg.weight_exponent,
-        )
         t0 = time.perf_counter()
-        result = pose_avg.solve_pose_average(measurements, init, solver_cfg)
+        result = solve(RobustLoss(rlf_kind, tau=cfg.tau))
         seconds = time.perf_counter() - t0
         phi, rho = pose_error_norms(truth.inverse() @ result.pose)
         records.append(
             stats.TrialRecord(
-                group=f"outliers_{int(round(level * 100)):02d}",
+                group=group,
                 trial=trial,
                 rlf=rlf_kind,
                 seed=seed,
@@ -133,9 +125,29 @@ def _pose_avg_trial(args) -> tuple[list[stats.TrialRecord], dict]:
                 seconds=seconds,
             )
         )
-        audit["invocations"] += result.diagnostics.get("mb_invocations", 0)
-        audit["below_mode"] += result.diagnostics.get("mb_below_mode", 0)
-        audit["violations"] += result.diagnostics.get("mb_below_mode_violations", 0)
+        results.append(result)
+        audit["invocations"] += result.diagnostics["mb_invocations"]
+        audit["below_mode"] += result.diagnostics["mb_below_mode"]
+        audit["violations"] += result.diagnostics["mb_below_mode_violations"]
+    return records, audit, results
+
+
+# --- pose averaging --------------------------------------------------------
+
+def _pose_avg_trial(args) -> tuple[list[stats.TrialRecord], dict]:
+    cfg, level_idx, trial = args
+    level = cfg.outlier_levels[level_idx]
+    seed = _trial_seed(cfg.master_seed, level_idx, trial)
+    spec = pose_avg.TrialSpec(seed=seed, n_inliers=cfg.n_inliers, outlier_fraction=level)
+    measurements, init, truth = pose_avg.generate_trial(spec)
+
+    solver_cfg = pose_avg.PoseAvgConfig(
+        max_iters=cfg.max_iters, weight_exponent=cfg.weight_exponent
+    )
+    records, audit, _ = _solve_kinds(
+        cfg, f"outliers_{int(round(level * 100)):02d}", trial, seed, init, truth,
+        lambda rlf: pose_avg.solve_pose_average(measurements, init, replace(solver_cfg, rlf=rlf)),
+    )
     return records, audit
 
 
@@ -155,44 +167,21 @@ def _icp_trial(args) -> tuple[list[stats.TrialRecord], dict]:
     sigma_phi = np.deg2rad(cfg.phi_max_deg) / chi_quantile(3, 0.9973)
     sigma_r = cfg.r_max / chi_quantile(3, 0.9973)
     init = t_gt @ sample_perturbation(sigma_phi, sigma_r, rng)
-    prior_phi, prior_rho = pose_error_norms(t_gt.inverse() @ init)
 
-    records = []
-    audit = {"invocations": 0, "below_mode": 0, "violations": 0}
-    for rlf_kind in cfg.rlfs:
-        solver_cfg = icp.IcpConfig(
-            grid=cfg.grid,
-            normal_k=cfg.normal_k,
-            max_iters=cfg.max_iters,
-            rlf=RobustLoss(rlf_kind, tau=cfg.tau),
-            weight_exponent=cfg.weight_exponent,
-        )
-        t0 = time.perf_counter()
-        result = icp.icp_solve(source_ds, target_ds, init, solver_cfg)
-        seconds = time.perf_counter() - t0
-        phi, rho = pose_error_norms(t_gt.inverse() @ result.pose)
-        records.append(
-            stats.TrialRecord(
-                group=kind,
-                trial=trial,
-                rlf=rlf_kind,
-                seed=seed,
-                phi_err_deg=float(np.rad2deg(phi)),
-                rho_err_mm=rho * 1e3,
-                prior_phi_deg=float(np.rad2deg(prior_phi)),
-                prior_rho_mm=prior_rho * 1e3,
-                iterations=result.iterations,
-                converged=result.converged,
-                succeeded=stats.success(prior_phi, prior_rho, phi, rho),
-                seconds=seconds,
-            )
-        )
-        audit["invocations"] += result.diagnostics.get("mb_invocations", 0)
-        audit["below_mode"] += result.diagnostics.get("mb_below_mode", 0)
-        audit["violations"] += result.diagnostics.get("mb_below_mode_violations", 0)
-        if cfg.trace_dir is not None:
-            trace_dir = Path(cfg.trace_dir)
-            trace_dir.mkdir(parents=True, exist_ok=True)
+    solver_cfg = icp.IcpConfig(
+        grid=cfg.grid,
+        normal_k=cfg.normal_k,
+        max_iters=cfg.max_iters,
+        weight_exponent=cfg.weight_exponent,
+    )
+    records, audit, results = _solve_kinds(
+        cfg, kind, trial, seed, init, t_gt,
+        lambda rlf: icp.icp_solve(source_ds, target_ds, init, replace(solver_cfg, rlf=rlf)),
+    )
+    if cfg.trace_dir is not None:
+        trace_dir = Path(cfg.trace_dir)
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        for rlf_kind, result in zip(cfg.rlfs, results):
             cloud_io.write_icp_trace_csv(
                 result.trace, trace_dir / f"trace_{kind}_{trial:03d}_{rlf_kind}.csv"
             )

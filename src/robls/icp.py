@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .irls import IrlsResult, irls
 from .se3 import Pose, exp_map
 from .weighting import RobustLoss
 
 __all__ = [
     "PointCloud",
     "IcpConfig",
-    "Correspondences",
-    "IcpResult",
     "DegenerateGeometryError",
     "voxel_downsample",
     "estimate_normals",
@@ -76,25 +75,6 @@ class IcpConfig:
             raise ValueError("ICP config values must be positive")
 
 
-@dataclass
-class Correspondences:
-    """Single-NN association: one target index per source point, all active."""
-
-    source_idx: np.ndarray
-    target_idx: np.ndarray
-    active: np.ndarray           # b in {0, 1}
-    cov_scale: float             # isotropic error covariance, Sigma = cov_scale * I
-
-
-@dataclass
-class IcpResult:
-    pose: Pose
-    iterations: int
-    converged: bool
-    trace: list  # per-iteration dicts: iter, step_phi, step_rho, alpha_star, a_star, mode
-    diagnostics: dict
-
-
 def voxel_downsample(cloud: PointCloud, d_grid: float) -> PointCloud:
     """One centroid per occupied cell of an origin-anchored voxel grid."""
     if d_grid <= 0:
@@ -132,18 +112,12 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     return PointCloud(pts, normals=normals, normals_valid=valid)
 
 
-def associate(source_points: np.ndarray, target_tree: cKDTree) -> Correspondences:
-    """Nearest target point for every source point; no distance gating."""
+def associate(source_points: np.ndarray, target_tree: cKDTree) -> np.ndarray:
+    """Index of the nearest target point for every source point; no distance gating."""
     if target_tree.n == 0:
         raise ValueError("target cloud is empty")
     _, idx = target_tree.query(source_points)
-    n = len(source_points)
-    return Correspondences(
-        source_idx=np.arange(n),
-        target_idx=np.asarray(idx),
-        active=np.ones(n, dtype=bool),
-        cov_scale=np.nan,
-    )
+    return np.asarray(idx)
 
 
 def residuals_pt2pt(errors: np.ndarray, cov_scale: float) -> np.ndarray:
@@ -161,19 +135,20 @@ def minimize_pt2plane(
     normals: np.ndarray,
     weights: np.ndarray,
     proj_var: float,
-    weight_exponent: int = 2,
 ) -> np.ndarray:
     """One Gauss-Newton step twist (phi, rho) for the point-to-plane objective.
 
     Linearizes the plane-projected error around a left perturbation of the
     current pose and solves the weighted normal equations; the per-term
     scale is the plane-projected variance of the correspondence covariance.
+    ``weights`` multiply the squared errors as given, so a solver that puts
+    the robust weights inside the norm passes them already squared.
     """
     g0 = np.einsum("ni,ni->n", normals, errors)
     jac = np.empty((len(errors), 6))
     jac[:, :3] = -np.cross(transformed_source, normals)
     jac[:, 3:] = -normals
-    wf = weights**weight_exponent / proj_var
+    wf = weights / proj_var
     a = jac.T @ (jac * wf[:, None])
     b = -jac.T @ (wf * g0)
     sv = np.linalg.svd(a, compute_uv=False)
@@ -185,7 +160,7 @@ def minimize_pt2plane(
     return np.linalg.solve(a, b)
 
 
-def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpConfig) -> IcpResult:
+def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpConfig) -> IrlsResult:
     """EM-style ICP loop: associate, weight residuals, minimize, repeat.
 
     Expects preprocessed clouds (downsampled, target normals present).
@@ -197,66 +172,20 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     cov_scale = 2.0 * config.grid**2
     proj_var = cov_scale  # n' (cov_scale * I) n for unit normals
 
-    pose = init
-    trace: list[dict] = []
-    converged = False
-    warm = None
-    mb_invocations = 0
-    mb_below = 0
-    mb_violations = 0
-    iterations = 0
-
-    for iterations in range(1, config.max_iters + 1):
+    def linearize(pose):
         p = source.points @ pose.rotation.T + pose.translation
-        corr = associate(p, tree)
-        e = target.points[corr.target_idx] - p
-        eps = residuals_pt2pt(e, cov_scale)
+        idx = associate(p, tree)
+        e = target.points[idx] - p
 
-        wres = config.rlf.weights(eps, n_e=3, warm_start=warm)
-        warm = wres.warm_start
-        diag = wres.diagnostics
-        if config.rlf.kind == "adaptive_mb":
-            mb_invocations += 1
-            mb_below += diag.get("below_mode", 0)
-            mb_violations += diag.get("below_mode_violations", 0)
+        def update(wf):
+            usable = target.normals_valid[idx]
+            if not np.any(usable):
+                raise DegenerateGeometryError("no correspondences with valid normals")
+            step = minimize_pt2plane(
+                p[usable], e[usable], target.normals[idx[usable]], wf[usable], proj_var
+            )
+            return (exp_map(step) @ pose).orthonormalized(), step
 
-        usable = target.normals_valid[corr.target_idx]
-        if not np.any(usable):
-            raise DegenerateGeometryError("no correspondences with valid normals")
-        step = minimize_pt2plane(
-            p[usable],
-            e[usable],
-            target.normals[corr.target_idx[usable]],
-            wres.weights[usable],
-            proj_var,
-            config.weight_exponent,
-        )
-        pose = (exp_map(step) @ pose).orthonormalized()
+        return residuals_pt2pt(e, cov_scale), update
 
-        step_phi = float(np.linalg.norm(step[:3]))
-        step_rho = float(np.linalg.norm(step[3:]))
-        trace.append(
-            {
-                "iter": iterations,
-                "step_phi": step_phi,
-                "step_rho": step_rho,
-                "alpha_star": diag.get("alpha_star", np.nan),
-                "a_star": diag.get("a_star", np.nan),
-                "mode": diag.get("mode", np.nan),
-            }
-        )
-        if step_phi < config.tol_phi and step_rho < config.tol_rho:
-            converged = True
-            break
-
-    return IcpResult(
-        pose=pose,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        diagnostics={
-            "mb_invocations": mb_invocations,
-            "mb_below_mode": mb_below,
-            "mb_below_mode_violations": mb_violations,
-        },
-    )
+    return irls(linearize, init, config, n_e=3)

@@ -33,8 +33,10 @@ __all__ = [
     "var_trimmed_weights",
 ]
 
-# Shape values below ALPHA_MIN are indistinguishable from the alpha = -inf
-# limit (weight difference < 1e-3 over eps in [0, 20]) and are mapped to it.
+# Shape values below ALPHA_MIN are mapped to the alpha = -inf limit.  At
+# ALPHA_MIN the general branch still differs from that limit by up to 0.0103
+# in weight (near eps = 2) and 0.04 in rho (the tail plateau, 2 / |alpha|)
+# over eps in [0, 20]; a weight gap under 1e-3 needs alpha below about -540.
 ALPHA_MIN = -50.0
 
 # Half-width of the alpha neighbourhoods routed to the exact limit branches.

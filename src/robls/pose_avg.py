@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .irls import IrlsResult, irls
 from .se3 import (
     Pose,
     _batch_left_jacobian_inv,
@@ -26,11 +27,8 @@ __all__ = [
     "PoseMeasurement",
     "PoseAvgConfig",
     "TrialSpec",
-    "PoseAvgResult",
     "SingularSystemError",
-    "left_invariant_error",
-    "error_jacobians",
-    "propagate_cov",
+    "linearize_errors",
     "solve_pose_average",
     "default_measurement_cov",
     "generate_trial",
@@ -64,6 +62,10 @@ class PoseAvgConfig:
     rlf: RobustLoss = field(default_factory=lambda: RobustLoss(tau=20.0))
     weight_exponent: int = 2
 
+    def __post_init__(self):
+        if min(self.tol_phi, self.tol_rho) <= 0 or self.max_iters < 1:
+            raise ValueError("pose-averaging config values must be positive")
+
 
 @dataclass(frozen=True)
 class TrialSpec:
@@ -84,50 +86,35 @@ class TrialSpec:
             raise ValueError("need at least one inlier")
 
 
-@dataclass
-class PoseAvgResult:
-    pose: Pose
-    iterations: int
-    converged: bool
-    trace: list
-    diagnostics: dict
+def linearize_errors(
+    pose: Pose, tm: np.ndarray, covs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Left-invariant errors of a pose against a stack of measurements.
 
-
-def left_invariant_error(estimate: Pose, measurement: Pose) -> np.ndarray:
-    """Twist of the left-invariant pose error ``log(T^-1 T~)``."""
-    rel = (estimate.inverse() @ measurement).matrix()
-    xi, ok = _batch_se3_log(rel[None])
-    if not ok[0]:
-        raise ValueError("pose error outside the principal logarithm branch")
-    return xi[0]
-
-
-def error_jacobians(e_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate- and measurement-side Jacobians (H, M) of the error twist.
-
-    ``H = J_left(e)^-1`` maps estimate perturbations (convention
-    ``T <- T exp(-dxi)``) to error changes; ``M = -J_right(e)^-1`` maps
-    measurement perturbations.
+    ``tm`` holds the (n, 4, 4) measurement matrices and ``covs`` their
+    (n, 6, 6) covariances.  Returns ``(ok, e, h, sigma)``: the mask of
+    measurements whose error ``log(T^-1 T~_i)`` lies in the principal
+    logarithm branch and, for those only, the error twists, the
+    estimate-side Jacobians ``H = J_left(e)^-1`` (convention
+    ``T <- T exp(-dxi)``) and the error covariances ``M R M'`` with the
+    measurement-side Jacobian ``M = -J_right(e)^-1``, symmetrized against
+    floating drift.
     """
-    e = np.asarray(e_bar, dtype=float).reshape(1, 6)
-    h = _batch_left_jacobian_inv(e)[0]
-    m = -_batch_left_jacobian_inv(-e)[0]
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(m))):
-        raise ValueError("Jacobian evaluation failed (error out of branch)")
-    return h, m
-
-
-def propagate_cov(m_jac: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Error covariance ``M R M'``, symmetrized against floating drift."""
-    sigma = m_jac @ cov @ m_jac.T
-    return 0.5 * (sigma + sigma.T)
+    rel = np.einsum("ij,njk->nik", pose.inverse().matrix(), tm)
+    e, ok = _batch_se3_log(rel)
+    e = e[ok]
+    h = _batch_left_jacobian_inv(e)
+    m = -_batch_left_jacobian_inv(-e)
+    sigma = np.einsum("nij,njk,nlk->nil", m, covs[ok], m)
+    sigma = 0.5 * (sigma + np.transpose(sigma, (0, 2, 1)))
+    return ok, e, h, sigma
 
 
 def solve_pose_average(
     measurements: list[PoseMeasurement],
     init: Pose,
     config: PoseAvgConfig,
-) -> PoseAvgResult:
+) -> IrlsResult:
     """IRLS Gauss-Newton average of noisy pose measurements.
 
     Each iteration recomputes errors, Jacobians, error covariances and
@@ -140,77 +127,31 @@ def solve_pose_average(
         raise ValueError("need at least one measurement")
     tm = np.stack([m.pose.matrix() for m in measurements])
     covs = np.stack([m.cov for m in measurements])
-    n = len(measurements)
-
-    pose = init
-    trace: list[dict] = []
-    converged = False
-    warm = None
     skipped_total = 0
-    mb_invocations = mb_below = mb_violations = 0
-    iterations = 0
 
-    for iterations in range(1, config.max_iters + 1):
-        rel = np.einsum("ij,njk->nik", pose.inverse().matrix(), tm)
-        e, ok = _batch_se3_log(rel)
+    def linearize(pose):
+        nonlocal skipped_total
+        ok, e, h, sigma = linearize_errors(pose, tm, covs)
         skipped_total += int(np.count_nonzero(~ok))
         if not np.any(ok):
             raise SingularSystemError("all measurements left the logarithm branch")
-        e = e[ok]
-        h = _batch_left_jacobian_inv(e)
-        m = -_batch_left_jacobian_inv(-e)
-        sigma = np.einsum("nij,njk,nlk->nil", m, covs[ok], m)
-        sigma = 0.5 * (sigma + np.transpose(sigma, (0, 2, 1)))
-
         sig_inv_e = np.linalg.solve(sigma, e[..., None])[..., 0]
-        eps = np.sqrt(np.einsum("ni,ni->n", e, sig_inv_e))
 
-        wres = config.rlf.weights(eps, n_e=ERROR_DIM, warm_start=warm)
-        warm = wres.warm_start
-        diag = wres.diagnostics
-        if config.rlf.kind == "adaptive_mb":
-            mb_invocations += 1
-            mb_below += diag.get("below_mode", 0)
-            mb_violations += diag.get("below_mode_violations", 0)
+        def update(wf):
+            sig_inv_h = np.linalg.solve(sigma, h)
+            a = np.einsum("nji,njk->ik", h, sig_inv_h * wf[:, None, None])
+            b = -np.einsum("nji,nj->i", h, sig_inv_e * wf[:, None])
+            sv = np.linalg.svd(a, compute_uv=False)
+            if sv[0] <= 0 or sv[-1] / sv[0] < 1e-14:
+                raise SingularSystemError("pose-averaging normal equations are singular")
+            step = np.linalg.solve(a, b)
+            return (pose @ exp_map(-step)).orthonormalized(), step
 
-        wf = wres.weights**config.weight_exponent
-        sig_inv_h = np.linalg.solve(sigma, h)
-        a = np.einsum("nji,njk->ik", h, sig_inv_h * wf[:, None, None])
-        b = -np.einsum("nji,nj->i", h, sig_inv_e * wf[:, None])
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[0] <= 0 or sv[-1] / sv[0] < 1e-14:
-            raise SingularSystemError("pose-averaging normal equations are singular")
-        step = np.linalg.solve(a, b)
+        return np.sqrt(np.einsum("ni,ni->n", e, sig_inv_e)), update
 
-        pose = (pose @ exp_map(-step)).orthonormalized()
-        step_phi = float(np.linalg.norm(step[:3]))
-        step_rho = float(np.linalg.norm(step[3:]))
-        trace.append(
-            {
-                "iter": iterations,
-                "step_phi": step_phi,
-                "step_rho": step_rho,
-                "alpha_star": diag.get("alpha_star", np.nan),
-                "a_star": diag.get("a_star", np.nan),
-                "mode": diag.get("mode", np.nan),
-            }
-        )
-        if step_phi < config.tol_phi and step_rho < config.tol_rho:
-            converged = True
-            break
-
-    return PoseAvgResult(
-        pose=pose,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        diagnostics={
-            "skipped_measurements": skipped_total,
-            "mb_invocations": mb_invocations,
-            "mb_below_mode": mb_below,
-            "mb_below_mode_violations": mb_violations,
-        },
-    )
+    result = irls(linearize, init, config, n_e=ERROR_DIM)
+    result.diagnostics = {"skipped_measurements": skipped_total, **result.diagnostics}
+    return result
 
 
 def default_measurement_cov() -> np.ndarray:

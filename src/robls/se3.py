@@ -35,7 +35,6 @@ __all__ = [
     "exp_map",
     "log_map",
     "left_jacobian",
-    "right_jacobian",
     "pose_error_norms",
     "sample_perturbation",
     "perturbation_sigma",
@@ -340,33 +339,6 @@ def log_map(pose: Pose) -> np.ndarray:
 
 def left_jacobian(xi) -> np.ndarray:
     return _batch_left_jacobian(np.asarray(xi, dtype=float).reshape(6))
-
-
-def right_jacobian(xi) -> np.ndarray:
-    """Right Jacobian, expanded directly (equals left_jacobian(-xi))."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    phi, rho = xi[:3], xi[3:]
-    t2 = float(phi @ phi)
-    p, r = skew(phi), skew(rho)
-    pr, rp = p @ r, r @ p
-    prp = pr @ p
-    ppr, rpp = p @ pr, rp @ p
-    prpp, pprp = prp @ p, p @ prp
-    c1 = _coef_c(t2)
-    c2 = -_coef_d(t2)
-    c3 = -0.5 * (_coef_d(t2) - 3.0 * _coef_e(t2))
-    q_r = (
-        -0.5 * r
-        + c1 * (pr + rp - prp)
-        + c2 * (-ppr - rpp + 3.0 * prp)
-        + c3 * (prpp + pprp)
-    )
-    a_r = np.eye(3) - _coef_b(t2) * p + _coef_c(t2) * (p @ p)
-    out = np.zeros((6, 6))
-    out[:3, :3] = a_r
-    out[3:, 3:] = a_r
-    out[3:, :3] = q_r
-    return out
 
 
 def pose_error_norms(delta: Pose) -> tuple[float, float]:

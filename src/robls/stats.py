@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class TrialRecord:
     converged: bool
     succeeded: bool
     seconds: float          # wall time; excluded from deterministic outputs
-    diagnostics: dict = field(default_factory=dict)
 
 
 def summarize(records: list[TrialRecord]) -> list[dict]:

@@ -14,7 +14,7 @@ they stand for the zero-mode assumption that the norm-aware kind drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,13 +73,6 @@ class RobustLoss:
             raise ValueError(f"unknown RLF kind {self.kind!r}; expected one of {RLF_KINDS}")
         if self.tau <= 0:
             raise ValueError("truncation bound tau must be positive")
-
-    def with_tau(self, tau: float) -> "RobustLoss":
-        return replace(self, tau=tau)
-
-    @property
-    def is_adaptive(self) -> bool:
-        return self.kind in ADAPTIVE_KINDS
 
     def weights(
         self, residuals, n_e: int = 3, warm_start: AdaptiveState | None = None

@@ -5,14 +5,22 @@ from scipy.integrate import quad
 from robls.adaptive import (
     BARRON_DOMAIN,
     CHEBROLU_DOMAIN,
-    grad_lambda,
-    neg_log_likelihood,
+    _Objective,
     optimize_alpha,
     partition_z,
 )
 from robls.loss import rho
 
 from conftest import grid_search_alpha
+
+
+def neg_log_likelihood(residuals, alpha, bounds):
+    """Truncated-likelihood objective as the optimizer evaluates it."""
+    return _Objective(residuals, CHEBROLU_DOMAIN, bounds).value(alpha)
+
+
+def grad_lambda(residuals, alpha, bounds):
+    return _Objective(residuals, CHEBROLU_DOMAIN, bounds).grad(alpha)
 
 
 class TestPartitionZ:

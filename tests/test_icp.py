@@ -93,22 +93,21 @@ class TestEstimateNormals:
 class TestAssociate:
     def test_identity_self_match(self, rng):
         pts = rng.uniform(-1, 1, (300, 3))
-        corr = associate(pts, cKDTree(pts))
-        assert np.array_equal(corr.target_idx, np.arange(300))
-        assert np.all(corr.active)
+        idx = associate(pts, cKDTree(pts))
+        assert np.array_equal(idx, np.arange(300))
 
     def test_matches_brute_force(self, rng):
         source = rng.uniform(-1, 1, (500, 3))
         target = rng.uniform(-1, 1, (400, 3))
-        corr = associate(source, cKDTree(target))
+        idx = associate(source, cKDTree(target))
         brute = np.argmin(
             np.linalg.norm(source[:, None, :] - target[None, :, :], axis=2), axis=1
         )
-        assert np.array_equal(corr.target_idx, brute)
+        assert np.array_equal(idx, brute)
 
     def test_single_target(self, rng):
-        corr = associate(rng.uniform(-1, 1, (50, 3)), cKDTree(np.zeros((1, 3))))
-        assert np.all(corr.target_idx == 0)
+        idx = associate(rng.uniform(-1, 1, (50, 3)), cKDTree(np.zeros((1, 3))))
+        assert np.all(idx == 0)
 
 
 class TestResiduals:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robls.loss import (
     ALPHA_MIN,
@@ -91,6 +93,53 @@ class TestBranchContinuity:
             general_w = (1.0 + eps * eps / abs(a - 2.0)) ** (a / 2.0 - 1.0)
             assert abs(float(general_rho) - rho(eps, 0.0)) < 1e-6
             assert abs(general_w - weight(eps, 0.0)) < 1e-6
+
+
+# Fixed example sequence and no example database, so tier-1 runs repeat.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+ALPHAS = st.one_of(st.floats(2.0 * ALPHA_MIN, 2.0), st.just(-np.inf))
+EPS = st.floats(0.0, 1e6)
+EPS_20 = st.floats(0.0, 20.0)
+SWITCH_OFFSET = st.floats(-4.0 * BRANCH_TOL, 4.0 * BRANCH_TOL)
+
+# Largest gap between the general branch at ALPHA_MIN and the alpha = -inf
+# limit over eps in [0, 20] (see the ALPHA_MIN comment in robls.loss).
+WELSCH_GAP_WEIGHT = 0.0104
+WELSCH_GAP_RHO = 0.0401
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(eps=st.lists(EPS, min_size=1, max_size=16), alpha=ALPHAS)
+    def test_weights_finite_in_unit_interval(self, eps, alpha):
+        w = weight(np.array(eps), alpha)
+        assert np.all(np.isfinite(w)) and np.all((w >= 0.0) & (w <= 1.0))
+
+    @PROPERTY
+    @given(alpha=ALPHAS)
+    def test_unit_weight_at_zero(self, alpha):
+        assert weight(0.0, alpha) == 1.0
+
+    @PROPERTY
+    @given(a=EPS, b=EPS, alpha=ALPHAS)
+    def test_rho_nondecreasing(self, a, b, alpha):
+        lo, hi = min(a, b), max(a, b)
+        assert rho(hi, alpha) >= rho(lo, alpha) - 1e-12 * max(1.0, abs(rho(lo, alpha)))
+
+    @PROPERTY
+    @given(switch=st.sampled_from([0.0, 2.0]), offset=SWITCH_OFFSET, eps=EPS_20)
+    def test_continuous_across_branch_switches(self, switch, offset, eps):
+        alpha = min(switch + offset, 2.0)
+        assert abs(weight(eps, alpha) - weight(eps, switch)) <= 1e-4
+        limit = rho(eps, switch)
+        assert abs(rho(eps, alpha) - limit) <= 1e-4 * max(1.0, limit)
+
+    @PROPERTY
+    @given(offset=SWITCH_OFFSET, eps=EPS_20)
+    def test_alpha_min_gap_to_welsch_limit(self, offset, eps):
+        alpha = ALPHA_MIN + offset
+        assert abs(weight(eps, alpha) - weight(eps, -np.inf)) <= WELSCH_GAP_WEIGHT
+        assert abs(rho(eps, alpha) - rho(eps, -np.inf)) <= WELSCH_GAP_RHO
 
 
 class TestDrhoDalpha:

@@ -9,19 +9,29 @@ from robls.pose_avg import (
     PoseMeasurement,
     TrialSpec,
     default_measurement_cov,
-    error_jacobians,
     generate_trial,
-    left_invariant_error,
+    linearize_errors,
     n_outliers,
-    propagate_cov,
     solve_pose_average,
 )
-from robls.se3 import Pose, exp_map, log_map, pose_error_norms
+from robls.se3 import Pose, exp_map, left_jacobian, log_map, pose_error_norms
 from robls.weighting import RobustLoss
 
 
 def cfg(kind="none", **kw):
     return PoseAvgConfig(rlf=RobustLoss(kind, tau=20.0), **kw)
+
+
+def linearize_one(estimate, measurement, cov=None):
+    """``linearize_errors`` for a single in-branch measurement: (e, H, Sigma)."""
+    cov = np.eye(6) if cov is None else cov
+    ok, e, h, sigma = linearize_errors(estimate, measurement.matrix()[None], cov[None])
+    assert ok.tolist() == [True]
+    return e[0], h[0], sigma[0]
+
+
+def left_invariant_error(estimate, measurement):
+    return linearize_one(estimate, measurement)[0]
 
 
 class TestLeftInvariantError:
@@ -44,15 +54,14 @@ class TestLeftInvariantError:
 
 class TestErrorJacobians:
     def test_identity_at_zero(self):
-        h, m = error_jacobians(np.zeros(6))
+        _, h, sigma = linearize_one(Pose.identity(), Pose.identity())
         assert np.allclose(h, np.eye(6))
-        assert np.allclose(m, -np.eye(6))
+        assert np.allclose(sigma, np.eye(6))
 
     def test_estimate_side_first_order(self, rng):
         t = exp_map(rng.uniform(-0.4, 0.4, 6))
         meas = exp_map(rng.uniform(-0.4, 0.4, 6))
-        e_bar = left_invariant_error(t, meas)
-        h, _ = error_jacobians(e_bar)
+        e_bar, h, _ = linearize_one(t, meas)
         direction = rng.standard_normal(6)
         direction /= np.linalg.norm(direction)
         defects = []
@@ -63,34 +72,42 @@ class TestErrorJacobians:
         assert defects[1] <= defects[0] / 3.0
 
     def test_measurement_side_first_order(self, rng):
+        # Sigma = M R M' with M the derivative of the error in a measurement
+        # perturbation meas <- meas exp(-d), taken here by central differences
         t = exp_map(rng.uniform(-0.4, 0.4, 6))
         meas = exp_map(rng.uniform(-0.4, 0.4, 6))
-        e_bar = left_invariant_error(t, meas)
-        _, m = error_jacobians(e_bar)
-        direction = rng.standard_normal(6)
-        direction /= np.linalg.norm(direction)
-        defects = []
-        for step in (1e-3, 5e-4):
-            d = step * direction
-            e_new = left_invariant_error(t, meas @ exp_map(-d))
-            defects.append(np.linalg.norm(e_new - e_bar - m @ d))
-        assert defects[1] <= defects[0] / 3.0
+        r = default_measurement_cov()
+        _, _, sigma = linearize_one(t, meas, r)
+        step = 1e-6
+        m_fd = np.column_stack(
+            [
+                (left_invariant_error(t, meas @ exp_map(-step * d))
+                 - left_invariant_error(t, meas @ exp_map(step * d))) / (2.0 * step)
+                for d in np.eye(6)
+            ]
+        )
+        assert np.allclose(sigma, m_fd @ r @ m_fd.T, rtol=1e-6, atol=1e-9)
 
 
 class TestPropagateCov:
     def test_negated_identity_returns_cov(self):
+        # at zero error M = -I, so the error covariance is the measurement's
         r = default_measurement_cov()
-        assert np.allclose(propagate_cov(-np.eye(6), r), r)
+        pose = exp_map(np.array([0.1, -0.2, 0.3, 0.5, -0.1, 0.2]))
+        _, _, sigma = linearize_one(pose, pose, r)
+        assert np.allclose(sigma, r)
 
     def test_identity_cov(self, rng):
-        m = np.eye(6) + 0.1 * rng.standard_normal((6, 6))
-        assert np.allclose(propagate_cov(m, np.eye(6)), 0.5 * (m @ m.T + (m @ m.T).T))
+        # M = -J_right(e)^-1 = -J_left(-e)^-1, inverted numerically here
+        xi = rng.uniform(-0.5, 0.5, 6)
+        _, _, sigma = linearize_one(Pose.identity(), exp_map(xi))
+        m = -np.linalg.inv(left_jacobian(-xi))
+        assert np.allclose(sigma, m @ m.T, atol=1e-12)
 
     def test_positive_definite_output(self, rng):
         for _ in range(10):
-            e = rng.uniform(-0.5, 0.5, 6)
-            _, m = error_jacobians(e)
-            sigma = propagate_cov(m, default_measurement_cov())
+            xi = rng.uniform(-0.5, 0.5, 6)
+            _, _, sigma = linearize_one(Pose.identity(), exp_map(xi), default_measurement_cov())
             assert np.all(np.linalg.eigvalsh(sigma) > 0)
             assert np.abs(sigma - sigma.T).max() == 0.0
 
@@ -113,16 +130,10 @@ class TestSolver:
         meas, init, _ = generate_trial(spec)
         res = solve_pose_average(meas, init, cfg("none", tol_phi=1e-10, tol_rho=1e-10, max_iters=200))
         # gradient of the unweighted objective via the same linearization
-        from robls.se3 import _batch_left_jacobian_inv, _batch_se3_log
-
         tm = np.stack([m.pose.matrix() for m in meas])
-        rel = np.einsum("ij,njk->nik", res.pose.inverse().matrix(), tm)
-        e, ok = _batch_se3_log(rel)
-        assert np.all(ok)
-        h = _batch_left_jacobian_inv(e)
         covs = np.stack([m.cov for m in meas])
-        m_jac = -_batch_left_jacobian_inv(-e)
-        sigma = np.einsum("nij,njk,nlk->nil", m_jac, covs, m_jac)
+        ok, e, h, sigma = linearize_errors(res.pose, tm, covs)
+        assert np.all(ok)
         grad = np.einsum("nji,nj->i", h, np.linalg.solve(sigma, e[..., None])[..., 0])
         assert np.linalg.norm(grad) < 1e-6
 
