@@ -17,10 +17,10 @@ from .adaptive import (
 from .loss import (
     ALPHA_MIN,
     FixedRlf,
-    drho_dalpha,
     fixed_weight,
     mad_scale,
     rho,
+    rho_alpha_derivs,
     var_trimmed_weights,
     weight,
 )

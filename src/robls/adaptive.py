@@ -12,16 +12,19 @@ normalizes over a bounded interval and admits ``alpha`` down to the
 Welsch-like limit.
 
 The minimizer is Newton's method on alpha with an Armijo backtracking line
-search, a numeric second derivative, and projection onto the domain.
+search and projection onto the domain.  Its gradient and second derivative
+are analytic: one quadrature pass yields ``Z`` and both of its alpha
+derivatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .loss import ALPHA_MIN, BRANCH_TOL, drho_dalpha, rho
+from .loss import ALPHA_MIN, BRANCH_TOL, _branch, rho, rho_alpha_derivs
 
 __all__ = [
     "AlphaDomain",
@@ -32,8 +35,12 @@ __all__ = [
     "optimize_alpha",
 ]
 
-QUAD_TOL = 1e-9
 UNTRUNCATED_SPAN = 40.0  # half-width used to approximate the improper integral
+
+# Panel width of the composite 24-point Gauss-Legendre rule.  At 1.0, for
+# bounds from 0.02 to 80, log Z agrees with adaptive quadrature to about 1e-14
+# and dZ/dalpha to about 3e-10 of Z.
+PANEL_WIDTH = 1.0
 
 # Newton constants.
 ARMIJO_C1 = 1e-4
@@ -41,12 +48,11 @@ BACKTRACK_SHRINK = 0.5
 MAX_BACKTRACKS = 20
 MAX_NEWTON_ITERS = 50
 STEP_TOL = 1e-4
-HESS_STEP = 1e-3
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 # Keep optimizer iterates comfortably clear of the limit-branch switch zones
-# so the analytic gradient stays evaluable after rounding.
+# so the analytic derivatives stay evaluable after rounding.
 _INTERIOR_MARGIN = 4.0 * BRANCH_TOL
 
 
@@ -75,101 +81,92 @@ class AlphaOptResult:
     converged: bool
 
 
-def _composite_gl(f, a: float, b: float, panels: int) -> float:
-    """Fixed-order Gauss-Legendre on ``panels`` equal subintervals."""
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    x = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
-    fx = f(x)
-    return float(half * np.dot(fx.reshape(panels, -1).sum(axis=0), _GL_WEIGHTS))
+@lru_cache(maxsize=8)
+def _gl_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule on [a, b].
+
+    The integrand is even in eps, so a symmetric interval folds onto [0, b]
+    with weight 2.
+    """
+    scale = 1.0
+    if a == -b:
+        a, scale = 0.0, 2.0
+    panels = max(1, int(np.ceil((b - a) / PANEL_WIDTH)))
+    half = 0.5 * (b - a) / panels
+    centers = a + half * (2.0 * np.arange(panels) + 1.0)
+    nodes = (centers[:, None] + half * _GL_NODES).ravel()
+    weights = np.tile(scale * half * _GL_WEIGHTS, panels)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _adaptive_gl(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
-    """Panel-doubling Gauss-Legendre quadrature to absolute tolerance."""
+def partition_z(alpha: float, bounds: tuple[float, float]) -> tuple[float, float, float]:
+    """Normalization ``Z = integral of exp(-rho(eps, alpha))`` over bounds.
+
+    One pass of a fixed composite 24-point Gauss-Legendre rule with panels
+    at most ``PANEL_WIDTH`` wide.  Returns ``(Z, dZ/dalpha, d2Z/dalpha2)``;
+    the derivatives come from the same nodes in the general branch and are
+    NaN on the limit branches (alpha = 2, 0 and -inf).
+    """
+    a, b = float(bounds[0]), float(bounds[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
-    panels = 1
-    prev = _composite_gl(f, a, b, panels)
-    for _ in range(10):
-        panels *= 2
-        cur = _composite_gl(f, a, b, panels)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
+    x, w = _gl_rule(a, b)
+    if _branch(alpha) != "general":
+        return float(w @ np.exp(-rho(x, alpha))), np.nan, np.nan
+    r, dr, d2r = rho_alpha_derivs(x, alpha)
+    wf = w * np.exp(-r)
+    return float(wf.sum()), float(-(wf @ dr)), float(wf @ (dr * dr - d2r))
 
 
-def partition_z(alpha: float, bounds: tuple[float, float], tol: float = QUAD_TOL) -> float:
-    """Normalization constant ``integral of exp(-rho(eps, alpha))`` over bounds."""
-    a, b = bounds
-    return _adaptive_gl(lambda x: np.exp(-rho(x, alpha)), a, b, tol)
-
-
-def _moment_integral(alpha: float, bounds: tuple[float, float]) -> float:
-    """``integral of exp(-rho) * drho/dalpha`` over bounds (general branch only)."""
-    a, b = bounds
-    return _adaptive_gl(lambda x: np.exp(-rho(x, alpha)) * drho_dalpha(x, alpha), a, b)
-
-
-def _clamp_residuals(residuals, bounds) -> np.ndarray:
-    r = np.asarray(residuals, dtype=float)
-    if r.size == 0:
-        raise ValueError("residual list must be nonempty")
-    return np.clip(r, bounds[0], bounds[1])
-
-
-def _untruncated_z(alpha: float, tau_span: float) -> float:
-    """Approximate normalization over the whole real line.
+def _untruncated_z(alpha: float, tau_span: float) -> np.ndarray:
+    """Approximate normalization, and its alpha derivatives, over the whole real line.
 
     Integrates over [-T, T] and [-2T, 2T] and removes the leading 1/T tail
     error by extrapolation; exact in the limit for the slowest-decaying case
     (the Cauchy-like alpha = 0 member).
     """
     t = max(tau_span, UNTRUNCATED_SPAN)
-    z1 = partition_z(alpha, (-t, t))
-    z2 = partition_z(alpha, (-2.0 * t, 2.0 * t))
+    z1 = np.array(partition_z(alpha, (-t, t)))
+    z2 = np.array(partition_z(alpha, (-2.0 * t, 2.0 * t)))
     return 2.0 * z2 - z1
 
 
-def _untruncated_moment(alpha: float, tau_span: float) -> float:
-    t = max(tau_span, UNTRUNCATED_SPAN)
-    m1 = _moment_integral(alpha, (-t, t))
-    m2 = _moment_integral(alpha, (-2.0 * t, 2.0 * t))
-    return 2.0 * m2 - m1
-
-
 class _Objective:
-    """Lambda(alpha) and its gradient for one residual set and domain."""
+    """Lambda(alpha) and its alpha derivatives for one residual set and domain."""
 
     def __init__(self, residuals, domain: AlphaDomain, bounds: tuple[float, float]):
+        r = np.asarray(residuals, dtype=float)
+        if r.size == 0:
+            raise ValueError("residual list must be nonempty")
         self.domain = domain
         self.bounds = bounds
-        span = max(abs(bounds[0]), abs(bounds[1]))
-        self.span = span
+        self.span = max(abs(bounds[0]), abs(bounds[1]))
         if domain.variant == "barron":
-            clamp_hi = max(span, UNTRUNCATED_SPAN)
-            self.residuals = np.clip(np.asarray(residuals, dtype=float), -clamp_hi, clamp_hi)
-        else:
-            self.residuals = _clamp_residuals(residuals, bounds)
-        self.n = self.residuals.size
+            hi = max(self.span, UNTRUNCATED_SPAN)
+            bounds = (-hi, hi)
+        self.residuals = np.clip(r, bounds[0], bounds[1])
+        self.n = r.size
 
-    def _z(self, alpha: float) -> float:
+    def _z(self, alpha: float):
+        """``(Z, dZ/dalpha, d2Z/dalpha2)`` for this domain."""
         if self.domain.variant == "barron":
             return _untruncated_z(alpha, self.span)
         return partition_z(alpha, self.bounds)
 
     def value(self, alpha: float) -> float:
-        return float(self.n * np.log(self._z(alpha)) + np.sum(rho(self.residuals, alpha)))
+        return float(self.n * np.log(self._z(alpha)[0]) + np.sum(rho(self.residuals, alpha)))
 
-    def grad(self, alpha: float) -> float:
-        alpha = self._interior(alpha)
-        z = self._z(alpha)
-        if self.domain.variant == "barron":
-            moment = _untruncated_moment(alpha, self.span)
-        else:
-            moment = _moment_integral(alpha, self.bounds)
-        return float(-self.n / z * moment + np.sum(drho_dalpha(self.residuals, alpha)))
+    def value_derivs(self, alpha: float) -> tuple[float, float, float]:
+        """``(Lam, dLam/dalpha, d2Lam/dalpha2)`` at a general-branch alpha."""
+        z, dz, d2z = self._z(alpha)
+        r, dr, d2r = rho_alpha_derivs(self.residuals, alpha)
+        g = dz / z
+        return (
+            float(self.n * np.log(z) + np.sum(r)),
+            float(self.n * g + np.sum(dr)),
+            float(self.n * (d2z / z - g * g) + np.sum(d2r)),
+        )
 
     def _interior(self, alpha: float) -> float:
         """Nudge alpha off the removable singularities of the general branch."""
@@ -180,16 +177,6 @@ class _Objective:
             if alpha < lo:
                 alpha = lo + _INTERIOR_MARGIN
         return alpha
-
-    def hess(self, alpha: float) -> float:
-        lo, hi = self.domain.lo, 2.0 - _INTERIOR_MARGIN
-        h = HESS_STEP
-        up, down = alpha + h, alpha - h
-        if up > hi:
-            up, down = hi, hi - 2.0 * h
-        if down < lo:
-            up, down = lo + 2.0 * h, lo
-        return (self.grad(up) - self.grad(down)) / (up - down)
 
 
 _SCAN_CHEBROLU = (2.0, 1.5, 1.0, 0.5, 0.05, -0.05, -0.5, -1.0, -2.0, -3.5,
@@ -235,15 +222,13 @@ def optimize_alpha(
             scan_vals = [(obj.value(a), a) for a in scan]
             alpha = obj._interior(min(scan_vals)[1])
 
-        lam = obj.value(alpha)
+        lam, g, h = obj.value_derivs(alpha)
         if not np.isfinite(lam):
             raise FloatingPointError("non-finite objective")
 
         iterations = 0
         converged = False
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
-            g = obj.grad(alpha)
-            h = obj.hess(alpha)
             step = -g / h if (np.isfinite(h) and h > 1e-12) else -np.sign(g) * min(1.0, abs(g))
             t = 1.0
             moved = False
@@ -252,14 +237,16 @@ def optimize_alpha(
                 delta = cand - alpha
                 if delta == 0.0:
                     break
-                lam_cand = obj.value(cand)
+                lam_cand, g_cand, h_cand = obj.value_derivs(cand)
                 if not np.isfinite(lam_cand):
                     raise FloatingPointError("non-finite objective")
                 if lam_cand <= lam + ARMIJO_C1 * g * delta:
-                    alpha, lam, moved = cand, lam_cand, True
+                    alpha, lam, g, h, moved = cand, lam_cand, g_cand, h_cand, True
                     break
                 t *= BACKTRACK_SHRINK
-            if not moved or abs(delta) < STEP_TOL:
+            # Lam' grows like log(1 / (2 - alpha)) near alpha = 2, so Newton
+            # steps there shrink with 2 - alpha and are not a sign of convergence.
+            if not moved or abs(delta) < STEP_TOL * min(1.0, 2.0 - alpha):
                 converged = True
                 break
 

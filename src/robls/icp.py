@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .irls import IrlsResult, irls
 from .se3 import Pose, exp_map
@@ -98,6 +97,8 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     pts = cloud.points
     if len(pts) <= k:
         raise ValueError(f"need more than k={k} points to estimate normals")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     _, nbr = tree.query(pts, k=k + 1)
     nbrs = pts[nbr]                                  # (N, k+1, 3), row 0 is the point itself
@@ -112,7 +113,7 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     return PointCloud(pts, normals=normals, normals_valid=valid)
 
 
-def associate(source_points: np.ndarray, target_tree: cKDTree) -> np.ndarray:
+def associate(source_points: np.ndarray, target_tree) -> np.ndarray:
     """Index of the nearest target point for every source point; no distance gating."""
     if target_tree.n == 0:
         raise ValueError("target cloud is empty")
@@ -168,6 +169,8 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     """
     if target.normals is None:
         raise ValueError("target cloud must carry normals (run estimate_normals)")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(target.points)
     cov_scale = 2.0 * config.grid**2
     proj_var = cov_scale  # n' (cov_scale * I) n for unit normals

@@ -27,7 +27,7 @@ __all__ = [
     "FixedRlf",
     "rho",
     "weight",
-    "drho_dalpha",
+    "rho_alpha_derivs",
     "mad_scale",
     "fixed_weight",
     "var_trimmed_weights",
@@ -135,24 +135,34 @@ def weight(eps, alpha: float):
     return np.exp((0.5 * alpha - 1.0) * np.log1p(eps * eps / b))
 
 
-def drho_dalpha(eps, alpha: float):
-    """Partial derivative of the general-branch loss with respect to alpha.
+def rho_alpha_derivs(eps, alpha: float):
+    """General-branch loss and its first two partial derivatives in alpha.
 
-    Only valid strictly inside the general branch; callers must stay at
-    least ``BRANCH_TOL`` away from the removable singularities at 0 and 2.
+    Returns ``(rho, drho/dalpha, d2rho/dalpha2)``, sharing one ``log1p``
+    and one ``expm1`` per residual.  Only valid strictly inside the general
+    branch; callers must stay at least ``BRANCH_TOL`` away from the
+    removable singularities at 0 and 2.
     """
-    if not np.isfinite(alpha) or abs(alpha) < BRANCH_TOL or abs(alpha - 2.0) < BRANCH_TOL:
+    if _branch(alpha) != "general":
         raise ValueError(
-            f"drho_dalpha requires alpha strictly inside the general branch, got {alpha}"
+            f"rho_alpha_derivs requires alpha strictly inside the general branch, got {alpha}"
         )
     eps = np.asarray(eps, dtype=float)
-    b = abs(alpha - 2.0)  # = 2 - alpha for alpha < 2
-    ln_t = np.log1p(eps * eps / b)
-    t_pow = np.exp(0.5 * alpha * ln_t)
-    # d/dalpha[(b/alpha)(t^(alpha/2) - 1)] with db/dalpha = -1:
-    first = (-2.0 / (alpha * alpha)) * np.expm1(0.5 * alpha * ln_t)
-    inner = 0.5 * ln_t + 0.5 * alpha * eps * eps / (b * (b + eps * eps))
-    return first + (b / alpha) * t_pow * inner
+    e2 = eps * eps
+    b = abs(alpha - 2.0)  # = 2 - alpha, so db/dalpha = -1
+    be = b + e2
+    u = (0.5 * alpha) * np.log1p(e2 / b)  # (alpha/2) ln t, t = 1 + eps^2/b
+    em1 = np.expm1(u)
+    t_pow = em1 + 1.0
+    # q = d(ln t)/dalpha; s = du/dalpha; ds = d2u/dalpha2.
+    q = e2 / be * (1.0 / b)
+    s = u * (1.0 / alpha) + (0.5 * alpha) * q
+    ds = q + (alpha / (2.0 * b)) * q * (b + be) / be
+    ps = t_pow * s
+    value = (b / alpha) * em1
+    first = (-2.0 / alpha**2) * em1 + (b / alpha) * ps
+    second = (4.0 / alpha**3) * em1 - (4.0 / alpha**2) * ps + (b / alpha) * t_pow * (s * s + ds)
+    return value, first, second
 
 
 def mad_scale(residuals) -> float:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from robls.adaptive import CHEBROLU_DOMAIN, _Objective
 from robls.mbfit import HistogramBins, chi_quantile, default_bin_count, _fit_objective
@@ -34,6 +35,16 @@ def fd_drho_deps(eps, alpha, h=1e-5):
 
 def fd_drho_dalpha(eps, alpha, h=1e-6):
     return (rho_reference(eps, alpha + h) - rho_reference(eps, alpha - h)) / (2.0 * h)
+
+
+def fd_d2rho_dalpha2(eps, alpha, h=2.0**-14):
+    """Second central difference of the reference loss in alpha."""
+    up, mid, down = (rho_reference(eps, alpha + d) for d in (h, 0.0, -h))
+    return (up - 2.0 * mid + down) / (h * h)
+
+
+# Fixed example sequence and no example database, so tier-1 runs repeat.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def grid_search_alpha(residuals, bounds, lo=-50.0, hi=2.0, step=0.01,

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from robls.adaptive import (
+    _SCAN_BARRON,
+    _SCAN_CHEBROLU,
     BARRON_DOMAIN,
     CHEBROLU_DOMAIN,
     _Objective,
     optimize_alpha,
     partition_z,
 )
-from robls.loss import rho
+from robls.loss import ALPHA_MIN, BRANCH_TOL, rho, rho_alpha_derivs
 
-from conftest import grid_search_alpha
+from conftest import PROPERTY, grid_search_alpha
 
 
 def neg_log_likelihood(residuals, alpha, bounds):
@@ -20,24 +24,24 @@ def neg_log_likelihood(residuals, alpha, bounds):
 
 
 def grad_lambda(residuals, alpha, bounds):
-    return _Objective(residuals, CHEBROLU_DOMAIN, bounds).grad(alpha)
+    return _Objective(residuals, CHEBROLU_DOMAIN, bounds).value_derivs(alpha)[1]
 
 
 class TestPartitionZ:
     def test_gaussian_closed_form(self):
-        assert partition_z(2.0, (-10, 10)) == pytest.approx(np.sqrt(2 * np.pi), abs=1e-6)
+        assert partition_z(2.0, (-10, 10))[0] == pytest.approx(np.sqrt(2 * np.pi), abs=1e-6)
 
     def test_cauchy_closed_form(self):
         expected = 2.0 * np.sqrt(2.0) * np.arctan(10.0 / np.sqrt(2.0))
-        assert partition_z(0.0, (-10, 10)) == pytest.approx(expected, abs=1e-6)
+        assert partition_z(0.0, (-10, 10))[0] == pytest.approx(expected, abs=1e-6)
 
     def test_welsch_integrand_bounds(self):
-        z = partition_z(-np.inf, (0, 10))
+        z = partition_z(-np.inf, (0, 10))[0]
         assert 10.0 / np.e <= z <= 10.0
 
     @pytest.mark.parametrize("alpha", [1.5, 0.7, -1.0, -8.0])
     def test_against_scipy_quad(self, alpha):
-        ours = partition_z(alpha, (-7.0, 7.0))
+        ours = partition_z(alpha, (-7.0, 7.0))[0]
         ref, _ = quad(lambda x: np.exp(-rho(x, alpha)), -7.0, 7.0, epsabs=1e-12)
         assert ours == pytest.approx(ref, abs=1e-8)
 
@@ -45,12 +49,37 @@ class TestPartitionZ:
         # heavier tails live at lower alpha, so the normalization shrinks as
         # alpha grows toward the Gaussian end
         alphas = np.linspace(-50.0, 2.0, 40)
-        z = [partition_z(a, (-10, 10)) for a in alphas]
+        z = [partition_z(a, (-10, 10))[0] for a in alphas]
         assert np.all(np.diff(z) <= 1e-9)
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             partition_z(1.0, (3.0, -3.0))
+
+    @pytest.mark.parametrize(
+        "alpha", [2.0 - 4 * BRANCH_TOL, 4 * BRANCH_TOL, -4 * BRANCH_TOL, 1.5, -8.0, ALPHA_MIN]
+    )
+    @pytest.mark.parametrize("bounds", [(0.0, 0.02), (0.0, 0.37), (0.0, 2.9), (0.0, 13.1),
+                                        (0.0, 80.0), (-9.5, 9.5)])
+    def test_fixed_rule_matches_adaptive_quad(self, alpha, bounds):
+        z, dz, _ = partition_z(alpha, bounds)
+        ref_z, _ = quad(lambda x: np.exp(-rho(x, alpha)), *bounds, epsabs=1e-12, limit=200)
+        ref_dz, _ = quad(lambda x: -np.exp(-rho(x, alpha)) * rho_alpha_derivs(x, alpha)[1],
+                         *bounds, epsabs=1e-12, limit=200)
+        assert abs(np.log(z) - np.log(ref_z)) <= 1e-10
+        assert abs(dz - ref_dz) / ref_z <= 1e-8
+
+    def test_second_derivative_matches_fd_of_first(self):
+        h = 1e-5
+        for alpha in (1.3, 0.2, -2.5, -30.0):
+            d2z = partition_z(alpha, (0.0, 6.0))[2]
+            fd = (partition_z(alpha + h, (0.0, 6.0))[1] - partition_z(alpha - h, (0.0, 6.0))[1]) / (2 * h)
+            assert d2z == pytest.approx(fd, rel=1e-6)
+
+    def test_limit_branches_have_no_derivatives(self):
+        for alpha in (2.0, 0.0, -np.inf):
+            z, dz, d2z = partition_z(alpha, (0.0, 5.0))
+            assert np.isfinite(z) and np.isnan(dz) and np.isnan(d2z)
 
 
 class TestNegLogLikelihood:
@@ -61,7 +90,7 @@ class TestNegLogLikelihood:
     def test_single_zero_residual_reduces_to_log_z(self):
         for alpha in [1.0, 0.0, -2.0]:
             lam = neg_log_likelihood([0.0], alpha, (-10, 10))
-            assert lam == pytest.approx(np.log(partition_z(alpha, (-10, 10))))
+            assert lam == pytest.approx(np.log(partition_z(alpha, (-10, 10))[0]))
 
     def test_doubling_residuals_doubles_objective(self, rng):
         res = np.abs(rng.standard_normal(40))
@@ -96,13 +125,26 @@ class TestGradLambda:
         g = grad_lambda(res, -3.0, (-10, 10))
         assert g == pytest.approx(_fd_grad(res, -3.0, (-10, 10)), rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "domain,bounds,alpha",
+        [(CHEBROLU_DOMAIN, (-10, 10), 1.2), (CHEBROLU_DOMAIN, (-10, 10), -4.0),
+         (CHEBROLU_DOMAIN, (0.0, 7.3), -0.6), (CHEBROLU_DOMAIN, (0.0, 7.3), 1.97),
+         (BARRON_DOMAIN, (-10, 10), 0.4), (BARRON_DOMAIN, (-10, 10), 1.6)],
+    )
+    def test_hessian_matches_fd_of_gradient(self, rng, domain, bounds, alpha):
+        res = np.concatenate([np.abs(rng.standard_normal(80)), rng.uniform(2, 7, 30)])
+        obj = _Objective(res, domain, bounds)
+        h = 1e-5
+        fd = (obj.value_derivs(alpha + h)[1] - obj.value_derivs(alpha - h)[1]) / (2.0 * h)
+        assert obj.value_derivs(alpha)[2] == pytest.approx(fd, rel=1e-5)
+
     def test_zero_residuals_pure_partition_term(self):
         res = np.zeros(17)
         g = grad_lambda(res, 0.7, (-10, 10))
         h = 1e-5
         z_term = (
-            np.log(partition_z(0.7 + h, (-10, 10)))
-            - np.log(partition_z(0.7 - h, (-10, 10)))
+            np.log(partition_z(0.7 + h, (-10, 10))[0])
+            - np.log(partition_z(0.7 - h, (-10, 10))[0])
         ) / (2 * h)
         assert g == pytest.approx(17.0 * z_term, rel=1e-4)
 
@@ -161,6 +203,65 @@ class TestOptimizeAlpha:
         else:
             assert warm.alpha_star == pytest.approx(cold.alpha_star, abs=2e-4)
 
+    @pytest.mark.parametrize("domain", [BARRON_DOMAIN, CHEBROLU_DOMAIN])
+    def test_warm_start_at_two_leaves_the_boundary(self, rng, domain):
+        # Lam'' grows like 1 / (2 - alpha), so the first Newton steps from a
+        # warm start at alpha = 2 are tiny without being converged.
+        res = np.concatenate([np.abs(rng.standard_normal(300)), rng.uniform(3, 8, 30)])
+        cold = optimize_alpha(res, domain, (-10, 10))
+        warm = optimize_alpha(res, domain, (-10, 10), x0=2.0)
+        assert cold.alpha_star < 1.0
+        assert warm.alpha_star == pytest.approx(cold.alpha_star, abs=2e-4)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             optimize_alpha([], CHEBROLU_DOMAIN, (-10, 10))
+
+
+def _residual_set(n, outlier_share, inlier_scale, seed):
+    rng = np.random.default_rng(seed)
+    n_out = int(round(outlier_share * n))
+    inliers = np.abs(rng.standard_normal(n - n_out)) * inlier_scale
+    return np.concatenate([inliers, rng.uniform(0.0, 10.0, n_out)])
+
+
+RESIDUALS = st.builds(
+    _residual_set,
+    st.integers(2, 300),
+    st.floats(0.0, 0.9),
+    st.floats(0.2, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+DOMAINS = st.sampled_from([(BARRON_DOMAIN, _SCAN_BARRON), (CHEBROLU_DOMAIN, _SCAN_CHEBROLU)])
+
+
+class TestOptimizeAlphaProperties:
+    """The optimizer never ends worse than the best point of its own scan grid."""
+
+    @staticmethod
+    def _scan_best(res, domain, scan, bounds):
+        obj = _Objective(res, domain, bounds)
+        values = [obj.value(a) for a in scan]
+        i = int(np.argmin(values))
+        return values[i], i
+
+    @PROPERTY
+    @given(res=RESIDUALS, dom=DOMAINS, half_open=st.booleans())
+    def test_cold_start_beats_scan(self, res, dom, half_open):
+        domain, scan = dom
+        bounds = (0.0, 10.0) if half_open and domain is CHEBROLU_DOMAIN else (-10.0, 10.0)
+        best, _ = self._scan_best(res, domain, scan, bounds)
+        out = optimize_alpha(res, domain, bounds)
+        assert out.objective <= best + 1e-9 * max(1.0, abs(best))
+
+    @PROPERTY
+    @given(res=RESIDUALS, dom=DOMAINS, where=st.floats(0.0, 1.0))
+    def test_warm_start_near_scan_best_beats_scan(self, res, dom, where):
+        # A warm start anywhere between the scan neighbours of the best grid
+        # point, as IRLS supplies one close to the last solution.
+        domain, scan = dom
+        bounds = (-10.0, 10.0)
+        best, i = self._scan_best(res, domain, scan, bounds)
+        lo, hi = scan[min(i + 1, len(scan) - 1)], scan[max(i - 1, 0)]
+        out = optimize_alpha(res, domain, bounds, x0=lo + where * (hi - lo))
+        assert out.objective <= best + 1e-9 * max(1.0, abs(best))

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import robls
 from robls.icp import (
     DegenerateGeometryError,
     IcpConfig,
@@ -247,3 +253,20 @@ class TestIcpSolve:
         cloud = corner_cloud(rng)
         with pytest.raises(ValueError):
             icp_solve(cloud, cloud, Pose.identity(), IcpConfig())
+
+
+class TestImports:
+    def test_kd_tree_loaded_only_when_used(self):
+        # scipy.spatial costs memory in every process that imports robls; only
+        # the functions that build a KD-tree import it.
+        code = (
+            "import importlib, pkgutil, sys, robls\n"
+            "for m in pkgutil.iter_modules(robls.__path__):\n"
+            "    importlib.import_module('robls.' + m.name)\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        src = str(Path(robls.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=60)
+        assert out.stdout.strip() == "False"

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from robls.loss import (
     ALPHA_MIN,
     BRANCH_TOL,
     FixedRlf,
-    drho_dalpha,
     fixed_weight,
     mad_scale,
     rho,
+    rho_alpha_derivs,
     var_trimmed_weights,
     weight,
 )
 from robls.weighting import RobustLoss
 
-from conftest import fd_drho_deps, fd_drho_dalpha, rho_reference
+from conftest import PROPERTY, fd_d2rho_dalpha2, fd_drho_deps, fd_drho_dalpha, rho_reference
 
 
 class TestRho:
@@ -95,8 +95,6 @@ class TestBranchContinuity:
             assert abs(general_w - weight(eps, 0.0)) < 1e-6
 
 
-# Fixed example sequence and no example database, so tier-1 runs repeat.
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 ALPHAS = st.one_of(st.floats(2.0 * ALPHA_MIN, 2.0), st.just(-np.inf))
 EPS = st.floats(0.0, 1e6)
 EPS_20 = st.floats(0.0, 20.0)
@@ -144,17 +142,29 @@ class TestKernelProperties:
 
 class TestDrhoDalpha:
     def test_zero_at_eps_zero(self):
-        assert drho_dalpha(0.0, 1.3) == 0.0
+        assert rho_alpha_derivs(0.0, 1.3)[1] == 0.0
 
     @pytest.mark.parametrize("eps,alpha", [(1.0, 1.0), (3.0, -2.0)])
     def test_matches_finite_difference(self, eps, alpha):
         fd = float(fd_drho_dalpha(eps, alpha))
-        assert drho_dalpha(eps, alpha) == pytest.approx(fd, rel=1e-6)
+        assert rho_alpha_derivs(eps, alpha)[1] == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "eps,alpha", [(1.0, 1.0), (3.0, -2.0), (0.5, 1.875), (0.3, 1.5), (2.0, 0.25), (7.0, -12.0)]
+    )
+    def test_second_derivative_matches_finite_difference(self, eps, alpha):
+        fd = float(fd_d2rho_dalpha2(eps, alpha))
+        assert rho_alpha_derivs(eps, alpha)[2] == pytest.approx(fd, rel=1e-6)
+
+    def test_value_matches_rho(self):
+        eps = np.linspace(0.0, 30.0, 61)
+        for alpha in (1.9, 0.4, -0.4, -7.0, ALPHA_MIN):
+            assert np.array_equal(rho_alpha_derivs(eps, alpha)[0], rho(eps, alpha))
 
     def test_rejects_branch_points(self):
         for a in [0.0, 2.0, BRANCH_TOL / 2, 2.0 - BRANCH_TOL / 2, -np.inf]:
             with pytest.raises(ValueError):
-                drho_dalpha(1.0, a)
+                rho_alpha_derivs(1.0, a)
 
 
 class TestMadScale:

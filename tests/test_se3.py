@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from robls.mbfit import chi_quantile
 from robls.se3 import (
+    LOG_BRANCH_MARGIN,
     BranchError,
     Pose,
     exp_map,
@@ -19,6 +22,8 @@ from robls.se3 import (
     wedge,
 )
 from robls.se3 import _batch_left_jacobian_inv, _batch_se3_log
+
+from conftest import PROPERTY
 
 
 def random_twist(rng, max_angle=3.0, max_trans=2.0):
@@ -70,6 +75,22 @@ class TestExpLog:
         for _ in range(100):
             xi = random_twist(rng)
             assert np.allclose(exp_map(xi).matrix(), expm(wedge(xi)), atol=1e-12)
+
+    # Exp then log moves the angle by up to about 1e-15, so a twist within
+    # that of the branch guard may land on either side of it.
+    @PROPERTY
+    @given(
+        axis=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        angle=st.floats(0.0, np.pi - LOG_BRANCH_MARGIN - 1e-13),
+        rho=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    )
+    def test_roundtrip_up_to_branch_guard(self, axis, angle, rho):
+        xi = np.concatenate([angle * np.array(axis) / np.linalg.norm(axis), rho])
+        back = log_map(exp_map(xi))
+        assert np.abs(back[:3] - xi[:3]).max() <= 1e-9
+        assert np.abs(back[3:] - xi[3:]).max() <= 1e-8
 
     def test_log_rejects_angle_near_pi(self):
         rot = so3_exp(np.array([np.pi - 1e-8, 0.0, 0.0]))
