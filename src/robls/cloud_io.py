@@ -43,7 +43,8 @@ def load_point_cloud(path) -> PointCloud:
     """Read a cloud from CSV (x,y,z[,nx,ny,nz]) or ASCII PLY.
 
     The PLY subset accepts float vertex properties named x/y/z and optional
-    nx/ny/nz; binary encodings and unknown properties are rejected.
+    nx/ny/nz.  Binary encodings, unknown or repeated properties, empty
+    bodies and non-finite values raise ``ValueError`` naming the path.
     """
     path = Path(path)
     if path.suffix.lower() == ".ply":
@@ -53,28 +54,35 @@ def load_point_cloud(path) -> PointCloud:
 
 def _parse_floats(parts, path, lineno):
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: malformed number ({exc})") from None
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{path}:{lineno}: non-finite value")
+    return vals
 
 
 def _load_csv(path: Path) -> PointCloud:
     points, normals = [], []
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            row = [c.strip() for c in row if c.strip()]
-            if not row:
-                continue
-            if lineno == 1 and any(not _is_number(c) for c in row):
-                continue  # header
-            vals = _parse_floats(row, path, lineno)
-            if len(vals) == 3:
-                points.append(vals)
-            elif len(vals) == 6:
-                points.append(vals[:3])
-                normals.append(vals[3:])
-            else:
-                raise ValueError(f"{path}:{lineno}: expected 3 or 6 columns, got {len(vals)}")
+        try:
+            rows = list(csv.reader(fh))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    for lineno, row in enumerate(rows, start=1):
+        row = [c.strip() for c in row if c.strip()]
+        if not row:
+            continue
+        if lineno == 1 and any(not _is_number(c) for c in row):
+            continue  # header
+        vals = _parse_floats(row, path, lineno)
+        if len(vals) == 3:
+            points.append(vals)
+        elif len(vals) == 6:
+            points.append(vals[:3])
+            normals.append(vals[3:])
+        else:
+            raise ValueError(f"{path}:{lineno}: expected 3 or 6 columns, got {len(vals)}")
     if normals and len(normals) != len(points):
         raise ValueError(f"{path}: mixed 3- and 6-column rows")
     if not points:
@@ -111,19 +119,22 @@ def _load_ply(path: Path) -> PointCloud:
         if not tok:
             continue
         if tok[0] == "format":
-            if tok[1] != "ascii":
-                raise ValueError(f"{path}: unsupported PLY encoding {tok[1]!r}")
+            if tok[1:2] != ["ascii"]:
+                raise ValueError(f"{path}:{i}: unsupported PLY encoding in {line!r}")
         elif tok[0] == "comment":
             continue
         elif tok[0] == "element":
-            if tok[1] == "vertex":
-                n_vertices = int(tok[2])
-            else:
-                raise ValueError(f"{path}: unsupported element {tok[1]!r}")
+            if tok[1:2] != ["vertex"]:
+                raise ValueError(f"{path}:{i}: unsupported element in {line!r}")
+            if len(tok) != 3 or not tok[2].isdigit():
+                raise ValueError(f"{path}:{i}: expected 'element vertex <count>'")
+            n_vertices = int(tok[2])
         elif tok[0] == "property":
             name = tok[-1]
             if name not in ("x", "y", "z", "nx", "ny", "nz"):
-                raise ValueError(f"{path}: unknown PLY property {name!r}")
+                raise ValueError(f"{path}:{i}: unknown PLY property {name!r}")
+            if name in properties:
+                raise ValueError(f"{path}:{i}: repeated PLY property {name!r}")
             properties.append(name)
         elif tok[0] == "end_header":
             body_at = i
@@ -135,6 +146,8 @@ def _load_ply(path: Path) -> PointCloud:
     for axis in ("x", "y", "z"):
         if axis not in properties:
             raise ValueError(f"{path}: missing vertex property {axis!r}")
+    if n_vertices == 0:
+        raise ValueError(f"{path}: no points")
 
     rows = []
     for lineno, line in enumerate(lines[body_at : body_at + n_vertices], start=body_at + 1):
@@ -190,13 +203,28 @@ def save_measurements_json(measurements: list[PoseMeasurement], init: Pose, path
 
 
 def load_measurements_json(path) -> tuple[list[PoseMeasurement], Pose]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    measurements = [
-        PoseMeasurement(pose_from_flat(m["pose"]), np.asarray(m["cov"]).reshape(6, 6))
-        for m in payload["measurements"]
-    ]
-    return measurements, pose_from_flat(payload["init"])
+    """Read :func:`save_measurements_json` output; malformed files raise ``ValueError``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        payload = json.loads(raw)
+        measurements = [
+            PoseMeasurement(pose_from_flat(_finite(m["pose"], 12)), _finite(m["cov"], 36))
+            for m in payload["measurements"]
+        ]
+        init = pose_from_flat(_finite(payload["init"], 12))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"{path}: malformed measurement file ({exc!r})") from None
+    if not measurements:
+        raise ValueError(f"{path}: no measurements")
+    return measurements, init
+
+
+def _finite(value, size: int) -> np.ndarray:
+    arr = np.asarray(value, dtype=float).reshape(size)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"expected {size} finite numbers")
+    return arr
 
 
 TRIAL_COLUMNS = [

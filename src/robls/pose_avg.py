@@ -1,10 +1,14 @@
 """Robust SE(3) pose averaging by IRLS Gauss-Newton.
 
-Errors are left-invariant, ``e_i = log(T^-1 T~_i)``, linearized through the
-inverse left/right Jacobians.  Measurement noise is pushed through the
-measurement-side Jacobian to give the per-measurement error covariance, and
-the residual fed to the robust loss is the Mahalanobis norm
-``sqrt(e' Sigma^-1 e)`` (Chi(6)-like on inliers, mode sqrt(5)).
+Errors are left-invariant, ``e_i = log(T^-1 T~_i)``.  The textbook system
+(estimate-side Jacobian ``H = J_l(e)^-1`` for ``T <- T exp(-dxi)``, error
+covariance ``Sigma = M R M'`` with ``M = -J_r(e)^-1``, residual
+``sqrt(e' Sigma^-1 e)``, Chi(6)-like on inliers with mode sqrt(5)) is built
+in closed form from three exact identities: ``Sigma^-1 = J_r' R^-1 J_r``,
+``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``.  With
+``W = chol(R)^-1``, computed once per solve, the residual is ``|W e|`` and
+the normal equations come from ``W Ad(T~^-1 T)`` alone: no Jacobian series,
+no ``Sigma`` and no per-measurement solve.
 """
 
 from __future__ import annotations
@@ -14,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .irls import IrlsResult, irls
-from .se3 import (
-    Pose,
-    _batch_left_jacobian_inv,
-    _batch_se3_log,
-    exp_map,
-    so3_exp,
-)
+from .se3 import Pose, _batch_se3_log, _batch_skew, exp_map, so3_exp
 from .weighting import RobustLoss
 
 __all__ = [
@@ -87,27 +85,29 @@ class TrialSpec:
 
 
 def linearize_errors(
-    pose: Pose, tm: np.ndarray, covs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Left-invariant errors of a pose against a stack of measurements.
+    pose: Pose, tm: np.ndarray, whiten: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whitened left-invariant errors of a pose against a stack of measurements.
 
-    ``tm`` holds the (n, 4, 4) measurement matrices and ``covs`` their
-    (n, 6, 6) covariances.  Returns ``(ok, e, h, sigma)``: the mask of
-    measurements whose error ``log(T^-1 T~_i)`` lies in the principal
-    logarithm branch and, for those only, the error twists, the
-    estimate-side Jacobians ``H = J_left(e)^-1`` (convention
-    ``T <- T exp(-dxi)``) and the error covariances ``M R M'`` with the
-    measurement-side Jacobian ``M = -J_right(e)^-1``, symmetrized against
-    floating drift.
+    ``tm`` holds the (n, 4, 4) measurements ``T~_i`` and ``whiten`` the
+    (n, 6, 6) factors ``W_i = chol(R_i)^-1`` of their covariances.  Returns
+    ``(ok, r, j)``: the mask of errors ``e_i = log(T^-1 T~_i)`` in the
+    principal logarithm branch and, for those only, ``r_i = W_i e_i`` and
+    ``j_i = W_i Ad(T~_i^-1 T)``.  By ``Sigma^-1 = J_r' R^-1 J_r``,
+    ``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``, ``|r_i|`` is the
+    Mahalanobis norm ``sqrt(e' Sigma^-1 e)``, ``j'j = H' Sigma^-1 H`` and
+    ``j'r = H' Sigma^-1 e``.  The adjoint is read off ``(C, t) = T^-1 T~_i``
+    as ``[[C', 0], [-C' skew(t), C']]``.
     """
     rel = np.einsum("ij,njk->nik", pose.inverse().matrix(), tm)
     e, ok = _batch_se3_log(rel)
-    e = e[ok]
-    h = _batch_left_jacobian_inv(e)
-    m = -_batch_left_jacobian_inv(-e)
-    sigma = np.einsum("nij,njk,nlk->nil", m, covs[ok], m)
-    sigma = 0.5 * (sigma + np.transpose(sigma, (0, 2, 1)))
-    return ok, e, h, sigma
+    rel, w = rel[ok], whiten[ok]
+    ct = np.transpose(rel[:, :3, :3], (0, 2, 1))
+    ad = np.zeros((len(rel), 6, 6))
+    ad[:, :3, :3] = ct
+    ad[:, 3:, 3:] = ct
+    ad[:, 3:, :3] = -ct @ _batch_skew(rel[:, :3, 3])
+    return ok, (w @ e[ok, :, None])[..., 0], w @ ad
 
 
 def solve_pose_average(
@@ -117,37 +117,37 @@ def solve_pose_average(
 ) -> IrlsResult:
     """IRLS Gauss-Newton average of noisy pose measurements.
 
-    Each iteration recomputes errors, Jacobians, error covariances and
-    Mahalanobis residuals, asks the robust loss for weights (``n_e = 6``),
-    and solves the weighted normal equations for an update twist applied as
-    ``T <- T exp(-dxi)``.  Measurements whose error leaves the logarithm
-    branch are skipped for that iteration with a diagnostic count.
+    Each iteration recomputes the whitened errors ``r`` and Jacobians ``j``
+    (:func:`linearize_errors`), asks the robust loss for weights of the
+    Mahalanobis norms ``|r|`` (``n_e = 6``), and solves ``sum w j'j dxi =
+    -sum w j'r`` for an update twist applied as ``T <- T exp(-dxi)``.
+    Measurements whose error leaves the logarithm branch are skipped for
+    that iteration with a diagnostic count.
     """
     if not measurements:
         raise ValueError("need at least one measurement")
     tm = np.stack([m.pose.matrix() for m in measurements])
-    covs = np.stack([m.cov for m in measurements])
+    whiten = np.linalg.inv(np.linalg.cholesky(np.stack([m.cov for m in measurements])))
     skipped_total = 0
 
     def linearize(pose):
         nonlocal skipped_total
-        ok, e, h, sigma = linearize_errors(pose, tm, covs)
+        ok, r, j = linearize_errors(pose, tm, whiten)
         skipped_total += int(np.count_nonzero(~ok))
         if not np.any(ok):
             raise SingularSystemError("all measurements left the logarithm branch")
-        sig_inv_e = np.linalg.solve(sigma, e[..., None])[..., 0]
 
         def update(wf):
-            sig_inv_h = np.linalg.solve(sigma, h)
-            a = np.einsum("nji,njk->ik", h, sig_inv_h * wf[:, None, None])
-            b = -np.einsum("nji,nj->i", h, sig_inv_e * wf[:, None])
+            jw = (j * wf[:, None, None]).reshape(-1, ERROR_DIM)
+            a = jw.T @ j.reshape(-1, ERROR_DIM)
+            b = -jw.T @ r.reshape(-1)
             sv = np.linalg.svd(a, compute_uv=False)
             if sv[0] <= 0 or sv[-1] / sv[0] < 1e-14:
                 raise SingularSystemError("pose-averaging normal equations are singular")
             step = np.linalg.solve(a, b)
             return (pose @ exp_map(-step)).orthonormalized(), step
 
-        return np.sqrt(np.einsum("ni,ni->n", e, sig_inv_e)), update
+        return np.sqrt(np.einsum("ni,ni->n", r, r)), update
 
     result = irls(linearize, init, config, n_e=ERROR_DIM)
     result.diagnostics = {"skipped_measurements": skipped_total, **result.diagnostics}

@@ -297,19 +297,6 @@ def _batch_left_jacobian(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_left_jacobian_inv(xi: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of the block lower-triangular left Jacobian."""
-    xi = np.asarray(xi, dtype=float)
-    phi, rho = xi[..., :3], xi[..., 3:]
-    ainv = _batch_v_inv(phi)
-    q = _batch_q(phi, rho)
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = ainv
-    out[..., 3:, 3:] = ainv
-    out[..., 3:, :3] = -ainv @ q @ ainv
-    return out
-
-
 # --- public single-pose API ------------------------------------------------
 
 def so3_exp(phi) -> np.ndarray:

@@ -21,7 +21,7 @@ from robls.se3 import (
     vee,
     wedge,
 )
-from robls.se3 import _batch_left_jacobian_inv, _batch_se3_log
+from robls.se3 import _batch_se3_log
 
 from conftest import PROPERTY
 
@@ -143,10 +143,16 @@ class TestJacobians:
             assert np.abs(left_jacobian(xi) - total).max() < 1e-12
 
     def test_closed_form_inverse(self, rng):
+        # J_r(xi) J_l(xi)^-1 = Ad(exp(-xi)), with J_r(xi) = J_l(-xi) and
+        # Ad(C, t) = [[C, 0], [skew(t) C, C]] in (phi, rho) order
         for _ in range(50):
             xi = random_twist(rng, max_angle=2.5)
-            prod = left_jacobian(xi) @ _batch_left_jacobian_inv(xi[None])[0]
-            assert np.abs(prod - np.eye(6)).max() < 1e-10
+            inv = exp_map(-xi)
+            ad = np.zeros((6, 6))
+            ad[:3, :3] = ad[3:, 3:] = inv.rotation
+            ad[3:, :3] = skew(inv.translation) @ inv.rotation
+            prod = left_jacobian(-xi) @ np.linalg.inv(left_jacobian(xi))
+            assert np.abs(prod - ad).max() < 1e-10
 
     def test_first_order_model(self, rng):
         # exp(xi + d) ~ exp(xi) exp(Jr(xi) d), Jr(xi) = Jl(-xi): defect shrinks quadratically
