@@ -40,9 +40,10 @@ __all__ = [
 
 CHI_THRESHOLD_P = 0.9973  # 3-sigma mass retained before fitting
 
-# sqrt(N) binning, clamped; the low floor matters for the small post-threshold
-# samples the pose-averaging study produces (N ~ 25..60), where more bins make
-# the fit jump under single count changes and destabilize the IRLS loop.
+# sqrt(N) binning, clamped.  The floor keeps about five or more residuals per
+# bin in the small post-threshold samples the pose-averaging study produces
+# (N ~ 25..60); linear binning (see build_histogram) keeps the fit continuous
+# in the residuals, so a residual crossing an edge no longer makes it jump.
 MIN_BINS = 5
 MAX_BINS = 100
 
@@ -175,6 +176,12 @@ def default_bin_count(n: int) -> int:
 def build_histogram(residuals, n_bins: int | None = None, upper: float | None = None) -> HistogramBins:
     """Equal-width density histogram over ``[0, max residual]``.
 
+    Linear (cloud-in-cell) binning: each residual splits its unit mass
+    between the two nearest bin centres in proportion to its distance from
+    each, so the density moves continuously with the residuals and a
+    residual on a bin centre counts as in a hard histogram.  Residuals
+    within half a bin of either end give all their mass to the end bin.
+
     ``upper`` overrides the top edge (used by the fit after thresholding so
     that bin edges stay put while the residual set evolves between IRLS
     iterations).
@@ -192,8 +199,13 @@ def build_histogram(residuals, n_bins: int | None = None, upper: float | None = 
     if top < r.max():
         raise ValueError("histogram upper edge must cover the residuals")
     k = default_bin_count(r.size) if n_bins is None else int(n_bins)
-    density, edges = np.histogram(r, bins=k, range=(0.0, top), density=True)
-    return HistogramBins(edges=edges, density=density)
+    edges = np.linspace(0.0, top, k + 1)
+    width = top / k
+    u = np.clip(r / width - 0.5, 0.0, k - 1.0)  # position in bin-centre units
+    j = u.astype(np.intp)
+    frac = u - j
+    mass = np.bincount(j, 1.0 - frac, minlength=k + 1) + np.bincount(j + 1, frac, minlength=k + 1)
+    return HistogramBins(edges=edges, density=mass[:k] / (r.size * width))
 
 
 def _fit_objective(hist: HistogramBins, a: float, n_e: int) -> float:

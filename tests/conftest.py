@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from robls.adaptive import CHEBROLU_DOMAIN, _Objective
-from robls.mbfit import HistogramBins, chi_quantile, default_bin_count, _fit_objective
+from robls.mbfit import _fit_objective, build_histogram, chi_quantile
 
 
 def rho_reference(eps, alpha):
@@ -60,11 +60,7 @@ def grid_search_a(residuals, n_e, lo=0.1, hi=5.0, step=0.005):
     """Dense-grid minimizer of the histogram fit criterion."""
     r = np.asarray(residuals, dtype=float)
     thresh = chi_quantile(n_e, 0.9973)
-    r = r[r < thresh]
-    density, edges = np.histogram(
-        r, bins=default_bin_count(r.size), range=(0.0, thresh), density=True
-    )
-    hist = HistogramBins(edges=edges, density=density)
+    hist = build_histogram(r[r < thresh], upper=thresh)
     grid = np.arange(lo, hi + step / 2, step)
     values = [_fit_objective(hist, a, n_e) for a in grid]
     return float(grid[int(np.argmin(values))])

@@ -94,6 +94,25 @@ class TestBuildHistogram:
         hist = build_histogram(np.abs(rng.standard_normal(500)))
         assert np.all(np.diff(hist.edges) > 0)
 
+    @pytest.mark.parametrize("upper", [None, 4.0])
+    def test_linear_binning_integrates_to_one(self, rng, upper):
+        hist = build_histogram(rng.uniform(0, 3, 37), n_bins=7, upper=upper)
+        assert np.sum(hist.density * np.diff(hist.edges)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_residuals_on_bin_centres_give_hard_histogram(self, rng):
+        k, top = 8, 4.0
+        centres = (np.arange(k) + 0.5) * top / k
+        r = np.concatenate([rng.choice(centres, 60), [top]])
+        hist = build_histogram(r, n_bins=k, upper=top)
+        hard, _ = np.histogram(r, bins=k, range=(0.0, top), density=True)
+        assert np.allclose(hist.density, hard, rtol=0, atol=1e-12)
+
+    def test_mass_splits_between_neighbouring_centres(self):
+        # centres at 0.5, 1.5, 2.5, 3.5: 1.25 gives 0.25 to 0.5 and 0.75 to
+        # 1.5, the top edge 4.0 gives all its mass to the last bin
+        hist = build_histogram([0.5, 1.25, 4.0], n_bins=4, upper=4.0)
+        assert np.allclose(hist.density * 3, [1.25, 0.75, 0.0, 1.0])
+
 
 class TestFitMb:
     def test_chi3_recovery(self, rng):
@@ -137,15 +156,11 @@ class TestFitMb:
 
 
 def grid_probe(residuals, n_e, a):
-    from robls.mbfit import HistogramBins, _fit_objective, default_bin_count
+    from robls.mbfit import _fit_objective
 
     r = np.asarray(residuals, float)
     thresh = chi_quantile(n_e, 0.9973)
-    r = r[r < thresh]
-    density, edges = np.histogram(
-        r, bins=default_bin_count(r.size), range=(0.0, thresh), density=True
-    )
-    return _fit_objective(HistogramBins(edges, density), a, n_e)
+    return _fit_objective(build_histogram(r[r < thresh], upper=thresh), a, n_e)
 
 
 class TestShiftResiduals:
