@@ -11,14 +11,15 @@ Two domains are supported: the original variant, restricted to
 normalizes over a bounded interval and admits ``alpha`` down to the
 Welsch-like limit.
 
-The minimizer is Newton's method on alpha with an Armijo backtracking line
-search and projection onto the domain.  Its gradient and second derivative
-are analytic: one quadrature pass yields ``Z`` and both of its alpha
-derivatives.
+This fit and the scaled-Chi shape fit of :mod:`robls.mbfit` both run on
+:func:`minimize_bounded`, a safeguarded Newton method on an interval.  Here
+the gradient and second derivative are analytic: one quadrature pass yields
+``Z`` and both of its alpha derivatives.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +33,7 @@ __all__ = [
     "BARRON_DOMAIN",
     "CHEBROLU_DOMAIN",
     "partition_z",
+    "minimize_bounded",
     "optimize_alpha",
 ]
 
@@ -42,11 +44,14 @@ UNTRUNCATED_SPAN = 40.0  # half-width used to approximate the improper integral
 # and dZ/dalpha to about 3e-10 of Z.
 PANEL_WIDTH = 1.0
 
-# Newton constants.
+# Constants of minimize_bounded.
 ARMIJO_C1 = 1e-4
 BACKTRACK_SHRINK = 0.5
 MAX_BACKTRACKS = 20
 MAX_NEWTON_ITERS = 50
+
+# Alpha step tolerance, scaled by min(1, 2 - alpha): Lam' grows like
+# log(1 / (2 - alpha)) near 2, so small steps there do not mean convergence.
 STEP_TOL = 1e-4
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -168,15 +173,66 @@ class _Objective:
             float(self.n * (d2z / z - g * g) + np.sum(d2r)),
         )
 
-    def _interior(self, alpha: float) -> float:
-        """Nudge alpha off the removable singularities of the general branch."""
-        lo = self.domain.lo
-        alpha = min(max(alpha, lo), 2.0 - _INTERIOR_MARGIN)
-        if abs(alpha) < _INTERIOR_MARGIN:
-            alpha = _INTERIOR_MARGIN if alpha >= 0.0 else -_INTERIOR_MARGIN
-            if alpha < lo:
-                alpha = lo + _INTERIOR_MARGIN
-        return alpha
+
+def _off_zero(alpha: float) -> float:
+    """Nudge alpha off the removable singularity of the general branch at 0."""
+    return alpha if abs(alpha) >= _INTERIOR_MARGIN else float(np.copysign(_INTERIOR_MARGIN, alpha))
+
+
+def minimize_bounded(f: Callable[[float], tuple[float, float, float]], lo: float, hi: float,
+                     x0: float, tol: Callable[[float], float]) -> tuple[float, float, int, bool]:
+    """Minimize a smooth ``f`` of one variable on ``[lo, hi]`` from ``x0``.
+
+    ``f(x)`` returns ``(f, f', f'')``.  A Newton step where ``f'' > 0``, else
+    a downhill step of doubling length (1, 2, 4, ...), is projected onto
+    ``[lo, hi]`` and halved until the Armijo condition holds.  Once an
+    accepted move ends where ``f'`` points back, a minimum lies between the
+    last two iterates, and a step leaving that bracket, or any where
+    ``f'' <= 0``, becomes its midpoint.  Only accepted iterates bound the
+    bracket, never the domain ends, so it cannot bisect onto a flat tail.
+
+    Returns ``(x, f(x), iterations, converged)``, converged once a move or the
+    bracket is shorter than ``tol(x)`` or no step lowers ``f``.  Raises
+    ``FloatingPointError`` if ``f`` or ``f'`` is not finite.
+    """
+
+    def evaluate(x):
+        fx, g, h = f(x)
+        if not (np.isfinite(fx) and np.isfinite(g)):
+            raise FloatingPointError(f"non-finite objective at {x}")
+        return fx, g, h
+
+    x = min(max(float(x0), lo), hi)
+    fx, g, h = evaluate(x)
+    far = None  # the accepted iterate on the other side of a minimum
+    stride = 1.0
+    for iteration in range(1, MAX_NEWTON_ITERS + 1):
+        newton = x - g / h if h > 0.0 else None
+        if far is not None:
+            inside = newton is not None and min(x, far) < newton < max(x, far)
+            target = newton if inside else 0.5 * (x + far)
+        elif newton is not None:
+            target = min(max(newton, lo), hi)
+        else:
+            target = min(max(x - np.copysign(stride, g), lo), hi)
+            stride *= 2.0
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            delta = t * (target - x)
+            if delta == 0.0:
+                return x, fx, iteration, True
+            fc, gc, hc = evaluate(x + delta)
+            if fc <= fx + ARMIJO_C1 * g * delta:
+                break
+            t *= BACKTRACK_SHRINK
+        else:
+            return x, fx, iteration, True
+        if gc * delta > 0.0:
+            far = x
+        x, fx, g, h = x + delta, fc, gc, hc
+        if abs(delta) < tol(x) or (far is not None and abs(far - x) < tol(x)):
+            return x, fx, iteration, True
+    return x, fx, MAX_NEWTON_ITERS, False
 
 
 _SCAN_CHEBROLU = (2.0, 1.5, 1.0, 0.5, 0.05, -0.05, -0.5, -1.0, -2.0, -3.5,
@@ -204,53 +260,27 @@ def optimize_alpha(
 ) -> AlphaOptResult:
     """Minimize the negative log-likelihood over the shape parameter.
 
-    Newton iterations with Armijo backtracking, started either from ``x0``
-    (warm start) or from the best point of a coarse scan over the domain.
-    For the truncated variant, a minimizer pinned at the domain floor is
-    reported as the ``-inf`` sentinel (the Welsch-like limit).  If the
-    objective turns non-finite the optimizer falls back to a bounded grid
-    refinement and flags ``converged=False``.
+    :func:`minimize_bounded` on the analytic ``Lam'`` and ``Lam''``, started
+    from ``x0`` (warm start) or the best point of a coarse scan, with the
+    iterates kept clear of the limit branches at 0 and 2; the boundary value
+    at 2 is checked last.  For the truncated variant, a minimizer pinned at
+    the domain floor is reported as the ``-inf`` sentinel (the Welsch-like
+    limit).  If the objective turns non-finite the optimizer falls back to a
+    bounded grid refinement and flags ``converged=False``.
     """
     obj = _Objective(residuals, domain, bounds)
-    lo, hi = domain.lo, domain.hi
+    lo = domain.lo if domain.lo < 0.0 else domain.lo + _INTERIOR_MARGIN
 
     try:
-        if x0 is not None:
-            alpha = obj._interior(float(x0))
-        else:
+        if x0 is None:
             scan = _SCAN_BARRON if domain.variant == "barron" else _SCAN_CHEBROLU
-            scan_vals = [(obj.value(a), a) for a in scan]
-            alpha = obj._interior(min(scan_vals)[1])
+            x0 = min((obj.value(a), a) for a in scan)[1]
+        alpha, lam, iterations, converged = minimize_bounded(
+            lambda a: obj.value_derivs(_off_zero(a)), lo, domain.hi - _INTERIOR_MARGIN, x0,
+            lambda a: STEP_TOL * min(1.0, 2.0 - a))
+        alpha = _off_zero(alpha)
 
-        lam, g, h = obj.value_derivs(alpha)
-        if not np.isfinite(lam):
-            raise FloatingPointError("non-finite objective")
-
-        iterations = 0
-        converged = False
-        for iterations in range(1, MAX_NEWTON_ITERS + 1):
-            step = -g / h if (np.isfinite(h) and h > 1e-12) else -np.sign(g) * min(1.0, abs(g))
-            t = 1.0
-            moved = False
-            for _ in range(MAX_BACKTRACKS):
-                cand = obj._interior(min(max(alpha + t * step, lo), hi))
-                delta = cand - alpha
-                if delta == 0.0:
-                    break
-                lam_cand, g_cand, h_cand = obj.value_derivs(cand)
-                if not np.isfinite(lam_cand):
-                    raise FloatingPointError("non-finite objective")
-                if lam_cand <= lam + ARMIJO_C1 * g * delta:
-                    alpha, lam, g, h, moved = cand, lam_cand, g_cand, h_cand, True
-                    break
-                t *= BACKTRACK_SHRINK
-            # Lam' grows like log(1 / (2 - alpha)) near alpha = 2, so Newton
-            # steps there shrink with 2 - alpha and are not a sign of convergence.
-            if not moved or abs(delta) < STEP_TOL * min(1.0, 2.0 - alpha):
-                converged = True
-                break
-
-        # A true boundary minimum at alpha = 2 beats the interior nudge.
+        # A true boundary minimum at alpha = 2 beats the interior margin.
         if alpha >= 2.0 - 2.0 * _INTERIOR_MARGIN:
             lam2 = obj.value(2.0)
             if lam2 <= lam:
@@ -260,7 +290,7 @@ def optimize_alpha(
         lam = obj.value(alpha)
         return AlphaOptResult(alpha, lam, MAX_NEWTON_ITERS, False)
 
-    if domain.variant == "chebrolu" and alpha <= lo + 1e-9:
+    if domain.variant == "chebrolu" and alpha <= domain.lo + 1e-9:
         alpha = -np.inf
         lam = obj.value(alpha)
     return AlphaOptResult(float(alpha), float(lam), iterations, converged)

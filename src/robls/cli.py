@@ -41,9 +41,12 @@ def _read_residuals(path) -> np.ndarray:
     for lineno, line in enumerate(text.splitlines(), start=1):
         for token in line.replace(",", " ").split():
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 raise SystemExit(f"residual file line {lineno}: bad number {token!r}")
+            if not 0.0 <= value < np.inf:
+                raise SystemExit(f"residual file line {lineno}: {token!r} is not in [0, inf)")
+            values.append(value)
     if not values:
         raise SystemExit("no residuals found")
     return np.asarray(values)

@@ -198,9 +198,9 @@ def fixed_weight(rlf: FixedRlf, eps_scaled):
 def var_trimmed_weights(residuals) -> np.ndarray:
     """Binary weights from the varying trim-fraction criterion.
 
-    Selects the trim fraction ``f in [0.4, 1]`` minimizing
-    ``mse(kept smallest fraction f) / f^2`` by golden-section search, then
-    weights the kept residuals 1 and the trimmed ones 0.
+    Weights 1 the ``k`` smallest residuals, and 0 the rest, for the first
+    ``k in [ceil(0.4 n), n]`` minimizing ``mse(kept) / (k / n)^2``: a step
+    function of the trim fraction, so every ``k`` is scored, not searched.
     """
     r = np.asarray(residuals, dtype=float)
     n = r.size
@@ -208,30 +208,9 @@ def var_trimmed_weights(residuals) -> np.ndarray:
         raise ValueError("var_trimmed_weights requires a nonempty residual list")
     order = np.argsort(r, kind="stable")
     prefix = np.cumsum(r[order] ** 2)
-
-    def criterion(frac: float) -> float:
-        k = max(1, int(np.ceil(frac * n)))
-        f_eff = k / n
-        return (prefix[k - 1] / k) / f_eff**VAR_TRIMMED_EXPONENT
-
-    lo, hi = VAR_TRIMMED_MIN_FRACTION, 1.0
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = criterion(c), criterion(d)
-    for _ in range(60):
-        if b - a < 0.25 / n:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = criterion(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = criterion(d)
-    best = min((a, 0.5 * (a + b), b, 1.0), key=criterion)
-    k = max(1, int(np.ceil(best * n)))
+    ks = np.arange(max(1, int(np.ceil(VAR_TRIMMED_MIN_FRACTION * n))), n + 1)
+    criterion = (prefix[ks - 1] / ks) / (ks / n) ** VAR_TRIMMED_EXPONENT
+    k = ks[int(np.argmin(criterion))]
     weights = np.zeros(n)
     weights[order[:k]] = 1.0
     return weights

@@ -16,12 +16,12 @@ the truncated adaptive loss only on the residual mass above the mode:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import gamma, gammainc
 
-from .adaptive import CHEBROLU_DOMAIN, AlphaOptResult, optimize_alpha
+from .adaptive import CHEBROLU_DOMAIN, AlphaOptResult, minimize_bounded, optimize_alpha
 from .loss import weight
 
 __all__ = [
@@ -40,21 +40,12 @@ __all__ = [
 
 CHI_THRESHOLD_P = 0.9973  # 3-sigma mass retained before fitting
 
-# sqrt(N) binning, clamped.  The floor keeps about five or more residuals per
-# bin in the small post-threshold samples the pose-averaging study produces
-# (N ~ 25..60); linear binning (see build_histogram) keeps the fit continuous
-# in the residuals, so a residual crossing an edge no longer makes it jump.
+# sqrt(N) binning, clamped; the floor gives the small post-threshold samples of
+# the pose-averaging study (N ~ 25..60) at least five bins.
 MIN_BINS = 5
 MAX_BINS = 100
 
-# Newton constants for the shape fit (mirrors the alpha optimizer).
-ARMIJO_C1 = 1e-4
-BACKTRACK_SHRINK = 0.5
-MAX_BACKTRACKS = 20
-MAX_NEWTON_ITERS = 50
-STEP_TOL = 1e-5
-HESS_STEP_FIT = 1e-3
-A_LO, A_HI = 1e-2, 1e2
+A_LO, A_HI, A_STEP_TOL = 1e-2, 1e2, 1e-5  # domain of the shape fit and its step tolerance
 
 # Keep the mode strictly inside the truncation bound; a fit this extreme
 # means the scale model no longer describes the data.
@@ -169,18 +160,13 @@ def chi_quantile(n_e: int, p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def default_bin_count(n: int) -> int:
-    return int(np.clip(np.ceil(np.sqrt(n)), MIN_BINS, MAX_BINS))
-
-
 def build_histogram(residuals, n_bins: int | None = None, upper: float | None = None) -> HistogramBins:
     """Equal-width density histogram over ``[0, max residual]``.
 
     Linear (cloud-in-cell) binning: each residual splits its unit mass
-    between the two nearest bin centres in proportion to its distance from
-    each, so the density moves continuously with the residuals and a
-    residual on a bin centre counts as in a hard histogram.  Residuals
-    within half a bin of either end give all their mass to the end bin.
+    between the two nearest bin centres, so the fitted shape moves
+    continuously with the residuals instead of jumping when one crosses a
+    bin edge.  Within half a bin of either end all of it goes to the end bin.
 
     ``upper`` overrides the top edge (used by the fit after thresholding so
     that bin edges stay put while the residual set evolves between IRLS
@@ -198,7 +184,7 @@ def build_histogram(residuals, n_bins: int | None = None, upper: float | None = 
     top = float(r.max()) if upper is None else float(upper)
     if top < r.max():
         raise ValueError("histogram upper edge must cover the residuals")
-    k = default_bin_count(r.size) if n_bins is None else int(n_bins)
+    k = int(np.clip(np.ceil(np.sqrt(r.size)), MIN_BINS, MAX_BINS) if n_bins is None else n_bins)
     edges = np.linspace(0.0, top, k + 1)
     width = top / k
     u = np.clip(r / width - 0.5, 0.0, k - 1.0)  # position in bin-centre units
@@ -208,27 +194,33 @@ def build_histogram(residuals, n_bins: int | None = None, upper: float | None = 
     return HistogramBins(edges=edges, density=mass[:k] / (r.size * width))
 
 
-def _fit_objective(hist: HistogramBins, a: float, n_e: int) -> float:
-    p = mb_pdf(hist.centers, a, n_e)
-    terms = hist.density * (p - hist.density)
-    return float(np.sum(terms * terms))
+def _fit_criterion(hist: HistogramBins, a, n_e: int):
+    """``sum_k (q_k * (pdf(c_k) - q_k))^2`` and its first two derivatives in ``a``.
 
-
-def _fit_gradient(hist: HistogramBins, a: float, n_e: int) -> float:
-    p = mb_pdf(hist.centers, a, n_e)
-    q = hist.density
-    return float(2.0 * np.sum(q * q * (p - q) * dmb_da(hist.centers, a, n_e)))
+    Vectorized over a column of ``a`` values.  ``pdf(c; a) = pdf(c / a; 1) / a``,
+    ``dpdf/da = pdf * u`` (:func:`dmb_da`) with ``u = c^2 / a^3 - n_e / a``, and
+    ``d2pdf/da2 = pdf * (u^2 + du/da)``: one :func:`mb_pdf` call serves all three.
+    """
+    c, w = hist.centers, hist.density**2
+    p = mb_pdf(c / a, 1.0, n_e) / a
+    e2 = c * c
+    u = e2 / a**3 - n_e / a
+    dp = p * u
+    d2p = p * (u * u - 3.0 * e2 / a**4 + n_e / a**2)
+    diff = p - hist.density
+    return (diff * diff) @ w, 2.0 * ((diff * dp) @ w), 2.0 * ((dp * dp + diff * d2p) @ w)
 
 
 def fit_mb(residuals, n_e: int, apply_threshold: bool = True, x0: float | None = None) -> MbFit:
     """Fit the scaled-Chi shape to residual norms via the histogram criterion.
 
-    Minimizes ``sum_k (q_k * (pdf(center_k) - q_k))^2`` by Newton with
-    backtracking, seeded from a method-of-moments estimate and a coarse scan
-    (or from ``x0`` alone on warm-started calls, which keeps consecutive
-    IRLS refits in the same local basin).  Returns the Chi default ``a = 1``
-    (with ``fallback=True``) when the residual set is unusable (empty after
-    thresholding, or degenerate).
+    Minimizes ``sum_k (q_k * (pdf(center_k) - q_k))^2`` over ``a`` in
+    ``[A_LO, A_HI]`` by :func:`~robls.adaptive.minimize_bounded` on its
+    analytic derivatives, started from the best of a method-of-moments
+    estimate and a coarse scan (or from ``x0`` alone on warm-started calls,
+    which keeps consecutive IRLS refits in the same local basin).  Returns
+    the Chi default ``a = 1`` (with ``fallback=True``) when the residual set
+    is unusable (empty after thresholding, or degenerate).
     """
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
@@ -245,39 +237,13 @@ def fit_mb(residuals, n_e: int, apply_threshold: bool = True, x0: float | None =
     except DegenerateHistogramError:
         return MbFit(1.0, n_e, float(np.sqrt(n_e - 1)), fallback=True)
 
-    if x0 is not None:
-        a = float(np.clip(x0, A_LO, A_HI))
-        obj = _fit_objective(hist, a, n_e)
-    else:
+    criterion = partial(_fit_criterion, hist, n_e=n_e)
+    if x0 is None:
         a0 = float(np.sqrt(np.mean(r * r) / n_e))
         candidates = np.concatenate([[a0], np.geomspace(0.1, 5.0, 25)])
         candidates = candidates[(candidates >= A_LO) & (candidates <= A_HI)]
-        vals = [_fit_objective(hist, a, n_e) for a in candidates]
-        a = float(candidates[int(np.argmin(vals))])
-        obj = min(vals)
-
-    for _ in range(MAX_NEWTON_ITERS):
-        g = _fit_gradient(hist, a, n_e)
-        h_step = HESS_STEP_FIT * max(1.0, a)
-        h = (_fit_gradient(hist, a + h_step, n_e) - _fit_gradient(hist, a - h_step, n_e)) / (
-            2.0 * h_step
-        )
-        step = -g / h if (np.isfinite(h) and h > 1e-18) else -np.sign(g) * 0.1 * a
-        t = 1.0
-        moved = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = float(np.clip(a + t * step, A_LO, A_HI))
-            delta = cand - a
-            if delta == 0.0:
-                break
-            obj_cand = _fit_objective(hist, cand, n_e)
-            if obj_cand <= obj + ARMIJO_C1 * g * delta:
-                a, obj, moved = cand, obj_cand, True
-                break
-            t *= BACKTRACK_SHRINK
-        if not moved or abs(delta) < STEP_TOL:
-            break
-
+        x0 = candidates[int(np.argmin(criterion(candidates[:, None])[0]))]
+    a, obj, _, _ = minimize_bounded(criterion, A_LO, A_HI, x0, lambda a: A_STEP_TOL)
     return MbFit(a, n_e, float(a * np.sqrt(n_e - 1)), objective=obj)
 
 

@@ -46,8 +46,8 @@ class PoseMeasurement:
 
     def __post_init__(self):
         self.cov = np.asarray(self.cov, dtype=float).reshape(6, 6)
-        if np.abs(self.cov - self.cov.T).max() > 1e-9:
-            raise ValueError("measurement covariance must be symmetric")
+        if not (np.abs(self.cov - self.cov.T).max() <= 1e-9):
+            raise ValueError("measurement covariance must be finite and symmetric")
         if np.linalg.eigvalsh(self.cov)[0] <= 0:
             raise ValueError("measurement covariance must be positive definite")
 

@@ -47,6 +47,10 @@ LOG_BRANCH_MARGIN = 1e-6  # principal-branch guard on the rotation angle
 # used instead.
 _SERIES_SWITCH = 0.1
 
+# Shared identity for the orthonormality check, which runs on every Pose.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 
 class BranchError(ValueError):
     """Rotation angle outside the principal logarithm branch."""
@@ -64,9 +68,11 @@ class Pose:
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
         if self.rotation.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
-        err = self.rotation @ self.rotation.T - np.eye(3)
-        if np.abs(err).max() > 1e-6 or np.linalg.det(self.rotation) < 0:
-            raise ValueError("rotation matrix is not orthonormal with det +1")
+        err = self.rotation @ self.rotation.T - _EYE3
+        if not (np.abs(err).max() <= 1e-6 and np.linalg.det(self.rotation) >= 0):
+            raise ValueError("rotation matrix is not finite and orthonormal with det +1")
+        if not np.isfinite(self.translation).all():
+            raise ValueError("translation must be finite")
 
     @classmethod
     def identity(cls) -> "Pose":

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from robls.adaptive import CHEBROLU_DOMAIN, _Objective
-from robls.mbfit import _fit_objective, build_histogram, chi_quantile
+from robls.mbfit import _fit_criterion, build_histogram, chi_quantile
 
 
 def rho_reference(eps, alpha):
@@ -62,7 +62,7 @@ def grid_search_a(residuals, n_e, lo=0.1, hi=5.0, step=0.005):
     thresh = chi_quantile(n_e, 0.9973)
     hist = build_histogram(r[r < thresh], upper=thresh)
     grid = np.arange(lo, hi + step / 2, step)
-    values = [_fit_objective(hist, a, n_e) for a in grid]
+    values = [_fit_criterion(hist, a, n_e)[0] for a in grid]
     return float(grid[int(np.argmin(values))])
 
 

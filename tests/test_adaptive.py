@@ -10,6 +10,7 @@ from robls.adaptive import (
     BARRON_DOMAIN,
     CHEBROLU_DOMAIN,
     _Objective,
+    minimize_bounded,
     optimize_alpha,
     partition_z,
 )
@@ -149,6 +150,38 @@ class TestGradLambda:
         assert g == pytest.approx(17.0 * z_term, rel=1e-4)
 
 
+def _tight(x):
+    return 1e-10
+
+
+class TestMinimizeBounded:
+    def test_quadratic_in_one_newton_step(self):
+        x, fx, iterations, converged = minimize_bounded(
+            lambda x: ((x - 1.3) ** 2, 2.0 * (x - 1.3), 2.0), -5.0, 5.0, -4.0, _tight)
+        assert x == pytest.approx(1.3, abs=1e-12) and fx == pytest.approx(0.0, abs=1e-20)
+        assert converged and iterations <= 2
+
+    def test_minimum_at_the_domain_end(self):
+        x, _, _, converged = minimize_bounded(
+            lambda x: ((x - 3.0) ** 2, 2.0 * (x - 3.0), 2.0), -1.0, 2.0, -0.5, _tight)
+        assert x == 2.0 and converged
+
+    def test_concave_start_in_a_flat_tail(self):
+        # f = -exp(-x^2 / 2) from x0 = 4: f'' < 0 and f' ~ 1e-3, so neither a
+        # Newton step nor a gradient-sized step makes progress there
+        def f(x):
+            e = np.exp(-0.5 * x * x)
+            return -e, x * e, (1.0 - x * x) * e
+
+        x, _, iterations, converged = minimize_bounded(f, -100.0, 100.0, 4.0, _tight)
+        assert x == pytest.approx(0.0, abs=1e-8)
+        assert converged and iterations <= 10
+
+    def test_non_finite_objective_raises(self):
+        with pytest.raises(FloatingPointError):
+            minimize_bounded(lambda x: (np.nan, 0.0, 1.0), 0.0, 1.0, 0.5, _tight)
+
+
 class TestOptimizeAlpha:
     def test_clean_gaussian_near_two(self, rng):
         res = np.abs(rng.standard_normal(500))
@@ -253,6 +286,20 @@ class TestOptimizeAlphaProperties:
         best, _ = self._scan_best(res, domain, scan, bounds)
         out = optimize_alpha(res, domain, bounds)
         assert out.objective <= best + 1e-9 * max(1.0, abs(best))
+
+    @PROPERTY
+    @given(res=RESIDUALS, dom=DOMAINS, where=st.floats(0.0, 1.0))
+    def test_warm_start_anywhere_beats_scan(self, res, dom, where):
+        domain, scan = dom
+        bounds = (-10.0, 10.0)
+        best, _ = self._scan_best(res, domain, scan, bounds)
+        out = optimize_alpha(res, domain, bounds, x0=domain.lo + where * (2.0 - domain.lo))
+        # Compare the point the search ended at, before the -inf sentinel:
+        # Lam(-inf) can exceed Lam(ALPHA_MIN) by about 0.01.
+        lam = out.objective
+        if np.isinf(out.alpha_star):
+            lam = _Objective(res, domain, bounds).value(ALPHA_MIN)
+        assert lam <= best + 1e-9 * max(1.0, abs(best))
 
     @PROPERTY
     @given(res=RESIDUALS, dom=DOMAINS, where=st.floats(0.0, 1.0))

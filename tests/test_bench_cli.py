@@ -99,6 +99,15 @@ class TestCli:
         assert payload["mode"] == pytest.approx(np.sqrt(2.0), abs=0.1)
         assert len(payload["weights"]) == 4000
 
+    @pytest.mark.parametrize("command", [["fit-mb"], ["weights", "--rlf", "chebrolu"]],
+                             ids=["fit-mb", "weights"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-0.5"])
+    def test_rejects_non_finite_or_negative_residuals(self, tmp_path, command, token):
+        res_file = tmp_path / "resid.txt"
+        res_file.write_text(f"0.5, 1.0\n0.7 {token}\n2.0\n")
+        with pytest.raises(SystemExit, match=f"line 2: '{token}'"):
+            main([*command, "--input", str(res_file)])
+
     def test_bench_command_with_config_file(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({

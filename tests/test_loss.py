@@ -272,3 +272,20 @@ class TestVarTrimmed:
     def test_binary_weights(self, rng):
         w = var_trimmed_weights(rng.uniform(0, 5, 101))
         assert set(np.unique(w)) <= {0.0, 1.0}
+
+    @PROPERTY
+    @given(n=st.integers(1, 200), outlier_share=st.floats(0.0, 0.8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kept_set_is_brute_force_argmin(self, n, outlier_share, seed):
+        rng = np.random.default_rng(seed)
+        n_out = int(round(outlier_share * n))
+        residuals = np.concatenate(
+            [np.abs(rng.standard_normal(n - n_out)), rng.uniform(0.0, 30.0, n_out)]
+        )
+        order = np.argsort(residuals, kind="stable")
+        prefix = np.cumsum(residuals[order] ** 2)
+        best_k = min(range(max(1, int(np.ceil(0.4 * n))), n + 1),
+                     key=lambda k: (prefix[k - 1] / k) / (k / n) ** 2)
+        expected = np.zeros(n)
+        expected[order[:best_k]] = 1.0
+        assert np.array_equal(var_trimmed_weights(residuals), expected)

@@ -146,6 +146,23 @@ class TestFitMb:
         for probe in (1.0, 0.1, 5.0):
             assert fit.objective <= grid_probe(r, 3, probe) + 1e-12
 
+    @pytest.mark.parametrize("a", [0.3, 0.8, 1.0, 2.5])
+    def test_criterion_derivatives_match_finite_differences(self, rng, a):
+        from robls.mbfit import _fit_criterion
+
+        r = np.concatenate(
+            [0.8 * np.linalg.norm(rng.standard_normal((400, 3)), axis=1), rng.uniform(3, 7, 60)]
+        )
+        thresh = chi_quantile(3, 0.9973)
+        hist = build_histogram(r[r < thresh], upper=thresh)
+        value, grad, hess = _fit_criterion(hist, a, 3)
+        p, q = mb_pdf(hist.centers, a, 3), hist.density
+        assert grad == pytest.approx(2.0 * np.sum(q * q * (p - q) * dmb_da(hist.centers, a, 3)))
+        h = 1e-6 * a
+        up, down = _fit_criterion(hist, a + h, 3), _fit_criterion(hist, a - h, 3)
+        assert grad == pytest.approx((up[0] - down[0]) / (2 * h), rel=1e-5, abs=1e-12)
+        assert hess == pytest.approx((up[1] - down[1]) / (2 * h), rel=1e-5, abs=1e-12)
+
     def test_empty_after_threshold_falls_back(self):
         fit = fit_mb(np.full(30, 50.0), 3, apply_threshold=True)
         assert fit.fallback and fit.a_star == 1.0
@@ -156,11 +173,11 @@ class TestFitMb:
 
 
 def grid_probe(residuals, n_e, a):
-    from robls.mbfit import _fit_objective
+    from robls.mbfit import _fit_criterion
 
     r = np.asarray(residuals, float)
     thresh = chi_quantile(n_e, 0.9973)
-    return _fit_objective(build_histogram(r[r < thresh], upper=thresh), a, n_e)
+    return _fit_criterion(build_histogram(r[r < thresh], upper=thresh), a, n_e)[0]
 
 
 class TestShiftResiduals:

@@ -245,6 +245,15 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 1.5, np.zeros(3))
 
+    @pytest.mark.parametrize("rotation,translation,match", [
+        (np.full((3, 3), np.nan), np.zeros(3), "rotation"),
+        (np.eye(3), np.array([0.0, np.inf, 0.0]), "translation"),
+        (np.eye(3), np.array([np.nan, 0.0, 0.0]), "translation"),
+    ], ids=["nan-rotation", "inf-translation", "nan-translation"])
+    def test_rejects_non_finite(self, rotation, translation, match):
+        with pytest.raises(ValueError, match=match):
+            Pose(rotation, translation)
+
     def test_apply_matches_matrix(self, rng):
         pose = exp_map(random_twist(rng))
         pts = rng.standard_normal((10, 3))
