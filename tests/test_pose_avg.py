@@ -185,6 +185,7 @@ class TestWhitenedSystem:
 
 
 class TestPoseMeasurement:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_covariance(self, bad):
         cov = np.eye(6)
