@@ -18,7 +18,6 @@ from .loss import (
     ALPHA_MIN,
     FixedRlf,
     fixed_weight,
-    mad_scale,
     rho,
     rho_alpha_derivs,
     var_trimmed_weights,

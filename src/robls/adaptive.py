@@ -11,10 +11,18 @@ Two domains are supported: the original variant, restricted to
 normalizes over a bounded interval and admits ``alpha`` down to the
 Welsch-like limit.
 
+Every ``Z`` comes from :func:`partition_z`, one pass of a fixed
+Gauss-Legendre rule.  Only the Newton steps of :func:`minimize_bounded` ask
+it for the alpha derivatives of ``Z``, which give ``Lam'`` and ``Lam''``
+analytically; the coarse start scan, the alpha = 2 check, the ``-inf``
+sentinel and the grid fallback need ``Z`` alone.  The scan evaluates all of
+its general-branch points in one broadcast pass, with alpha as a column,
+bit-identical to evaluating them one at a time.  The whole-line ``Z`` of the
+original variant is extrapolated from one pass over ``[-2T, 2T]`` whose first
+half of nodes is the rule on ``[-T, T]``.
+
 This fit and the scaled-Chi shape fit of :mod:`robls.mbfit` both run on
-:func:`minimize_bounded`, a safeguarded Newton method on an interval.  Here
-the gradient and second derivative are analytic: one quadrature pass yields
-``Z`` and both of its alpha derivatives.
+:func:`minimize_bounded`, a safeguarded Newton method on an interval.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .loss import ALPHA_MIN, BRANCH_TOL, _branch, rho, rho_alpha_derivs
+from .loss import ALPHA_MIN, BRANCH_TOL, _branch, _rho_general, rho, rho_alpha_derivs
 
 __all__ = [
     "AlphaDomain",
@@ -87,17 +95,22 @@ class AlphaOptResult:
 
 
 @lru_cache(maxsize=8)
-def _gl_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _gl_rule(a: float, b: float, halves: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on [a, b].
 
     The integrand is even in eps, so a symmetric interval folds onto [0, b]
-    with weight 2.
+    with weight 2.  With ``halves`` the panels of the first half of the
+    (folded) interval are laid twice, so the first half of the nodes and
+    weights is exactly the rule of that half.
     """
     scale = 1.0
     if a == -b:
         a, scale = 0.0, 2.0
-    panels = max(1, int(np.ceil((b - a) / PANEL_WIDTH)))
-    half = 0.5 * (b - a) / panels
+    width = 0.5 * (a + b) - a if halves else b - a
+    panels = max(1, int(np.ceil(width / PANEL_WIDTH)))
+    half = 0.5 * width / panels
+    if halves:
+        panels *= 2
     centers = a + half * (2.0 * np.arange(panels) + 1.0)
     nodes = (centers[:, None] + half * _GL_NODES).ravel()
     weights = np.tile(scale * half * _GL_WEIGHTS, panels)
@@ -105,35 +118,57 @@ def _gl_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def partition_z(alpha: float, bounds: tuple[float, float]) -> tuple[float, float, float]:
+def partition_z(alpha, bounds: tuple[float, float], derivs: bool = True, halves: bool = False):
     """Normalization ``Z = integral of exp(-rho(eps, alpha))`` over bounds.
 
     One pass of a fixed composite 24-point Gauss-Legendre rule with panels
     at most ``PANEL_WIDTH`` wide.  Returns ``(Z, dZ/dalpha, d2Z/dalpha2)``;
     the derivatives come from the same nodes in the general branch and are
     NaN on the limit branches (alpha = 2, 0 and -inf).
+
+    ``derivs=False`` skips the derivatives and returns ``Z`` alone, equal
+    bit for bit to ``[0]`` of the derivative pass.  Then ``alpha`` may also
+    be a 1-D array of general-branch values, which returns their ``Z`` as an
+    array from one broadcast pass.  With ``halves`` the rule is built from
+    the panels of the first half of the (folded) interval laid twice, and
+    the result is the pair (over the first half, over the whole); for a
+    symmetric ``[-2T, 2T]`` the first half is ``[-T, T]``.
     """
     a, b = float(bounds[0]), float(bounds[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
-    x, w = _gl_rule(a, b)
-    if _branch(alpha) != "general":
-        return float(w @ np.exp(-rho(x, alpha))), np.nan, np.nan
-    r, dr, d2r = rho_alpha_derivs(x, alpha)
-    wf = w * np.exp(-r)
-    return float(wf.sum()), float(-(wf @ dr)), float(wf @ (dr * dr - d2r))
+    x, w = _gl_rule(a, b, halves)
+    ends = (x.size // 2, x.size) if halves else (x.size,)
+    if np.ndim(alpha) == 0 and _branch(alpha) != "general":
+        e = np.exp(-rho(x, alpha))
+        out = [float(w[:m] @ e[:m]) for m in ends]
+        if derivs:
+            out = [(z, np.nan, np.nan) for z in out]
+    elif derivs:
+        r, dr, d2r = rho_alpha_derivs(x, alpha)
+        wf = w * np.exp(-r)
+        h = dr * dr - d2r
+        out = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m]))
+               for m in ends]
+    else:
+        wf = w * np.exp(-_rho_general(x, np.asarray(alpha, dtype=float)[..., None]))
+        out = [wf[..., :m].sum(axis=-1) for m in ends]
+    return tuple(out) if halves else out[0]
 
 
-def _untruncated_z(alpha: float, tau_span: float) -> np.ndarray:
-    """Approximate normalization, and its alpha derivatives, over the whole real line.
+def _untruncated_z(alpha, tau_span: float, derivs: bool = True):
+    """Approximate normalization over the whole real line.
 
-    Integrates over [-T, T] and [-2T, 2T] and removes the leading 1/T tail
-    error by extrapolation; exact in the limit for the slowest-decaying case
-    (the Cauchy-like alpha = 0 member).
+    Takes the integrals over [-T, T] and [-2T, 2T] from one
+    :func:`partition_z` pass with ``halves`` and removes the leading 1/T
+    tail error by extrapolation; exact in the limit for the
+    slowest-decaying case (the Cauchy-like alpha = 0 member).  Returns what
+    :func:`partition_z` returns for ``alpha`` and ``derivs``, as an array.
+    For T = 40, which covers every span up to 40, the [-T, T] half is the
+    same rule as a separate pass over [-T, T].
     """
     t = max(tau_span, UNTRUNCATED_SPAN)
-    z1 = np.array(partition_z(alpha, (-t, t)))
-    z2 = np.array(partition_z(alpha, (-2.0 * t, 2.0 * t)))
+    z1, z2 = np.array(partition_z(alpha, (-2.0 * t, 2.0 * t), derivs, halves=True))
     return 2.0 * z2 - z1
 
 
@@ -153,18 +188,28 @@ class _Objective:
         self.residuals = np.clip(r, bounds[0], bounds[1])
         self.n = r.size
 
-    def _z(self, alpha: float):
-        """``(Z, dZ/dalpha, d2Z/dalpha2)`` for this domain."""
+    def _z(self, alpha, derivs: bool):
+        """``Z`` for this domain, with its alpha derivatives if ``derivs``."""
         if self.domain.variant == "barron":
-            return _untruncated_z(alpha, self.span)
-        return partition_z(alpha, self.bounds)
+            return _untruncated_z(alpha, self.span, derivs)
+        return partition_z(alpha, self.bounds, derivs)
 
     def value(self, alpha: float) -> float:
-        return float(self.n * np.log(self._z(alpha)[0]) + np.sum(rho(self.residuals, alpha)))
+        return float(self.n * np.log(self._z(alpha, False)) + np.sum(rho(self.residuals, alpha)))
+
+    def values(self, alphas) -> list[float]:
+        """``Lam`` at each general-branch alpha, from one broadcast pass.
+
+        Bit-identical to calling :meth:`value` on each.
+        """
+        col = np.asarray(alphas, dtype=float)
+        z = self._z(col, False)
+        sums = _rho_general(self.residuals, col[:, None]).sum(axis=1)
+        return [float(self.n * np.log(zi) + si) for zi, si in zip(z, sums)]
 
     def value_derivs(self, alpha: float) -> tuple[float, float, float]:
         """``(Lam, dLam/dalpha, d2Lam/dalpha2)`` at a general-branch alpha."""
-        z, dz, d2z = self._z(alpha)
+        z, dz, d2z = self._z(alpha, True)
         r, dr, d2r = rho_alpha_derivs(self.residuals, alpha)
         g = dz / z
         return (
@@ -235,6 +280,7 @@ def minimize_bounded(f: Callable[[float], tuple[float, float, float]], lo: float
     return x, fx, MAX_NEWTON_ITERS, False
 
 
+# Both scans start at alpha = 2, a limit branch; the rest are general-branch.
 _SCAN_CHEBROLU = (2.0, 1.5, 1.0, 0.5, 0.05, -0.05, -0.5, -1.0, -2.0, -3.5,
                   -5.0, -8.0, -12.0, -20.0, -35.0, ALPHA_MIN)
 _SCAN_BARRON = (2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5, 0.25, 0.1, 0.005)
@@ -274,7 +320,8 @@ def optimize_alpha(
     try:
         if x0 is None:
             scan = _SCAN_BARRON if domain.variant == "barron" else _SCAN_CHEBROLU
-            x0 = min((obj.value(a), a) for a in scan)[1]
+            lam = [obj.value(scan[0]), *obj.values(scan[1:])]
+            x0 = min(zip(lam, scan))[1]
         alpha, lam, iterations, converged = minimize_bounded(
             lambda a: obj.value_derivs(_off_zero(a)), lo, domain.hi - _INTERIOR_MARGIN, x0,
             lambda a: STEP_TOL * min(1.0, 2.0 - a))

@@ -52,6 +52,20 @@ def _read_residuals(path) -> np.ndarray:
     return np.asarray(values)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def cmd_pose_avg_bench(args):
     file_cfg = _load_config(args.config) if args.config else {}
     cfg = _apply_overrides(
@@ -139,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-mb", help="fit the residual-norm model and report weights")
     p.add_argument("--input", required=True, help="residual file (or - for stdin)")
-    p.add_argument("--n-e", type=int, default=3, help="error dimension")
-    p.add_argument("--tau", type=float, default=10.0, help="truncation bound")
+    p.add_argument("--n-e", type=_positive_int, default=3, help="error dimension")
+    p.add_argument("--tau", type=_positive_float, default=10.0, help="truncation bound")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_fit_mb)
 
@@ -148,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rlf", required=True, choices=RLF_KINDS)
     p.add_argument("--input", required=True, help="residual file (or - for stdin)")
     p.add_argument(
-        "--n-e", type=int, default=3,
+        "--n-e", type=_positive_int, default=3,
         help="error dimension: the Chi model of adaptive_mb and the scale of cauchy/tukey/welsch",
     )
-    p.add_argument("--tau", type=float, default=10.0)
+    p.add_argument("--tau", type=_positive_float, default=10.0)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_weights)
 

@@ -9,10 +9,9 @@ the residual, ``w = rho'(eps) / eps``, evaluated in closed form per branch.
 Residuals are unitless nonnegative scalars (covariance-normalized error
 norms); no extra scale parameter is applied to them here.  The fixed
 M-estimators (Cauchy / Tukey / Welsch) instead expect residuals divided by
-a Gaussian-consistent sigma estimate, see :func:`fixed_weight`.  For signed
-residuals that is :func:`mad_scale`; for error norms, whose median sits
-near the Chi mode rather than at zero, :meth:`RobustLoss.weights` divides
-by ``median(r) / median(Chi(n_e))`` instead.
+a Gaussian-consistent sigma estimate, see :func:`fixed_weight`.  Error
+norms have their median near the Chi mode rather than at zero, so
+:meth:`RobustLoss.weights` divides them by ``median(r) / median(Chi(n_e))``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "rho",
     "weight",
     "rho_alpha_derivs",
-    "mad_scale",
     "fixed_weight",
     "var_trimmed_weights",
 ]
@@ -44,7 +42,6 @@ ALPHA_MIN = -50.0
 # closer to the removable singularities at 0 and 2 than naive powers would.
 BRANCH_TOL = 1e-6
 
-MAD_CONSISTENCY = 1.4826  # makes MAD consistent with sigma for Gaussian data
 MAD_FLOOR = 1e-9
 
 # 95%-efficiency tuning constants, standard M-estimation conventions.
@@ -111,9 +108,18 @@ def rho(eps, alpha: float):
         return np.log1p(sq)
     if branch == "welsch":
         return -np.expm1(-sq)
-    b = abs(alpha - 2.0)
-    # (b/alpha) * ((eps^2/b + 1)^(alpha/2) - 1), cancellation-safe near the
-    # removable singularities via expm1(log1p(.)).
+    return _rho_general(eps, alpha)
+
+
+def _rho_general(eps, alpha):
+    """General-branch loss, broadcasting ``eps`` against ``alpha``.
+
+    ``(b/alpha) * ((eps^2/b + 1)^(alpha/2) - 1)`` with ``b = |alpha - 2|``,
+    cancellation-safe near the removable singularities via
+    ``expm1(log1p(.))``.  A column of ``alpha`` gives one row per value,
+    each bit-identical to the scalar call; no branch check is made.
+    """
+    b = np.abs(alpha - 2.0)
     return (b / alpha) * np.expm1(0.5 * alpha * np.log1p(eps * eps / b))
 
 
@@ -163,19 +169,6 @@ def rho_alpha_derivs(eps, alpha: float):
     first = (-2.0 / alpha**2) * em1 + (b / alpha) * ps
     second = (4.0 / alpha**3) * em1 - (4.0 / alpha**2) * ps + (b / alpha) * t_pow * (s * s + ds)
     return value, first, second
-
-
-def mad_scale(residuals) -> float:
-    """Median absolute deviation, rescaled for Gaussian consistency.
-
-    Returns ``1.4826 * median(|r - median(r)|)`` with a small positive floor
-    so that degenerate constant inputs do not divide by zero downstream.
-    """
-    r = np.asarray(residuals, dtype=float)
-    if r.size == 0:
-        raise ValueError("mad_scale requires a nonempty residual list")
-    mad = MAD_CONSISTENCY * np.median(np.abs(r - np.median(r)))
-    return float(max(mad, MAD_FLOOR))
 
 
 def fixed_weight(rlf: FixedRlf, eps_scaled):

@@ -46,6 +46,8 @@ MIN_BINS = 5
 MAX_BINS = 100
 
 A_LO, A_HI, A_STEP_TOL = 1e-2, 1e2, 1e-5  # domain of the shape fit and its step tolerance
+A_SCAN = np.geomspace(0.1, 5.0, 25)  # coarse start scan of a cold shape fit
+A_SCAN.flags.writeable = False
 
 # Keep the mode strictly inside the truncation bound; a fit this extreme
 # means the scale model no longer describes the data.
@@ -240,7 +242,7 @@ def fit_mb(residuals, n_e: int, apply_threshold: bool = True, x0: float | None =
     criterion = partial(_fit_criterion, hist, n_e=n_e)
     if x0 is None:
         a0 = float(np.sqrt(np.mean(r * r) / n_e))
-        candidates = np.concatenate([[a0], np.geomspace(0.1, 5.0, 25)])
+        candidates = np.concatenate([[a0], A_SCAN])
         candidates = candidates[(candidates >= A_LO) & (candidates <= A_HI)]
         x0 = candidates[int(np.argmin(criterion(candidates[:, None])[0]))]
     a, obj, _, _ = minimize_bounded(criterion, A_LO, A_HI, x0, lambda a: A_STEP_TOL)
@@ -273,6 +275,8 @@ def adaptive_mb_weights(
     shape on the shifted residuals over ``[0, nu]``, weight).  Residuals
     below the fitted mode always receive weight exactly 1.
     """
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"truncation bound tau must be positive and finite, got {tau}")
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ValueError("residual list must be nonempty")

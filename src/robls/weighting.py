@@ -71,8 +71,8 @@ class RobustLoss:
     def __post_init__(self):
         if self.kind not in RLF_KINDS:
             raise ValueError(f"unknown RLF kind {self.kind!r}; expected one of {RLF_KINDS}")
-        if self.tau <= 0:
-            raise ValueError("truncation bound tau must be positive")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError(f"truncation bound tau must be positive and finite, got {self.tau}")
 
     def weights(
         self, residuals, n_e: int = 3, warm_start: AdaptiveState | None = None

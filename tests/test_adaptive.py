@@ -10,6 +10,7 @@ from robls.adaptive import (
     BARRON_DOMAIN,
     CHEBROLU_DOMAIN,
     _Objective,
+    _untruncated_z,
     minimize_bounded,
     optimize_alpha,
     partition_z,
@@ -17,6 +18,11 @@ from robls.adaptive import (
 from robls.loss import ALPHA_MIN, BRANCH_TOL, rho, rho_alpha_derivs
 
 from conftest import PROPERTY, grid_search_alpha
+
+
+ALPHAS = st.one_of(st.sampled_from([2.0, 0.0, -np.inf, ALPHA_MIN]), st.floats(-200.0, 2.0))
+BOUNDS = st.one_of(st.floats(0.05, 90.0).map(lambda t: (-t, t)),
+                   st.floats(0.02, 90.0).map(lambda t: (0.0, t)))
 
 
 def neg_log_likelihood(residuals, alpha, bounds):
@@ -76,6 +82,36 @@ class TestPartitionZ:
             d2z = partition_z(alpha, (0.0, 6.0))[2]
             fd = (partition_z(alpha + h, (0.0, 6.0))[1] - partition_z(alpha - h, (0.0, 6.0))[1]) / (2 * h)
             assert d2z == pytest.approx(fd, rel=1e-6)
+
+    @PROPERTY
+    @given(alpha=ALPHAS, bounds=BOUNDS)
+    def test_z_only_pass_is_bit_identical(self, alpha, bounds):
+        assert partition_z(alpha, bounds, derivs=False) == partition_z(alpha, bounds)[0]
+
+    @PROPERTY
+    @given(alpha=st.one_of(st.sampled_from([2.0, 0.0]), st.floats(0.0, 2.0)),
+           tau=st.floats(0.01, 40.0), derivs=st.booleans())
+    def test_shared_barron_rule_is_bit_identical_to_two_passes(self, alpha, tau, derivs):
+        # Up to T = 40 the first half of the [-2T, 2T] rule is the [-T, T] rule.
+        t = 40.0
+        z1 = np.array(partition_z(alpha, (-t, t), derivs))
+        z2 = np.array(partition_z(alpha, (-2.0 * t, 2.0 * t), derivs))
+        assert np.array_equal(_untruncated_z(alpha, tau, derivs), 2.0 * z2 - z1, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "alpha", [2.0 - 4 * BRANCH_TOL, 4 * BRANCH_TOL, 1.5, 0.7, -8.0, ALPHA_MIN]
+    )
+    def test_shared_rule_matches_adaptive_quad_beyond_forty(self, alpha):
+        # Above T = 40 the [-2T, 2T] rule is the [-T, T] panels laid twice.
+        t = 45.3
+        halves = partition_z(alpha, (-2.0 * t, 2.0 * t), halves=True)
+        for (z, dz, _), span in zip(halves, (t, 2.0 * t)):
+            ref_z, _ = quad(lambda x: np.exp(-rho(x, alpha)), -span, span,
+                            epsabs=1e-12, limit=400)
+            ref_dz, _ = quad(lambda x: -np.exp(-rho(x, alpha)) * rho_alpha_derivs(x, alpha)[1],
+                             -span, span, epsabs=1e-12, limit=400)
+            assert abs(np.log(z) - np.log(ref_z)) <= 1e-10
+            assert abs(dz - ref_dz) / ref_z <= 1e-8
 
     def test_limit_branches_have_no_derivatives(self):
         for alpha in (2.0, 0.0, -np.inf):
@@ -277,6 +313,17 @@ class TestOptimizeAlphaProperties:
         values = [obj.value(a) for a in scan]
         i = int(np.argmin(values))
         return values[i], i
+
+    @PROPERTY
+    @given(res=RESIDUALS, dom=DOMAINS, tau=st.floats(0.5, 60.0), half_open=st.booleans())
+    def test_scan_pass_is_bit_identical(self, res, dom, tau, half_open):
+        domain, scan = dom
+        bounds = (0.0, tau) if half_open and domain is CHEBROLU_DOMAIN else (-tau, tau)
+        obj = _Objective(res, domain, bounds)
+        general = scan[1:]  # scan[0] = 2 is a limit branch, evaluated alone
+        lam = obj.values(general)
+        assert lam == [obj.value(a) for a in general]
+        assert lam == [obj.value_derivs(a)[0] for a in general]
 
     @PROPERTY
     @given(res=RESIDUALS, dom=DOMAINS, half_open=st.booleans())

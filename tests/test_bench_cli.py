@@ -108,6 +108,19 @@ class TestCli:
         with pytest.raises(SystemExit, match=f"line 2: '{token}'"):
             main([*command, "--input", str(res_file)])
 
+    @pytest.mark.parametrize("command", [["fit-mb"], ["weights", "--rlf", "adaptive_mb"]],
+                             ids=["fit-mb", "weights"])
+    @pytest.mark.parametrize("option", [["--tau", "0"], ["--tau", "-2"], ["--tau", "nan"],
+                                        ["--tau", "inf"], ["--n-e", "0"], ["--n-e", "-3"]])
+    def test_rejects_bad_tau_and_n_e_as_usage_errors(self, tmp_path, capsys, command, option):
+        res_file = tmp_path / "resid.txt"
+        res_file.write_text("0.5 1.0 2.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", str(res_file), *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {option[0]}:" in err
+
     def test_bench_command_with_config_file(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({

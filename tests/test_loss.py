@@ -8,12 +8,12 @@ from robls.loss import (
     BRANCH_TOL,
     FixedRlf,
     fixed_weight,
-    mad_scale,
     rho,
     rho_alpha_derivs,
     var_trimmed_weights,
     weight,
 )
+from robls.mbfit import adaptive_mb_weights
 from robls.weighting import RobustLoss
 
 from conftest import PROPERTY, fd_d2rho_dalpha2, fd_drho_deps, fd_drho_dalpha, rho_reference
@@ -167,30 +167,6 @@ class TestDrhoDalpha:
                 rho_alpha_derivs(1.0, a)
 
 
-class TestMadScale:
-    def test_constant_list_floor(self):
-        assert mad_scale([1.0, 1.0, 1.0, 1.0]) == pytest.approx(1e-9)
-
-    def test_hand_computed(self):
-        assert mad_scale([-1.0, 0.0, 1.0]) == pytest.approx(1.4826)
-
-    def test_normal_consistency(self, rng):
-        x = rng.standard_normal(10_000)
-        assert mad_scale(x) == pytest.approx(1.0, abs=0.05)
-
-    def test_translation_and_scale_equivariance(self, rng):
-        for _ in range(20):
-            x = rng.standard_normal(rng.integers(3, 60)) * rng.uniform(0.1, 10)
-            a, b = rng.uniform(-5, 5), rng.uniform(-100, 100)
-            if abs(a) < 1e-3:
-                continue
-            assert mad_scale(a * x + b) == pytest.approx(abs(a) * mad_scale(x), rel=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mad_scale([])
-
-
 class TestFixedKernelScale:
     """RobustLoss divides residual norms by the Chi(n_e)-consistent sigma."""
 
@@ -214,7 +190,21 @@ class TestFixedKernelScale:
 
     def test_one_dimensional_equals_signed_mad(self, rng):
         r = np.abs(rng.standard_normal(301))
-        assert self.scale(r, 1) == pytest.approx(mad_scale(np.concatenate([r, -r])), rel=1e-5)
+        signed = np.concatenate([r, -r])
+        mad = 1.4826 * np.median(np.abs(signed - np.median(signed)))
+        assert self.scale(r, 1) == pytest.approx(mad, rel=1e-5)
+
+
+@pytest.mark.parametrize("tau", [0.0, -2.0, np.nan, np.inf, -np.inf])
+class TestTauRejected:
+    def test_robust_loss(self, tau):
+        for kind in ("barron", "chebrolu", "adaptive_mb"):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                RobustLoss(kind, tau=tau)
+
+    def test_adaptive_mb_weights(self, rng, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            adaptive_mb_weights(np.abs(rng.standard_normal(50)), n_e=3, tau=tau)
 
 
 class TestFixedWeight:
