@@ -40,12 +40,27 @@ __all__ = [
     "AlphaOptResult",
     "BARRON_DOMAIN",
     "CHEBROLU_DOMAIN",
+    "TAU_MAX",
+    "check_tau",
     "partition_z",
     "minimize_bounded",
     "optimize_alpha",
 ]
 
 UNTRUNCATED_SPAN = 40.0  # half-width used to approximate the improper integral
+
+# Largest truncation bound tau.  The quadrature lays a fixed number of nodes
+# per unit of span, so its cost and memory grow linearly in tau: at this cap
+# one Barron pass over [-2 tau, 2 tau] holds 48k nodes.
+TAU_MAX = 1000.0
+
+
+def check_tau(tau: float) -> None:
+    """Raise ``ValueError`` unless ``0 < tau <= TAU_MAX``."""
+    if not 0.0 < tau <= TAU_MAX:
+        raise ValueError(
+            f"truncation bound tau must be positive and finite, at most {TAU_MAX:g}, got {tau}"
+        )
 
 # Panel width of the composite 24-point Gauss-Legendre rule.  At 1.0, for
 # bounds from 0.02 to 80, log Z agrees with adaptive quadrature to about 1e-14

@@ -56,6 +56,9 @@ class PoseAvgBenchConfig:
     weight_exponent: int = 2
     threads: int = 1
 
+    def __post_init__(self):
+        _check_counts(self.trials_per_level, self.threads)
+
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -77,8 +80,16 @@ class IcpBenchConfig:
     threads: int = 1
     trace_dir: str | None = None
 
+    def __post_init__(self):
+        _check_counts(self.trials_per_kind, self.threads)
+
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _check_counts(trials: int, threads: int) -> None:
+    if trials < 1 or threads < 1:
+        raise ValueError(f"trials and threads must be at least 1, got {trials} and {threads}")
 
 
 def config_hash(cfg) -> str:

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, cloud_io, mbfit, scenes
+from .adaptive import check_tau
+from .scenes import OVERLAP_MAX, OVERLAP_MIN
 from .weighting import RLF_KINDS, RobustLoss
 
 
@@ -32,7 +34,10 @@ def _apply_overrides(cfg_cls, file_cfg: dict, args, key_map: dict):
     for key in ("rlfs", "outlier_levels", "scene_kinds", "overlap_range"):
         if key in values and isinstance(values[key], list):
             values[key] = tuple(values[key])
-    return cfg_cls(**values)
+    try:
+        return cfg_cls(**values)
+    except ValueError as exc:
+        raise SystemExit(f"bad config: {exc}")
 
 
 def _read_residuals(path) -> np.ndarray:
@@ -52,10 +57,19 @@ def _read_residuals(path) -> np.ndarray:
     return np.asarray(values)
 
 
-def _positive_float(text: str) -> float:
+def _tau(text: str) -> float:
     value = float(text)
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    try:
+        check_tau(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
+def _overlap(text: str) -> float:
+    value = float(text)
+    if not OVERLAP_MIN <= value <= OVERLAP_MAX:
+        raise argparse.ArgumentTypeError(f"must lie in [{OVERLAP_MIN}, {OVERLAP_MAX}], got {text!r}")
     return value
 
 
@@ -138,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="master seed override")
     common.add_argument("--out-dir", default="out", help="output directory")
-    common.add_argument("--trials", type=int, help="trials per group override")
-    common.add_argument("--threads", type=int, help="worker processes")
+    common.add_argument("--trials", type=_positive_int, help="trials per group override")
+    common.add_argument("--threads", type=_positive_int, help="worker processes")
     common.add_argument(
         "--rlf", action="append", choices=RLF_KINDS, help="restrict to these RLFs (repeatable)"
     )
@@ -154,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-mb", help="fit the residual-norm model and report weights")
     p.add_argument("--input", required=True, help="residual file (or - for stdin)")
     p.add_argument("--n-e", type=_positive_int, default=3, help="error dimension")
-    p.add_argument("--tau", type=_positive_float, default=10.0, help="truncation bound")
+    p.add_argument("--tau", type=_tau, default=10.0, help="truncation bound")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_fit_mb)
 
@@ -165,13 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-e", type=_positive_int, default=3,
         help="error dimension: the Chi model of adaptive_mb and the scale of cauchy/tukey/welsch",
     )
-    p.add_argument("--tau", type=_positive_float, default=10.0)
+    p.add_argument("--tau", type=_tau, default=10.0)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("gen-scene", help="generate a synthetic scan pair")
     p.add_argument("--kind", required=True, choices=scenes.SCENE_KINDS)
-    p.add_argument("--overlap", type=float, default=0.6)
+    p.add_argument("--overlap", type=_overlap, default=0.6,
+                   help=f"shared fraction of the two views, in [{OVERLAP_MIN}, {OVERLAP_MAX}]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="scene")
     p.set_defaults(func=cmd_gen_scene)

@@ -7,6 +7,22 @@ voxel grid, quantization an order of magnitude above sensor noise), while
 the minimization step reduces the weighted squared point-to-plane error.
 Association is plain single nearest neighbour with no distance gate;
 outlier handling is left entirely to the loss.
+
+Association returns exactly what a KD-tree query would, but ICP's late
+iterations move each source point far less than the gap between its nearest
+and second-nearest target, so most correspondences are proved unchanged
+instead of searched again (cached k-d tree search, Nuechter et al., 3DIM
+2007).  Each solve keeps a memo of where every point was last queried
+(``ref``), its nearest index ``j`` and its second-nearest distance ``d2``.
+By the triangle inequality every other target lies at least
+``d2 - |p - ref|`` from the point ``p``, so ``j`` is still the unique
+nearest while ``|p - t_j| + |p - ref| < d2``.  The test is made with a
+margin of ``CERT_MARGIN`` times the summed distances plus the coordinate
+magnitude, which covers the rounding of the computed distances.  Only the
+points that fail it are queried, for two neighbours, which refreshes their
+memo.  A tie ``d1 == d2`` in that query leaves the first index to the
+tree's traversal order, so a tied point takes its index from a one-neighbour
+query, as a plain query would, and stays uncertified.
 """
 
 from __future__ import annotations
@@ -32,6 +48,10 @@ __all__ = [
 ]
 
 NORMAL_RANK_TOL = 1e-8  # mid/max eigenvalue ratio below which a patch is degenerate
+# Safety margin of the association certificate, relative to the distances and
+# to the coordinate magnitude: thousands of times the few ulps of rounding in
+# a computed distance, and far below the gaps between neighbouring targets.
+CERT_MARGIN = 1e-12
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -82,9 +102,15 @@ def voxel_downsample(cloud: PointCloud, d_grid: float) -> PointCloud:
     if len(pts) == 0:
         return PointCloud(np.empty((0, 3)))
     keys = np.floor(pts / d_grid).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    sums = np.zeros((len(counts), 3))
-    np.add.at(sums, inverse, pts)
+    # Cells in lexicographic key order; the stable sort keeps each cell's
+    # points in input order, so every centroid sums in that order.
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    starts = np.ones(len(pts), dtype=bool)
+    starts[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+    cell = np.cumsum(starts) - 1
+    counts = np.bincount(cell)
+    sums = np.column_stack([np.bincount(cell, weights=pts[order, a]) for a in range(3)])
     return PointCloud(sums / counts[:, None])
 
 
@@ -113,12 +139,56 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     return PointCloud(pts, normals=normals, normals_valid=valid)
 
 
-def associate(source_points: np.ndarray, target_tree) -> np.ndarray:
-    """Index of the nearest target point for every source point; no distance gating."""
+def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) -> np.ndarray:
+    """Index of the nearest target point for every source point; no distance gating.
+
+    The result always equals ``target_tree.query(source_points)[1]``.
+    ``memo`` is a dict that carries, from one call to the next, each
+    point's reference position ``ref`` (where the tree was last queried for
+    it), its nearest index ``idx`` and its second-nearest distance ``d2``
+    (infinite for a one-point target); the call updates it in place and
+    never modifies an array it has returned.  A point is certified, and
+    keeps ``idx`` without a tree search, when
+
+        |p - t_idx| + |p - ref| + CERT_MARGIN * (that sum + scale) < d2,
+
+    where ``scale`` is the largest coordinate magnitude of the points and
+    the target.  The other points get one ``query(k=2)``, which refreshes
+    their memo.  Where that query returns ``d1 == d2`` the index comes from
+    ``query(k=1)`` instead; such a point's ``d2`` equals its nearest
+    distance, so it is never certified.  An empty or absent memo, or one
+    kept for a different number of points, certifies nothing.
+    """
     if target_tree.n == 0:
         raise ValueError("target cloud is empty")
-    _, idx = target_tree.query(source_points)
-    return np.asarray(idx)
+    p = np.asarray(source_points, dtype=float)
+    memo = {} if memo is None else memo
+    if "ref" not in memo or len(memo["ref"]) != len(p):
+        memo.update(ref=p, idx=np.zeros(len(p), dtype=np.intp), d2=np.zeros(len(p)))
+    ref, idx, d2 = memo["ref"], memo["idx"].copy(), memo["d2"].copy()
+
+    moved = _norms(p - ref)
+    dj = _norms(p - target_tree.data[idx])
+    scale = max(np.abs(p).max(initial=0.0), np.abs([target_tree.mins, target_tree.maxes]).max())
+    bound = dj + moved
+    stale = ~(bound + CERT_MARGIN * (bound + scale) < d2)
+
+    q = p[stale]
+    dist, nbr = target_tree.query(q, k=2)
+    nearest = nbr[:, 0]
+    tie = dist[:, 0] == dist[:, 1]
+    if tie.any():
+        nearest[tie] = target_tree.query(q[tie])[1]
+    idx[stale] = nearest
+    d2[stale] = dist[:, 1]
+    ref = ref.copy()
+    ref[stale] = q
+    memo.update(ref=ref, idx=idx, d2=d2)
+    return idx
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
 def residuals_pt2pt(errors: np.ndarray, cov_scale: float) -> np.ndarray:
@@ -174,10 +244,11 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     tree = cKDTree(target.points)
     cov_scale = 2.0 * config.grid**2
     proj_var = cov_scale  # n' (cov_scale * I) n for unit normals
+    memo: dict = {}
 
     def linearize(pose):
         p = source.points @ pose.rotation.T + pose.translation
-        idx = associate(p, tree)
+        idx = associate(p, tree, memo=memo)
         e = target.points[idx] - p
 
         def update(wf):

@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.special import gamma, gammainc
 
-from .adaptive import CHEBROLU_DOMAIN, AlphaOptResult, minimize_bounded, optimize_alpha
+from .adaptive import CHEBROLU_DOMAIN, AlphaOptResult, check_tau, minimize_bounded, optimize_alpha
 from .loss import weight
 
 __all__ = [
@@ -275,8 +275,7 @@ def adaptive_mb_weights(
     shape on the shifted residuals over ``[0, nu]``, weight).  Residuals
     below the fitted mode always receive weight exactly 1.
     """
-    if not 0.0 < tau < np.inf:
-        raise ValueError(f"truncation bound tau must be positive and finite, got {tau}")
+    check_tau(tau)
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ValueError("residual list must be nonempty")

@@ -22,9 +22,10 @@ import numpy as np
 from .icp import PointCloud
 from .se3 import Pose, so3_exp
 
-__all__ = ["SCENE_KINDS", "generate_scene", "measure_overlap"]
+__all__ = ["SCENE_KINDS", "OVERLAP_MIN", "OVERLAP_MAX", "generate_scene", "measure_overlap"]
 
 SCENE_KINDS = ("structured", "semi", "unstructured")
+OVERLAP_MIN, OVERLAP_MAX = 0.4, 1.0  # accepted shared fraction of the two views
 
 WINDOW = 6.0         # window length along x [m]
 WIDTH = 4.0          # strip width along y [m]
@@ -171,12 +172,12 @@ def generate_scene(
     """Source/target clouds in their sensor frames plus the true transform.
 
     ``overlap`` is the requested shared fraction of the viewing windows,
-    between 0.4 and 0.99.
+    between ``OVERLAP_MIN`` = 0.4 and ``OVERLAP_MAX`` = 1.0.
     """
     if kind not in SCENE_KINDS:
         raise ValueError(f"unknown scene kind {kind!r}; expected one of {SCENE_KINDS}")
-    if not 0.4 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0.4, 0.99]")
+    if not OVERLAP_MIN <= overlap <= OVERLAP_MAX:
+        raise ValueError(f"overlap must lie in [{OVERLAP_MIN}, {OVERLAP_MAX}], got {overlap}")
 
     rng = np.random.default_rng(seed)
     offset = (1.0 - overlap) * WINDOW

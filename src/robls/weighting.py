@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mbfit
-from .adaptive import BARRON_DOMAIN, CHEBROLU_DOMAIN, optimize_alpha
+from .adaptive import BARRON_DOMAIN, CHEBROLU_DOMAIN, check_tau, optimize_alpha
 from .loss import MAD_FLOOR, FixedRlf, fixed_weight, var_trimmed_weights, weight
 
 __all__ = [
@@ -71,8 +71,7 @@ class RobustLoss:
     def __post_init__(self):
         if self.kind not in RLF_KINDS:
             raise ValueError(f"unknown RLF kind {self.kind!r}; expected one of {RLF_KINDS}")
-        if not 0.0 < self.tau < np.inf:
-            raise ValueError(f"truncation bound tau must be positive and finite, got {self.tau}")
+        check_tau(self.tau)
 
     def weights(
         self, residuals, n_e: int = 3, warm_start: AdaptiveState | None = None

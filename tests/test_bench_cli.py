@@ -111,7 +111,8 @@ class TestCli:
     @pytest.mark.parametrize("command", [["fit-mb"], ["weights", "--rlf", "adaptive_mb"]],
                              ids=["fit-mb", "weights"])
     @pytest.mark.parametrize("option", [["--tau", "0"], ["--tau", "-2"], ["--tau", "nan"],
-                                        ["--tau", "inf"], ["--n-e", "0"], ["--n-e", "-3"]])
+                                        ["--tau", "inf"], ["--tau", "1000.5"], ["--tau", "1e6"],
+                                        ["--n-e", "0"], ["--n-e", "-3"]])
     def test_rejects_bad_tau_and_n_e_as_usage_errors(self, tmp_path, capsys, command, option):
         res_file = tmp_path / "resid.txt"
         res_file.write_text("0.5 1.0 2.0\n")
@@ -120,6 +121,50 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {option[0]}:" in err
+
+    @pytest.mark.parametrize("command", ["pose-avg-bench", "icp-bench"])
+    @pytest.mark.parametrize("option", [["--trials", "0"], ["--trials", "-2"],
+                                        ["--threads", "0"], ["--threads", "-3"]])
+    def test_rejects_bad_trials_and_threads_as_usage_errors(self, tmp_path, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out-dir", str(tmp_path / "out"), *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {option[0]}:" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key", [("pose-avg-bench", "trials_per_level"),
+                                              ("icp-bench", "trials_per_kind"),
+                                              ("pose-avg-bench", "threads"),
+                                              ("icp-bench", "threads")])
+    def test_config_file_trials_and_threads_checked(self, tmp_path, command, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: 0}))
+        with pytest.raises(SystemExit, match="at least 1"):
+            main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cls, trials", [(bench.PoseAvgBenchConfig, "trials_per_level"),
+                                             (bench.IcpBenchConfig, "trials_per_kind")])
+    @pytest.mark.parametrize("field, value", [("trials", 0), ("trials", -2),
+                                              ("threads", 0), ("threads", -3)])
+    def test_bench_configs_reject_counts_below_one(self, cls, trials, field, value):
+        with pytest.raises(ValueError, match="at least 1"):
+            cls(**{trials if field == "trials" else field: value})
+
+    @pytest.mark.parametrize("overlap", ["1.5", "0.3", "-1", "nan"])
+    def test_gen_scene_rejects_overlap_as_usage_error(self, tmp_path, capsys, overlap):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-scene", "--kind", "semi", "--overlap", overlap,
+                  "--out-dir", str(tmp_path / "scene")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --overlap:" in err and "[0.4, 1.0]" in err
+
+    def test_gen_scene_accepts_full_overlap(self, tmp_path):
+        main(["gen-scene", "--kind", "structured", "--overlap", "1.0", "--seed", "3",
+              "--out-dir", str(tmp_path / "scene")])
+        assert (tmp_path / "scene/source.csv").exists()
 
     def test_bench_command_with_config_file(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import robls
@@ -21,6 +23,8 @@ from robls.icp import (
 )
 from robls.se3 import Pose, exp_map, pose_error_norms, so3_exp
 from robls.weighting import RobustLoss
+
+from conftest import PROPERTY
 
 
 def corner_cloud(rng, n=1500, noise=0.0):
@@ -66,6 +70,26 @@ class TestVoxelDownsample:
         a = voxel_downsample(PointCloud(pts), 0.25).points
         b = voxel_downsample(PointCloud(pts), 0.25).points
         assert np.array_equal(a, b)
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        offset=st.floats(-1e5, 1e5),
+        spread=st.floats(0.01, 10.0),
+        d_grid=st.floats(0.01, 1.0),
+    )
+    def test_equals_unique_and_add_at(self, seed, n, offset, spread, d_grid):
+        # Reference: group rows with np.unique(axis=0) and sum with np.add.at,
+        # both in input order, so the centroids must agree bit for bit.
+        rng = np.random.default_rng(seed)
+        pts = offset + spread * rng.standard_normal((n, 3))
+        keys = np.floor(pts / d_grid).astype(np.int64)
+        _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        sums = np.zeros((len(counts), 3))
+        np.add.at(sums, inverse, pts)
+        out = voxel_downsample(PointCloud(pts), d_grid).points
+        assert np.array_equal(out, sums / counts[:, None])
 
 
 class TestEstimateNormals:
@@ -114,6 +138,59 @@ class TestAssociate:
     def test_single_target(self, rng):
         idx = associate(rng.uniform(-1, 1, (50, 3)), cKDTree(np.zeros((1, 3))))
         assert np.all(idx == 0)
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.floats(-1e5, 1e5),
+        step_scale=st.floats(1e-9, 0.3),
+        n_steps=st.integers(2, 8),
+    )
+    def test_memo_matches_plain_query_along_rigid_motions(self, seed, offset, step_scale, n_steps):
+        rng = np.random.default_rng(seed)
+        target = offset + rng.uniform(-1, 1, (300, 3))
+        source = target[:200] + 0.05 * rng.standard_normal((200, 3))
+        center = target.mean(axis=0)
+        tree = cKDTree(target)
+        memo: dict = {}
+        pose = Pose.identity()
+        for _ in range(n_steps):
+            p = (source - center) @ pose.rotation.T + pose.translation + center
+            assert np.array_equal(associate(p, tree, memo=memo), tree.query(p)[1])
+            pose = exp_map(step_scale * rng.standard_normal(6)) @ pose
+
+    def test_small_motion_skips_the_tree(self, rng):
+        target = rng.uniform(-1, 1, (400, 3))
+        p = target[:300] + 0.05 * rng.standard_normal((300, 3))
+        tree = cKDTree(target)
+        memo: dict = {}
+        associate(p, tree, memo=memo)
+        queried_at = memo["ref"]
+        moved = p + 1e-6
+        assert np.array_equal(associate(moved, tree, memo=memo), tree.query(moved)[1])
+        # points still referenced to their old position were certified, not queried
+        assert np.mean(np.all(memo["ref"] == queried_at, axis=1)) > 0.9
+
+    def test_single_target_with_memo(self, rng):
+        tree = cKDTree(np.zeros((1, 3)))
+        memo: dict = {}
+        for shift in (0.0, 5.0, -300.0):
+            idx = associate(rng.uniform(-1, 1, (50, 3)) + shift, tree, memo=memo)
+            assert np.all(idx == 0)
+        assert np.all(memo["d2"] == np.inf)
+
+    def test_empty_source_with_memo(self, rng):
+        tree = cKDTree(rng.uniform(-1, 1, (20, 3)))
+        assert len(associate(np.empty((0, 3)), tree, memo={})) == 0
+
+    def test_duplicate_targets_follow_single_query(self, rng):
+        base = rng.uniform(-1, 1, (200, 3))
+        tree = cKDTree(np.vstack([base, base, base[:50]]))
+        memo: dict = {}
+        p = base + 0.02 * rng.standard_normal(base.shape)
+        for _ in range(3):
+            assert np.array_equal(associate(p, tree, memo=memo), tree.query(p)[1])
+            p = p + 1e-4
 
 
 class TestResiduals:

@@ -195,7 +195,7 @@ class TestFixedKernelScale:
         assert self.scale(r, 1) == pytest.approx(mad, rel=1e-5)
 
 
-@pytest.mark.parametrize("tau", [0.0, -2.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tau", [0.0, -2.0, np.nan, np.inf, -np.inf, 1000.5, 1e6])
 class TestTauRejected:
     def test_robust_loss(self, tau):
         for kind in ("barron", "chebrolu", "adaptive_mb"):
@@ -205,6 +205,12 @@ class TestTauRejected:
     def test_adaptive_mb_weights(self, rng, tau):
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             adaptive_mb_weights(np.abs(rng.standard_normal(50)), n_e=3, tau=tau)
+
+
+def test_tau_cap_named_and_accepted():
+    with pytest.raises(ValueError, match="at most 1000"):
+        RobustLoss("barron", tau=np.nextafter(1000.0, np.inf))
+    assert RobustLoss("barron", tau=1000.0).tau == 1000.0
 
 
 class TestFixedWeight:
