@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cloud_io, icp, pose_avg, scenes, stats
+from .adaptive import check_tau
 from .mbfit import chi_quantile
 from .se3 import pose_error_norms, sample_perturbation
 from .weighting import RobustLoss
@@ -57,7 +58,7 @@ class PoseAvgBenchConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _check_counts(self.trials_per_level, self.threads)
+        _check_config(self.trials_per_level, self.threads, self.tau)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -81,15 +82,16 @@ class IcpBenchConfig:
     trace_dir: str | None = None
 
     def __post_init__(self):
-        _check_counts(self.trials_per_kind, self.threads)
+        _check_config(self.trials_per_kind, self.threads, self.tau)
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def _check_counts(trials: int, threads: int) -> None:
+def _check_config(trials: int, threads: int, tau: float) -> None:
     if trials < 1 or threads < 1:
         raise ValueError(f"trials and threads must be at least 1, got {trials} and {threads}")
+    check_tau(tau)
 
 
 def config_hash(cfg) -> str:

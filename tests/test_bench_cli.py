@@ -133,24 +133,19 @@ class TestCli:
         assert err.startswith("usage:") and f"argument {option[0]}:" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, key", [("pose-avg-bench", "trials_per_level"),
-                                              ("icp-bench", "trials_per_kind"),
-                                              ("pose-avg-bench", "threads"),
-                                              ("icp-bench", "threads")])
-    def test_config_file_trials_and_threads_checked(self, tmp_path, command, key):
+    @pytest.mark.parametrize("command", ["pose-avg-bench", "icp-bench"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("trials", 0, "at least 1"), ("trials", -2, "at least 1"), ("threads", 0, "at least 1"),
+        ("threads", -3, "at least 1"), ("tau", 2000.0, "at most 1000"),
+    ])
+    def test_config_file_values_checked(self, tmp_path, command, key, value, message):
+        if key == "trials":
+            key = "trials_per_level" if command == "pose-avg-bench" else "trials_per_kind"
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({key: 0}))
-        with pytest.raises(SystemExit, match="at least 1"):
+        cfg_file.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit, match=message):
             main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("cls, trials", [(bench.PoseAvgBenchConfig, "trials_per_level"),
-                                             (bench.IcpBenchConfig, "trials_per_kind")])
-    @pytest.mark.parametrize("field, value", [("trials", 0), ("trials", -2),
-                                              ("threads", 0), ("threads", -3)])
-    def test_bench_configs_reject_counts_below_one(self, cls, trials, field, value):
-        with pytest.raises(ValueError, match="at least 1"):
-            cls(**{trials if field == "trials" else field: value})
 
     @pytest.mark.parametrize("overlap", ["1.5", "0.3", "-1", "nan"])
     def test_gen_scene_rejects_overlap_as_usage_error(self, tmp_path, capsys, overlap):
