@@ -21,6 +21,15 @@ bit-identical to evaluating them one at a time.  The whole-line ``Z`` of the
 original variant is extrapolated from one pass over ``[-2T, 2T]`` whose first
 half of nodes is the rule on ``[-T, T]``.
 
+``Z`` depends on alpha and the bounds alone, never on the residuals, so
+:func:`partition_z` keeps a bounded memo of its passes, keyed by
+``(alpha, a, b, derivs, halves)``.  ``barron`` and ``chebrolu`` fix their
+bounds by tau, so every cold fit repeats the same scan, alpha = 2 check and
+``-inf`` sentinel, and its first Newton pass sits at a scan point (or, warm,
+at the previous alpha*); those passes are computed once per process.  The
+bounds of ``adaptive_mb``, ``(0, tau - mode)``, move with the fitted mode,
+so its passes almost never repeat.
+
 This fit and the scaled-Chi shape fit of :mod:`robls.mbfit` both run on
 :func:`minimize_bounded`, a safeguarded Newton method on an interval.
 """
@@ -78,6 +87,11 @@ MAX_NEWTON_ITERS = 50
 STEP_TOL = 1e-4
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+# Entries of the partition_z memo.  One cold fit repeats a handful of keys
+# per domain and tau, so a few hundred keep them while Newton iterates,
+# which rarely repeat, cycle through.
+Z_MEMO_SIZE = 256
 
 # Keep optimizer iterates comfortably clear of the limit-branch switch zones
 # so the analytic derivatives stay evaluable after rounding.
@@ -148,10 +162,25 @@ def partition_z(alpha, bounds: tuple[float, float], derivs: bool = True, halves:
     the panels of the first half of the (folded) interval laid twice, and
     the result is the pair (over the first half, over the whole); for a
     symmetric ``[-2T, 2T]`` the first half is ``[-T, T]``.
+
+    Passes are memoized in a least-recently-used cache of ``Z_MEMO_SIZE``
+    entries keyed by ``(alpha, a, b, derivs, halves)``, with alpha as a
+    float or, for the broadcast pass, a tuple of floats.  A repeated call
+    returns the objects of the first, bit-identical because the pass is a
+    pure function of its key; array results are read-only.  The fits of
+    ``barron`` and ``chebrolu`` hit it (their bounds are fixed by tau),
+    those of ``adaptive_mb`` almost never (its bounds move with the mode).
     """
     a, b = float(bounds[0]), float(bounds[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
+    key = float(alpha) if np.ndim(alpha) == 0 else tuple(np.asarray(alpha, dtype=float).tolist())
+    return _z_pass(key, a, b, bool(derivs), bool(halves))
+
+
+@lru_cache(maxsize=Z_MEMO_SIZE)
+def _z_pass(alpha, a: float, b: float, derivs: bool, halves: bool):
+    """The uncached pass of :func:`partition_z`; a tuple ``alpha`` is a vector."""
     x, w = _gl_rule(a, b, halves)
     ends = (x.size // 2, x.size) if halves else (x.size,)
     if np.ndim(alpha) == 0 and _branch(alpha) != "general":
@@ -168,6 +197,9 @@ def partition_z(alpha, bounds: tuple[float, float], derivs: bool = True, halves:
     else:
         wf = w * np.exp(-_rho_general(x, np.asarray(alpha, dtype=float)[..., None]))
         out = [wf[..., :m].sum(axis=-1) for m in ends]
+        if isinstance(alpha, tuple):
+            for z in out:
+                z.flags.writeable = False
     return tuple(out) if halves else out[0]
 
 

@@ -78,6 +78,9 @@ class RobustLoss:
     ) -> WeightResult:
         """Weights in [0, 1] for a set of nonnegative residual norms.
 
+        Raises ``ValueError`` if the set is empty or holds a NaN, an
+        infinite or a negative norm.
+
         ``n_e`` is the dimension of the underlying error: it sets the
         fixed kernels' scale and the norm-aware kind's Chi model;
         ``warm_start`` seeds the adaptive shape searches with the previous
@@ -86,6 +89,13 @@ class RobustLoss:
         r = np.asarray(residuals, dtype=float)
         if r.size == 0:
             raise ValueError("residual list must be nonempty")
+        # NaN fails the first test, +inf the second.
+        if not (r.min() >= 0.0 and r.max() < np.inf):
+            raise ValueError(
+                "residual norms must be finite and nonnegative, got "
+                f"{np.isnan(r).sum()} NaN, {np.isinf(r).sum()} infinite and "
+                f"{(r < 0.0).sum()} negative"
+            )
         seed_alpha = warm_start.alpha if warm_start is not None else None
         seed_a = warm_start.a if warm_start is not None else None
 
