@@ -22,8 +22,10 @@ original variant is extrapolated from one pass over ``[-2T, 2T]`` whose first
 half of nodes is the rule on ``[-T, T]``.
 
 ``Z`` depends on alpha and the bounds alone, never on the residuals, so
-:func:`partition_z` keeps a bounded memo of its passes, keyed by
-``(alpha, a, b, derivs, halves)``.  ``barron`` and ``chebrolu`` fix their
+:func:`partition_z` keeps a least-recently-used memo of ``Z_MEMO_SIZE``
+passes, keyed by ``(alpha, a, b, derivs, halves)``.  A pass is a pure
+function of its key, so a hit returns the objects of the first pass and
+every output stays bit-identical.  ``barron`` and ``chebrolu`` fix their
 bounds by tau, so every cold fit repeats the same scan, alpha = 2 check and
 ``-inf`` sentinel, and its first Newton pass sits at a scan point (or, warm,
 at the previous alpha*); those passes are computed once per process.  The

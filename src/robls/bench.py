@@ -20,8 +20,9 @@ import numpy as np
 from . import cloud_io, icp, pose_avg, scenes, stats
 from .adaptive import check_tau
 from .mbfit import chi_quantile
+from .scenes import OVERLAP_MAX, OVERLAP_MIN
 from .se3 import pose_error_norms, sample_perturbation
-from .weighting import RobustLoss
+from .weighting import RLF_KINDS, RobustLoss
 
 __all__ = [
     "DEFAULT_RLFS",
@@ -58,7 +59,12 @@ class PoseAvgBenchConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _check_config(self.trials_per_level, self.threads, self.tau)
+        _check_common(self, "trials_per_level")
+        _check_int(self, "n_inliers", 1)
+        _check_sequence("outlier_levels", self.outlier_levels)
+        for level in self.outlier_levels:
+            if not 0.0 <= _number("outlier level", level) < 1.0:
+                raise ValueError(f"outlier levels must lie in [0, 1), got {level}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -82,16 +88,65 @@ class IcpBenchConfig:
     trace_dir: str | None = None
 
     def __post_init__(self):
-        _check_config(self.trials_per_kind, self.threads, self.tau)
+        _check_common(self, "trials_per_kind")
+        _check_int(self, "normal_k", 2)
+        _check_names("scene_kinds", self.scene_kinds, scenes.SCENE_KINDS)
+        _check_sequence("overlap_range", self.overlap_range)
+        if len(self.overlap_range) != 2:
+            raise ValueError(f"overlap_range must be a pair [lo, hi], got {self.overlap_range!r}")
+        lo, hi = (_number("overlap_range bound", v) for v in self.overlap_range)
+        if not OVERLAP_MIN <= lo <= hi <= OVERLAP_MAX:
+            raise ValueError(f"overlap_range must satisfy {OVERLAP_MIN} <= lo <= hi <= "
+                             f"{OVERLAP_MAX}, got {self.overlap_range!r}")
+        if not 0.0 < _number("phi_max_deg", self.phi_max_deg) <= 180.0:
+            raise ValueError(f"phi_max_deg must lie in (0, 180], got {self.phi_max_deg}")
+        for name in ("r_max", "grid"):
+            if not 0.0 < _number(name, getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.trace_dir is not None and not isinstance(self.trace_dir, str):
+            raise TypeError(f"trace_dir must be a path string, got {self.trace_dir!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def _check_config(trials: int, threads: int, tau: float) -> None:
-    if trials < 1 or threads < 1:
-        raise ValueError(f"trials and threads must be at least 1, got {trials} and {threads}")
-    check_tau(tau)
+def _check_common(cfg, trials_field: str) -> None:
+    """Check the fields both bench configs share: TypeError or ValueError."""
+    _check_int(cfg, "master_seed", 0)
+    _check_int(cfg, trials_field, 1)
+    _check_int(cfg, "threads", 1)
+    _check_int(cfg, "max_iters", 1)
+    _check_int(cfg, "weight_exponent", 1)
+    _check_names("rlfs", cfg.rlfs, RLF_KINDS)
+    check_tau(_number("tau", cfg.tau))
+
+
+def _check_int(cfg, name: str, lo: int) -> None:
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _check_sequence(name: str, values) -> None:
+    if not isinstance(values, (tuple, list)):
+        raise TypeError(f"{name} must be a list, got {values!r}")
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+
+
+def _check_names(name: str, values, allowed: tuple) -> None:
+    _check_sequence(name, values)
+    for value in values:
+        if value not in allowed:
+            raise ValueError(f"unknown {name} entry {value!r}; expected one of {allowed}")
 
 
 def config_hash(cfg) -> str:

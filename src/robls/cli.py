@@ -36,7 +36,7 @@ def _apply_overrides(cfg_cls, file_cfg: dict, args, key_map: dict):
             values[key] = tuple(values[key])
     try:
         return cfg_cls(**values)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad config: {exc}")
 
 

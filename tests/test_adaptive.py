@@ -9,8 +9,10 @@ from robls.adaptive import (
     _SCAN_CHEBROLU,
     BARRON_DOMAIN,
     CHEBROLU_DOMAIN,
+    Z_MEMO_SIZE,
     _Objective,
     _untruncated_z,
+    _z_pass,
     minimize_bounded,
     optimize_alpha,
     partition_z,
@@ -117,6 +119,56 @@ class TestPartitionZ:
         for alpha in (2.0, 0.0, -np.inf):
             z, dz, d2z = partition_z(alpha, (0.0, 5.0))
             assert np.isfinite(z) and np.isnan(dz) and np.isnan(d2z)
+
+
+GENERAL_ALPHAS = st.floats(ALPHA_MIN, 2.0 - 4 * BRANCH_TOL).filter(
+    lambda a: abs(a) >= 4 * BRANCH_TOL)
+
+
+def _same(x, y) -> bool:
+    """Equal results: ``==`` for floats (NaN matching NaN), exact for arrays."""
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and np.array_equal(x, y, equal_nan=True)
+    return not isinstance(y, (tuple, np.ndarray)) and (x == y or (np.isnan(x) and np.isnan(y)))
+
+
+class TestPartitionZMemo:
+    @PROPERTY
+    @given(alpha=st.one_of(ALPHAS, st.lists(GENERAL_ALPHAS, min_size=1, max_size=4)),
+           bounds=BOUNDS)
+    def test_memo_returns_the_uncached_pass(self, alpha, bounds):
+        # Every (derivs, halves) variant of one alpha and bounds, so a key
+        # missing either flag hands one variant the result of another.
+        variants = [(d, h) for d in (False, True) for h in (False, True)]
+        if isinstance(alpha, list):
+            variants = [(False, h) for h in (False, True)]  # the broadcast pass has no derivs
+        uncached = {}
+        for derivs, halves in variants:
+            _z_pass.cache_clear()
+            uncached[derivs, halves] = partition_z(alpha, bounds, derivs, halves)
+        _z_pass.cache_clear()
+        for _ in range(2):  # the first call of each variant, then a repeated one
+            for derivs, halves in variants:
+                assert _same(partition_z(alpha, bounds, derivs, halves), uncached[derivs, halves])
+
+    @pytest.mark.parametrize("halves", [False, True])
+    def test_vector_results_are_read_only(self, halves):
+        _z_pass.cache_clear()
+        for _ in range(2):
+            out = partition_z([1.5, -0.5, -8.0], (-3.0, 3.0), derivs=False, halves=halves)
+            for z in out if halves else (out,):
+                with pytest.raises(ValueError, match="read-only"):
+                    z[0] = 1.0
+
+    def test_size_stays_within_the_bound(self):
+        _z_pass.cache_clear()
+        for alpha in np.linspace(-3.0, 1.5, Z_MEMO_SIZE + 50):
+            partition_z(alpha, (0.0, 0.5), derivs=False)
+        info = _z_pass.cache_info()
+        assert info.maxsize == Z_MEMO_SIZE
+        assert info.currsize <= Z_MEMO_SIZE
 
 
 class TestNegLogLikelihood:

@@ -147,6 +147,31 @@ class TestCli:
             main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, config, extra, message", [
+        ("pose-avg-bench", {"trials_per_level": "3"}, [], "trials_per_level must be an integer"),
+        ("pose-avg-bench", {"trials_per_level": True}, [], "trials_per_level must be an integer"),
+        ("pose-avg-bench", {"outlier_levels": [1.5]}, [], r"outlier levels must lie in \[0, 1\)"),
+        ("pose-avg-bench", {"outlier_levels": []}, [], "outlier_levels must not be empty"),
+        ("pose-avg-bench", {"rlfs": ["bogus"]}, [], "unknown rlfs entry 'bogus'"),
+        ("pose-avg-bench", {"rlfs": "barron"}, [], "rlfs must be a list"),
+        ("pose-avg-bench", {"n_inliers": 0}, [], "n_inliers must be at least 1"),
+        ("pose-avg-bench", {"max_iters": 0}, [], "max_iters must be at least 1"),
+        ("pose-avg-bench", {"tau": "20"}, [], "tau must be a number"),
+        ("pose-avg-bench", {}, ["--seed", "-1"], "master_seed must be at least 0"),
+        ("icp-bench", {"overlap_range": [0.1, 0.2]}, [], "overlap_range must satisfy"),
+        ("icp-bench", {"overlap_range": [0.6]}, [], "overlap_range must be a pair"),
+        ("icp-bench", {"scene_kinds": ["cave"]}, [], "unknown scene_kinds entry 'cave'"),
+        ("icp-bench", {"grid": 0}, [], "grid must be positive and finite"),
+        ("icp-bench", {"normal_k": 1.5}, [], "normal_k must be an integer"),
+        ("icp-bench", {"weight_exponent": 0}, [], "weight_exponent must be at least 1"),
+    ])
+    def test_bad_config_fields_are_usage_errors(self, tmp_path, command, config, extra, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        with pytest.raises(SystemExit, match=f"^bad config: {message}"):
+            main([command, "--config", str(cfg_file), *extra, "--out-dir", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("overlap", ["1.5", "0.3", "-1", "nan"])
     def test_gen_scene_rejects_overlap_as_usage_error(self, tmp_path, capsys, overlap):
         with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,7 @@ from robls.loss import (
     weight,
 )
 from robls.mbfit import adaptive_mb_weights
-from robls.weighting import RobustLoss
+from robls.weighting import RLF_KINDS, RobustLoss
 
 from conftest import PROPERTY, fd_d2rho_dalpha2, fd_drho_deps, fd_drho_dalpha, rho_reference
 
@@ -205,6 +205,16 @@ class TestTauRejected:
     def test_adaptive_mb_weights(self, rng, tau):
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             adaptive_mb_weights(np.abs(rng.standard_normal(50)), n_e=3, tau=tau)
+
+
+@pytest.mark.parametrize("bad, what", [(np.nan, "1 NaN"), (np.inf, "1 infinite"),
+                                       (-1.0, "1 negative")])
+@pytest.mark.parametrize("kind", RLF_KINDS)
+def test_weights_reject_non_finite_or_negative_norms(kind, bad, what):
+    r = np.abs(np.random.default_rng(3).standard_normal(40))
+    r[7] = bad
+    with pytest.raises(ValueError, match=f"finite and nonnegative.*{what}"):
+        RobustLoss(kind).weights(r)
 
 
 def test_tau_cap_named_and_accepted():
