@@ -36,6 +36,21 @@ ADAPTIVE_KINDS = ("barron", "chebrolu", "adaptive_mb")
 RLF_KINDS = ("none",) + FIXED_KINDS + ADAPTIVE_KINDS
 
 
+def _median(r: np.ndarray) -> float:
+    """``np.median`` of NaN-free ``r``, bit for bit, from one partition.
+
+    The middle order statistic, or the mean ``(lo + hi) / 2`` of the two
+    middle ones, as ``np.median`` computes it; without its NaN scan, which
+    the residual check of :meth:`RobustLoss.weights` makes redundant, it
+    costs about a fifth of ``np.median`` on small sets.
+    """
+    k = r.size // 2
+    if r.size % 2:
+        return float(np.partition(r, k, axis=None)[k])
+    part = np.partition(r, (k - 1, k), axis=None)
+    return float((part[k - 1] + part[k]) / 2.0)
+
+
 @dataclass(frozen=True)
 class AdaptiveState:
     """Warm-start seeds carried between IRLS iterations.
@@ -103,7 +118,7 @@ class RobustLoss:
             return WeightResult(np.ones_like(r), {})
 
         if self.kind in ("cauchy", "tukey", "welsch"):
-            scale = max(float(np.median(r)) / mbfit.chi_quantile(n_e, 0.5), MAD_FLOOR)
+            scale = max(_median(r) / mbfit.chi_quantile(n_e, 0.5), MAD_FLOOR)
             w = fixed_weight(FixedRlf(self.kind, self.tuning_constant), r / scale)
             return WeightResult(w, {"chi_sigma": scale})
 

@@ -14,7 +14,7 @@ from robls.loss import (
     weight,
 )
 from robls.mbfit import adaptive_mb_weights
-from robls.weighting import RLF_KINDS, RobustLoss
+from robls.weighting import RLF_KINDS, RobustLoss, _median
 
 from conftest import PROPERTY, fd_d2rho_dalpha2, fd_drho_deps, fd_drho_dalpha, rho_reference
 
@@ -187,6 +187,13 @@ class TestFixedKernelScale:
             assert self.scale(k * r, n_e) == pytest.approx(k * self.scale(r, n_e), rel=1e-12)
             w = RobustLoss("tukey").weights(k * r, n_e=n_e).weights
             assert np.allclose(w, RobustLoss("tukey").weights(r, n_e=n_e).weights)
+
+    @PROPERTY
+    @given(r=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=60),
+           ties=st.integers(0, 3))
+    def test_median_is_numpy_median(self, r, ties):
+        r = np.round(np.asarray(r), ties)  # rounding makes ties
+        assert _median(r) == np.median(r)
 
     def test_one_dimensional_equals_signed_mad(self, rng):
         r = np.abs(rng.standard_normal(301))
