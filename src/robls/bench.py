@@ -19,9 +19,8 @@ import numpy as np
 
 from . import cloud_io, icp, pose_avg, scenes, stats
 from .adaptive import check_tau
-from .mbfit import chi_quantile
 from .scenes import OVERLAP_MAX, OVERLAP_MIN
-from .se3 import pose_error_norms, sample_perturbation
+from .se3 import perturbation_sigma, pose_error_norms, sample_perturbation
 from .weighting import RLF_KINDS, RobustLoss
 
 __all__ = [
@@ -232,8 +231,8 @@ def _icp_trial(args) -> tuple[list[stats.TrialRecord], dict]:
     source_ds = icp.voxel_downsample(source, cfg.grid)
     target_ds = icp.estimate_normals(icp.voxel_downsample(target, cfg.grid), cfg.normal_k)
 
-    sigma_phi = np.deg2rad(cfg.phi_max_deg) / chi_quantile(3, 0.9973)
-    sigma_r = cfg.r_max / chi_quantile(3, 0.9973)
+    sigma_phi = perturbation_sigma(np.deg2rad(cfg.phi_max_deg))
+    sigma_r = perturbation_sigma(cfg.r_max)
     init = t_gt @ sample_perturbation(sigma_phi, sigma_r, rng)
 
     solver_cfg = icp.IcpConfig(

@@ -73,11 +73,20 @@ def _overlap(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """A seed ``numpy.random.default_rng`` accepts: a non-negative int."""
+    return _int_at_least(text, 0)
 
 
 def cmd_pose_avg_bench(args):
@@ -187,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=scenes.SCENE_KINDS)
     p.add_argument("--overlap", type=_overlap, default=0.6,
                    help=f"shared fraction of the two views, in [{OVERLAP_MIN}, {OVERLAP_MAX}]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default="scene")
     p.set_defaults(func=cmd_gen_scene)
 

@@ -99,7 +99,11 @@ def linearize_errors(
     ``j'r = H' Sigma^-1 e``.  The adjoint is read off ``(C, t) = T^-1 T~_i``
     as ``[[C', 0], [-C' skew(t), C']]``.
     """
-    rel = np.einsum("ij,njk->nik", pose.inverse().matrix(), tm)
+    rt = pose.rotation.T
+    inv = np.eye(4)
+    inv[:3, :3] = rt
+    inv[:3, 3] = -rt @ pose.translation
+    rel = np.einsum("ij,njk->nik", inv, tm)
     e, ok = _batch_se3_log(rel)
     rel, w = rel[ok], whiten[ok]
     ct = np.transpose(rel[:, :3, :3], (0, 2, 1))

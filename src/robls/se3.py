@@ -13,13 +13,22 @@ element is::
 Logarithms are restricted to the principal branch: rotation angles at or
 beyond ``pi - 1e-6`` raise.
 
-Batched helpers (prefixed ``_batch_``) operate on stacked arrays and back
-the solvers; they share the same coefficient kernels as the public
-single-pose API.
+The exp side (``so3_exp``, ``exp_map``, ``left_jacobian``) takes one twist
+and evaluates its five series coefficients on Python floats (Sola et al., "A
+micro Lie theory for state estimation in robotics", arXiv 1812.01537).  Below
+a rotation angle of ``_SERIES_SWITCH`` each coefficient is its Taylor series
+through ``t^6``.  At every angle in ``[0, pi)`` each coefficient lies within
+2e-12 (absolute) of its exact value: the truncation error of the series
+peaks just below the switch (3e-14, for ``sin(t)/t``), and the closed forms
+of the ``t^4`` and ``t^5`` ratios lose up to 1e-12 to cancellation just
+above it.  The log side is batched: helpers prefixed ``_batch_`` take
+stacked arrays and serve the pose-averaging linearization; ``so3_log`` and
+``log_map`` run them on a single pose.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +52,18 @@ __all__ = [
 LOG_BRANCH_MARGIN = 1e-6  # principal-branch guard on the rotation angle
 
 # Below this angle the closed-form coefficient ratios lose precision to
-# cancellation, so series expansions (accurate to ~1e-16 at the switch) are
-# used instead.
+# cancellation, so truncated series are used instead.
 _SERIES_SWITCH = 0.1
 
 # Shared identity for the orthonormality check, which runs on every Pose.
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
+
+
+def _det3(m: np.ndarray) -> float:
+    """Determinant of a 3x3 matrix by cofactor expansion along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 class BranchError(ValueError):
@@ -69,7 +83,7 @@ class Pose:
         if self.rotation.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
         err = self.rotation @ self.rotation.T - _EYE3
-        if not (np.abs(err).max() <= 1e-6 and np.linalg.det(self.rotation) >= 0):
+        if not (np.abs(err).max() <= 1e-6 and _det3(self.rotation) >= 0):
             raise ValueError("rotation matrix is not finite and orthonormal with det +1")
         if not np.isfinite(self.translation).all():
             raise ValueError("translation must be finite")
@@ -108,7 +122,7 @@ class Pose:
     def orthonormalized(self) -> "Pose":
         u, _, vt = np.linalg.svd(self.rotation)
         r = u @ vt
-        if np.linalg.det(r) < 0:
+        if _det3(r) < 0:
             u[:, -1] = -u[:, -1]
             r = u @ vt
         return Pose(r, self.translation)
@@ -146,57 +160,79 @@ def vee(m) -> np.ndarray:
     return np.concatenate([unskew(s), m[:3, 3]])
 
 
-# --- coefficient kernels (vectorized over the rotation angle) -------------
+# --- exp side: one twist, coefficients on Python floats -------------------
 
-def _coef_sinc(t2):
-    """sin(t)/t with series fallback; argument is t^2."""
-    t = np.sqrt(t2)
-    small = t < _SERIES_SWITCH
-    ts = np.where(small, 0.0, t)
-    closed = np.where(small, 1.0, np.sin(ts) / np.where(ts == 0.0, 1.0, ts))
-    series = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
-    return np.where(small, series, closed)
+def _exp_coefs(t2: float) -> tuple[float, float, float, float, float]:
+    """Coefficients of the exp-side series at the rotation angle ``t``.
 
-
-def _coef_b(t2):
-    """(1 - cos t)/t^2."""
-    t = np.sqrt(t2)
-    small = t < _SERIES_SWITCH
-    safe = np.where(small, 1.0, t2)
-    closed = (1.0 - np.cos(np.where(small, 0.0, t))) / safe
-    series = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
-    return np.where(small, series, closed)
-
-
-def _coef_c(t2):
-    """(t - sin t)/t^3."""
-    t = np.sqrt(t2)
-    small = t < _SERIES_SWITCH
-    safe = np.where(small, 1.0, t2 * t)
-    closed = (t - np.sin(np.where(small, 0.0, t))) / safe
-    series = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 * t2 * t2 / 362880.0
-    return np.where(small, series, closed)
-
-
-def _coef_d(t2):
-    """(1 - t^2/2 - cos t)/t^4 (negative near zero)."""
-    t = np.sqrt(t2)
-    small = t < _SERIES_SWITCH
-    safe = np.where(small, 1.0, t2 * t2)
-    closed = (1.0 - 0.5 * t2 - np.cos(np.where(small, 0.0, t))) / safe
-    series = -1.0 / 24.0 + t2 / 720.0 - t2 * t2 / 40320.0 + t2 * t2 * t2 / 3628800.0
-    return np.where(small, series, closed)
+    The argument is ``t^2``.  Returns ``sin(t)/t``, ``(1 - cos t)/t^2``,
+    ``(t - sin t)/t^3``, ``(1 - t^2/2 - cos t)/t^4`` and
+    ``(t - sin t - t^3/6)/t^5`` (the last two negative near zero); below
+    ``_SERIES_SWITCH`` each is its Taylor series.
+    """
+    if not math.isfinite(t2):
+        raise ValueError(f"rotation angle is not finite: t^2 = {t2}")
+    t = math.sqrt(t2)
+    t4 = t2 * t2
+    t6 = t4 * t2
+    if t < _SERIES_SWITCH:
+        return (
+            1.0 - t2 / 6.0 + t4 / 120.0 - t6 / 5040.0,
+            0.5 - t2 / 24.0 + t4 / 720.0 - t6 / 40320.0,
+            1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t6 / 362880.0,
+            -1.0 / 24.0 + t2 / 720.0 - t4 / 40320.0 + t6 / 3628800.0,
+            -1.0 / 120.0 + t2 / 5040.0 - t4 / 362880.0 + t6 / 39916800.0,
+        )
+    s, c = math.sin(t), math.cos(t)
+    t3 = t2 * t
+    return (
+        s / t,
+        (1.0 - c) / t2,
+        (t - s) / t3,
+        (1.0 - 0.5 * t2 - c) / t4,
+        (t - s - t3 / 6.0) / (t4 * t),
+    )
 
 
-def _coef_e(t2):
-    """(t - sin t - t^3/6)/t^5 (negative near zero)."""
-    t = np.sqrt(t2)
-    small = t < _SERIES_SWITCH
-    safe = np.where(small, 1.0, t2 * t2 * t)
-    closed = (t - np.sin(np.where(small, 0.0, t)) - t2 * t / 6.0) / safe
-    series = -1.0 / 120.0 + t2 / 5040.0 - t2 * t2 / 362880.0 + t2 * t2 * t2 / 39916800.0
-    return np.where(small, series, closed)
+def _exp_parts(phi) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """``skew(phi)``, its square and the :func:`_exp_coefs` of ``phi``."""
+    x, y, z = np.asarray(phi, dtype=float).reshape(3).tolist()
+    coefs = _exp_coefs(x * x + y * y + z * z)
+    p = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return p, p @ p, coefs
 
+
+def so3_exp(phi) -> np.ndarray:
+    p, pp, (a, b, _, _, _) = _exp_parts(phi)
+    return _EYE3 + a * p + b * pp
+
+
+def exp_map(xi) -> Pose:
+    """SE(3) exponential of a twist (phi, rho)."""
+    xi = np.asarray(xi, dtype=float).reshape(6)
+    p, pp, (a, b, c, _, _) = _exp_parts(xi[:3])
+    return Pose(_EYE3 + a * p + b * pp, (_EYE3 + b * p + c * pp) @ xi[3:])
+
+
+def left_jacobian(xi) -> np.ndarray:
+    """6x6 SE(3) left Jacobian; its lower-left block is the translation
+    coupling ``Q(phi, rho)``."""
+    xi = np.asarray(xi, dtype=float).reshape(6)
+    p, pp, (_, b, c, d, e) = _exp_parts(xi[:3])
+    r = skew(xi[3:])
+    pr, rp = p @ r, r @ p
+    prp = pr @ p
+    ppr, rpp = p @ pr, rp @ p
+    prpp, pprp = prp @ p, p @ prp
+    c3 = -0.5 * (d - 3.0 * e)
+    q = 0.5 * r + c * (pr + rp + prp) - d * (ppr + rpp - 3.0 * prp) + c3 * (prpp + pprp)
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = _EYE3 + b * p + c * pp
+    out[3:, :3] = q
+    return out
+
+
+# --- log side: batched over stacked transforms ----------------------------
 
 def _coef_vinv(t2):
     """Second coefficient of the inverse rotation Jacobian."""
@@ -208,8 +244,6 @@ def _coef_vinv(t2):
     return np.where(small, series, closed)
 
 
-# --- batched kernels -------------------------------------------------------
-
 def _batch_skew(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     out = np.zeros(v.shape[:-1] + (3, 3))
@@ -218,16 +252,6 @@ def _batch_skew(v: np.ndarray) -> np.ndarray:
     out[..., 1, 0], out[..., 1, 2] = z, -x
     out[..., 2, 0], out[..., 2, 1] = -y, x
     return out
-
-
-def _batch_so3_exp(phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    t2 = np.sum(phi * phi, axis=-1)
-    p = _batch_skew(phi)
-    pp = p @ p
-    a = _coef_sinc(t2)[..., None, None]
-    b = _coef_b(t2)[..., None, None]
-    return np.eye(3) + a * p + b * pp
 
 
 def _batch_so3_log(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,15 +275,6 @@ def _batch_so3_log(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w * ratio[..., None], ok
 
 
-def _batch_v(phi: np.ndarray) -> np.ndarray:
-    """Rotation left Jacobian (the translation coupling in the exp map)."""
-    phi = np.asarray(phi, dtype=float)
-    t2 = np.sum(phi * phi, axis=-1)
-    p = _batch_skew(phi)
-    pp = p @ p
-    return np.eye(3) + _coef_b(t2)[..., None, None] * p + _coef_c(t2)[..., None, None] * pp
-
-
 def _batch_v_inv(phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     t2 = np.sum(phi * phi, axis=-1)
@@ -276,39 +291,6 @@ def _batch_se3_log(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([phi, rho], axis=-1), ok
 
 
-def _batch_q(phi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Translation-from-rotation block of the 6x6 left Jacobian."""
-    t2 = np.sum(phi * phi, axis=-1)
-    p = _batch_skew(phi)
-    r = _batch_skew(rho)
-    pr, rp = p @ r, r @ p
-    prp = pr @ p
-    ppr, rpp = p @ pr, rp @ p
-    prpp, pprp = prp @ p, p @ prp
-    c1 = _coef_c(t2)[..., None, None]
-    c2 = -_coef_d(t2)[..., None, None]
-    c3 = -0.5 * (_coef_d(t2) - 3.0 * _coef_e(t2))[..., None, None]
-    return 0.5 * r + c1 * (pr + rp + prp) + c2 * (ppr + rpp - 3.0 * prp) + c3 * (prpp + pprp)
-
-
-def _batch_left_jacobian(xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    phi, rho = xi[..., :3], xi[..., 3:]
-    a = _batch_v(phi)
-    q = _batch_q(phi, rho)
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = a
-    out[..., 3:, 3:] = a
-    out[..., 3:, :3] = q
-    return out
-
-
-# --- public single-pose API ------------------------------------------------
-
-def so3_exp(phi) -> np.ndarray:
-    return _batch_so3_exp(np.asarray(phi, dtype=float).reshape(3))
-
-
 def so3_log(rot) -> np.ndarray:
     phi, ok = _batch_so3_log(np.asarray(rot, dtype=float))
     if not ok:
@@ -316,22 +298,11 @@ def so3_log(rot) -> np.ndarray:
     return phi
 
 
-def exp_map(xi) -> Pose:
-    """SE(3) exponential of a twist (phi, rho)."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    phi, rho = xi[:3], xi[3:]
-    return Pose(_batch_so3_exp(phi), _batch_v(phi) @ rho)
-
-
 def log_map(pose: Pose) -> np.ndarray:
     """Principal-branch SE(3) logarithm, returned as a twist (phi, rho)."""
     phi = so3_log(pose.rotation)
     rho = _batch_v_inv(phi) @ pose.translation
     return np.concatenate([phi, rho])
-
-
-def left_jacobian(xi) -> np.ndarray:
-    return _batch_left_jacobian(np.asarray(xi, dtype=float).reshape(6))
 
 
 def pose_error_norms(delta: Pose) -> tuple[float, float]:

@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the implementation paths they check."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -41,6 +43,27 @@ def fd_d2rho_dalpha2(eps, alpha, h=2.0**-14):
     """Second central difference of the reference loss in alpha."""
     up, mid, down = (rho_reference(eps, alpha + d) for d in (h, 0.0, -h))
     return (up - 2.0 * mid + down) / (h * h)
+
+
+def exp_coefs_reference(t2):
+    """The five SE(3) exp-side coefficients at angle ``t``, from ``t^2``.
+
+    ``sin(t)/t``, ``(1 - cos t)/t^2``, ``(t - sin t)/t^3``,
+    ``(1 - t^2/2 - cos t)/t^4`` and ``(t - sin t - t^3/6)/t^5`` are
+    ``s * sum_k (-t^2)^k / (2k + m)!`` for ``m = 1..5`` (``s = -1`` for the
+    last two).  Forty terms summed in extended precision converge for every
+    ``t < pi``, free of the cancellation in the closed forms.
+    """
+    t2 = np.longdouble(t2)
+    out = []
+    for m, sign in ((1, 1), (2, 1), (3, 1), (4, -1), (5, -1)):
+        term = np.longdouble(sign) / math.factorial(m)
+        total = term
+        for k in range(1, 40):
+            term *= -t2 / ((2 * k + m - 1) * (2 * k + m))
+            total += term
+        out.append(total)
+    return out
 
 
 # Fixed example sequence and no example database, so tier-1 runs repeat.

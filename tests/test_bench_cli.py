@@ -181,6 +181,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "argument --overlap:" in err and "[0.4, 1.0]" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "-20220516"])
+    def test_gen_scene_rejects_negative_seed_as_usage_error(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-scene", "--kind", "semi", "--seed", seed,
+                  "--out-dir", str(tmp_path / "scene")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --seed:" in err and "at least 0" in err
+        assert not (tmp_path / "scene").exists()
+
     def test_gen_scene_accepts_full_overlap(self, tmp_path):
         main(["gen-scene", "--kind", "structured", "--overlap", "1.0", "--seed", "3",
               "--out-dir", str(tmp_path / "scene")])

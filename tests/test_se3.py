@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -21,9 +23,13 @@ from robls.se3 import (
     vee,
     wedge,
 )
-from robls.se3 import _batch_se3_log
+from robls.se3 import _SERIES_SWITCH, _batch_se3_log, _det3, _exp_coefs
 
-from conftest import PROPERTY
+from conftest import PROPERTY, exp_coefs_reference
+
+# Absolute accuracy of every exp-side coefficient on [0, pi), as the se3
+# module docstring states it.
+EXP_COEF_TOL = 2e-12
 
 
 def random_twist(rng, max_angle=3.0, max_trans=2.0):
@@ -107,6 +113,47 @@ class TestExpLog:
     def test_group_action_consistency(self, rng):
         pose = exp_map(random_twist(rng))
         assert np.abs(log_map(pose.inverse() @ pose)).max() < 1e-12
+
+
+class TestExpCoefficients:
+    @PROPERTY
+    @given(t=st.one_of(
+        st.floats(0.0, np.pi, exclude_max=True),
+        st.floats(0.5 * _SERIES_SWITCH, 2.0 * _SERIES_SWITCH),
+    ))
+    @example(t=0.0)
+    @example(t=float(np.nextafter(_SERIES_SWITCH, 0.0)))
+    @example(t=_SERIES_SWITCH)
+    def test_match_extended_precision_series(self, t):
+        t2 = t * t
+        for got, ref in zip(_exp_coefs(t2), exp_coefs_reference(t2)):
+            assert abs(np.longdouble(got) - ref) <= EXP_COEF_TOL
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_non_finite_angle_rejected(self, bad):
+        for call, arg in ((exp_map, [bad, 0.0, 0.0, 1.0, 2.0, 3.0]), (so3_exp, [0.0, bad, 0.0])):
+            with pytest.raises(ValueError, match="rotation angle is not finite"):
+                call(arg)
+
+    @PROPERTY
+    @given(
+        axis=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        rho=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    )
+    def test_exp_map_continuous_across_series_switch(self, axis, rho):
+        unit = np.array(axis) / np.linalg.norm(axis)
+        below, above = (
+            np.concatenate([_SERIES_SWITCH * (1.0 + s) * unit, rho]) for s in (-1e-12, 1e-12)
+        )
+        angles = [math.sqrt(x * x + y * y + z * z) for x, y, z in (below[:3], above[:3])]
+        assert angles[0] < _SERIES_SWITCH <= angles[1]
+        lo, hi = exp_map(below), exp_map(above)
+        # each coefficient may jump by twice its error bound; |skew(phi)| <= 0.1
+        tol = 2.0 * EXP_COEF_TOL * (1.0 + np.abs(rho).sum())
+        assert np.abs(lo.rotation - hi.rotation).max() <= tol
+        assert np.abs(lo.translation - hi.translation).max() <= tol
 
 
 class TestJacobians:
@@ -245,6 +292,15 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 1.5, np.zeros(3))
 
+    def test_rejects_reflection(self):
+        # orthonormal, so only the determinant sign rejects it
+        with pytest.raises(ValueError, match=r"det \+1"):
+            Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    def test_det3_matches_lapack(self, rng):
+        for m in rng.standard_normal((200, 3, 3)):
+            assert _det3(m) == pytest.approx(np.linalg.det(m), rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize("rotation,translation,match", [
         (np.full((3, 3), np.nan), np.zeros(3), "rotation"),
         (np.eye(3), np.array([0.0, np.inf, 0.0]), "translation"),
@@ -267,3 +323,13 @@ class TestPose:
         repaired = Pose(dirty, pose.translation).orthonormalized()
         err = repaired.rotation @ repaired.rotation.T - np.eye(3)
         assert np.abs(err).max() < 1e-12
+
+    def test_orthonormalized_flips_a_reflection(self):
+        # The rotation field can be reassigned after validation.  The SVD
+        # polar factor of diag(1, 1, -0.5) is diag(1, 1, -1); flipping the
+        # singular direction of 0.5 gives the nearest rotation, the identity.
+        pose = Pose.identity()
+        pose.rotation = np.diag([1.0, 1.0, -0.5])
+        repaired = pose.orthonormalized().rotation
+        assert np.linalg.det(repaired) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(repaired - np.eye(3)).max() < 1e-12
