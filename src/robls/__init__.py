@@ -36,14 +36,11 @@ from .mbfit import (
 from .se3 import (
     Pose,
     exp_map,
-    left_jacobian,
     log_map,
     pose_error_norms,
     sample_perturbation,
     so3_exp,
     so3_log,
-    vee,
-    wedge,
 )
 from .weighting import RLF_KINDS, RobustLoss, WeightResult
 

@@ -362,6 +362,10 @@ def optimize_alpha(
     the domain floor is reported as the ``-inf`` sentinel (the Welsch-like
     limit).  If the objective turns non-finite the optimizer falls back to a
     bounded grid refinement and flags ``converged=False``.
+
+    ``objective`` is always ``Lam`` at the reported ``alpha_star``.  For the
+    sentinel that is ``Lam(-inf)``, which can exceed ``Lam(ALPHA_MIN)`` by up
+    to about 0.01, so it can be worse than the best point of the scan.
     """
     obj = _Objective(residuals, domain, bounds)
     lo = domain.lo if domain.lo < 0.0 else domain.lo + _INTERIOR_MARGIN

@@ -6,14 +6,15 @@ covariance ``Sigma = M R M'`` with ``M = -J_r(e)^-1``, residual
 ``sqrt(e' Sigma^-1 e)``, Chi(6)-like on inliers with mode sqrt(5)) is built
 in closed form from three exact identities: ``Sigma^-1 = J_r' R^-1 J_r``,
 ``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``.  With
-``W = chol(R)^-1``, computed once per solve, the residual is ``|W e|`` and
-the normal equations come from ``W Ad(T~^-1 T)`` alone: no Jacobian series,
-no ``Sigma`` and no per-measurement solve.
+``W = chol(R)^-1``, computed once per measurement when it is built, the
+residual is ``|W e|`` and the normal equations come from ``W Ad(T~^-1 T)``
+alone: no Jacobian series, no ``Sigma`` and no per-measurement solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,17 +40,49 @@ class SingularSystemError(RuntimeError):
     """IRLS normal equations are numerically singular."""
 
 
-@dataclass
+# Distinct covariances whose checked factors are kept.  A Monte Carlo trial
+# gives every measurement the same covariance, so it factors one.
+FACTOR_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=FACTOR_MEMO_SIZE)
+def _checked_factor(cov_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(R, chol(R)^-1)`` of the 6x6 float64 ``R`` in ``cov_bytes``.
+
+    Raises ``ValueError`` unless ``R`` is finite, symmetric and positive
+    definite; Cholesky fails exactly when it is not.
+    """
+    cov = np.frombuffer(cov_bytes).reshape(6, 6)  # read-only: bytes are immutable
+    if not (np.abs(cov - cov.T).max() <= 1e-9):
+        raise ValueError("measurement covariance must be finite and symmetric")
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("measurement covariance must be positive definite") from None
+    whiten = np.linalg.inv(chol)
+    whiten.flags.writeable = False
+    return cov, whiten
+
+
+@dataclass(frozen=True)
 class PoseMeasurement:
+    """A measured pose and its 6x6 covariance ``R``, twist ordering (phi, rho).
+
+    Construction checks that ``R`` is finite and symmetric and proves it
+    positive definite by factoring it, ``R = L L'``.  The whitening factor
+    ``whiten = L^-1`` is kept, so a solve stacks the factors instead of
+    factoring again.  ``cov`` and ``whiten`` are read-only, so the factor
+    cannot go stale; measurements with equal covariances share them.
+    """
+
     pose: Pose
-    cov: np.ndarray  # 6x6 SPD, twist ordering (phi, rho)
+    cov: np.ndarray
+    whiten: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.cov = np.asarray(self.cov, dtype=float).reshape(6, 6)
-        if not (np.abs(self.cov - self.cov.T).max() <= 1e-9):
-            raise ValueError("measurement covariance must be finite and symmetric")
-        if np.linalg.eigvalsh(self.cov)[0] <= 0:
-            raise ValueError("measurement covariance must be positive definite")
+        cov, whiten = _checked_factor(np.asarray(self.cov, dtype=float).reshape(6, 6).tobytes())
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "whiten", whiten)
 
 
 @dataclass(frozen=True)
@@ -105,13 +138,14 @@ def linearize_errors(
     inv[:3, 3] = -rt @ pose.translation
     rel = np.einsum("ij,njk->nik", inv, tm)
     e, ok = _batch_se3_log(rel)
-    rel, w = rel[ok], whiten[ok]
+    if not ok.all():
+        rel, whiten, e = rel[ok], whiten[ok], e[ok]
     ct = np.transpose(rel[:, :3, :3], (0, 2, 1))
     ad = np.zeros((len(rel), 6, 6))
     ad[:, :3, :3] = ct
     ad[:, 3:, 3:] = ct
     ad[:, 3:, :3] = -ct @ _batch_skew(rel[:, :3, 3])
-    return ok, (w @ e[ok, :, None])[..., 0], w @ ad
+    return ok, (whiten @ e[..., None])[..., 0], whiten @ ad
 
 
 def solve_pose_average(
@@ -130,8 +164,11 @@ def solve_pose_average(
     """
     if not measurements:
         raise ValueError("need at least one measurement")
-    tm = np.stack([m.pose.matrix() for m in measurements])
-    whiten = np.linalg.inv(np.linalg.cholesky(np.stack([m.cov for m in measurements])))
+    tm = np.zeros((len(measurements), 4, 4))
+    tm[:, :3, :3] = [m.pose.rotation for m in measurements]
+    tm[:, :3, 3] = [m.pose.translation for m in measurements]
+    tm[:, 3, 3] = 1.0
+    whiten = np.stack([m.whiten for m in measurements])
     skipped_total = 0
 
     def linearize(pose):

@@ -1,4 +1,4 @@
-"""SO(3)/SE(3) poses, exp/log maps, Jacobians, and perturbation sampling.
+"""SO(3)/SE(3) poses, exp/log maps and perturbation sampling.
 
 Twist convention
 ----------------
@@ -13,17 +13,22 @@ element is::
 Logarithms are restricted to the principal branch: rotation angles at or
 beyond ``pi - 1e-6`` raise.
 
-The exp side (``so3_exp``, ``exp_map``, ``left_jacobian``) takes one twist
-and evaluates its five series coefficients on Python floats (Sola et al., "A
-micro Lie theory for state estimation in robotics", arXiv 1812.01537).  Below
-a rotation angle of ``_SERIES_SWITCH`` each coefficient is its Taylor series
-through ``t^6``.  At every angle in ``[0, pi)`` each coefficient lies within
-2e-12 (absolute) of its exact value: the truncation error of the series
-peaks just below the switch (3e-14, for ``sin(t)/t``), and the closed forms
-of the ``t^4`` and ``t^5`` ratios lose up to 1e-12 to cancellation just
-above it.  The log side is batched: helpers prefixed ``_batch_`` take
-stacked arrays and serve the pose-averaging linearization; ``so3_log`` and
-``log_map`` run them on a single pose.
+The exp side (``so3_exp``, ``exp_map``) takes one twist and evaluates its
+three series coefficients on Python floats (Sola et al., "A micro Lie theory
+for state estimation in robotics", arXiv 1812.01537).  Below a rotation angle
+of ``_SERIES_SWITCH`` each coefficient is its Taylor series through ``t^6``.
+At every angle in ``[0, pi)`` each coefficient lies within 2e-12 (absolute)
+of its exact value; the truncation error of the series peaks just below the
+switch (3e-14, for ``sin(t)/t``).  The log side is batched: helpers prefixed
+``_batch_`` take stacked arrays and serve the pose-averaging linearization;
+``so3_log`` and ``log_map`` run them on a single pose.  When every angle of a
+batch lies in the closed-form range (in branch, and at or above the series
+thresholds), the log skips the per-element branch selection and evaluates
+the closed forms alone, element for element the same arithmetic.
+
+``Pose`` validates on Python floats: ``|R R' - I| <= 1e-6`` entrywise, a
+nonnegative determinant and a finite translation, with NaN and infinity
+rejected by every comparison.
 """
 
 from __future__ import annotations
@@ -36,14 +41,10 @@ import numpy as np
 __all__ = [
     "Pose",
     "skew",
-    "unskew",
-    "wedge",
-    "vee",
     "so3_exp",
     "so3_log",
     "exp_map",
     "log_map",
-    "left_jacobian",
     "pose_error_norms",
     "sample_perturbation",
     "perturbation_sigma",
@@ -55,15 +56,37 @@ LOG_BRANCH_MARGIN = 1e-6  # principal-branch guard on the rotation angle
 # cancellation, so truncated series are used instead.
 _SERIES_SWITCH = 0.1
 
-# Shared identity for the orthonormality check, which runs on every Pose.
+# Entrywise bound on R R' - I for a valid rotation.
+_ORTHO_TOL = 1e-6
+
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
 
-def _det3(m: np.ndarray) -> float:
-    """Determinant of a 3x3 matrix by cofactor expansion along the first row."""
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+def _det3(rows) -> float:
+    """Determinant of a 3x3 matrix, given as rows, by cofactor expansion
+    along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _is_rotation(rows) -> bool:
+    """``|R R' - I| <= _ORTHO_TOL`` entrywise and ``det R >= 0``, on floats.
+
+    ``R R'`` is symmetric, so its six distinct entries are the row dot
+    products.  Each is compared on its own, so NaN fails the test.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    tol = _ORTHO_TOL
+    return (
+        abs(a * a + b * b + c * c - 1.0) <= tol
+        and abs(d * d + e * e + f * f - 1.0) <= tol
+        and abs(g * g + h * h + i * i - 1.0) <= tol
+        and abs(a * d + b * e + c * f) <= tol
+        and abs(a * g + b * h + c * i) <= tol
+        and abs(d * g + e * h + f * i) <= tol
+        and _det3(rows) >= 0
+    )
 
 
 class BranchError(ValueError):
@@ -82,10 +105,10 @@ class Pose:
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
         if self.rotation.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
-        err = self.rotation @ self.rotation.T - _EYE3
-        if not (np.abs(err).max() <= 1e-6 and _det3(self.rotation) >= 0):
+        if not _is_rotation(self.rotation.tolist()):
             raise ValueError("rotation matrix is not finite and orthonormal with det +1")
-        if not np.isfinite(self.translation).all():
+        x, y, z = self.translation.tolist()
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("translation must be finite")
 
     @classmethod
@@ -122,7 +145,7 @@ class Pose:
     def orthonormalized(self) -> "Pose":
         u, _, vt = np.linalg.svd(self.rotation)
         r = u @ vt
-        if _det3(r) < 0:
+        if _det3(r.tolist()) < 0:
             u[:, -1] = -u[:, -1]
             r = u @ vt
         return Pose(r, self.translation)
@@ -133,42 +156,13 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def unskew(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def wedge(xi) -> np.ndarray:
-    """6-vector (phi, rho) to the 4x4 algebra element."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    out = np.zeros((4, 4))
-    out[:3, :3] = skew(xi[:3])
-    out[:3, 3] = xi[3:]
-    return out
-
-
-def vee(m) -> np.ndarray:
-    """Inverse of :func:`wedge`; validates the algebra sparsity pattern."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError("vee expects a 4x4 matrix")
-    if np.abs(m[3]).max() > 1e-12:
-        raise ValueError("bottom row must be zero")
-    s = m[:3, :3]
-    if np.abs(s + s.T).max() > 1e-9:
-        raise ValueError("upper-left block must be skew-symmetric")
-    return np.concatenate([unskew(s), m[:3, 3]])
-
-
 # --- exp side: one twist, coefficients on Python floats -------------------
 
-def _exp_coefs(t2: float) -> tuple[float, float, float, float, float]:
+def _exp_coefs(t2: float) -> tuple[float, float, float]:
     """Coefficients of the exp-side series at the rotation angle ``t``.
 
-    The argument is ``t^2``.  Returns ``sin(t)/t``, ``(1 - cos t)/t^2``,
-    ``(t - sin t)/t^3``, ``(1 - t^2/2 - cos t)/t^4`` and
-    ``(t - sin t - t^3/6)/t^5`` (the last two negative near zero); below
-    ``_SERIES_SWITCH`` each is its Taylor series.
+    The argument is ``t^2``.  Returns ``sin(t)/t``, ``(1 - cos t)/t^2`` and
+    ``(t - sin t)/t^3``; below ``_SERIES_SWITCH`` each is its Taylor series.
     """
     if not math.isfinite(t2):
         raise ValueError(f"rotation angle is not finite: t^2 = {t2}")
@@ -180,21 +174,12 @@ def _exp_coefs(t2: float) -> tuple[float, float, float, float, float]:
             1.0 - t2 / 6.0 + t4 / 120.0 - t6 / 5040.0,
             0.5 - t2 / 24.0 + t4 / 720.0 - t6 / 40320.0,
             1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t6 / 362880.0,
-            -1.0 / 24.0 + t2 / 720.0 - t4 / 40320.0 + t6 / 3628800.0,
-            -1.0 / 120.0 + t2 / 5040.0 - t4 / 362880.0 + t6 / 39916800.0,
         )
     s, c = math.sin(t), math.cos(t)
-    t3 = t2 * t
-    return (
-        s / t,
-        (1.0 - c) / t2,
-        (t - s) / t3,
-        (1.0 - 0.5 * t2 - c) / t4,
-        (t - s - t3 / 6.0) / (t4 * t),
-    )
+    return s / t, (1.0 - c) / t2, (t - s) / (t2 * t)
 
 
-def _exp_parts(phi) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+def _exp_parts(phi) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
     """``skew(phi)``, its square and the :func:`_exp_coefs` of ``phi``."""
     x, y, z = np.asarray(phi, dtype=float).reshape(3).tolist()
     coefs = _exp_coefs(x * x + y * y + z * z)
@@ -203,33 +188,15 @@ def _exp_parts(phi) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
 
 
 def so3_exp(phi) -> np.ndarray:
-    p, pp, (a, b, _, _, _) = _exp_parts(phi)
+    p, pp, (a, b, _) = _exp_parts(phi)
     return _EYE3 + a * p + b * pp
 
 
 def exp_map(xi) -> Pose:
     """SE(3) exponential of a twist (phi, rho)."""
     xi = np.asarray(xi, dtype=float).reshape(6)
-    p, pp, (a, b, c, _, _) = _exp_parts(xi[:3])
+    p, pp, (a, b, c) = _exp_parts(xi[:3])
     return Pose(_EYE3 + a * p + b * pp, (_EYE3 + b * p + c * pp) @ xi[3:])
-
-
-def left_jacobian(xi) -> np.ndarray:
-    """6x6 SE(3) left Jacobian; its lower-left block is the translation
-    coupling ``Q(phi, rho)``."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    p, pp, (_, b, c, d, e) = _exp_parts(xi[:3])
-    r = skew(xi[3:])
-    pr, rp = p @ r, r @ p
-    prp = pr @ p
-    ppr, rpp = p @ pr, rp @ p
-    prpp, pprp = prp @ p, p @ prp
-    c3 = -0.5 * (d - 3.0 * e)
-    q = 0.5 * r + c * (pr + rp + prp) - d * (ppr + rpp - 3.0 * prp) + c3 * (prpp + pprp)
-    out = np.zeros((6, 6))
-    out[:3, :3] = out[3:, 3:] = _EYE3 + b * p + c * pp
-    out[3:, :3] = q
-    return out
 
 
 # --- log side: batched over stacked transforms ----------------------------
@@ -238,6 +205,8 @@ def _coef_vinv(t2):
     """Second coefficient of the inverse rotation Jacobian."""
     t = np.sqrt(t2)
     small = t < _SERIES_SWITCH
+    if not small.any():
+        return 1.0 / t2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
     ts = np.where(small, 1.0, t)
     closed = 1.0 / np.where(small, 1.0, t2) - (1.0 + np.cos(ts)) / (2.0 * ts * np.sin(ts))
     series = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 * (1.0 / 1209600.0)
@@ -270,6 +239,9 @@ def _batch_so3_log(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     theta = np.arctan2(s, c)
     ok = theta < np.pi - LOG_BRANCH_MARGIN
     small = theta < 1e-6
+    if ok.all() and not small.any():
+        # 1e-6 <= theta < pi - 1e-6 keeps s away from 0
+        return w * (theta / s)[..., None], ok
     ratio = np.where(small, 1.0 + theta * theta / 6.0, theta / np.where(s == 0.0, 1.0, s))
     ratio = np.where(ok, ratio, 0.0)
     return w * ratio[..., None], ok
@@ -280,7 +252,7 @@ def _batch_v_inv(phi: np.ndarray) -> np.ndarray:
     t2 = np.sum(phi * phi, axis=-1)
     p = _batch_skew(phi)
     pp = p @ p
-    return np.eye(3) - 0.5 * p + _coef_vinv(t2)[..., None, None] * pp
+    return _EYE3 - 0.5 * p + _coef_vinv(t2)[..., None, None] * pp
 
 
 def _batch_se3_log(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from robls.adaptive import CHEBROLU_DOMAIN, _Objective
 from robls.mbfit import _fit_criterion, build_histogram, chi_quantile
+from robls.se3 import skew
 
 
 def rho_reference(eps, alpha):
@@ -64,6 +65,68 @@ def exp_coefs_reference(t2):
             total += term
         out.append(total)
     return out
+
+
+def unskew(m):
+    m = np.asarray(m, dtype=float)
+    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+
+
+def wedge(xi):
+    """6-vector (phi, rho) to the 4x4 algebra element."""
+    xi = np.asarray(xi, dtype=float).reshape(6)
+    out = np.zeros((4, 4))
+    out[:3, :3] = skew(xi[:3])
+    out[:3, 3] = xi[3:]
+    return out
+
+
+def vee(m):
+    """Inverse of :func:`wedge`; validates the algebra sparsity pattern."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (4, 4):
+        raise ValueError("vee expects a 4x4 matrix")
+    if np.abs(m[3]).max() > 1e-12:
+        raise ValueError("bottom row must be zero")
+    s = m[:3, :3]
+    if np.abs(s + s.T).max() > 1e-9:
+        raise ValueError("upper-left block must be skew-symmetric")
+    return np.concatenate([unskew(s), m[:3, 3]])
+
+
+def left_jacobian(xi):
+    """6x6 SE(3) left Jacobian in (phi, rho) order (Sola et al., arXiv
+    1812.01537); its lower-left block is the translation coupling
+    ``Q(phi, rho)``.  The coefficients come from :func:`exp_coefs_reference`,
+    so none of them suffers the cancellation of the closed forms.
+    """
+    xi = np.asarray(xi, dtype=float).reshape(6)
+    p = skew(xi[:3])
+    _, b, c, d, e = (float(k) for k in exp_coefs_reference(float(xi[:3] @ xi[:3])))
+    r = skew(xi[3:])
+    pr, rp = p @ r, r @ p
+    pp, prp = p @ p, pr @ p
+    ppr, rpp = p @ pr, rp @ p
+    prpp, pprp = prp @ p, p @ prp
+    c3 = -0.5 * (d - 3.0 * e)
+    q = 0.5 * r + c * (pr + rp + prp) - d * (ppr + rpp - 3.0 * prp) + c3 * (prpp + pprp)
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = np.eye(3) + b * p + c * pp
+    out[3:, :3] = q
+    return out
+
+
+def pose_check_reference(rotation, translation):
+    """The numpy form of the ``Pose`` check: True when the pose is valid.
+
+    ``|R R' - I| <= 1e-6`` entrywise by a matrix product, a nonnegative
+    determinant from LAPACK and a finite translation.
+    """
+    rotation = np.asarray(rotation, dtype=float)
+    err = np.abs(rotation @ rotation.T - np.eye(3)).max()
+    return bool(
+        err <= 1e-6 and np.linalg.det(rotation) >= 0 and np.isfinite(translation).all()
+    )
 
 
 # Fixed example sequence and no example database, so tier-1 runs repeat.

@@ -338,6 +338,17 @@ class TestOptimizeAlpha:
         with pytest.raises(ValueError):
             optimize_alpha([], CHEBROLU_DOMAIN, (-10, 10))
 
+    def test_floor_pinned_objective_is_lambda_at_the_sentinel(self):
+        # The fit ends at the floor and is reported as -inf; the objective is
+        # Lam(-inf), here above Lam(ALPHA_MIN) by about 0.007.
+        res = _residual_set(300, 0.8, 1.0, 0)
+        bounds = (-10.0, 10.0)
+        out = optimize_alpha(res, CHEBROLU_DOMAIN, bounds)
+        obj = _Objective(res, CHEBROLU_DOMAIN, bounds)
+        assert out.alpha_star == -np.inf
+        assert out.objective == obj.value(out.alpha_star)
+        assert 0.0 < out.objective - obj.value(ALPHA_MIN) <= 0.01
+
 
 def _residual_set(n, outlier_share, inlier_scale, seed):
     rng = np.random.default_rng(seed)

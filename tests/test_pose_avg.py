@@ -1,25 +1,31 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import gamma
 
 from robls import bench
 from robls.mbfit import chi_quantile
 from robls.pose_avg import (
+    FACTOR_MEMO_SIZE,
     PoseAvgConfig,
     PoseMeasurement,
+    SingularSystemError,
     TrialSpec,
+    _checked_factor,
     default_measurement_cov,
     generate_trial,
     linearize_errors,
     n_outliers,
     solve_pose_average,
 )
-from robls.se3 import Pose, exp_map, left_jacobian, log_map, pose_error_norms
-from robls.weighting import RobustLoss
+from robls.se3 import Pose, exp_map, log_map, pose_error_norms
+from robls.weighting import ADAPTIVE_KINDS, RLF_KINDS, RobustLoss
 
-from conftest import PROPERTY
+from conftest import PROPERTY, left_jacobian
 
 
 def cfg(kind="none", **kw):
@@ -198,6 +204,89 @@ class TestPoseMeasurement:
             PoseMeasurement(Pose.identity(), np.full((6, 6), np.nan))
 
 
+LEVELS = bench.PoseAvgBenchConfig().outlier_levels
+
+
+class TestMeasurementValidation:
+    """A measurement factors its covariance once and keeps the factor."""
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-4, 1e3),
+        # log10 of |lambda_min| / lambda_max, clear of the 1e-9 rounding band
+        log_ratio=st.floats(-8.9, 0.0),
+        negative=st.booleans(),
+    )
+    def test_positive_definite_accepted_indefinite_rejected(self, seed, scale, log_ratio, negative):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        lam = scale * rng.uniform(10.0**log_ratio, 1.0, 6)
+        lam[0] = (-1.0 if negative else 1.0) * scale * 10.0**log_ratio
+        lam[-1] = scale
+        cov = (q * lam) @ q.T
+        cov = 0.5 * (cov + cov.T)
+        eig = np.linalg.eigvalsh(cov)
+        assert (eig[0] < -1e-9 * eig[-1]) if negative else (eig[0] > 1e-9 * eig[-1])
+        if negative:
+            with pytest.raises(ValueError, match=r"^measurement covariance must be positive definite$"):
+                PoseMeasurement(Pose.identity(), cov)
+            return
+        m = PoseMeasurement(Pose.identity(), cov)
+        assert np.array_equal(m.whiten, np.linalg.inv(np.linalg.cholesky(cov)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @PROPERTY
+    @given(
+        i=st.integers(0, 5),
+        j=st.integers(0, 5),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf, "asymmetric"]),
+        delta=st.floats(2e-9, 1.0),
+    )
+    def test_non_finite_or_asymmetric_rejected(self, i, j, bad, delta):
+        cov = default_measurement_cov()
+        if bad == "asymmetric":
+            assume(i != j)
+            cov[i, j] += delta
+        else:
+            cov[i, j] = bad
+        with pytest.raises(ValueError, match=r"^measurement covariance must be finite and symmetric$"):
+            PoseMeasurement(Pose.identity(), cov)
+
+    def test_kept_factor_is_read_only(self):
+        cov = default_measurement_cov()
+        m = PoseMeasurement(Pose.identity(), cov)
+        cov[0, 0] = 2.0  # the caller's array is not the kept one
+        assert m.cov[0, 0] == default_measurement_cov()[0, 0]
+        for kept in (m.whiten, m.cov):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.cov = np.eye(6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.whiten = np.eye(6)
+
+    def test_equal_covariances_share_one_factor(self):
+        a = PoseMeasurement(Pose.identity(), default_measurement_cov())
+        b = PoseMeasurement(exp_map(np.full(6, 0.1)), default_measurement_cov().tolist())
+        assert a.whiten is b.whiten and a.cov is b.cov
+        assert _checked_factor.cache_info().maxsize == FACTOR_MEMO_SIZE
+        bad = -np.eye(6)
+        for _ in range(2):  # a failed check is not kept
+            with pytest.raises(ValueError, match="positive definite"):
+                PoseMeasurement(Pose.identity(), bad)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_kept_factors_stack_to_the_batched_factor(self, level, rng):
+        for seed in range(4):
+            meas, _, _ = generate_trial(TrialSpec(seed=seed, outlier_fraction=level))
+            meas += [PoseMeasurement(m.pose, random_spd(rng, 10.0**rng.uniform(-3, 0))) for m in meas]
+            kept = np.stack([m.whiten for m in meas])
+            batched = np.linalg.inv(np.linalg.cholesky(np.stack([m.cov for m in meas])))
+            assert np.array_equal(kept, batched)
+
+
 class TestSolver:
     def test_single_measurement_recovered(self):
         meas = [PoseMeasurement(exp_map(np.array([0.1, -0.2, 0.3, 0.5, -0.1, 0.2])), np.eye(6))]
@@ -246,6 +335,47 @@ class TestSolver:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             solve_pose_average([], Pose.identity(), cfg())
+
+
+class TestSolverInvariance:
+    """Errors are left-invariant, so moving every measurement and the start
+    by one pose G moves the solution by G."""
+
+    @staticmethod
+    def _solve(meas, init, config):
+        try:
+            return solve_pose_average(meas, init, config)
+        except SingularSystemError as exc:
+            return exc
+
+    @pytest.mark.parametrize("kind", RLF_KINDS)
+    @PROPERTY
+    @given(
+        g=st.tuples(*[st.floats(-1.5, 1.5)] * 3, *[st.floats(-5.0, 5.0)] * 3),
+        seed=st.integers(0, 2**16),
+        level=st.sampled_from(LEVELS),
+    )
+    def test_left_translation_moves_the_solution(self, kind, g, seed, level):
+        meas, init, _ = generate_trial(TrialSpec(seed=seed, n_inliers=10, outlier_fraction=level))
+        big_g = exp_map(np.array(g))
+        config = cfg(kind)
+        base = self._solve(meas, init, config)
+        moved = self._solve([PoseMeasurement(big_g @ m.pose, m.cov) for m in meas], big_g @ init, config)
+        if isinstance(base, Exception) or isinstance(moved, Exception):
+            assert type(base) is type(moved)
+            return
+        if base.iterations != moved.iterations:
+            # a stop-test tie: one run's last step sits on a tolerance
+            k = min(base.iterations, moved.iterations) - 1
+            gaps = [abs(run.trace[k][f"step_{b}"] / tol - 1.0)
+                    for run in (base, moved) for b, tol in (("phi", config.tol_phi), ("rho", config.tol_rho))]
+            assert min(gaps) <= 1e-6
+            return
+        assert base.converged == moved.converged
+        # The alpha and Chi-shape searches stop within their step tolerances,
+        # which rounding can move; the other kinds agree to rounding.
+        tol = 1e-8 if kind in ADAPTIVE_KINDS else 1e-12
+        assert np.abs(log_map((big_g @ base.pose).inverse() @ moved.pose)).max() <= tol
 
 
 class TestFixedKernelScaleRegression:

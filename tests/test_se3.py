@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -12,7 +12,6 @@ from robls.se3 import (
     BranchError,
     Pose,
     exp_map,
-    left_jacobian,
     log_map,
     perturbation_sigma,
     pose_error_norms,
@@ -20,12 +19,17 @@ from robls.se3 import (
     skew,
     so3_exp,
     so3_log,
-    vee,
-    wedge,
 )
 from robls.se3 import _SERIES_SWITCH, _batch_se3_log, _det3, _exp_coefs
 
-from conftest import PROPERTY, exp_coefs_reference
+from conftest import (
+    PROPERTY,
+    exp_coefs_reference,
+    left_jacobian,
+    pose_check_reference,
+    vee,
+    wedge,
+)
 
 # Absolute accuracy of every exp-side coefficient on [0, pi), as the se3
 # module docstring states it.
@@ -333,3 +337,55 @@ class TestPose:
         repaired = pose.orthonormalized().rotation
         assert np.linalg.det(repaired) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(repaired - np.eye(3)).max() < 1e-12
+
+
+class TestPoseValidation:
+    """The float check of ``Pose`` accepts exactly what the numpy form does."""
+
+    @PROPERTY
+    @given(
+        phi=st.lists(st.floats(-1.8, 1.8), min_size=3, max_size=3),
+        rho=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        # size of the perturbation's first-order effect on R R' - I
+        size=st.one_of(st.just(0.0), st.floats(0.5e-6, 1.5e-6), st.floats(1e-9, 1e-2)),
+        seed=st.integers(0, 2**32 - 1),
+        reflect=st.booleans(),
+        bad=st.sampled_from([None, "rotation", "translation"]),
+        bad_value=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    @example(phi=[0.0] * 3, rho=[0.0] * 3, size=0.0, seed=0, reflect=False, bad=None,
+             bad_value=np.nan)
+    def test_float_check_matches_numpy_oracle(self, phi, rho, size, seed, reflect, bad, bad_value):
+        pose = exp_map(np.concatenate([phi, rho]))
+        rot, trans = pose.rotation.copy(), pose.translation.copy()
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal((3, 3))
+        rot += size / np.abs(rot @ d.T + d @ rot.T).max() * d
+        if reflect:
+            rot = rot @ np.diag([1.0, 1.0, -1.0])
+        if bad == "rotation":
+            rot[rng.integers(3), rng.integers(3)] = bad_value
+        elif bad == "translation":
+            trans[rng.integers(3)] = bad_value
+        with np.errstate(invalid="ignore"):
+            err = np.abs(rot @ rot.T - np.eye(3)).max()
+        # the two forms may round differently within 1e-12 of the tolerance
+        assume(not abs(err - 1e-6) <= 1e-12)
+        with np.errstate(invalid="ignore"):
+            expected = pose_check_reference(rot, trans)
+        try:
+            Pose(rot, trans)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected
+
+    @pytest.mark.parametrize("scale", [1.0 + 0.49e-6, 1.0 - 0.49e-6, 1.0 + 0.51e-6, 1.0 - 0.51e-6])
+    def test_tolerance_is_entrywise_one_in_a_million(self, scale):
+        # (s R)(s R)' - I = (s^2 - 1) I, so the diagonal decides
+        rot = scale * so3_exp(np.array([0.3, -0.2, 0.1]))
+        if abs(scale * scale - 1.0) <= 1e-6:
+            Pose(rot, np.zeros(3))
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                Pose(rot, np.zeros(3))
