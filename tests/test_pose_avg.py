@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import gamma
@@ -190,6 +189,9 @@ class TestWhitenedSystem:
         assert abs(np.linalg.norm(r) - norm) <= 1e-8 * norm
 
 
+LEVELS = bench.PoseAvgBenchConfig().outlier_levels
+
+
 class TestPoseMeasurement:
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -202,13 +204,6 @@ class TestPoseMeasurement:
     def test_rejects_all_nan_covariance(self):
         with pytest.raises(ValueError, match="covariance must be finite"):
             PoseMeasurement(Pose.identity(), np.full((6, 6), np.nan))
-
-
-LEVELS = bench.PoseAvgBenchConfig().outlier_levels
-
-
-class TestMeasurementValidation:
-    """A measurement factors its covariance once and keeps the factor."""
 
     @PROPERTY
     @given(

@@ -309,7 +309,8 @@ class TestPose:
         (np.full((3, 3), np.nan), np.zeros(3), "rotation"),
         (np.eye(3), np.array([0.0, np.inf, 0.0]), "translation"),
         (np.eye(3), np.array([np.nan, 0.0, 0.0]), "translation"),
-    ], ids=["nan-rotation", "inf-translation", "nan-translation"])
+        (np.eye(3), np.array([0.0, 0.0, -np.inf]), "translation"),
+    ], ids=["nan-rotation", "inf-translation", "nan-translation", "minus-inf-translation"])
     def test_rejects_non_finite(self, rotation, translation, match):
         with pytest.raises(ValueError, match=match):
             Pose(rotation, translation)
@@ -349,23 +350,21 @@ class TestPoseValidation:
         # size of the perturbation's first-order effect on R R' - I
         size=st.one_of(st.just(0.0), st.floats(0.5e-6, 1.5e-6), st.floats(1e-9, 1e-2)),
         seed=st.integers(0, 2**32 - 1),
-        reflect=st.booleans(),
-        bad=st.sampled_from([None, "rotation", "translation"]),
+        defect=st.sampled_from([None, "reflection", "rotation", "translation"]),
         bad_value=st.sampled_from([np.nan, np.inf, -np.inf]),
     )
-    @example(phi=[0.0] * 3, rho=[0.0] * 3, size=0.0, seed=0, reflect=False, bad=None,
-             bad_value=np.nan)
-    def test_float_check_matches_numpy_oracle(self, phi, rho, size, seed, reflect, bad, bad_value):
+    @example(phi=[0.0] * 3, rho=[0.0] * 3, size=0.0, seed=0, defect=None, bad_value=np.nan)
+    def test_float_check_matches_numpy_oracle(self, phi, rho, size, seed, defect, bad_value):
         pose = exp_map(np.concatenate([phi, rho]))
         rot, trans = pose.rotation.copy(), pose.translation.copy()
         rng = np.random.default_rng(seed)
         d = rng.standard_normal((3, 3))
         rot += size / np.abs(rot @ d.T + d @ rot.T).max() * d
-        if reflect:
+        if defect == "reflection":
             rot = rot @ np.diag([1.0, 1.0, -1.0])
-        if bad == "rotation":
+        elif defect == "rotation":
             rot[rng.integers(3), rng.integers(3)] = bad_value
-        elif bad == "translation":
+        elif defect == "translation":
             trans[rng.integers(3)] = bad_value
         with np.errstate(invalid="ignore"):
             err = np.abs(rot @ rot.T - np.eye(3)).max()
@@ -380,11 +379,19 @@ class TestPoseValidation:
             accepted = False
         assert accepted == expected
 
-    @pytest.mark.parametrize("scale", [1.0 + 0.49e-6, 1.0 - 0.49e-6, 1.0 + 0.51e-6, 1.0 - 0.51e-6])
-    def test_tolerance_is_entrywise_one_in_a_million(self, scale):
-        # (s R)(s R)' - I = (s^2 - 1) I, so the diagonal decides
-        rot = scale * so3_exp(np.array([0.3, -0.2, 0.1]))
-        if abs(scale * scale - 1.0) <= 1e-6:
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
+    @pytest.mark.parametrize("eps", [0.4e-6, 0.6e-6, -0.4e-6, -0.6e-6])
+    def test_tolerance_holds_on_every_entry(self, entry, eps):
+        # R = I + eps (e_i e_j' + e_j e_i') / (1 + [i == j]) moves entry (i, j)
+        # of R R' - I by 2 eps and any other entry by at most eps^2
+        i, j = entry
+        rot = np.eye(3)
+        rot[i, j] += eps
+        if i != j:
+            rot[j, i] += eps
+        accepted = abs(2.0 * eps) <= 1e-6
+        assert pose_check_reference(rot, np.zeros(3)) == accepted
+        if accepted:
             Pose(rot, np.zeros(3))
         else:
             with pytest.raises(ValueError, match="orthonormal"):
