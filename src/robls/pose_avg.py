@@ -84,6 +84,11 @@ class PoseMeasurement:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "whiten", whiten)
 
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through the check, so they keep
+        # read-only factors; a restored __dict__ would hold writable arrays.
+        return type(self), (self.pose, self.cov)
+
 
 @dataclass(frozen=True)
 class PoseAvgConfig:

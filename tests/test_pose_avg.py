@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -261,6 +263,10 @@ class TestPoseMeasurement:
             m.cov = np.eye(6)
         with pytest.raises(dataclasses.FrozenInstanceError):
             m.whiten = np.eye(6)
+        for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert not again.cov.flags.writeable and not again.whiten.flags.writeable
+            assert np.array_equal(again.whiten, m.whiten)
+            assert np.array_equal(again.pose.matrix(), m.pose.matrix())
 
     def test_equal_covariances_share_one_factor(self):
         a = PoseMeasurement(Pose.identity(), default_measurement_cov())
