@@ -14,7 +14,6 @@ alone: no Jacobian series, no ``Sigma`` and no per-measurement solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,30 +39,6 @@ class SingularSystemError(RuntimeError):
     """IRLS normal equations are numerically singular."""
 
 
-# Distinct covariances whose checked factors are kept.  A Monte Carlo trial
-# gives every measurement the same covariance, so it factors one.
-FACTOR_MEMO_SIZE = 64
-
-
-@lru_cache(maxsize=FACTOR_MEMO_SIZE)
-def _checked_factor(cov_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(R, chol(R)^-1)`` of the 6x6 float64 ``R`` in ``cov_bytes``.
-
-    Raises ``ValueError`` unless ``R`` is finite, symmetric and positive
-    definite; Cholesky fails exactly when it is not.
-    """
-    cov = np.frombuffer(cov_bytes).reshape(6, 6)  # read-only: bytes are immutable
-    if not (np.abs(cov - cov.T).max() <= 1e-9):
-        raise ValueError("measurement covariance must be finite and symmetric")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("measurement covariance must be positive definite") from None
-    whiten = np.linalg.inv(chol)
-    whiten.flags.writeable = False
-    return cov, whiten
-
-
 @dataclass(frozen=True)
 class PoseMeasurement:
     """A measured pose and its 6x6 covariance ``R``, twist ordering (phi, rho).
@@ -71,8 +46,8 @@ class PoseMeasurement:
     Construction checks that ``R`` is finite and symmetric and proves it
     positive definite by factoring it, ``R = L L'``.  The whitening factor
     ``whiten = L^-1`` is kept, so a solve stacks the factors instead of
-    factoring again.  ``cov`` and ``whiten`` are read-only, so the factor
-    cannot go stale; measurements with equal covariances share them.
+    factoring again.  ``cov`` is a copy of the caller's matrix, and it and
+    ``whiten`` are read-only, so the factor cannot go stale.
     """
 
     pose: Pose
@@ -80,7 +55,15 @@ class PoseMeasurement:
     whiten: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cov, whiten = _checked_factor(np.asarray(self.cov, dtype=float).reshape(6, 6).tobytes())
+        cov = np.array(self.cov, dtype=float).reshape(6, 6)
+        if not (np.abs(cov - cov.T).max() <= 1e-9):
+            raise ValueError("measurement covariance must be finite and symmetric")
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ValueError("measurement covariance must be positive definite") from None
+        whiten = np.linalg.inv(chol)
+        cov.flags.writeable = whiten.flags.writeable = False
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "whiten", whiten)
 
@@ -143,14 +126,13 @@ def linearize_errors(
     inv[:3, 3] = -rt @ pose.translation
     rel = np.einsum("ij,njk->nik", inv, tm)
     e, ok = _batch_se3_log(rel)
-    if not ok.all():
-        rel, whiten, e = rel[ok], whiten[ok], e[ok]
+    rel, w = rel[ok], whiten[ok]
     ct = np.transpose(rel[:, :3, :3], (0, 2, 1))
     ad = np.zeros((len(rel), 6, 6))
     ad[:, :3, :3] = ct
     ad[:, 3:, 3:] = ct
     ad[:, 3:, :3] = -ct @ _batch_skew(rel[:, :3, 3])
-    return ok, (whiten @ e[..., None])[..., 0], whiten @ ad
+    return ok, (w @ e[ok, :, None])[..., 0], w @ ad
 
 
 def solve_pose_average(

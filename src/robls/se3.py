@@ -5,10 +5,10 @@ Twist convention
 Twists are 6-vectors ordered ``(phi, rho)``: the attitude block comes FIRST
 (radians), the position block second (meters).  Many libraries use the
 opposite ``(rho, phi)`` ordering; check before mixing.  The 4x4 algebra
-element is::
+element of a twist is::
 
-    wedge((phi, rho)) = [ skew(phi)  rho ]
-                        [ 0  0  0    0  ]
+    [ skew(phi)  rho ]
+    [ 0  0  0    0  ]
 
 Logarithms are restricted to the principal branch: rotation angles at or
 beyond ``pi - 1e-6`` raise.
@@ -21,10 +21,10 @@ At every angle in ``[0, pi)`` each coefficient lies within 2e-12 (absolute)
 of its exact value; the truncation error of the series peaks just below the
 switch (3e-14, for ``sin(t)/t``).  The log side is batched: helpers prefixed
 ``_batch_`` take stacked arrays and serve the pose-averaging linearization;
-``so3_log`` and ``log_map`` run them on a single pose.  When every angle of a
-batch lies in the closed-form range (in branch, and at or above the series
-thresholds), the log skips the per-element branch selection and evaluates
-the closed forms alone, element for element the same arithmetic.
+``so3_log`` and ``log_map`` run them on a single pose.  When every rotation
+angle of a batch is in branch and at least 1e-6, the rotation log skips its
+per-element branch selection and evaluates the closed form alone, element
+for element the same arithmetic.
 
 ``Pose`` validates on Python floats: ``|R R' - I| <= 1e-6`` entrywise, a
 nonnegative determinant and a finite translation, with NaN and infinity
@@ -205,8 +205,6 @@ def _coef_vinv(t2):
     """Second coefficient of the inverse rotation Jacobian."""
     t = np.sqrt(t2)
     small = t < _SERIES_SWITCH
-    if not small.any():
-        return 1.0 / t2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
     ts = np.where(small, 1.0, t)
     closed = 1.0 / np.where(small, 1.0, t2) - (1.0 + np.cos(ts)) / (2.0 * ts * np.sin(ts))
     series = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 * (1.0 / 1209600.0)

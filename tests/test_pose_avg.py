@@ -11,12 +11,10 @@ from scipy.special import gamma
 from robls import bench
 from robls.mbfit import chi_quantile
 from robls.pose_avg import (
-    FACTOR_MEMO_SIZE,
     PoseAvgConfig,
     PoseMeasurement,
     SingularSystemError,
     TrialSpec,
-    _checked_factor,
     default_measurement_cov,
     generate_trial,
     linearize_errors,
@@ -191,6 +189,28 @@ class TestWhitenedSystem:
         assert abs(np.linalg.norm(r) - norm) <= 1e-8 * norm
 
 
+    def test_out_of_branch_row_leaves_the_others_unchanged(self, rng):
+        # Errors at angles below 1e-6, below 0.1 and in the closed-form range,
+        # then one beyond the branch.  With that row the batched log takes its
+        # general path; without it, or alone, each row takes whichever its
+        # angle allows.  The kept rows must agree bit for bit.
+        estimate = exp_map(np.concatenate([rng.uniform(-3.0, 3.0, 3), rng.uniform(-5.0, 5.0, 3)]))
+        tm, whiten = [], []
+        for angle in (0.0, 1e-7, 0.05, 1.0, 2.5, np.pi - 1e-9):
+            axis = rng.standard_normal(3)
+            e = np.concatenate([angle * axis / np.linalg.norm(axis), rng.uniform(-2.0, 2.0, 3)])
+            tm.append((estimate @ exp_map(e)).matrix())
+            whiten.append(np.linalg.inv(np.linalg.cholesky(random_spd(rng))))
+        tm, whiten = np.stack(tm), np.stack(whiten)
+        ok, r, j = linearize_errors(estimate, tm, whiten)
+        assert ok.tolist() == [True] * 5 + [False]
+        ok_in, r_in, j_in = linearize_errors(estimate, tm[:5], whiten[:5])
+        assert ok_in.all() and np.array_equal(r_in, r) and np.array_equal(j_in, j)
+        for i in range(5):
+            _, r_i, j_i = linearize_errors(estimate, tm[i : i + 1], whiten[i : i + 1])
+            assert np.array_equal(r_i[0], r[i]) and np.array_equal(j_i[0], j[i])
+
+
 LEVELS = bench.PoseAvgBenchConfig().outlier_levels
 
 
@@ -267,16 +287,6 @@ class TestPoseMeasurement:
             assert not again.cov.flags.writeable and not again.whiten.flags.writeable
             assert np.array_equal(again.whiten, m.whiten)
             assert np.array_equal(again.pose.matrix(), m.pose.matrix())
-
-    def test_equal_covariances_share_one_factor(self):
-        a = PoseMeasurement(Pose.identity(), default_measurement_cov())
-        b = PoseMeasurement(exp_map(np.full(6, 0.1)), default_measurement_cov().tolist())
-        assert a.whiten is b.whiten and a.cov is b.cov
-        assert _checked_factor.cache_info().maxsize == FACTOR_MEMO_SIZE
-        bad = -np.eye(6)
-        for _ in range(2):  # a failed check is not kept
-            with pytest.raises(ValueError, match="positive definite"):
-                PoseMeasurement(Pose.identity(), bad)
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_kept_factors_stack_to_the_batched_factor(self, level, rng):

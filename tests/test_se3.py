@@ -252,6 +252,28 @@ class TestBatchedKernels:
         assert np.all(ok)
         assert np.abs(xi_hat - np.stack(twists)).max() < 1e-9
 
+    # One angle each below 1e-6, below _SERIES_SWITCH and in the closed-form
+    # range, then one beyond the branch: the mixed batch takes the general
+    # paths, while each element alone takes whichever its angle allows.
+    MIXED_ANGLES = (0.0, 1e-7, 0.05, 1.0, 2.5, np.pi - 1e-9)
+
+    def test_mixed_batch_log_matches_each_element_alone(self, rng):
+        mats = []
+        for angle in self.MIXED_ANGLES:
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            mats.append(Pose(so3_exp(angle * axis), rng.standard_normal(3)).matrix())
+        mats = np.stack(mats)
+        xi, ok = _batch_se3_log(mats)
+        assert ok.tolist() == [True] * 5 + [False]
+        for i in range(5):
+            alone, ok_alone = _batch_se3_log(mats[i : i + 1])
+            assert ok_alone.tolist() == [True]
+            assert np.array_equal(xi[i], alone[0])
+            assert np.array_equal(xi[i, :3], so3_log(mats[i, :3, :3]))
+        in_branch, _ = _batch_se3_log(mats[:5])
+        assert np.array_equal(in_branch, xi[:5])
+
     def test_batch_log_flags_out_of_branch(self):
         near_pi = Pose(so3_exp(np.array([0.0, np.pi - 1e-9, 0.0])), np.zeros(3))
         xi, ok = _batch_se3_log(np.stack([np.eye(4), near_pi.matrix()]))
