@@ -28,7 +28,6 @@ from .mbfit import (
     adaptive_mb_weights,
     build_histogram,
     chi_quantile,
-    dmb_da,
     fit_mb,
     mb_pdf,
     shift_residuals,

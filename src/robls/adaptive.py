@@ -11,26 +11,31 @@ Two domains are supported: the original variant, restricted to
 normalizes over a bounded interval and admits ``alpha`` down to the
 Welsch-like limit.
 
-Every ``Z`` comes from :func:`partition_z`, one pass of a fixed
-Gauss-Legendre rule.  Only the Newton steps of :func:`minimize_bounded` ask
-it for the alpha derivatives of ``Z``, which give ``Lam'`` and ``Lam''``
-analytically; the coarse start scan, the alpha = 2 check, the ``-inf``
-sentinel and the grid fallback need ``Z`` alone.  The scan evaluates all of
-its general-branch points in one broadcast pass, with alpha as a column,
-bit-identical to evaluating them one at a time.  The whole-line ``Z`` of the
+Every ``Z`` is one pass of a fixed composite Gauss-Legendre rule.  The
+coarse start scan, the alpha = 2 check, the ``-inf`` sentinel and the grid
+fallback need ``Z`` alone and take it from :func:`partition_z`; the scan
+evaluates all of its general-branch points in one broadcast pass, with alpha
+as a column, bit-identical to evaluating them one at a time.  Only the Newton
+steps of :func:`minimize_bounded` need the alpha derivatives of ``Z``, which
+give ``Lam'`` and ``Lam''`` analytically.  :class:`_Objective` lays its rule
+once per fit, next to the clipped residuals, so that one
+:func:`~robls.loss.rho_alpha_derivs` pass over ``[nodes | residuals]`` yields
+the ``Z`` moments and the residual sums together.  The whole-line ``Z`` of the
 original variant is extrapolated from one pass over ``[-2T, 2T]`` whose first
 half of nodes is the rule on ``[-T, T]``.
 
-``Z`` depends on alpha and the bounds alone, never on the residuals, so
-:func:`partition_z` keeps a least-recently-used memo of ``Z_MEMO_SIZE``
-passes, keyed by ``(alpha, a, b, derivs, halves)``.  A pass is a pure
-function of its key, so a hit returns the objects of the first pass and
-every output stays bit-identical.  ``barron`` and ``chebrolu`` fix their
-bounds by tau, so every cold fit repeats the same scan, alpha = 2 check and
-``-inf`` sentinel, and its first Newton pass sits at a scan point (or, warm,
-at the previous alpha*); those passes are computed once per process.  The
-bounds of ``adaptive_mb``, ``(0, tau - mode)``, move with the fitted mode,
-so its passes almost never repeat.
+``Z`` depends on alpha and the bounds alone, never on the residuals, so one
+least-recently-used memo of ``Z_MEMO_SIZE`` passes, keyed by
+``(alpha, a, b, derivs, halves)``, serves both :func:`partition_z` and the
+Newton evaluations.  A pass is a pure function of its key, so a hit returns
+the objects of the first pass and every output stays bit-identical.
+``barron`` and ``chebrolu`` fix their bounds by tau, so every cold fit
+repeats the same scan, alpha = 2 check and ``-inf`` sentinel, and its first
+Newton evaluation sits at a scan point (or, warm, at the previous alpha*);
+those passes are computed once per process, and a Newton evaluation that
+hits passes over the residuals alone.  The bounds of
+``adaptive_mb``, ``(0, tau - mode)``, move with the fitted mode, so its
+evaluations almost never hit and store the moments of their fused pass.
 
 This fit and the scaled-Chi shape fit of :mod:`robls.mbfit` both run on
 :func:`minimize_bounded`, a safeguarded Newton method on an interval.
@@ -38,6 +43,9 @@ This fit and the scaled-Chi shape fit of :mod:`robls.mbfit` both run on
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -90,10 +98,16 @@ STEP_TOL = 1e-4
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
-# Entries of the partition_z memo.  One cold fit repeats a handful of keys
-# per domain and tau, so a few hundred keep them while Newton iterates,
-# which rarely repeat, cycle through.
+# Entries of the Z memo.  One cold fit repeats a handful of keys per domain
+# and tau, so a few hundred keep them while Newton iterates, which rarely
+# repeat, cycle through.
 Z_MEMO_SIZE = 256
+
+# The Z memo, shared by partition_z and _Objective.value_derivs: key
+# (alpha, a, b, derivs, halves) -> what _z_pass returns for it, oldest first.
+# The lock keeps each lookup-and-reorder or insert-and-evict whole.
+_Z_MEMO: OrderedDict = OrderedDict()
+_Z_MEMO_LOCK = threading.Lock()
 
 # Keep optimizer iterates comfortably clear of the limit-branch switch zones
 # so the analytic derivatives stay evaluable after rounding.
@@ -149,6 +163,31 @@ def _gl_rule(a: float, b: float, halves: bool = False) -> tuple[np.ndarray, np.n
     return nodes, weights
 
 
+def _checked_bounds(bounds) -> tuple[float, float]:
+    a, b = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"invalid integration bounds [{a}, {b}]")
+    return a, b
+
+
+def _memo_get(key):
+    """The memoized pass of ``key``, marked most recently used, or None."""
+    with _Z_MEMO_LOCK:
+        z = _Z_MEMO.get(key)
+        if z is not None:
+            _Z_MEMO.move_to_end(key)
+    return z
+
+
+def _memo_put(key, z):
+    """Keep ``z`` as the pass of ``key``, dropping the oldest beyond the size."""
+    with _Z_MEMO_LOCK:
+        _Z_MEMO[key] = z
+        if len(_Z_MEMO) > Z_MEMO_SIZE:
+            _Z_MEMO.popitem(last=False)
+    return z
+
+
 def partition_z(alpha, bounds: tuple[float, float], derivs: bool = True, halves: bool = False):
     """Normalization ``Z = integral of exp(-rho(eps, alpha))`` over bounds.
 
@@ -165,24 +204,34 @@ def partition_z(alpha, bounds: tuple[float, float], derivs: bool = True, halves:
     the result is the pair (over the first half, over the whole); for a
     symmetric ``[-2T, 2T]`` the first half is ``[-T, T]``.
 
-    Passes are memoized in a least-recently-used cache of ``Z_MEMO_SIZE``
+    Passes are memoized in the least-recently-used memo of ``Z_MEMO_SIZE``
     entries keyed by ``(alpha, a, b, derivs, halves)``, with alpha as a
     float or, for the broadcast pass, a tuple of floats.  A repeated call
     returns the objects of the first, bit-identical because the pass is a
-    pure function of its key; array results are read-only.  The fits of
-    ``barron`` and ``chebrolu`` hit it (their bounds are fixed by tau),
-    those of ``adaptive_mb`` almost never (its bounds move with the mode).
+    pure function of its key; array results are read-only.  The Newton
+    evaluations of the alpha fit share the memo: a derivative pass stored
+    by either serves both.
     """
-    a, b = float(bounds[0]), float(bounds[1])
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"invalid integration bounds [{a}, {b}]")
+    a, b = _checked_bounds(bounds)
     key = float(alpha) if np.ndim(alpha) == 0 else tuple(np.asarray(alpha, dtype=float).tolist())
-    return _z_pass(key, a, b, bool(derivs), bool(halves))
+    key = (key, a, b, bool(derivs), bool(halves))
+    z = _memo_get(key)
+    return _memo_put(key, _z_pass(*key)) if z is None else z
 
 
-@lru_cache(maxsize=Z_MEMO_SIZE)
+def _moments(w, r, dr, d2r, halves: bool):
+    """``(Z, dZ/dalpha, d2Z/dalpha2)`` from the rule weights and the loss and
+    its alpha derivatives at the nodes; with ``halves`` the pair (first half
+    of the nodes, all of them)."""
+    wf = w * np.exp(-r)
+    h = dr * dr - d2r
+    ends = (w.size // 2, w.size) if halves else (w.size,)
+    out = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m])) for m in ends]
+    return tuple(out) if halves else out[0]
+
+
 def _z_pass(alpha, a: float, b: float, derivs: bool, halves: bool):
-    """The uncached pass of :func:`partition_z`; a tuple ``alpha`` is a vector."""
+    """The unmemoized pass of :func:`partition_z`; a tuple ``alpha`` is a vector."""
     x, w = _gl_rule(a, b, halves)
     ends = (x.size // 2, x.size) if halves else (x.size,)
     if np.ndim(alpha) == 0 and _branch(alpha) != "general":
@@ -191,11 +240,7 @@ def _z_pass(alpha, a: float, b: float, derivs: bool, halves: bool):
         if derivs:
             out = [(z, np.nan, np.nan) for z in out]
     elif derivs:
-        r, dr, d2r = rho_alpha_derivs(x, alpha)
-        wf = w * np.exp(-r)
-        h = dr * dr - d2r
-        out = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m]))
-               for m in ends]
+        return _moments(w, *rho_alpha_derivs(x, alpha), halves)
     else:
         wf = w * np.exp(-_rho_general(x, np.asarray(alpha, dtype=float)[..., None]))
         out = [wf[..., :m].sum(axis=-1) for m in ends]
@@ -203,6 +248,12 @@ def _z_pass(alpha, a: float, b: float, derivs: bool, halves: bool):
             for z in out:
                 z.flags.writeable = False
     return tuple(out) if halves else out[0]
+
+
+def _whole_line(halves):
+    """Extrapolated whole-line moments from the pair (over [-T, T], over [-2T, 2T])."""
+    z1, z2 = np.array(halves)
+    return 2.0 * z2 - z1
 
 
 def _untruncated_z(alpha, tau_span: float, derivs: bool = True):
@@ -217,34 +268,44 @@ def _untruncated_z(alpha, tau_span: float, derivs: bool = True):
     same rule as a separate pass over [-T, T].
     """
     t = max(tau_span, UNTRUNCATED_SPAN)
-    z1, z2 = np.array(partition_z(alpha, (-2.0 * t, 2.0 * t), derivs, halves=True))
-    return 2.0 * z2 - z1
+    return _whole_line(partition_z(alpha, (-2.0 * t, 2.0 * t), derivs, halves=True))
 
 
 class _Objective:
-    """Lambda(alpha) and its alpha derivatives for one residual set and domain."""
+    """Lambda(alpha) and its alpha derivatives for one residual set and domain.
+
+    The quadrature rule of the domain is laid once, at construction, next to
+    the clipped residuals: over the bounds for the truncated variant, over
+    ``[-2T, 2T]`` with halves for the original one (see
+    :func:`_untruncated_z`).
+    """
 
     def __init__(self, residuals, domain: AlphaDomain, bounds: tuple[float, float]):
         r = np.asarray(residuals, dtype=float)
         if r.size == 0:
             raise ValueError("residual list must be nonempty")
         self.domain = domain
-        self.bounds = bounds
         self.span = max(abs(bounds[0]), abs(bounds[1]))
-        if domain.variant == "barron":
-            hi = max(self.span, UNTRUNCATED_SPAN)
-            bounds = (-hi, hi)
+        self.halves = domain.variant == "barron"
+        if self.halves:
+            t = max(self.span, UNTRUNCATED_SPAN)
+            bounds, z_bounds = (-t, t), (-2.0 * t, 2.0 * t)
+        else:
+            z_bounds = bounds
+        self.bounds = _checked_bounds(z_bounds)  # of the Z integral
         self.residuals = np.clip(r, bounds[0], bounds[1])
         self.n = r.size
+        nodes, self._weights = _gl_rule(*self.bounds, self.halves)
+        self._points = np.concatenate([nodes, self.residuals])
 
-    def _z(self, alpha, derivs: bool):
-        """``Z`` for this domain, with its alpha derivatives if ``derivs``."""
-        if self.domain.variant == "barron":
-            return _untruncated_z(alpha, self.span, derivs)
-        return partition_z(alpha, self.bounds, derivs)
+    def _z(self, alpha):
+        """``Z`` for this domain, without alpha derivatives."""
+        if self.halves:
+            return _untruncated_z(alpha, self.span, False)
+        return partition_z(alpha, self.bounds, False)
 
     def value(self, alpha: float) -> float:
-        return float(self.n * np.log(self._z(alpha, False)) + np.sum(rho(self.residuals, alpha)))
+        return float(self.n * np.log(self._z(alpha)) + np.sum(rho(self.residuals, alpha)))
 
     def values(self, alphas) -> list[float]:
         """``Lam`` at each general-branch alpha, from one broadcast pass.
@@ -252,25 +313,38 @@ class _Objective:
         Bit-identical to calling :meth:`value` on each.
         """
         col = np.asarray(alphas, dtype=float)
-        z = self._z(col, False)
+        z = self._z(col)
         sums = _rho_general(self.residuals, col[:, None]).sum(axis=1)
         return [float(self.n * np.log(zi) + si) for zi, si in zip(z, sums)]
 
     def value_derivs(self, alpha: float) -> tuple[float, float, float]:
-        """``(Lam, dLam/dalpha, d2Lam/dalpha2)`` at a general-branch alpha."""
-        z, dz, d2z = self._z(alpha, True)
-        r, dr, d2r = rho_alpha_derivs(self.residuals, alpha)
+        """``(Lam, dLam/dalpha, d2Lam/dalpha2)`` at a general-branch alpha.
+
+        The ``Z`` moments come from the memo of :func:`partition_z`, bit for
+        bit what it would return; on a miss one pass over the nodes and the
+        residuals together computes them, and the memo keeps them.
+        """
+        key = (float(alpha), *self.bounds, True, self.halves)
+        z = _memo_get(key)
+        if z is None:
+            r, dr, d2r = rho_alpha_derivs(self._points, alpha)
+            k = self._weights.size
+            z = _memo_put(key, _moments(self._weights, r[:k], dr[:k], d2r[:k], self.halves))
+            r, dr, d2r = r[k:], dr[k:], d2r[k:]
+        else:
+            r, dr, d2r = rho_alpha_derivs(self.residuals, alpha)
+        z, dz, d2z = _whole_line(z) if self.halves else z
         g = dz / z
         return (
-            float(self.n * np.log(z) + np.sum(r)),
-            float(self.n * g + np.sum(dr)),
-            float(self.n * (d2z / z - g * g) + np.sum(d2r)),
+            float(self.n * np.log(z) + r.sum()),
+            float(self.n * g + dr.sum()),
+            float(self.n * (d2z / z - g * g) + d2r.sum()),
         )
 
 
 def _off_zero(alpha: float) -> float:
     """Nudge alpha off the removable singularity of the general branch at 0."""
-    return alpha if abs(alpha) >= _INTERIOR_MARGIN else float(np.copysign(_INTERIOR_MARGIN, alpha))
+    return alpha if abs(alpha) >= _INTERIOR_MARGIN else math.copysign(_INTERIOR_MARGIN, alpha)
 
 
 def minimize_bounded(f: Callable[[float], tuple[float, float, float]], lo: float, hi: float,
@@ -292,7 +366,7 @@ def minimize_bounded(f: Callable[[float], tuple[float, float, float]], lo: float
 
     def evaluate(x):
         fx, g, h = f(x)
-        if not (np.isfinite(fx) and np.isfinite(g)):
+        if not (math.isfinite(fx) and math.isfinite(g)):
             raise FloatingPointError(f"non-finite objective at {x}")
         return fx, g, h
 

@@ -16,6 +16,7 @@ norms have their median near the Chi mode rather than at zero, so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,8 @@ class FixedRlf:
 
 def _branch(alpha: float) -> str:
     """Classify alpha into one of the four kernel branches."""
-    if not np.isfinite(alpha):
-        if alpha == -np.inf:
+    if not math.isfinite(alpha):
+        if alpha == -math.inf:
             return "welsch"
         raise ValueError(f"invalid shape parameter: {alpha}")
     if alpha > 2.0 + BRANCH_TOL:

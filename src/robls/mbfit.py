@@ -16,7 +16,7 @@ the truncated adaptive loss only on the residual mass above the mode:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma, gammainc
@@ -30,7 +30,6 @@ __all__ = [
     "ShiftedResiduals",
     "MbDiagnostics",
     "mb_pdf",
-    "dmb_da",
     "chi_quantile",
     "build_histogram",
     "fit_mb",
@@ -82,6 +81,7 @@ class ShiftedResiduals:
     xi: np.ndarray           # residuals at/above the mode, shifted down by it
     nu: float                # shifted truncation bound
     inlier_count: int        # residuals strictly below the mode
+    above: np.ndarray        # mask of the residuals at/above the mode
 
 
 @dataclass
@@ -124,14 +124,12 @@ def mb_pdf(eps, a: float, n_e: int):
     if n_e < 1:
         raise ValueError("error dimension n_e must be >= 1")
     eps = np.asarray(eps, dtype=float)
-    norm = a**n_e * 2.0 ** (0.5 * n_e - 1.0) * gamma(0.5 * n_e)
-    return eps ** (n_e - 1) * np.exp(-eps * eps / (2.0 * a * a)) / norm
+    return eps ** (n_e - 1) * np.exp(-eps * eps / (2.0 * a * a)) / _chi_norm(a, n_e)
 
 
-def dmb_da(eps, a: float, n_e: int):
-    """Partial derivative of :func:`mb_pdf` in the shape parameter."""
-    eps = np.asarray(eps, dtype=float)
-    return mb_pdf(eps, a, n_e) * (eps * eps / a**3 - n_e / a)
+def _chi_norm(a: float, n_e: int) -> float:
+    """Normalizer ``a^n_e 2^(n_e/2 - 1) Gamma(n_e/2)`` of :func:`mb_pdf`."""
+    return a**n_e * 2.0 ** (0.5 * n_e - 1.0) * gamma(0.5 * n_e)
 
 
 @lru_cache(maxsize=256)
@@ -196,21 +194,30 @@ def build_histogram(residuals, n_bins: int | None = None, upper: float | None = 
     return HistogramBins(edges=edges, density=mass[:k] / (r.size * width))
 
 
-def _fit_criterion(hist: HistogramBins, a, n_e: int):
-    """``sum_k (q_k * (pdf(c_k) - q_k))^2`` and its first two derivatives in ``a``.
+def _fit_criterion(hist: HistogramBins, n_e: int):
+    """The histogram criterion of one fit, as a function of the shape ``a``.
 
-    Vectorized over a column of ``a`` values.  ``pdf(c; a) = pdf(c / a; 1) / a``,
-    ``dpdf/da = pdf * u`` (:func:`dmb_da`) with ``u = c^2 / a^3 - n_e / a``, and
-    ``d2pdf/da2 = pdf * (u^2 + du/da)``: one :func:`mb_pdf` call serves all three.
+    Returns ``a -> (f, f', f'')`` for ``f(a) = sum_k (q_k * (pdf(c_k) - q_k))^2``,
+    vectorized over a column of ``a`` values.  ``pdf(c; a) = pdf(c / a; 1) / a``,
+    ``dpdf/da = pdf * u`` with ``u = c^2 / a^3 - n_e / a``, and
+    ``d2pdf/da2 = pdf * (u^2 + du/da)``: one unit-shape density serves all
+    three.  The bin centres ``c``, ``q^2``, ``c^2`` and the Chi normalizer do
+    not depend on ``a`` and are computed once.
     """
-    c, w = hist.centers, hist.density**2
-    p = mb_pdf(c / a, 1.0, n_e) / a
-    e2 = c * c
-    u = e2 / a**3 - n_e / a
-    dp = p * u
-    d2p = p * (u * u - 3.0 * e2 / a**4 + n_e / a**2)
-    diff = p - hist.density
-    return (diff * diff) @ w, 2.0 * ((diff * dp) @ w), 2.0 * ((dp * dp + diff * d2p) @ w)
+    c, q = hist.centers, hist.density
+    w, e2 = q**2, c * c
+    norm = _chi_norm(1.0, n_e)
+
+    def criterion(a):
+        eps = c / a
+        p = eps ** (n_e - 1) * np.exp(-eps * eps / 2.0) / norm / a
+        u = e2 / a**3 - n_e / a
+        dp = p * u
+        d2p = p * (u * u - 3.0 * e2 / a**4 + n_e / a**2)
+        diff = p - q
+        return (diff * diff) @ w, 2.0 * ((diff * dp) @ w), 2.0 * ((dp * dp + diff * d2p) @ w)
+
+    return criterion
 
 
 def fit_mb(residuals, n_e: int, apply_threshold: bool = True, x0: float | None = None) -> MbFit:
@@ -239,7 +246,7 @@ def fit_mb(residuals, n_e: int, apply_threshold: bool = True, x0: float | None =
     except DegenerateHistogramError:
         return MbFit(1.0, n_e, float(np.sqrt(n_e - 1)), fallback=True)
 
-    criterion = partial(_fit_criterion, hist, n_e=n_e)
+    criterion = _fit_criterion(hist, n_e)
     if x0 is None:
         a0 = float(np.sqrt(np.mean(r * r) / n_e))
         candidates = np.concatenate([[a0], A_SCAN])
@@ -259,6 +266,7 @@ def shift_residuals(residuals, mode: float, tau: float) -> ShiftedResiduals:
         xi=r[above] - mode,
         nu=float(tau - mode),
         inlier_count=int(np.count_nonzero(~above)),
+        above=above,
     )
 
 
@@ -294,11 +302,10 @@ def adaptive_mb_weights(
             shifted.xi, CHEBROLU_DOMAIN, bounds=(0.0, shifted.nu), x0=alpha_x0
         )
 
-    above = r >= mode
     weights = np.ones_like(r)
-    weights[above] = weight(r[above] - mode, alpha_res.alpha_star)
+    weights[shifted.above] = weight(shifted.xi, alpha_res.alpha_star)
 
-    below = int(np.count_nonzero(~above))
+    below = shifted.inlier_count
     diag = MbDiagnostics(
         a_star=fit.a_star,
         mode=mode,
@@ -308,6 +315,6 @@ def adaptive_mb_weights(
         mode_capped=capped,
         alpha_converged=alpha_res.converged,
         below_mode=below,
-        below_mode_violations=int(np.count_nonzero(weights[~above] != 1.0)),
+        below_mode_violations=int(np.count_nonzero(weights[~shifted.above] != 1.0)),
     )
     return weights, diag

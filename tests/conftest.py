@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from robls.adaptive import CHEBROLU_DOMAIN, _Objective
-from robls.mbfit import _fit_criterion, build_histogram, chi_quantile
+from robls.mbfit import HistogramBins, build_histogram, chi_quantile, mb_pdf
 from robls.se3 import skew
 
 
@@ -142,13 +142,38 @@ def grid_search_alpha(residuals, bounds, lo=-50.0, hi=2.0, step=0.01,
     return float(grid[int(np.argmin(values))])
 
 
+def dmb_da(eps, a: float, n_e: int):
+    """Partial derivative of :func:`robls.mbfit.mb_pdf` in the shape parameter."""
+    eps = np.asarray(eps, dtype=float)
+    return mb_pdf(eps, a, n_e) * (eps * eps / a**3 - n_e / a)
+
+
+def fit_criterion_reference(hist: HistogramBins, a, n_e: int):
+    """``sum_k (q_k * (pdf(c_k) - q_k))^2`` and its first two derivatives in ``a``.
+
+    The histogram criterion of the Chi-shape fit evaluated from scratch at
+    each ``a``, bin centres and normalizer included; vectorized over a
+    column of ``a`` values.  ``pdf(c; a) = pdf(c / a; 1) / a``,
+    ``dpdf/da = pdf * u`` (:func:`dmb_da`) with ``u = c^2 / a^3 - n_e / a``,
+    and ``d2pdf/da2 = pdf * (u^2 + du/da)``.
+    """
+    c, w = hist.centers, hist.density**2
+    p = mb_pdf(c / a, 1.0, n_e) / a
+    e2 = c * c
+    u = e2 / a**3 - n_e / a
+    dp = p * u
+    d2p = p * (u * u - 3.0 * e2 / a**4 + n_e / a**2)
+    diff = p - hist.density
+    return (diff * diff) @ w, 2.0 * ((diff * dp) @ w), 2.0 * ((dp * dp + diff * d2p) @ w)
+
+
 def grid_search_a(residuals, n_e, lo=0.1, hi=5.0, step=0.005):
     """Dense-grid minimizer of the histogram fit criterion."""
     r = np.asarray(residuals, dtype=float)
     thresh = chi_quantile(n_e, 0.9973)
     hist = build_histogram(r[r < thresh], upper=thresh)
     grid = np.arange(lo, hi + step / 2, step)
-    values = [_fit_criterion(hist, a, n_e)[0] for a in grid]
+    values = [fit_criterion_reference(hist, a, n_e)[0] for a in grid]
     return float(grid[int(np.argmin(values))])
 
 

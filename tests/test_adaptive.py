@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from robls.adaptive import (
     BARRON_DOMAIN,
     CHEBROLU_DOMAIN,
     Z_MEMO_SIZE,
+    _Z_MEMO,
     _Objective,
     _untruncated_z,
     _z_pass,
@@ -146,16 +150,16 @@ class TestPartitionZMemo:
             variants = [(False, h) for h in (False, True)]  # the broadcast pass has no derivs
         uncached = {}
         for derivs, halves in variants:
-            _z_pass.cache_clear()
+            _Z_MEMO.clear()
             uncached[derivs, halves] = partition_z(alpha, bounds, derivs, halves)
-        _z_pass.cache_clear()
+        _Z_MEMO.clear()
         for _ in range(2):  # the first call of each variant, then a repeated one
             for derivs, halves in variants:
                 assert _same(partition_z(alpha, bounds, derivs, halves), uncached[derivs, halves])
 
     @pytest.mark.parametrize("halves", [False, True])
     def test_vector_results_are_read_only(self, halves):
-        _z_pass.cache_clear()
+        _Z_MEMO.clear()
         for _ in range(2):
             out = partition_z([1.5, -0.5, -8.0], (-3.0, 3.0), derivs=False, halves=halves)
             for z in out if halves else (out,):
@@ -163,12 +167,92 @@ class TestPartitionZMemo:
                     z[0] = 1.0
 
     def test_size_stays_within_the_bound(self):
-        _z_pass.cache_clear()
+        _Z_MEMO.clear()
         for alpha in np.linspace(-3.0, 1.5, Z_MEMO_SIZE + 50):
             partition_z(alpha, (0.0, 0.5), derivs=False)
-        info = _z_pass.cache_info()
-        assert info.maxsize == Z_MEMO_SIZE
-        assert info.currsize <= Z_MEMO_SIZE
+        assert len(_Z_MEMO) == Z_MEMO_SIZE
+
+    def test_threads_share_the_memo_safely(self):
+        # More threads than cores, switching often, on keys that overflow
+        # the memo: every result stays the uncached pass and the size bound holds.
+        alphas = np.linspace(-3.0, 1.5, Z_MEMO_SIZE // 2)
+        expected = {float(a): _z_pass(float(a), 0.0, 0.5, True, False) for a in alphas}
+        _Z_MEMO.clear()
+        wrong = []
+
+        def work(offset):
+            try:
+                for a in np.roll(alphas, offset * 17):
+                    if partition_z(a, (0.0, 0.5)) != expected[float(a)]:
+                        wrong.append(float(a))
+                    partition_z(a, (0.0, 0.25 + 0.01 * offset), derivs=False)
+            except Exception as exc:  # a lost race surfaces here, not in the thread's stderr
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(_Z_MEMO) <= Z_MEMO_SIZE
+
+
+def value_derivs_reference(residuals, domain, bounds, alpha):
+    """Lam and its alpha derivatives as two passes: the ``Z`` moments of
+    :func:`partition_z` (or :func:`_untruncated_z`) and the sums of
+    :func:`rho_alpha_derivs` over the clipped residuals."""
+    span = max(abs(bounds[0]), abs(bounds[1]))
+    if domain.variant == "barron":
+        t = max(span, 40.0)
+        clip, (z, dz, d2z) = (-t, t), _untruncated_z(alpha, span)
+    else:
+        clip, (z, dz, d2z) = bounds, partition_z(alpha, bounds)
+    r, dr, d2r = rho_alpha_derivs(np.clip(residuals, *clip), alpha)
+    n, g = len(residuals), dz / z
+    return (
+        float(n * np.log(z) + np.sum(r)),
+        float(n * g + np.sum(dr)),
+        float(n * (d2z / z - g * g) + np.sum(d2r)),
+    )
+
+
+class TestFusedEvaluation:
+    """One pass over nodes and residuals gives what two passes give, bit for bit."""
+
+    @PROPERTY
+    @given(
+        dom=st.sampled_from(["barron", "chebrolu", "chebrolu_half_open"]),
+        tau=st.one_of(st.floats(0.05, 40.0), st.floats(40.0, 90.0, exclude_min=True)),
+        where=st.floats(0.0, 1.0),
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**16),
+    )
+    def test_value_derivs_equals_the_two_pass_composition(self, dom, tau, where, n, seed):
+        domain = BARRON_DOMAIN if dom == "barron" else CHEBROLU_DOMAIN
+        bounds = (0.0, tau) if dom == "chebrolu_half_open" else (-tau, tau)
+        lo = max(domain.lo, ALPHA_MIN) + 4 * BRANCH_TOL
+        alpha = lo + where * (2.0 - 4 * BRANCH_TOL - lo)
+        if abs(alpha) < 4 * BRANCH_TOL:
+            alpha = 4 * BRANCH_TOL
+        rng = np.random.default_rng(seed)
+        res = np.abs(rng.standard_normal(n)) * rng.uniform(0.2, 3.0)
+        res[: n // 4] = rng.uniform(0.0, 1.2 * tau, n // 4)  # some beyond the bound
+        obj = _Objective(res, domain, bounds)
+
+        _Z_MEMO.clear()
+        expected = value_derivs_reference(res, domain, bounds, alpha)  # stores the moments
+        assert obj.value_derivs(alpha) == expected  # hit on the entry partition_z stored
+        _Z_MEMO.clear()
+        assert obj.value_derivs(alpha) == expected  # miss: the fused pass
+        assert obj.value_derivs(alpha) == expected  # hit on the entry the fused pass stored
+        assert value_derivs_reference(res, domain, bounds, alpha) == expected
 
 
 class TestNegLogLikelihood:

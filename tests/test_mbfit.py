@@ -1,22 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi
 
 from robls.adaptive import CHEBROLU_DOMAIN, optimize_alpha
 from robls.loss import weight
 from robls.mbfit import (
+    A_HI,
+    A_LO,
+    A_SCAN,
     DegenerateHistogramError,
     adaptive_mb_weights,
     build_histogram,
     chi_quantile,
-    dmb_da,
     fit_mb,
     mb_pdf,
     shift_residuals,
 )
 
-from conftest import grid_search_a
+from conftest import PROPERTY, dmb_da, fit_criterion_reference, grid_search_a
 
 
 class TestMbPdf:
@@ -155,13 +159,31 @@ class TestFitMb:
         )
         thresh = chi_quantile(3, 0.9973)
         hist = build_histogram(r[r < thresh], upper=thresh)
-        value, grad, hess = _fit_criterion(hist, a, 3)
+        criterion = _fit_criterion(hist, 3)
+        value, grad, hess = criterion(a)
         p, q = mb_pdf(hist.centers, a, 3), hist.density
         assert grad == pytest.approx(2.0 * np.sum(q * q * (p - q) * dmb_da(hist.centers, a, 3)))
         h = 1e-6 * a
-        up, down = _fit_criterion(hist, a + h, 3), _fit_criterion(hist, a - h, 3)
+        up, down = criterion(a + h), criterion(a - h)
         assert grad == pytest.approx((up[0] - down[0]) / (2 * h), rel=1e-5, abs=1e-12)
         assert hess == pytest.approx((up[1] - down[1]) / (2 * h), rel=1e-5, abs=1e-12)
+
+    @PROPERTY
+    @given(n_e=st.integers(1, 8), n=st.integers(2, 3000), a=st.floats(A_LO, A_HI),
+           seed=st.integers(0, 2**16))
+    def test_criterion_equals_the_reference(self, n_e, n, a, seed):
+        # Hoisting what does not depend on a keeps every bit, for the
+        # Newton evaluations (a scalar a) and the start scan (a column).
+        from robls.mbfit import _fit_criterion
+
+        rng = np.random.default_rng(seed)
+        r = np.linalg.norm(rng.standard_normal((n, n_e)), axis=1) * rng.uniform(0.3, 3.0)
+        hist = build_histogram(r)
+        criterion = _fit_criterion(hist, n_e)
+        assert criterion(a) == fit_criterion_reference(hist, a, n_e)
+        column = np.concatenate([[a], A_SCAN])[:, None]
+        for got, want in zip(criterion(column), fit_criterion_reference(hist, column, n_e)):
+            assert np.array_equal(got, want)
 
     def test_empty_after_threshold_falls_back(self):
         fit = fit_mb(np.full(30, 50.0), 3, apply_threshold=True)
@@ -173,17 +195,16 @@ class TestFitMb:
 
 
 def grid_probe(residuals, n_e, a):
-    from robls.mbfit import _fit_criterion
-
     r = np.asarray(residuals, float)
     thresh = chi_quantile(n_e, 0.9973)
-    return _fit_criterion(build_histogram(r[r < thresh], upper=thresh), a, n_e)[0]
+    return fit_criterion_reference(build_histogram(r[r < thresh], upper=thresh), a, n_e)[0]
 
 
 class TestShiftResiduals:
     def test_direct_application(self):
         out = shift_residuals([0.5, np.sqrt(2.0), 3.0], np.sqrt(2.0), 10.0)
         assert out.inlier_count == 1
+        assert out.above.tolist() == [False, True, True]
         assert np.allclose(sorted(out.xi), [0.0, 3.0 - np.sqrt(2.0)])
         assert out.nu == pytest.approx(10.0 - np.sqrt(2.0))
 
