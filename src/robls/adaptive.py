@@ -320,9 +320,10 @@ class _Objective:
     def value_derivs(self, alpha: float) -> tuple[float, float, float]:
         """``(Lam, dLam/dalpha, d2Lam/dalpha2)`` at a general-branch alpha.
 
-        The ``Z`` moments come from the memo of :func:`partition_z`, bit for
-        bit what it would return; on a miss one pass over the nodes and the
-        residuals together computes them, and the memo keeps them.
+        The ``Z`` moments come from the memo it shares with
+        :func:`partition_z`, bit for bit what that would return; on a miss
+        one pass over the nodes and the residuals together computes them,
+        and the memo keeps them.
         """
         key = (float(alpha), *self.bounds, True, self.halves)
         z = _memo_get(key)

@@ -225,7 +225,8 @@ def fit_mb(residuals, n_e: int, apply_threshold: bool = True, x0: float | None =
 
     Minimizes ``sum_k (q_k * (pdf(center_k) - q_k))^2`` over ``a`` in
     ``[A_LO, A_HI]`` by :func:`~robls.adaptive.minimize_bounded` on its
-    analytic derivatives, started from the best of a method-of-moments
+    analytic derivatives (the criterion of :func:`_fit_criterion`, built
+    once per call), started from the best of a method-of-moments
     estimate and a coarse scan (or from ``x0`` alone on warm-started calls,
     which keeps consecutive IRLS refits in the same local basin).  Returns
     the Chi default ``a = 1`` (with ``fallback=True``) when the residual set
