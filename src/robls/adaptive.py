@@ -26,14 +26,14 @@ half of nodes is the rule on ``[-T, T]``.
 
 ``Z`` depends on alpha and the bounds alone, never on the residuals, so one
 least-recently-used memo of ``Z_MEMO_SIZE`` passes, keyed by
-``(alpha, a, b, derivs, halves)``, serves both :func:`partition_z` and the
-Newton evaluations.  A pass is a pure function of its key, so a hit returns
-the objects of the first pass and every output stays bit-identical.
-``barron`` and ``chebrolu`` fix their bounds by tau, so every cold fit
-repeats the same scan, alpha = 2 check and ``-inf`` sentinel, and its first
-Newton evaluation sits at a scan point (or, warm, at the previous alpha*);
-those passes are computed once per process, and a Newton evaluation that
-hits passes over the residuals alone.  The bounds of
+``(alpha, a, b, derivs, halves)``, serves both :func:`partition_z` (``Z``
+alone) and the Newton evaluations (the moments).  A pass is a pure function
+of its key, so a hit returns the objects of the first pass and every output
+stays bit-identical.  ``barron`` and ``chebrolu`` fix their bounds by tau, so
+every cold fit repeats the same scan, alpha = 2 check and ``-inf`` sentinel,
+and its first Newton evaluation sits at a scan point (or, warm, at the
+previous alpha*); those passes are computed once per process, and a Newton
+evaluation that hits passes over the residuals alone.  The bounds of
 ``adaptive_mb``, ``(0, tau - mode)``, move with the fitted mode, so its
 evaluations almost never hit and store the moments of their fused pass.
 
@@ -104,7 +104,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 Z_MEMO_SIZE = 256
 
 # The Z memo, shared by partition_z and _Objective.value_derivs: key
-# (alpha, a, b, derivs, halves) -> what _z_pass returns for it, oldest first.
+# (alpha, a, b, derivs, halves) -> Z alone (derivs False, from partition_z)
+# or the Z moments (derivs True, from value_derivs), oldest first.
 # The lock keeps each lookup-and-reorder or insert-and-evict whole.
 _Z_MEMO: OrderedDict = OrderedDict()
 _Z_MEMO_LOCK = threading.Lock()
@@ -188,59 +189,39 @@ def _memo_put(key, z):
     return z
 
 
-def partition_z(alpha, bounds: tuple[float, float], derivs: bool = True, halves: bool = False):
+def partition_z(alpha, bounds: tuple[float, float], halves: bool = False):
     """Normalization ``Z = integral of exp(-rho(eps, alpha))`` over bounds.
 
     One pass of a fixed composite 24-point Gauss-Legendre rule with panels
-    at most ``PANEL_WIDTH`` wide.  Returns ``(Z, dZ/dalpha, d2Z/dalpha2)``;
-    the derivatives come from the same nodes in the general branch and are
-    NaN on the limit branches (alpha = 2, 0 and -inf).
-
-    ``derivs=False`` skips the derivatives and returns ``Z`` alone, equal
-    bit for bit to ``[0]`` of the derivative pass.  Then ``alpha`` may also
-    be a 1-D array of general-branch values, which returns their ``Z`` as an
-    array from one broadcast pass.  With ``halves`` the rule is built from
-    the panels of the first half of the (folded) interval laid twice, and
-    the result is the pair (over the first half, over the whole); for a
-    symmetric ``[-2T, 2T]`` the first half is ``[-T, T]``.
+    at most ``PANEL_WIDTH`` wide.  ``alpha`` may also be a 1-D array of
+    general-branch values, which returns their ``Z`` as an array from one
+    broadcast pass.  With ``halves`` the rule is built from the panels of
+    the first half of the (folded) interval laid twice, and the result is
+    the pair (over the first half, over the whole); for a symmetric
+    ``[-2T, 2T]`` the first half is ``[-T, T]``.  The alpha derivatives of
+    ``Z``, which only the Newton steps need, come from
+    :meth:`_Objective.value_derivs`.
 
     Passes are memoized in the least-recently-used memo of ``Z_MEMO_SIZE``
-    entries keyed by ``(alpha, a, b, derivs, halves)``, with alpha as a
+    entries keyed by ``(alpha, a, b, False, halves)``, with alpha as a
     float or, for the broadcast pass, a tuple of floats.  A repeated call
     returns the objects of the first, bit-identical because the pass is a
-    pure function of its key; array results are read-only.  The Newton
-    evaluations of the alpha fit share the memo: a derivative pass stored
-    by either serves both.
+    pure function of its key; array results are read-only.
     """
     a, b = _checked_bounds(bounds)
-    key = float(alpha) if np.ndim(alpha) == 0 else tuple(np.asarray(alpha, dtype=float).tolist())
-    key = (key, a, b, bool(derivs), bool(halves))
+    alpha = float(alpha) if np.ndim(alpha) == 0 else tuple(np.asarray(alpha, dtype=float).tolist())
+    key = (alpha, a, b, False, bool(halves))
     z = _memo_get(key)
-    return _memo_put(key, _z_pass(*key)) if z is None else z
+    return _memo_put(key, _z_pass(alpha, a, b, bool(halves))) if z is None else z
 
 
-def _moments(w, r, dr, d2r, halves: bool):
-    """``(Z, dZ/dalpha, d2Z/dalpha2)`` from the rule weights and the loss and
-    its alpha derivatives at the nodes; with ``halves`` the pair (first half
-    of the nodes, all of them)."""
-    wf = w * np.exp(-r)
-    h = dr * dr - d2r
-    ends = (w.size // 2, w.size) if halves else (w.size,)
-    out = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m])) for m in ends]
-    return tuple(out) if halves else out[0]
-
-
-def _z_pass(alpha, a: float, b: float, derivs: bool, halves: bool):
+def _z_pass(alpha, a: float, b: float, halves: bool):
     """The unmemoized pass of :func:`partition_z`; a tuple ``alpha`` is a vector."""
     x, w = _gl_rule(a, b, halves)
     ends = (x.size // 2, x.size) if halves else (x.size,)
     if np.ndim(alpha) == 0 and _branch(alpha) != "general":
         e = np.exp(-rho(x, alpha))
         out = [float(w[:m] @ e[:m]) for m in ends]
-        if derivs:
-            out = [(z, np.nan, np.nan) for z in out]
-    elif derivs:
-        return _moments(w, *rho_alpha_derivs(x, alpha), halves)
     else:
         wf = w * np.exp(-_rho_general(x, np.asarray(alpha, dtype=float)[..., None]))
         out = [wf[..., :m].sum(axis=-1) for m in ends]
@@ -256,19 +237,19 @@ def _whole_line(halves):
     return 2.0 * z2 - z1
 
 
-def _untruncated_z(alpha, tau_span: float, derivs: bool = True):
+def _untruncated_z(alpha, tau_span: float):
     """Approximate normalization over the whole real line.
 
     Takes the integrals over [-T, T] and [-2T, 2T] from one
     :func:`partition_z` pass with ``halves`` and removes the leading 1/T
     tail error by extrapolation; exact in the limit for the
     slowest-decaying case (the Cauchy-like alpha = 0 member).  Returns what
-    :func:`partition_z` returns for ``alpha`` and ``derivs``, as an array.
-    For T = 40, which covers every span up to 40, the [-T, T] half is the
-    same rule as a separate pass over [-T, T].
+    :func:`partition_z` returns for ``alpha``.  For T = 40, which covers
+    every span up to 40, the [-T, T] half is the same rule as a separate
+    pass over [-T, T].
     """
     t = max(tau_span, UNTRUNCATED_SPAN)
-    return _whole_line(partition_z(alpha, (-2.0 * t, 2.0 * t), derivs, halves=True))
+    return _whole_line(partition_z(alpha, (-2.0 * t, 2.0 * t), halves=True))
 
 
 class _Objective:
@@ -301,8 +282,8 @@ class _Objective:
     def _z(self, alpha):
         """``Z`` for this domain, without alpha derivatives."""
         if self.halves:
-            return _untruncated_z(alpha, self.span, False)
-        return partition_z(alpha, self.bounds, False)
+            return _untruncated_z(alpha, self.span)
+        return partition_z(alpha, self.bounds)
 
     def value(self, alpha: float) -> float:
         return float(self.n * np.log(self._z(alpha)) + np.sum(rho(self.residuals, alpha)))
@@ -320,17 +301,20 @@ class _Objective:
     def value_derivs(self, alpha: float) -> tuple[float, float, float]:
         """``(Lam, dLam/dalpha, d2Lam/dalpha2)`` at a general-branch alpha.
 
-        The ``Z`` moments come from the memo it shares with
-        :func:`partition_z`, bit for bit what that would return; on a miss
-        one pass over the nodes and the residuals together computes them,
-        and the memo keeps them.
+        The ``Z`` moments (Z, dZ/dalpha, d2Z/dalpha2, for both halves with
+        halves) come from the memo it shares with :func:`partition_z`, keyed
+        with ``derivs`` True; on a miss one pass over the nodes and the
+        residuals together computes them, and the memo keeps them.
         """
         key = (float(alpha), *self.bounds, True, self.halves)
         z = _memo_get(key)
         if z is None:
             r, dr, d2r = rho_alpha_derivs(self._points, alpha)
             k = self._weights.size
-            z = _memo_put(key, _moments(self._weights, r[:k], dr[:k], d2r[:k], self.halves))
+            wf, h = self._weights * np.exp(-r[:k]), dr[:k] * dr[:k] - d2r[:k]
+            z = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m]))
+                 for m in ((k // 2, k) if self.halves else (k,))]
+            z = _memo_put(key, tuple(z) if self.halves else z[0])
             r, dr, d2r = r[k:], dr[k:], d2r[k:]
         else:
             r, dr, d2r = rho_alpha_derivs(self.residuals, alpha)

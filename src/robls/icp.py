@@ -6,7 +6,8 @@ point-to-point error norm ``sqrt(0.5 * e' Sigma^-1 e)`` with
 voxel grid, quantization an order of magnitude above sensor noise), while
 the minimization step reduces the weighted squared point-to-plane error.
 Association is plain single nearest neighbour with no distance gate;
-outlier handling is left entirely to the loss.
+outlier handling is left entirely to the loss.  A target cloud has one KD-tree
+(:attr:`PointCloud.tree`), built on first use and shared by every solve.
 
 Association returns exactly what a KD-tree query would, but ICP's late
 iterations move each source point far less than the gap between its nearest
@@ -60,11 +61,16 @@ class DegenerateGeometryError(RuntimeError):
 
 @dataclass
 class PointCloud:
-    """Points in the sensor frame, with optional per-point unit normals."""
+    """Points in the sensor frame, with optional per-point unit normals.
+
+    The cloud's one KD-tree (:attr:`tree`) is built on first use and freezes
+    the points.  Invalid normals (``normals_valid``) weigh 0 but must be finite.
+    """
 
     points: np.ndarray
     normals: np.ndarray | None = None
     normals_valid: np.ndarray | None = None
+    _tree: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -77,6 +83,21 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def tree(self):
+        """The scipy ``cKDTree`` of the points, built on first use and kept.
+
+        Its read-only copy of the points becomes ``points``, so an in-place
+        edit raises instead of leaving the tree stale; new points get a new tree.
+        """
+        if self._tree is None or self._tree.data is not self.points:
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(self.points, copy_data=True)
+            self._tree.data.flags.writeable = False
+            self.points = self._tree.data
+        return self._tree
 
 
 @dataclass(frozen=True)
@@ -119,14 +140,13 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
 
     The normal is the eigenvector of the smallest eigenvalue; neighbourhoods
     whose scatter is rank deficient (collinear points) are flagged invalid.
+    The returned cloud keeps the KD-tree built here as its :attr:`~PointCloud.tree`.
     """
-    pts = cloud.points
-    if len(pts) <= k:
+    if len(cloud) <= k:
         raise ValueError(f"need more than k={k} points to estimate normals")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    _, nbr = tree.query(pts, k=k + 1)
+    out = PointCloud(cloud.points)
+    pts = out.tree.data
+    _, nbr = out.tree.query(pts, k=k + 1)
     nbrs = pts[nbr]                                  # (N, k+1, 3), row 0 is the point itself
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
     scatter = np.einsum("nki,nkj->nij", centered, centered)
@@ -136,7 +156,8 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     # orient toward the sensor origin
     flip = np.einsum("ni,ni->n", normals, pts) > 0.0
     normals[flip] = -normals[flip]
-    return PointCloud(pts, normals=normals, normals_valid=valid)
+    out.normals, out.normals_valid = normals, valid
+    return out
 
 
 def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) -> np.ndarray:
@@ -146,9 +167,9 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
     ``memo`` is a dict that carries, from one call to the next, each
     point's reference position ``ref`` (where the tree was last queried for
     it), its nearest index ``idx`` and its second-nearest distance ``d2``
-    (infinite for a one-point target); the call updates it in place and
-    never modifies an array it has returned.  A point is certified, and
-    keeps ``idx`` without a tree search, when
+    (infinite for a one-point target).  The call updates ``ref`` and ``d2``
+    in place and returns a new ``idx``, so a returned array never changes.
+    A point is certified, and keeps ``idx`` without a tree search, when
 
         |p - t_idx| + |p - ref| + CERT_MARGIN * (that sum + scale) < d2,
 
@@ -164,16 +185,16 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
     p = np.asarray(source_points, dtype=float)
     memo = {} if memo is None else memo
     if "ref" not in memo or len(memo["ref"]) != len(p):
-        memo.update(ref=p, idx=np.zeros(len(p), dtype=np.intp), d2=np.zeros(len(p)))
-    ref, idx, d2 = memo["ref"], memo["idx"].copy(), memo["d2"].copy()
+        memo.update(ref=np.zeros_like(p), idx=np.zeros(len(p), dtype=np.intp), d2=np.zeros(len(p)))
+    ref, idx, d2 = memo["ref"], memo["idx"].copy(), memo["d2"]
 
     moved = _norms(p - ref)
-    dj = _norms(p - target_tree.data[idx])
+    dj = _norms(p - np.take(target_tree.data, idx, axis=0))  # take: faster than [idx]
     scale = max(np.abs(p).max(initial=0.0), np.abs([target_tree.mins, target_tree.maxes]).max())
     bound = dj + moved
-    stale = ~(bound + CERT_MARGIN * (bound + scale) < d2)
+    stale = np.flatnonzero(~(bound + CERT_MARGIN * (bound + scale) < d2))
 
-    q = p[stale]
+    q = np.take(p, stale, axis=0)
     dist, nbr = target_tree.query(q, k=2)
     nearest = nbr[:, 0]
     tie = dist[:, 0] == dist[:, 1]
@@ -181,9 +202,8 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
         nearest[tie] = target_tree.query(q[tie])[1]
     idx[stale] = nearest
     d2[stale] = dist[:, 1]
-    ref = ref.copy()
     ref[stale] = q
-    memo.update(ref=ref, idx=idx, d2=d2)
+    memo["idx"] = idx
     return idx
 
 
@@ -197,7 +217,8 @@ def residuals_pt2pt(errors: np.ndarray, cov_scale: float) -> np.ndarray:
     ``cov_scale`` is the isotropic scale of the combined correspondence
     covariance (``2 * d_grid^2`` for equally downsampled clouds).
     """
-    return np.sqrt(0.5 * np.sum(errors * errors, axis=-1) / cov_scale)
+    e0, e1, e2 = errors[..., 0], errors[..., 1], errors[..., 2]
+    return np.sqrt(0.5 * ((e0 * e0 + e1 * e1) + e2 * e2) / cov_scale)
 
 
 def minimize_pt2plane(
@@ -215,10 +236,13 @@ def minimize_pt2plane(
     ``weights`` multiply the squared errors as given, so a solver that puts
     the robust weights inside the norm passes them already squared.
     """
-    g0 = np.einsum("ni,ni->n", normals, errors)
+    s, n = transformed_source, normals
+    g0 = np.einsum("ni,ni->n", n, errors)
     jac = np.empty((len(errors), 6))
-    jac[:, :3] = -np.cross(transformed_source, normals)
-    jac[:, 3:] = -normals
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):  # s x n in np.cross's order
+        np.subtract(s[:, i] * n[:, j], s[:, j] * n[:, i], out=jac[:, k])
+    jac[:, 3:] = n
+    np.negative(jac, out=jac)  # bit for bit [-np.cross(s, n) | -n]
     wf = weights / proj_var
     a = jac.T @ (jac * wf[:, None])
     b = -jac.T @ (wf * g0)
@@ -239,9 +263,7 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     """
     if target.normals is None:
         raise ValueError("target cloud must carry normals (run estimate_normals)")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(target.points)
+    tree = target.tree
     cov_scale = 2.0 * config.grid**2
     proj_var = cov_scale  # n' (cov_scale * I) n for unit normals
     memo: dict = {}
@@ -249,15 +271,14 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     def linearize(pose):
         p = source.points @ pose.rotation.T + pose.translation
         idx = associate(p, tree, memo=memo)
-        e = target.points[idx] - p
+        e = np.take(target.points, idx, axis=0) - p
 
         def update(wf):
-            usable = target.normals_valid[idx]
-            if not np.any(usable):
+            valid = target.normals_valid[idx]
+            if not valid.any():
                 raise DegenerateGeometryError("no correspondences with valid normals")
-            step = minimize_pt2plane(
-                p[usable], e[usable], target.normals[idx[usable]], wf[usable], proj_var
-            )
+            normals = np.take(target.normals, idx, axis=0)  # an invalid one weighs 0
+            step = minimize_pt2plane(p, e, normals, wf * valid, proj_var)
             return (exp_map(step) @ pose).orthonormalized(), step
 
         return residuals_pt2pt(e, cov_scale), update

@@ -282,13 +282,8 @@ def generate_scene(
     return source, target, t_gt
 
 
-def measure_overlap(
-    source: PointCloud, target: PointCloud, t_gt: Pose, radius: float
-) -> float:
+def measure_overlap(source: PointCloud, target: PointCloud, t_gt: Pose, radius: float) -> float:
     """Fraction of source points with a target point within ``radius`` at
     the true alignment."""
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(target.points)
-    d, _ = tree.query(t_gt.apply(source.points), distance_upper_bound=radius)
+    d, _ = target.tree.query(t_gt.apply(source.points), distance_upper_bound=radius)
     return float(np.mean(np.isfinite(d)))

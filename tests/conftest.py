@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from robls.adaptive import CHEBROLU_DOMAIN, _Objective
+from robls.adaptive import CHEBROLU_DOMAIN, _gl_rule, _Objective
+from robls.loss import _branch, rho, rho_alpha_derivs
 from robls.mbfit import HistogramBins, build_histogram, chi_quantile, mb_pdf
 from robls.se3 import skew
 
@@ -140,6 +141,24 @@ def grid_search_alpha(residuals, bounds, lo=-50.0, hi=2.0, step=0.01,
     grid = np.arange(lo, hi + step / 2, step)
     values = np.array([obj.value(a) for a in grid])
     return float(grid[int(np.argmin(values))])
+
+
+def z_moments(alpha, bounds, halves=False):
+    """``(Z, dZ/dalpha, d2Z/dalpha2)`` over ``bounds`` on the quadrature rule
+    of :func:`robls.adaptive.partition_z`, in the order in which the alpha
+    fit's Newton evaluations sum them; the derivatives are NaN on the limit
+    branches (alpha = 2, 0 and -inf).  With ``halves`` the pair (first half
+    of the rule, all of it), as ``partition_z`` gives it."""
+    x, w = _gl_rule(float(bounds[0]), float(bounds[1]), halves)
+    ends = (x.size // 2, x.size) if halves else (x.size,)
+    if _branch(alpha) == "general":
+        r, dr, d2r = rho_alpha_derivs(x, alpha)
+        wf, h = w * np.exp(-r), dr * dr - d2r
+        out = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m])) for m in ends]
+    else:
+        e = np.exp(-rho(x, alpha))
+        out = [(float(w[:m] @ e[:m]), np.nan, np.nan) for m in ends]
+    return tuple(out) if halves else out[0]
 
 
 def dmb_da(eps, a: float, n_e: int):

@@ -17,6 +17,7 @@ from robls.adaptive import (
     _Z_MEMO,
     _Objective,
     _untruncated_z,
+    _whole_line,
     _z_pass,
     minimize_bounded,
     optimize_alpha,
@@ -24,7 +25,7 @@ from robls.adaptive import (
 )
 from robls.loss import ALPHA_MIN, BRANCH_TOL, rho, rho_alpha_derivs
 
-from conftest import PROPERTY, grid_search_alpha
+from conftest import PROPERTY, grid_search_alpha, z_moments
 
 
 ALPHAS = st.one_of(st.sampled_from([2.0, 0.0, -np.inf, ALPHA_MIN]), st.floats(-200.0, 2.0))
@@ -43,19 +44,19 @@ def grad_lambda(residuals, alpha, bounds):
 
 class TestPartitionZ:
     def test_gaussian_closed_form(self):
-        assert partition_z(2.0, (-10, 10))[0] == pytest.approx(np.sqrt(2 * np.pi), abs=1e-6)
+        assert partition_z(2.0, (-10, 10)) == pytest.approx(np.sqrt(2 * np.pi), abs=1e-6)
 
     def test_cauchy_closed_form(self):
         expected = 2.0 * np.sqrt(2.0) * np.arctan(10.0 / np.sqrt(2.0))
-        assert partition_z(0.0, (-10, 10))[0] == pytest.approx(expected, abs=1e-6)
+        assert partition_z(0.0, (-10, 10)) == pytest.approx(expected, abs=1e-6)
 
     def test_welsch_integrand_bounds(self):
-        z = partition_z(-np.inf, (0, 10))[0]
+        z = partition_z(-np.inf, (0, 10))
         assert 10.0 / np.e <= z <= 10.0
 
     @pytest.mark.parametrize("alpha", [1.5, 0.7, -1.0, -8.0])
     def test_against_scipy_quad(self, alpha):
-        ours = partition_z(alpha, (-7.0, 7.0))[0]
+        ours = partition_z(alpha, (-7.0, 7.0))
         ref, _ = quad(lambda x: np.exp(-rho(x, alpha)), -7.0, 7.0, epsabs=1e-12)
         assert ours == pytest.approx(ref, abs=1e-8)
 
@@ -63,7 +64,7 @@ class TestPartitionZ:
         # heavier tails live at lower alpha, so the normalization shrinks as
         # alpha grows toward the Gaussian end
         alphas = np.linspace(-50.0, 2.0, 40)
-        z = [partition_z(a, (-10, 10))[0] for a in alphas]
+        z = [partition_z(a, (-10, 10)) for a in alphas]
         assert np.all(np.diff(z) <= 1e-9)
 
     def test_invalid_bounds(self):
@@ -76,7 +77,7 @@ class TestPartitionZ:
     @pytest.mark.parametrize("bounds", [(0.0, 0.02), (0.0, 0.37), (0.0, 2.9), (0.0, 13.1),
                                         (0.0, 80.0), (-9.5, 9.5)])
     def test_fixed_rule_matches_adaptive_quad(self, alpha, bounds):
-        z, dz, _ = partition_z(alpha, bounds)
+        z, dz, _ = z_moments(alpha, bounds)
         ref_z, _ = quad(lambda x: np.exp(-rho(x, alpha)), *bounds, epsabs=1e-12, limit=200)
         ref_dz, _ = quad(lambda x: -np.exp(-rho(x, alpha)) * rho_alpha_derivs(x, alpha)[1],
                          *bounds, epsabs=1e-12, limit=200)
@@ -86,24 +87,30 @@ class TestPartitionZ:
     def test_second_derivative_matches_fd_of_first(self):
         h = 1e-5
         for alpha in (1.3, 0.2, -2.5, -30.0):
-            d2z = partition_z(alpha, (0.0, 6.0))[2]
-            fd = (partition_z(alpha + h, (0.0, 6.0))[1] - partition_z(alpha - h, (0.0, 6.0))[1]) / (2 * h)
+            d2z = z_moments(alpha, (0.0, 6.0))[2]
+            fd = (z_moments(alpha + h, (0.0, 6.0))[1] - z_moments(alpha - h, (0.0, 6.0))[1]) / (2 * h)
             assert d2z == pytest.approx(fd, rel=1e-6)
 
     @PROPERTY
     @given(alpha=ALPHAS, bounds=BOUNDS)
     def test_z_only_pass_is_bit_identical(self, alpha, bounds):
-        assert partition_z(alpha, bounds, derivs=False) == partition_z(alpha, bounds)[0]
+        # Z as the scan sees it equals Z as the Newton evaluations sum it.
+        assert partition_z(alpha, bounds) == z_moments(alpha, bounds)[0]
 
     @PROPERTY
     @given(alpha=st.one_of(st.sampled_from([2.0, 0.0]), st.floats(0.0, 2.0)),
            tau=st.floats(0.01, 40.0), derivs=st.booleans())
     def test_shared_barron_rule_is_bit_identical_to_two_passes(self, alpha, tau, derivs):
-        # Up to T = 40 the first half of the [-2T, 2T] rule is the [-T, T] rule.
+        # Up to T = 40 the first half of the [-2T, 2T] rule is the [-T, T] rule,
+        # for Z alone and for the moments of the Newton evaluations.
         t = 40.0
-        z1 = np.array(partition_z(alpha, (-t, t), derivs))
-        z2 = np.array(partition_z(alpha, (-2.0 * t, 2.0 * t), derivs))
-        assert np.array_equal(_untruncated_z(alpha, tau, derivs), 2.0 * z2 - z1, equal_nan=True)
+        if derivs:
+            z1, z2 = np.array(z_moments(alpha, (-t, t))), np.array(z_moments(alpha, (-2.0 * t, 2.0 * t)))
+            whole = _whole_line(z_moments(alpha, (-2.0 * t, 2.0 * t), halves=True))
+        else:
+            z1, z2 = partition_z(alpha, (-t, t)), partition_z(alpha, (-2.0 * t, 2.0 * t))
+            whole = _untruncated_z(alpha, tau)
+        assert np.array_equal(whole, 2.0 * z2 - z1, equal_nan=True)
 
     @pytest.mark.parametrize(
         "alpha", [2.0 - 4 * BRANCH_TOL, 4 * BRANCH_TOL, 1.5, 0.7, -8.0, ALPHA_MIN]
@@ -111,7 +118,7 @@ class TestPartitionZ:
     def test_shared_rule_matches_adaptive_quad_beyond_forty(self, alpha):
         # Above T = 40 the [-2T, 2T] rule is the [-T, T] panels laid twice.
         t = 45.3
-        halves = partition_z(alpha, (-2.0 * t, 2.0 * t), halves=True)
+        halves = z_moments(alpha, (-2.0 * t, 2.0 * t), halves=True)
         for (z, dz, _), span in zip(halves, (t, 2.0 * t)):
             ref_z, _ = quad(lambda x: np.exp(-rho(x, alpha)), -span, span,
                             epsabs=1e-12, limit=400)
@@ -121,9 +128,13 @@ class TestPartitionZ:
             assert abs(dz - ref_dz) / ref_z <= 1e-8
 
     def test_limit_branches_have_no_derivatives(self):
+        # Z exists on the limit branches; its alpha derivatives do not, and
+        # the Newton evaluation refuses them.
+        obj = _Objective([0.5, 1.0], CHEBROLU_DOMAIN, (0.0, 5.0))
         for alpha in (2.0, 0.0, -np.inf):
-            z, dz, d2z = partition_z(alpha, (0.0, 5.0))
-            assert np.isfinite(z) and np.isnan(dz) and np.isnan(d2z)
+            assert np.isfinite(partition_z(alpha, (0.0, 5.0)))
+            with pytest.raises(ValueError, match="general branch"):
+                obj.value_derivs(alpha)
 
 
 GENERAL_ALPHAS = st.floats(ALPHA_MIN, 2.0 - 4 * BRANCH_TOL).filter(
@@ -144,25 +155,37 @@ class TestPartitionZMemo:
     @given(alpha=st.one_of(ALPHAS, st.lists(GENERAL_ALPHAS, min_size=1, max_size=4)),
            bounds=BOUNDS)
     def test_memo_returns_the_uncached_pass(self, alpha, bounds):
-        # Every (derivs, halves) variant of one alpha and bounds, so a key
-        # missing either flag hands one variant the result of another.
-        variants = [(d, h) for d in (False, True) for h in (False, True)]
-        if isinstance(alpha, list):
-            variants = [(False, h) for h in (False, True)]  # the broadcast pass has no derivs
+        # Both halves variants of one alpha and bounds, so a key missing the
+        # flag hands one variant the result of the other.
         uncached = {}
-        for derivs, halves in variants:
+        for halves in (False, True):
             _Z_MEMO.clear()
-            uncached[derivs, halves] = partition_z(alpha, bounds, derivs, halves)
+            uncached[halves] = partition_z(alpha, bounds, halves)
         _Z_MEMO.clear()
         for _ in range(2):  # the first call of each variant, then a repeated one
-            for derivs, halves in variants:
-                assert _same(partition_z(alpha, bounds, derivs, halves), uncached[derivs, halves])
+            for halves in (False, True):
+                assert _same(partition_z(alpha, bounds, halves), uncached[halves])
+
+    @PROPERTY
+    @given(alpha=GENERAL_ALPHAS, tau=st.floats(0.05, 90.0),
+           domain=st.sampled_from([BARRON_DOMAIN, CHEBROLU_DOMAIN]))
+    def test_moments_and_z_keep_apart(self, alpha, tau, domain):
+        # The Newton evaluations store moments under the alpha and bounds of
+        # the Z that partition_z stores; each gets its own entry back.
+        obj = _Objective([0.3, 1.7, 0.9], domain, (-tau, tau))
+        _Z_MEMO.clear()
+        lam = obj.value(alpha)
+        _Z_MEMO.clear()
+        lam_derivs = obj.value_derivs(alpha)
+        for _ in range(2):
+            assert obj.value(alpha) == lam
+            assert obj.value_derivs(alpha) == lam_derivs
 
     @pytest.mark.parametrize("halves", [False, True])
     def test_vector_results_are_read_only(self, halves):
         _Z_MEMO.clear()
         for _ in range(2):
-            out = partition_z([1.5, -0.5, -8.0], (-3.0, 3.0), derivs=False, halves=halves)
+            out = partition_z([1.5, -0.5, -8.0], (-3.0, 3.0), halves=halves)
             for z in out if halves else (out,):
                 with pytest.raises(ValueError, match="read-only"):
                     z[0] = 1.0
@@ -170,7 +193,7 @@ class TestPartitionZMemo:
     def test_size_stays_within_the_bound(self):
         _Z_MEMO.clear()
         for alpha in np.linspace(-3.0, 1.5, Z_MEMO_SIZE + 50):
-            partition_z(alpha, (0.0, 0.5), derivs=False)
+            partition_z(alpha, (0.0, 0.5))
         assert len(_Z_MEMO) == Z_MEMO_SIZE
 
     def test_threads_share_the_memo_safely(self, monkeypatch):
@@ -180,7 +203,7 @@ class TestPartitionZMemo:
         # a key evicted between a hit and its reordering raises KeyError.
         monkeypatch.setattr(adaptive, "Z_MEMO_SIZE", 4)
         alphas = np.linspace(-3.0, 1.5, 6)
-        expected = {float(a): _z_pass(float(a), 0.0, 0.5, True, False) for a in alphas}
+        expected = {float(a): _z_pass(float(a), 0.0, 0.5, False) for a in alphas}
         _Z_MEMO.clear()
         wrong = []
 
@@ -209,15 +232,16 @@ class TestPartitionZMemo:
 
 
 def value_derivs_reference(residuals, domain, bounds, alpha):
-    """Lam and its alpha derivatives as two passes: the ``Z`` moments of
-    :func:`partition_z` (or :func:`_untruncated_z`) and the sums of
-    :func:`rho_alpha_derivs` over the clipped residuals."""
+    """Lam and its alpha derivatives as two passes: the ``Z`` moments on the
+    rule of :func:`partition_z` (extrapolated as :func:`_untruncated_z` does
+    for the whole line) and the sums of :func:`rho_alpha_derivs` over the
+    clipped residuals."""
     span = max(abs(bounds[0]), abs(bounds[1]))
     if domain.variant == "barron":
         t = max(span, 40.0)
-        clip, (z, dz, d2z) = (-t, t), _untruncated_z(alpha, span)
+        clip, (z, dz, d2z) = (-t, t), _whole_line(z_moments(alpha, (-2.0 * t, 2.0 * t), halves=True))
     else:
-        clip, (z, dz, d2z) = bounds, partition_z(alpha, bounds)
+        clip, (z, dz, d2z) = bounds, z_moments(alpha, bounds)
     r, dr, d2r = rho_alpha_derivs(np.clip(residuals, *clip), alpha)
     n, g = len(residuals), dz / z
     return (
@@ -251,9 +275,7 @@ class TestFusedEvaluation:
         obj = _Objective(res, domain, bounds)
 
         _Z_MEMO.clear()
-        expected = value_derivs_reference(res, domain, bounds, alpha)  # stores the moments
-        assert obj.value_derivs(alpha) == expected  # hit on the entry partition_z stored
-        _Z_MEMO.clear()
+        expected = value_derivs_reference(res, domain, bounds, alpha)
         assert obj.value_derivs(alpha) == expected  # miss: the fused pass
         assert obj.value_derivs(alpha) == expected  # hit on the entry the fused pass stored
         assert value_derivs_reference(res, domain, bounds, alpha) == expected
@@ -267,7 +289,7 @@ class TestNegLogLikelihood:
     def test_single_zero_residual_reduces_to_log_z(self):
         for alpha in [1.0, 0.0, -2.0]:
             lam = neg_log_likelihood([0.0], alpha, (-10, 10))
-            assert lam == pytest.approx(np.log(partition_z(alpha, (-10, 10))[0]))
+            assert lam == pytest.approx(np.log(partition_z(alpha, (-10, 10))))
 
     def test_doubling_residuals_doubles_objective(self, rng):
         res = np.abs(rng.standard_normal(40))
@@ -320,8 +342,8 @@ class TestGradLambda:
         g = grad_lambda(res, 0.7, (-10, 10))
         h = 1e-5
         z_term = (
-            np.log(partition_z(0.7 + h, (-10, 10))[0])
-            - np.log(partition_z(0.7 - h, (-10, 10))[0])
+            np.log(partition_z(0.7 + h, (-10, 10)))
+            - np.log(partition_z(0.7 - h, (-10, 10)))
         ) / (2 * h)
         assert g == pytest.approx(17.0 * z_term, rel=1e-4)
 

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -21,8 +23,8 @@ from robls.icp import (
     residuals_pt2pt,
     voxel_downsample,
 )
-from robls.se3 import Pose, exp_map, pose_error_norms, so3_exp
-from robls.weighting import RobustLoss
+from robls.se3 import Pose, exp_map, log_map, pose_error_norms, so3_exp
+from robls.weighting import ADAPTIVE_KINDS, RLF_KINDS, RobustLoss
 
 from conftest import PROPERTY
 
@@ -42,6 +44,28 @@ def corner_cloud(rng, n=1500, noise=0.0):
     if noise:
         pts = pts + noise * rng.standard_normal(pts.shape)
     return PointCloud(pts)
+
+
+def rod_and_corner(rng):
+    """The corner plus a rod 1 m above the floor, whose middle part has
+    collinear neighbourhoods and so invalid normals."""
+    rod = np.column_stack([np.linspace(-1.5, 1.5, 300), np.zeros(300), np.ones(300)])
+    return PointCloud(np.vstack([corner_cloud(rng, noise=0.005).points, rod]))
+
+
+def minimize_pt2plane_reference(transformed_source, errors, normals, weights, proj_var):
+    """The step with the Jacobian built by ``np.cross``; None when degenerate."""
+    g0 = np.einsum("ni,ni->n", normals, errors)
+    jac = np.empty((len(errors), 6))
+    jac[:, :3] = -np.cross(transformed_source, normals)
+    jac[:, 3:] = -normals
+    wf = weights / proj_var
+    a = jac.T @ (jac * wf[:, None])
+    b = -jac.T @ (wf * g0)
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[0] <= 0 or sv[-1] / sv[0] < 1e-12:
+        return None
+    return np.linalg.solve(a, b)
 
 
 class TestVoxelDownsample:
@@ -164,9 +188,10 @@ class TestAssociate:
         p = target[:300] + 0.05 * rng.standard_normal((300, 3))
         tree = cKDTree(target)
         memo: dict = {}
-        associate(p, tree, memo=memo)
-        queried_at = memo["ref"]
         moved = p + 1e-6
+        p.flags.writeable = moved.flags.writeable = False  # the memo never writes to them
+        associate(p, tree, memo=memo)
+        queried_at = memo["ref"].copy()  # the memo updates its arrays in place
         assert np.array_equal(associate(moved, tree, memo=memo), tree.query(moved)[1])
         # points still referenced to their old position were certified, not queried
         assert np.mean(np.all(memo["ref"] == queried_at, axis=1)) > 0.9
@@ -211,6 +236,23 @@ class TestResiduals:
             residuals_pt2pt(e, 0.02), residuals_pt2pt(e @ rot.T, 0.02)
         )
 
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 300),
+        scale=st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e160]),
+        zero_share=st.floats(0.0, 1.0),
+    )
+    def test_equals_the_summed_form(self, seed, n, scale, zero_share):
+        # (e0^2 + e1^2) + e2^2 is the order in which np.sum adds three
+        # components, so the norms agree bit for bit, underflow and overflow too.
+        rng = np.random.default_rng(seed)
+        e = scale * rng.standard_normal((n, 3))
+        e[rng.uniform(size=e.shape) < zero_share] = 0.0
+        with np.errstate(over="ignore"):
+            expected = np.sqrt(0.5 * np.sum(e * e, axis=-1) / 0.02)
+            assert np.array_equal(residuals_pt2pt(e, 0.02), expected)
+
 
 class TestMinimizePt2Plane:
     def test_recovers_normal_shift(self, rng):
@@ -254,6 +296,27 @@ class TestMinimizePt2Plane:
         a = minimize_pt2plane(pts, errors, normals, np.ones(300), 0.02)
         b = minimize_pt2plane(pts, errors, normals, np.full(300, 0.37), 0.02)
         assert np.allclose(a, b, atol=1e-12)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 300), axis_share=st.floats(0.0, 1.0))
+    def test_equals_the_cross_product_form(self, seed, n, axis_share):
+        # Axis-aligned normals and zero coordinates make exact zeros and
+        # exact cancellations in s x n, where another operation order shows.
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-2, 2, (n, 3))
+        pts[rng.uniform(size=pts.shape) < 0.5 * axis_share] = 0.0
+        normals = rng.standard_normal((n, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        axis = rng.uniform(size=n) < axis_share
+        normals[axis] = np.eye(3)[rng.integers(0, 3, axis.sum())] * rng.choice([-1.0, 1.0], (axis.sum(), 1))
+        errors = 0.05 * rng.standard_normal((n, 3))
+        weights = rng.uniform(0.0, 1.0, n)
+        expected = minimize_pt2plane_reference(pts, errors, normals, weights, 0.02)
+        if expected is None:
+            with pytest.raises(DegenerateGeometryError):
+                minimize_pt2plane(pts, errors, normals, weights, 0.02)
+        else:
+            assert np.array_equal(minimize_pt2plane(pts, errors, normals, weights, 0.02), expected)
 
 
 class TestIcpSolve:
@@ -330,6 +393,131 @@ class TestIcpSolve:
         cloud = corner_cloud(rng)
         with pytest.raises(ValueError):
             icp_solve(cloud, cloud, Pose.identity(), IcpConfig())
+
+
+class TestFoldedValidity:
+    """A correspondence whose target normal is invalid enters the step with
+    weight 0 instead of being masked out."""
+
+    def test_invalid_normals_give_the_masked_step(self, rng):
+        target = estimate_normals(voxel_downsample(rod_and_corner(rng), 0.1), 15)
+        source = voxel_downsample(rod_and_corner(rng), 0.1)
+        init = exp_map(np.array([0.01, -0.02, 0.015, 0.03, -0.02, 0.01]))
+        cfg = IcpConfig(rlf=RobustLoss("welsch"), max_iters=1)
+        cov_scale = 2.0 * cfg.grid**2
+        p = init.apply(source.points)
+        _, idx = cKDTree(target.points).query(p)
+        usable = target.normals_valid[idx]
+        assert np.sum(~usable) >= 10 and np.any(usable)  # the rod's strip is hit
+        e = target.points[idx] - p
+        wf = cfg.rlf.weights(residuals_pt2pt(e, cov_scale), n_e=3).weights ** cfg.weight_exponent
+        masked = minimize_pt2plane(
+            p[usable], e[usable], target.normals[idx[usable]], wf[usable], cov_scale
+        )
+        res = icp_solve(source, target, init, cfg)
+        assert np.abs(log_map(res.pose @ init.inverse()) - masked).max() <= 1e-12
+        assert res.trace[0]["step_phi"] == pytest.approx(np.linalg.norm(masked[:3]), abs=1e-12)
+        assert res.trace[0]["step_rho"] == pytest.approx(np.linalg.norm(masked[3:]), abs=1e-12)
+
+    def test_no_valid_normal_raises(self):
+        line = PointCloud(np.column_stack([np.linspace(0, 5, 200), np.zeros(200), np.ones(200)]))
+        target = estimate_normals(line, 15)
+        assert not np.any(target.normals_valid)
+        with pytest.raises(DegenerateGeometryError, match="valid normals"):
+            icp_solve(PointCloud(line.points + 0.01), target, Pose.identity(), IcpConfig())
+
+
+class TestSharedTree:
+    def test_one_build_serves_normals_and_every_solve(self, rng, monkeypatch):
+        builds = []
+
+        class CountingTree(cKDTree):
+            def __init__(self, *args, **kwargs):
+                builds.append(len(args[0]))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        target = estimate_normals(voxel_downsample(corner_cloud(rng, noise=0.005), 0.1), 15)
+        source = voxel_downsample(corner_cloud(rng, noise=0.005), 0.1)
+        init = exp_map(np.array([0.02, 0.01, -0.01, 0.06, -0.04, 0.02]))
+        cfg = IcpConfig(rlf=RobustLoss("adaptive_mb"))
+        first = icp_solve(source, target, init, cfg)
+        second = icp_solve(source, target, init, cfg)
+        assert builds == [len(target)]
+        fresh = PointCloud(target.points.copy(), target.normals.copy(), target.normals_valid.copy())
+        third = icp_solve(source, fresh, init, cfg)
+        assert len(builds) == 2
+        for res in (second, third):
+            assert res.trace == first.trace
+            assert np.array_equal(res.pose.matrix(), first.pose.matrix())
+
+    def test_points_freeze_when_the_tree_is_built(self, rng):
+        raw = rng.uniform(-1, 1, (50, 3))
+        cloud = PointCloud(raw)
+        tree = cloud.tree
+        assert cloud.tree is tree and tree.data is cloud.points
+        with pytest.raises(ValueError, match="read-only"):
+            cloud.points[0, 0] = 5.0
+        raw[0] = 5.0  # the array the cloud was made from no longer reaches it
+        assert np.all(cloud.points[0] < 1.0)
+        assert np.array_equal(associate(raw[1:], cloud.tree), np.arange(1, 50))
+
+    def test_new_points_get_a_new_tree(self, rng):
+        cloud = PointCloud(rng.uniform(-1, 1, (50, 3)))
+        old = cloud.tree
+        cloud.points = cloud.points[::-1]
+        assert cloud.tree is not old and cloud.tree.data is cloud.points
+        assert np.array_equal(associate(cloud.points, cloud.tree), np.arange(50))
+
+
+@lru_cache(maxsize=1)
+def invariance_clouds():
+    rng = np.random.default_rng(11)
+    target = estimate_normals(voxel_downsample(corner_cloud(rng, n=600, noise=0.005), 0.2), 15)
+    return voxel_downsample(corner_cloud(rng, n=600, noise=0.005), 0.2), target
+
+
+class TestSolverInvariance:
+    """The errors see the source only through the pose applied to it, and the
+    step perturbs the pose on the left, so moving the source by G and the
+    start by T0 G^-1 moves the solution by G^-1."""
+
+    @staticmethod
+    def _solve(source, target, init, config):
+        try:
+            return icp_solve(source, target, init, config)
+        except DegenerateGeometryError as exc:
+            return exc
+
+    @PROPERTY
+    @given(
+        kind=st.sampled_from(RLF_KINDS),
+        g=st.tuples(*[st.floats(-1.5, 1.5)] * 3, *[st.floats(-5.0, 5.0)] * 3),
+        start=st.tuples(*[st.floats(-0.05, 0.05)] * 3, *[st.floats(-0.15, 0.15)] * 3),
+    )
+    def test_moving_the_source_moves_the_solution(self, kind, g, start):
+        source, target = invariance_clouds()
+        big_g, init = exp_map(np.array(g)), exp_map(np.array(start))
+        config = IcpConfig(grid=0.2, max_iters=15, rlf=RobustLoss(kind))
+        base = self._solve(source, target, init, config)
+        moved = self._solve(
+            PointCloud(big_g.apply(source.points)), target, init @ big_g.inverse(), config
+        )
+        if isinstance(base, Exception) or isinstance(moved, Exception):
+            assert type(base) is type(moved)
+            return
+        if base.iterations != moved.iterations:
+            # a stop-test tie: one run's last step sits on a tolerance
+            k = min(base.iterations, moved.iterations) - 1
+            gaps = [abs(run.trace[k][f"step_{b}"] / tol - 1.0)
+                    for run in (base, moved) for b, tol in (("phi", config.tol_phi), ("rho", config.tol_rho))]
+            assert min(gaps) <= 1e-6
+            return
+        assert base.converged == moved.converged
+        # The alpha and Chi-shape searches stop within their step tolerances,
+        # which rounding can move; the other kinds agree to rounding.
+        tol = 1e-8 if kind in ADAPTIVE_KINDS else 1e-12
+        assert np.abs(log_map((base.pose @ big_g.inverse()).inverse() @ moved.pose)).max() <= tol
 
 
 class TestImports:
