@@ -154,7 +154,8 @@ def z_moments(alpha, bounds, halves=False):
     if _branch(alpha) == "general":
         r, dr, d2r = rho_alpha_derivs(x, alpha)
         wf, h = w * np.exp(-r), dr * dr - d2r
-        out = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m])) for m in ends]
+        out = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m]))
+               for m in ends]
     else:
         e = np.exp(-rho(x, alpha))
         out = [(float(w[:m] @ e[:m]), np.nan, np.nan) for m in ends]

@@ -105,7 +105,8 @@ class TestPartitionZ:
         # for Z alone and for the moments of the Newton evaluations.
         t = 40.0
         if derivs:
-            z1, z2 = np.array(z_moments(alpha, (-t, t))), np.array(z_moments(alpha, (-2.0 * t, 2.0 * t)))
+            z1 = np.array(z_moments(alpha, (-t, t)))
+            z2 = np.array(z_moments(alpha, (-2.0 * t, 2.0 * t)))
             whole = _whole_line(z_moments(alpha, (-2.0 * t, 2.0 * t), halves=True))
         else:
             z1, z2 = partition_z(alpha, (-t, t)), partition_z(alpha, (-2.0 * t, 2.0 * t))
@@ -239,7 +240,8 @@ def value_derivs_reference(residuals, domain, bounds, alpha):
     span = max(abs(bounds[0]), abs(bounds[1]))
     if domain.variant == "barron":
         t = max(span, 40.0)
-        clip, (z, dz, d2z) = (-t, t), _whole_line(z_moments(alpha, (-2.0 * t, 2.0 * t), halves=True))
+        clip = (-t, t)
+        z, dz, d2z = _whole_line(z_moments(alpha, (-2.0 * t, 2.0 * t), halves=True))
     else:
         clip, (z, dz, d2z) = bounds, z_moments(alpha, bounds)
     r, dr, d2r = rho_alpha_derivs(np.clip(residuals, *clip), alpha)

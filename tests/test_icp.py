@@ -300,15 +300,16 @@ class TestMinimizePt2Plane:
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 300), axis_share=st.floats(0.0, 1.0))
     def test_equals_the_cross_product_form(self, seed, n, axis_share):
-        # Axis-aligned normals and zero coordinates make exact zeros and
-        # exact cancellations in s x n, where another operation order shows.
+        # Axis-aligned normals and zero coordinates make exact zeros and exact
+        # cancellations in s x n; the step stays the np.cross form bit for bit.
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-2, 2, (n, 3))
         pts[rng.uniform(size=pts.shape) < 0.5 * axis_share] = 0.0
         normals = rng.standard_normal((n, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         axis = rng.uniform(size=n) < axis_share
-        normals[axis] = np.eye(3)[rng.integers(0, 3, axis.sum())] * rng.choice([-1.0, 1.0], (axis.sum(), 1))
+        signs = rng.choice([-1.0, 1.0], (axis.sum(), 1))
+        normals[axis] = np.eye(3)[rng.integers(0, 3, axis.sum())] * signs
         errors = 0.05 * rng.standard_normal((n, 3))
         weights = rng.uniform(0.0, 1.0, n)
         expected = minimize_pt2plane_reference(pts, errors, normals, weights, 0.02)
@@ -509,8 +510,9 @@ class TestSolverInvariance:
         if base.iterations != moved.iterations:
             # a stop-test tie: one run's last step sits on a tolerance
             k = min(base.iterations, moved.iterations) - 1
+            tols = (("phi", config.tol_phi), ("rho", config.tol_rho))
             gaps = [abs(run.trace[k][f"step_{b}"] / tol - 1.0)
-                    for run in (base, moved) for b, tol in (("phi", config.tol_phi), ("rho", config.tol_rho))]
+                    for run in (base, moved) for b, tol in tols]
             assert min(gaps) <= 1e-6
             return
         assert base.converged == moved.converged
