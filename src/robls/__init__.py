@@ -12,25 +12,18 @@ from .adaptive import (
     AlphaDomain,
     AlphaOptResult,
     optimize_alpha,
-    partition_z,
 )
 from .loss import (
     ALPHA_MIN,
-    FixedRlf,
-    fixed_weight,
     rho,
-    rho_alpha_derivs,
     var_trimmed_weights,
     weight,
 )
 from .mbfit import (
     MbFit,
     adaptive_mb_weights,
-    build_histogram,
     chi_quantile,
     fit_mb,
-    mb_pdf,
-    shift_residuals,
 )
 from .se3 import (
     Pose,
@@ -39,7 +32,6 @@ from .se3 import (
     pose_error_norms,
     sample_perturbation,
     so3_exp,
-    so3_log,
 )
 from .weighting import RLF_KINDS, RobustLoss, WeightResult
 

@@ -61,7 +61,6 @@ __all__ = [
     "CHEBROLU_DOMAIN",
     "TAU_MAX",
     "check_tau",
-    "partition_z",
     "minimize_bounded",
     "optimize_alpha",
 ]

@@ -269,7 +269,7 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     memo: dict = {}
 
     def linearize(pose):
-        p = source.points @ pose.rotation.T + pose.translation
+        p = pose.apply(source.points)
         idx = associate(p, tree, memo=memo)
         e = np.take(target.points, idx, axis=0) - p
 

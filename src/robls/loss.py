@@ -17,18 +17,14 @@ norms have their median near the Chi mode rather than at zero, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ALPHA_MIN",
     "BRANCH_TOL",
-    "FixedRlf",
     "rho",
     "weight",
-    "rho_alpha_derivs",
-    "fixed_weight",
     "var_trimmed_weights",
 ]
 
@@ -54,26 +50,6 @@ DEFAULT_TUNING = {
 
 VAR_TRIMMED_EXPONENT = 2.0
 VAR_TRIMMED_MIN_FRACTION = 0.4
-
-
-@dataclass(frozen=True)
-class FixedRlf:
-    """A fixed robust loss: kind plus tuning constant on sigma-scaled residuals."""
-
-    kind: str  # "cauchy" | "tukey" | "welsch" | "var_trimmed"
-    tuning_constant: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("cauchy", "tukey", "welsch", "var_trimmed"):
-            raise ValueError(f"unknown fixed RLF kind: {self.kind!r}")
-        if self.tuning_constant is not None and self.tuning_constant <= 0:
-            raise ValueError("tuning_constant must be positive")
-
-    @property
-    def c(self) -> float:
-        if self.tuning_constant is not None:
-            return self.tuning_constant
-        return DEFAULT_TUNING[self.kind]
 
 
 def _branch(alpha: float) -> str:
@@ -172,21 +148,23 @@ def rho_alpha_derivs(eps, alpha: float):
     return value, first, second
 
 
-def fixed_weight(rlf: FixedRlf, eps_scaled):
+def fixed_weight(kind: str, eps_scaled):
     """Weight of a fixed RLF on sigma-scaled residuals.
 
     Cauchy ``1/(1+(eps/c)^2)``; Tukey ``(1-(eps/c)^2)^2`` inside ``|eps|<c``,
-    0 outside; Welsch ``exp(-(eps/c)^2)``.
+    0 outside; Welsch ``exp(-(eps/c)^2)``; ``c`` is the kind's constant in
+    ``DEFAULT_TUNING``.
     """
-    x = np.abs(np.asarray(eps_scaled, dtype=float)) / rlf.c
-    if rlf.kind == "cauchy":
+    c = DEFAULT_TUNING.get(kind)
+    if c is None:
+        raise ValueError(f"fixed_weight does not handle kind {kind!r}")
+    x = np.abs(np.asarray(eps_scaled, dtype=float)) / c
+    if kind == "cauchy":
         return 1.0 / (1.0 + x * x)
-    if rlf.kind == "tukey":
+    if kind == "tukey":
         w = (1.0 - x * x) ** 2
         return np.where(x < 1.0, w, 0.0)
-    if rlf.kind == "welsch":
-        return np.exp(-x * x)
-    raise ValueError(f"fixed_weight does not handle kind {rlf.kind!r}")
+    return np.exp(-x * x)
 
 
 def var_trimmed_weights(residuals) -> np.ndarray:

@@ -26,14 +26,9 @@ from .loss import weight
 
 __all__ = [
     "MbFit",
-    "HistogramBins",
-    "ShiftedResiduals",
     "MbDiagnostics",
-    "mb_pdf",
     "chi_quantile",
-    "build_histogram",
     "fit_mb",
-    "shift_residuals",
     "adaptive_mb_weights",
 ]
 
@@ -113,22 +108,9 @@ class MbDiagnostics:
         }
 
 
-def mb_pdf(eps, a: float, n_e: int):
-    """Scaled-Chi density with shape ``a`` and ``n_e`` degrees of freedom.
-
-    At ``a = 1`` this is exactly the Chi density; the mode sits at
-    ``a * sqrt(n_e - 1)``.
-    """
-    if a <= 0:
-        raise ValueError("shape parameter a must be positive")
-    if n_e < 1:
-        raise ValueError("error dimension n_e must be >= 1")
-    eps = np.asarray(eps, dtype=float)
-    return eps ** (n_e - 1) * np.exp(-eps * eps / (2.0 * a * a)) / _chi_norm(a, n_e)
-
-
 def _chi_norm(a: float, n_e: int) -> float:
-    """Normalizer ``a^n_e 2^(n_e/2 - 1) Gamma(n_e/2)`` of :func:`mb_pdf`."""
+    """Normalizer ``a^n_e 2^(n_e/2 - 1) Gamma(n_e/2)`` of the scaled-Chi density
+    ``eps^(n_e - 1) exp(-eps^2 / (2 a^2))``, whose mode is ``a * sqrt(n_e - 1)``."""
     return a**n_e * 2.0 ** (0.5 * n_e - 1.0) * gamma(0.5 * n_e)
 
 
@@ -220,9 +202,11 @@ def _fit_criterion(hist: HistogramBins, n_e: int):
     return criterion
 
 
-def fit_mb(residuals, n_e: int, apply_threshold: bool = True, x0: float | None = None) -> MbFit:
+def fit_mb(residuals, n_e: int, x0: float | None = None) -> MbFit:
     """Fit the scaled-Chi shape to residual norms via the histogram criterion.
 
+    Residuals at or above the ``CHI_THRESHOLD_P`` quantile of Chi(``n_e``)
+    are dropped first; the histogram spans ``[0, quantile]``.
     Minimizes ``sum_k (q_k * (pdf(center_k) - q_k))^2`` over ``a`` in
     ``[A_LO, A_HI]`` by :func:`~robls.adaptive.minimize_bounded` on its
     analytic derivatives (the criterion of :func:`_fit_criterion`, built
@@ -235,15 +219,12 @@ def fit_mb(residuals, n_e: int, apply_threshold: bool = True, x0: float | None =
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ValueError("residual list must be nonempty")
-    upper = None
-    if apply_threshold:
-        thresh = chi_quantile(n_e, CHI_THRESHOLD_P)
-        r = r[r < thresh]
-        upper = thresh
+    thresh = chi_quantile(n_e, CHI_THRESHOLD_P)
+    r = r[r < thresh]
     if r.size == 0:
         return MbFit(1.0, n_e, float(np.sqrt(n_e - 1)), fallback=True)
     try:
-        hist = build_histogram(r, upper=upper)
+        hist = build_histogram(r, upper=thresh)
     except DegenerateHistogramError:
         return MbFit(1.0, n_e, float(np.sqrt(n_e - 1)), fallback=True)
 
@@ -289,7 +270,7 @@ def adaptive_mb_weights(
     if r.size == 0:
         raise ValueError("residual list must be nonempty")
 
-    fit = fit_mb(r, n_e, apply_threshold=True, x0=a_x0)
+    fit = fit_mb(r, n_e, x0=a_x0)
     mode = fit.mode
     capped = mode >= MODE_TAU_CAP * tau
     if capped:

@@ -118,7 +118,7 @@ def linearize_errors(
     ``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``, ``|r_i|`` is the
     Mahalanobis norm ``sqrt(e' Sigma^-1 e)``, ``j'j = H' Sigma^-1 H`` and
     ``j'r = H' Sigma^-1 e``.  The adjoint is read off ``(C, t) = T^-1 T~_i``
-    as ``[[C', 0], [-C' skew(t), C']]``.
+    as ``[[C', 0], [-C' t^, C']]``, ``t^`` the cross-product matrix of ``t``.
     """
     rt = pose.rotation.T
     inv = np.eye(4)

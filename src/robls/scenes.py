@@ -22,7 +22,7 @@ import numpy as np
 from .icp import PointCloud
 from .se3 import Pose, so3_exp
 
-__all__ = ["SCENE_KINDS", "OVERLAP_MIN", "OVERLAP_MAX", "generate_scene", "measure_overlap"]
+__all__ = ["SCENE_KINDS", "OVERLAP_MIN", "OVERLAP_MAX", "generate_scene"]
 
 SCENE_KINDS = ("structured", "semi", "unstructured")
 OVERLAP_MIN, OVERLAP_MAX = 0.4, 1.0  # accepted shared fraction of the two views
@@ -280,10 +280,3 @@ def generate_scene(
     source = PointCloud((source_world - source_origin) @ source_rot)  # = R^T (p - c)
     t_gt = Pose(source_rot, source_origin - target_origin)
     return source, target, t_gt
-
-
-def measure_overlap(source: PointCloud, target: PointCloud, t_gt: Pose, radius: float) -> float:
-    """Fraction of source points with a target point within ``radius`` at
-    the true alignment."""
-    d, _ = target.tree.query(t_gt.apply(source.points), distance_upper_bound=radius)
-    return float(np.mean(np.isfinite(d)))

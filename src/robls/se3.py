@@ -7,8 +7,10 @@ Twists are 6-vectors ordered ``(phi, rho)``: the attitude block comes FIRST
 opposite ``(rho, phi)`` ordering; check before mixing.  The 4x4 algebra
 element of a twist is::
 
-    [ skew(phi)  rho ]
-    [ 0  0  0    0  ]
+    [ phi^   rho ]
+    [ 0 0 0   0  ]
+
+with ``phi^`` the cross-product matrix of ``phi`` (``phi^ v = phi x v``).
 
 Logarithms are restricted to the principal branch: rotation angles at or
 beyond ``pi - 1e-6`` raise.
@@ -40,9 +42,7 @@ import numpy as np
 
 __all__ = [
     "Pose",
-    "skew",
     "so3_exp",
-    "so3_log",
     "exp_map",
     "log_map",
     "pose_error_norms",
@@ -115,13 +115,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4) or np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > 1e-9:
-            raise ValueError("expected a homogeneous 4x4 transform")
-        return cls(m[:3, :3], m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation
@@ -151,11 +144,6 @@ class Pose:
         return Pose(r, self.translation)
 
 
-def skew(v) -> np.ndarray:
-    x, y, z = np.asarray(v, dtype=float).reshape(3)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 # --- exp side: one twist, coefficients on Python floats -------------------
 
 def _exp_coefs(t2: float) -> tuple[float, float, float]:
@@ -180,7 +168,7 @@ def _exp_coefs(t2: float) -> tuple[float, float, float]:
 
 
 def _exp_parts(phi) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
-    """``skew(phi)``, its square and the :func:`_exp_coefs` of ``phi``."""
+    """``phi^``, its square and the :func:`_exp_coefs` of ``phi``."""
     x, y, z = np.asarray(phi, dtype=float).reshape(3).tolist()
     coefs = _exp_coefs(x * x + y * y + z * z)
     p = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])

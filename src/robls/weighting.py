@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mbfit
 from .adaptive import BARRON_DOMAIN, CHEBROLU_DOMAIN, check_tau, optimize_alpha
-from .loss import MAD_FLOOR, FixedRlf, fixed_weight, var_trimmed_weights, weight
+from .loss import MAD_FLOOR, fixed_weight, var_trimmed_weights, weight
 
 __all__ = [
     "RobustLoss",
@@ -72,15 +72,14 @@ class WeightResult:
 
 @dataclass(frozen=True)
 class RobustLoss:
-    """Selector for a robust loss: which kind, and its single tunable.
+    """Selector for a robust loss: which kind, and for the adaptive kernels
+    their truncation bound ``tau``.
 
-    ``tuning_constant`` applies to the fixed kernels (defaults are the
-    95%-efficiency constants); ``tau`` is the truncation bound of the
-    adaptive kernels.
+    The fixed kernels take their 95%-efficiency constants from
+    ``loss.DEFAULT_TUNING``.
     """
 
     kind: str = "adaptive_mb"
-    tuning_constant: float | None = None
     tau: float = 10.0
 
     def __post_init__(self):
@@ -119,7 +118,7 @@ class RobustLoss:
 
         if self.kind in ("cauchy", "tukey", "welsch"):
             scale = max(_median(r) / mbfit.chi_quantile(n_e, 0.5), MAD_FLOOR)
-            w = fixed_weight(FixedRlf(self.kind, self.tuning_constant), r / scale)
+            w = fixed_weight(self.kind, r / scale)
             return WeightResult(w, {"chi_sigma": scale})
 
         if self.kind == "var_trimmed":

@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from robls.adaptive import CHEBROLU_DOMAIN, _gl_rule, _Objective
 from robls.loss import _branch, rho, rho_alpha_derivs
-from robls.mbfit import HistogramBins, build_histogram, chi_quantile, mb_pdf
-from robls.se3 import skew
+from robls.mbfit import HistogramBins, _chi_norm, build_histogram, chi_quantile
 
 
 def rho_reference(eps, alpha):
@@ -66,6 +65,12 @@ def exp_coefs_reference(t2):
             total += term
         out.append(total)
     return out
+
+
+def skew(v):
+    """Cross-product matrix of a 3-vector: ``skew(v) @ u == np.cross(v, u)``."""
+    x, y, z = np.asarray(v, dtype=float).reshape(3)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def unskew(m):
@@ -133,6 +138,10 @@ def pose_check_reference(rotation, translation):
 # Fixed example sequence and no example database, so tier-1 runs repeat.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
+# For properties of whole solves: a falsifying example is reported as found,
+# unshrunk, since shrinking re-runs solves for minutes.
+SOLVE_PROPERTY = settings(PROPERTY, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
 
 def grid_search_alpha(residuals, bounds, lo=-50.0, hi=2.0, step=0.01,
                       domain=CHEBROLU_DOMAIN):
@@ -162,8 +171,22 @@ def z_moments(alpha, bounds, halves=False):
     return tuple(out) if halves else out[0]
 
 
+def mb_pdf(eps, a: float, n_e: int):
+    """Scaled-Chi density with shape ``a`` and ``n_e`` degrees of freedom.
+
+    At ``a = 1`` this is exactly the Chi density; the mode sits at
+    ``a * sqrt(n_e - 1)``.
+    """
+    if a <= 0:
+        raise ValueError("shape parameter a must be positive")
+    if n_e < 1:
+        raise ValueError("error dimension n_e must be >= 1")
+    eps = np.asarray(eps, dtype=float)
+    return eps ** (n_e - 1) * np.exp(-eps * eps / (2.0 * a * a)) / _chi_norm(a, n_e)
+
+
 def dmb_da(eps, a: float, n_e: int):
-    """Partial derivative of :func:`robls.mbfit.mb_pdf` in the shape parameter."""
+    """Partial derivative of :func:`mb_pdf` in the shape parameter."""
     eps = np.asarray(eps, dtype=float)
     return mb_pdf(eps, a, n_e) * (eps * eps / a**3 - n_e / a)
 

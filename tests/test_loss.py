@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from robls.loss import (
     ALPHA_MIN,
     BRANCH_TOL,
-    FixedRlf,
+    DEFAULT_TUNING,
     fixed_weight,
     rho,
     rho_alpha_derivs,
@@ -232,25 +232,23 @@ def test_tau_cap_named_and_accepted():
 
 class TestFixedWeight:
     def test_cauchy_at_zero(self):
-        assert fixed_weight(FixedRlf("cauchy"), 0.0) == pytest.approx(1.0)
+        assert fixed_weight("cauchy", 0.0) == pytest.approx(1.0)
 
     def test_tukey_support_boundary(self):
-        rlf = FixedRlf("tukey")
-        assert fixed_weight(rlf, rlf.c) == pytest.approx(0.0)
-        assert fixed_weight(rlf, rlf.c * 1.5) == 0.0
+        c = DEFAULT_TUNING["tukey"]
+        assert fixed_weight("tukey", c) == pytest.approx(0.0)
+        assert fixed_weight("tukey", c * 1.5) == 0.0
 
     def test_welsch_at_c(self):
-        rlf = FixedRlf("welsch")
-        assert fixed_weight(rlf, rlf.c) == pytest.approx(np.exp(-1.0))
+        assert fixed_weight("welsch", DEFAULT_TUNING["welsch"]) == pytest.approx(np.exp(-1.0))
 
     def test_default_tuning_constants(self):
-        assert FixedRlf("cauchy").c == pytest.approx(2.3849)
-        assert FixedRlf("tukey").c == pytest.approx(4.6851)
-        assert FixedRlf("welsch").c == pytest.approx(2.9846)
+        assert DEFAULT_TUNING == pytest.approx({"cauchy": 2.3849, "tukey": 4.6851, "welsch": 2.9846})
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            FixedRlf("huber")
+        for kind in ("huber", "var_trimmed"):
+            with pytest.raises(ValueError, match="does not handle"):
+                fixed_weight(kind, np.ones(3))
 
 
 class TestVarTrimmed:

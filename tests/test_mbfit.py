@@ -16,11 +16,10 @@ from robls.mbfit import (
     build_histogram,
     chi_quantile,
     fit_mb,
-    mb_pdf,
     shift_residuals,
 )
 
-from conftest import PROPERTY, dmb_da, fit_criterion_reference, grid_search_a
+from conftest import PROPERTY, dmb_da, fit_criterion_reference, grid_search_a, mb_pdf
 
 
 class TestMbPdf:
@@ -186,11 +185,11 @@ class TestFitMb:
             assert np.array_equal(got, want)
 
     def test_empty_after_threshold_falls_back(self):
-        fit = fit_mb(np.full(30, 50.0), 3, apply_threshold=True)
+        fit = fit_mb(np.full(30, 50.0), 3)
         assert fit.fallback and fit.a_star == 1.0
 
     def test_degenerate_falls_back(self):
-        fit = fit_mb(np.full(30, 0.5), 3, apply_threshold=False)
+        fit = fit_mb(np.full(30, 0.5), 3)  # 0.5 is below the threshold
         assert fit.fallback and fit.a_star == 1.0
 
 

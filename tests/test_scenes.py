@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from robls.icp import estimate_normals, voxel_downsample
-from robls.scenes import SCENE_KINDS, generate_scene, measure_overlap
+from robls.scenes import SCENE_KINDS, generate_scene
+
+
+def measure_overlap(source, target, t_gt, radius):
+    """Fraction of source points with a target point within ``radius`` at
+    the true alignment."""
+    d, _ = target.tree.query(t_gt.apply(source.points), distance_upper_bound=radius)
+    return float(np.mean(np.isfinite(d)))
 
 
 class TestGenerateScene:

@@ -16,7 +16,6 @@ from robls.se3 import (
     perturbation_sigma,
     pose_error_norms,
     sample_perturbation,
-    skew,
     so3_exp,
     so3_log,
 )
@@ -27,6 +26,7 @@ from conftest import (
     exp_coefs_reference,
     left_jacobian,
     pose_check_reference,
+    skew,
     vee,
     wedge,
 )
@@ -308,12 +308,6 @@ class TestSamplePerturbation:
 
 
 class TestPose:
-    def test_from_matrix_roundtrip(self, rng):
-        pose = exp_map(random_twist(rng))
-        again = Pose.from_matrix(pose.matrix())
-        assert np.allclose(again.rotation, pose.rotation)
-        assert np.allclose(again.translation, pose.translation)
-
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 1.5, np.zeros(3))
