@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.special import gamma
 
@@ -354,6 +354,8 @@ class TestSolverInvariance:
 
     # Skips shrinking (see conftest) under the decorator's own name, since
     # hypothesis derives the derandomized examples from the test's source.
+    # The explicit examples run whatever that source is; a right-invariant
+    # error fails each of them.
     PROPERTY = SOLVE_PROPERTY
 
     @staticmethod
@@ -365,6 +367,8 @@ class TestSolverInvariance:
 
     @pytest.mark.parametrize("kind", RLF_KINDS)
     @PROPERTY
+    @example(g=(0.5, -0.3, 0.8, 2.0, -1.0, 3.0), seed=7, level=0.2)
+    @example(g=(-1.2, 0.4, 0.1, -4.0, 2.5, 0.5), seed=1234, level=0.6)
     @given(
         g=st.tuples(*[st.floats(-1.5, 1.5)] * 3, *[st.floats(-5.0, 5.0)] * 3),
         seed=st.integers(0, 2**16),
