@@ -17,7 +17,7 @@ cross product of two rows of ``S - lam0 I``.  A normal is within about
 relative gap ``(lam1 - lam0) / lam2`` is at most ``NORMAL_GAP_TOL`` (1e-2,
 where that bound reaches 2.2e-12) goes to ``np.linalg.eigh`` instead: duplicate
 and collinear points, a zero scatter.  On the default icp-bench corpus that is
-0.07% of the rows, and every normal is within 3e-13 of LAPACK's.
+0.07% of the rows, and every normal is within 4e-13 rad of LAPACK's.
 
 Association returns exactly what a KD-tree query would, but ICP's late
 iterations move each source point far less than the gap between its nearest

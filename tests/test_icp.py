@@ -150,8 +150,8 @@ class TestEstimateNormals:
     @pytest.mark.parametrize("shape", ["duplicates", "line", "plane", "sphere"])
     def test_every_normal_is_a_unit_vector(self, shape, rng):
         # Invalid rows included: PointCloud requires finite normals, and the
-        # duplicates' zero scatter and the line's rank-1 scatter have no
-        # closed-form eigenvector.
+        # duplicates' zero scatter and the line's rank-1 scatter leave the
+        # closed-form eigenvector undefined.
         if shape == "duplicates":
             pts = np.repeat(rng.uniform(-1, 1, (10, 3)), 20, axis=0)
         elif shape == "line":
@@ -164,7 +164,10 @@ class TestEstimateNormals:
         out = estimate_normals(PointCloud(pts), 15)
         assert np.all(np.isfinite(out.normals))
         assert np.abs(np.linalg.norm(out.normals, axis=1) - 1.0).max() <= 1e-12
-        assert np.all(out.normals_valid) == (shape in ("plane", "sphere"))
+        if shape in ("plane", "sphere"):
+            assert np.all(out.normals_valid)
+        else:
+            assert not np.any(out.normals_valid)
 
 
 EPS = np.finfo(float).eps
