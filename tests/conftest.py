@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import Phase, settings
+from scipy.special import gammainc
 
 from robls.adaptive import CHEBROLU_DOMAIN, _gl_rule, _Objective
 from robls.loss import _branch, rho, rho_alpha_derivs
@@ -208,6 +209,25 @@ def fit_criterion_reference(hist: HistogramBins, a, n_e: int):
     d2p = p * (u * u - 3.0 * e2 / a**4 + n_e / a**2)
     diff = p - hist.density
     return (diff * diff) @ w, 2.0 * ((diff * dp) @ w), 2.0 * ((dp * dp + diff * d2p) @ w)
+
+
+def chi_quantile_reference(n_e: int, p: float) -> float:
+    """The Chi quantile by the bisection of :func:`robls.mbfit.chi_quantile`
+    on scipy's regularized incomplete gamma ``P(n_e/2, x^2/2)``."""
+    def cdf(x):
+        return float(gammainc(0.5 * n_e, 0.5 * x * x))
+
+    hi = float(n_e + 10.0)
+    while cdf(hi) < p:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def grid_search_a(residuals, n_e, lo=0.1, hi=5.0, step=0.005):

@@ -13,6 +13,7 @@ from robls.adaptive import (
     _SCAN_CHEBROLU,
     BARRON_DOMAIN,
     CHEBROLU_DOMAIN,
+    MAX_NEWTON_ITERS,
     Z_MEMO_SIZE,
     _Z_MEMO,
     _Objective,
@@ -460,6 +461,24 @@ class TestOptimizeAlpha:
         assert out.alpha_star == -np.inf
         assert out.objective == obj.value(out.alpha_star)
         assert 0.0 < out.objective - obj.value(ALPHA_MIN) <= 0.01
+
+    @pytest.mark.parametrize("domain", [BARRON_DOMAIN, CHEBROLU_DOMAIN])
+    def test_non_finite_objective_falls_back_to_the_grid(self, rng, monkeypatch, domain):
+        # No default run makes Lam or Lam' non-finite, so the Newton search is
+        # made to raise as it would; the grid refinement then picks alpha.
+        def non_finite(*args):
+            raise FloatingPointError("non-finite objective")
+
+        monkeypatch.setattr(adaptive, "minimize_bounded", non_finite)
+        res = np.concatenate([np.abs(rng.standard_normal(300)), rng.uniform(4, 9, 80)])
+        bounds = (-10.0, 10.0)
+        out = optimize_alpha(res, domain, bounds)
+        assert out.converged is False
+        assert out.iterations == MAX_NEWTON_ITERS
+        assert domain.lo <= out.alpha_star <= domain.hi
+        assert out.objective == _Objective(res, domain, bounds).value(out.alpha_star)
+        ref = grid_search_alpha(res, bounds, lo=domain.lo, domain=domain)
+        assert abs(out.alpha_star - ref) <= 0.05
 
 
 def _residual_set(n, outlier_share, inlier_scale, seed):

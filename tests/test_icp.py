@@ -643,18 +643,35 @@ class TestSolverInvariance:
         assert np.abs(log_map((base.pose @ big_g.inverse()).inverse() @ moved.pose)).max() <= tol
 
 
+def _run_fresh(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this ``robls``."""
+    src = str(Path(robls.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    return out.stdout.strip()
+
+
 class TestImports:
     def test_kd_tree_loaded_only_when_used(self):
         # scipy.spatial costs memory in every process that imports robls; only
-        # the functions that build a KD-tree import it.
+        # the functions that build a KD-tree (the ICP commands) import it, and
+        # they are the only importers of scipy at all (the next test).
         code = (
             "import importlib, pkgutil, sys, robls\n"
             "for m in pkgutil.iter_modules(robls.__path__):\n"
             "    importlib.import_module('robls.' + m.name)\n"
             "print('scipy.spatial' in sys.modules)\n"
         )
-        src = str(Path(robls.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert _run_fresh(code) == "False"
+
+    def test_robls_and_its_cli_load_no_scipy(self):
+        # The Chi normalizer and CDF of robls.mbfit are closed forms: importing
+        # scipy.special for them took about 200 ms of a 230 ms `import robls`.
+        code = (
+            "import importlib, pkgutil, sys, robls, robls.cli\n"
+            "for m in pkgutil.iter_modules(robls.__path__):\n"
+            "    importlib.import_module('robls.' + m.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert _run_fresh(code) == "[]"

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma, gammainc
 from scipy.stats import chi
 
 from robls.adaptive import CHEBROLU_DOMAIN, optimize_alpha
@@ -12,6 +15,9 @@ from robls.mbfit import (
     A_LO,
     A_SCAN,
     DegenerateHistogramError,
+    _chi_cdf,
+    _chi_norm,
+    _half_gamma,
     adaptive_mb_weights,
     build_histogram,
     chi_quantile,
@@ -19,7 +25,14 @@ from robls.mbfit import (
     shift_residuals,
 )
 
-from conftest import PROPERTY, dmb_da, fit_criterion_reference, grid_search_a, mb_pdf
+from conftest import (
+    PROPERTY,
+    chi_quantile_reference,
+    dmb_da,
+    fit_criterion_reference,
+    grid_search_a,
+    mb_pdf,
+)
 
 
 class TestMbPdf:
@@ -77,6 +90,58 @@ class TestChiQuantile:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             chi_quantile(3, 1.0)
+
+    @pytest.mark.parametrize("n_e", [3, 6])
+    @pytest.mark.parametrize("p", [0.5, 0.9973])
+    def test_bit_identical_to_incomplete_gamma_bisection(self, n_e, p):
+        assert chi_quantile(n_e, p) == chi_quantile_reference(n_e, p)
+
+    @pytest.mark.parametrize("n_e", [2.5, 3.0, True, np.float64(3.0), "3", 0, -2])
+    def test_non_integer_or_nonpositive_dof_rejected(self, n_e):
+        # The closed forms hold only for integer degrees of freedom; 3.0 must
+        # not hit the cache entry of 3.
+        chi_quantile(3, 0.5)
+        with pytest.raises(ValueError):
+            chi_quantile(n_e, 0.5)
+        with pytest.raises(ValueError):
+            _chi_norm(1.0, n_e)
+
+    def test_numpy_integer_dof_accepted(self):
+        assert chi_quantile(np.int64(3), 0.5) == chi_quantile(3, 0.5)
+        assert _chi_norm(1.0, np.int32(6)) == _chi_norm(1.0, 6)
+
+
+def chi_norm_reference(a, n_e):
+    return a**n_e * 2.0 ** (0.5 * n_e - 1.0) * gamma(0.5 * n_e)
+
+
+class TestChiClosedForms:
+    """The Chi normalizer and CDF against scipy.special."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_half_gamma_bit_identical(self, n):
+        # math.gamma(n / 2) is one ulp off at n = 3 and 5
+        assert _half_gamma(n) == gamma(0.5 * n)
+
+    @pytest.mark.parametrize("n_e", [3, 6])
+    def test_norm_bit_identical_where_the_commands_reach(self, n_e):
+        assert _chi_norm(1.0, n_e) == chi_norm_reference(1.0, n_e)
+
+    @pytest.mark.parametrize("n_e", range(1, 13))
+    def test_norm_within_two_ulp(self, n_e):
+        want = chi_norm_reference(1.0, n_e)
+        assert abs(_chi_norm(1.0, n_e) - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("n_e", range(1, 13))
+    def test_cdf_matches_incomplete_gamma_on_a_grid(self, n_e):
+        x = np.concatenate([np.linspace(0.0, 3.0 * (n_e + 4), 601), np.geomspace(1e-8, 1e3, 200)])
+        got = np.array([_chi_cdf(n_e, float(v)) for v in x])
+        assert np.abs(got - gammainc(0.5 * n_e, 0.5 * x * x)).max() <= 1e-14
+
+    @PROPERTY
+    @given(n_e=st.integers(1, 40), x=st.floats(0.0, 100.0))
+    def test_cdf_matches_incomplete_gamma(self, n_e, x):
+        assert abs(_chi_cdf(n_e, x) - gammainc(0.5 * n_e, 0.5 * x * x)) <= 1e-14
 
 
 class TestBuildHistogram:
