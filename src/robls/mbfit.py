@@ -48,6 +48,11 @@ A_SCAN.flags.writeable = False
 # means the scale model no longer describes the data.
 MODE_TAU_CAP = 0.9
 
+# Largest degrees of freedom of the closed forms.  The CDF recurrence starts
+# from exp(-x^2 / 2), which underflows past x = 38.6; up to 1000 degrees of
+# freedom the CDF there is 1 to double precision (about 6e-15 of scipy's).
+MAX_DOF = 1000
+
 
 class DegenerateHistogramError(ValueError):
     """All residuals identical: no usable histogram support."""
@@ -110,7 +115,8 @@ class MbDiagnostics:
 
 
 def _dof(n_e) -> int:
-    """``n_e`` as a positive ``int``; numpy integers pass, ``bool`` does not.
+    """``n_e`` as an ``int`` in ``[1, MAX_DOF]``; numpy integers pass, ``bool``
+    does not.
 
     The closed forms of :func:`_half_gamma` and :func:`_chi_cdf` hold only
     for integer degrees of freedom.
@@ -121,8 +127,8 @@ def _dof(n_e) -> int:
         n = operator.index(n_e)
     except TypeError:
         raise ValueError(f"n_e must be an integer, got {n_e!r}") from None
-    if n < 1:
-        raise ValueError("n_e must be >= 1")
+    if not 1 <= n <= MAX_DOF:
+        raise ValueError(f"n_e must lie in [1, {MAX_DOF}], got {n}")
     return n
 
 

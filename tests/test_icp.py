@@ -666,8 +666,8 @@ class TestImports:
         assert _run_fresh(code) == "False"
 
     def test_robls_and_its_cli_load_no_scipy(self):
-        # The Chi normalizer and CDF of robls.mbfit are closed forms: importing
-        # scipy.special for them took about 200 ms of a 230 ms `import robls`.
+        # scipy.special alone costs about 200 ms of import time in every robls
+        # process, so the Chi normalizer and CDF of robls.mbfit are closed forms.
         code = (
             "import importlib, pkgutil, sys, robls, robls.cli\n"
             "for m in pkgutil.iter_modules(robls.__path__):\n"

@@ -14,6 +14,7 @@ from robls.mbfit import (
     A_HI,
     A_LO,
     A_SCAN,
+    MAX_DOF,
     DegenerateHistogramError,
     _chi_cdf,
     _chi_norm,
@@ -96,7 +97,7 @@ class TestChiQuantile:
     def test_bit_identical_to_incomplete_gamma_bisection(self, n_e, p):
         assert chi_quantile(n_e, p) == chi_quantile_reference(n_e, p)
 
-    @pytest.mark.parametrize("n_e", [2.5, 3.0, True, np.float64(3.0), "3", 0, -2])
+    @pytest.mark.parametrize("n_e", [2.5, 3.0, True, np.float64(3.0), "3", 0, -2, MAX_DOF + 1])
     def test_non_integer_or_nonpositive_dof_rejected(self, n_e):
         # The closed forms hold only for integer degrees of freedom; 3.0 must
         # not hit the cache entry of 3.
@@ -109,6 +110,10 @@ class TestChiQuantile:
     def test_numpy_integer_dof_accepted(self):
         assert chi_quantile(np.int64(3), 0.5) == chi_quantile(3, 0.5)
         assert _chi_norm(1.0, np.int32(6)) == _chi_norm(1.0, 6)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9973])
+    def test_largest_dof_against_scipy(self, p):
+        assert chi_quantile(MAX_DOF, p) == pytest.approx(chi(MAX_DOF).ppf(p), abs=1e-7)
 
 
 def chi_norm_reference(a, n_e):
@@ -139,7 +144,7 @@ class TestChiClosedForms:
         assert np.abs(got - gammainc(0.5 * n_e, 0.5 * x * x)).max() <= 1e-14
 
     @PROPERTY
-    @given(n_e=st.integers(1, 40), x=st.floats(0.0, 100.0))
+    @given(n_e=st.integers(1, MAX_DOF), x=st.floats(0.0, 100.0))
     def test_cdf_matches_incomplete_gamma(self, n_e, x):
         assert abs(_chi_cdf(n_e, x) - gammainc(0.5 * n_e, 0.5 * x * x)) <= 1e-14
 
