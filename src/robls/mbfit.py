@@ -50,7 +50,8 @@ MODE_TAU_CAP = 0.9
 
 # Largest degrees of freedom of the closed forms.  The CDF recurrence starts
 # from exp(-x^2 / 2), which underflows past x = 38.6; up to 1000 degrees of
-# freedom the CDF there is 1 to double precision (about 6e-15 of scipy's).
+# freedom the CDF there is 1 to double precision, and it stays within about
+# 6e-15 of scipy.special.gammainc everywhere.
 MAX_DOF = 1000
 
 
@@ -171,8 +172,8 @@ def _chi_norm(a: float, n_e: int) -> float:
     """Normalizer ``a^n_e 2^(n_e/2 - 1) Gamma(n_e/2)`` of the scaled-Chi density
     ``eps^(n_e - 1) exp(-eps^2 / (2 a^2))``, whose mode is ``a * sqrt(n_e - 1)``.
 
-    ``Gamma`` in the closed form of :func:`_half_gamma`; a non-integer
-    ``n_e`` raises ``ValueError``.
+    ``Gamma`` in the closed form of :func:`_half_gamma`; an ``n_e`` that is
+    not an integer in ``[1, MAX_DOF]`` raises ``ValueError``.
     """
     n = _dof(n_e)
     return a**n * 2.0 ** (0.5 * n - 1.0) * _half_gamma(n)
@@ -183,8 +184,8 @@ def chi_quantile(n_e: int, p: float) -> float:
     """Inverse CDF of the Chi distribution with ``n_e`` degrees of freedom.
 
     Bisection on the closed-form CDF of :func:`_chi_cdf` to absolute
-    tolerance 1e-8.  ``n_e`` must be an integer (numpy integers pass, ``bool``
-    and floats raise ``ValueError``).
+    tolerance 1e-8.  ``n_e`` must be an integer in ``[1, MAX_DOF]`` (numpy
+    integers pass, ``bool`` and floats raise ``ValueError``).
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
