@@ -98,9 +98,9 @@ class TestChiQuantile:
         assert chi_quantile(n_e, p) == chi_quantile_reference(n_e, p)
 
     @pytest.mark.parametrize("n_e", [2.5, 3.0, True, np.float64(3.0), "3", 0, -2, MAX_DOF + 1])
-    def test_non_integer_or_nonpositive_dof_rejected(self, n_e):
-        # The closed forms hold only for integer degrees of freedom; 3.0 must
-        # not hit the cache entry of 3.
+    def test_non_integer_or_out_of_range_dof_rejected(self, n_e):
+        # The closed forms hold only for integer degrees of freedom up to
+        # MAX_DOF; 3.0 must not hit the cache entry of 3.
         chi_quantile(3, 0.5)
         with pytest.raises(ValueError):
             chi_quantile(n_e, 0.5)
