@@ -21,21 +21,23 @@ give ``Lam'`` and ``Lam''`` analytically.  :class:`_Objective` lays its rule
 once per fit, next to the clipped residuals, so that one
 :func:`~robls.loss.rho_alpha_derivs` pass over ``[nodes | residuals]`` yields
 the ``Z`` moments and the residual sums together.  The whole-line ``Z`` of the
-original variant is extrapolated from one pass over ``[-2T, 2T]`` whose first
-half of nodes is the rule on ``[-T, T]``.
+original variant is the bounds ``(-inf, inf)``: the rule on ``[0, T]`` plus
+the tail ``eps = T e^s`` laid in ``s``, the same for every tau.  Only the
+truncated passes grow with tau.
 
 ``Z`` depends on alpha and the bounds alone, never on the residuals, so one
 least-recently-used memo of ``Z_MEMO_SIZE`` passes, keyed by
-``(alpha, a, b, derivs, halves)``, serves both :func:`partition_z` (``Z``
-alone) and the Newton evaluations (the moments).  A pass is a pure function
-of its key, so a hit returns the objects of the first pass and every output
-stays bit-identical.  ``barron`` and ``chebrolu`` fix their bounds by tau, so
-every cold fit repeats the same scan, alpha = 2 check and ``-inf`` sentinel,
-and its first Newton evaluation sits at a scan point (or, warm, at the
-previous alpha*); those passes are computed once per process, and a Newton
-evaluation that hits passes over the residuals alone.  The bounds of
-``adaptive_mb``, ``(0, tau - mode)``, move with the fitted mode, so its
-evaluations almost never hit and store the moments of their fused pass.
+``(alpha, a, b, derivs)``, serves both :func:`partition_z` (``Z`` alone) and
+the Newton evaluations (the moments).  A pass is a pure function of its key,
+so a hit returns the objects of the first pass and every output stays
+bit-identical.  ``chebrolu`` fixes its bounds by tau and ``barron`` always
+takes the whole line, so every cold fit repeats the same scan, alpha = 2
+check and ``-inf`` sentinel, and its first Newton evaluation sits at a scan
+point (or, warm, at the previous alpha*); those passes are computed once per
+process, and a Newton evaluation that hits passes over the residuals alone.
+The bounds of ``adaptive_mb``, ``(0, tau - mode)``, move with the fitted
+mode, so its evaluations almost never hit and store the moments of their
+fused pass.
 
 This fit and the scaled-Chi shape fit of :mod:`robls.mbfit` both run on
 :func:`minimize_bounded`, a safeguarded Newton method on an interval.
@@ -65,11 +67,14 @@ __all__ = [
     "optimize_alpha",
 ]
 
-UNTRUNCATED_SPAN = 40.0  # half-width used to approximate the improper integral
+# Where the whole-line rule switches from panels in eps to panels in log eps,
+# and the half-width to which the original variant clips its residuals.
+UNTRUNCATED_SPAN = 40.0
 
-# Largest truncation bound tau.  The quadrature lays a fixed number of nodes
+# Largest truncation bound tau.  A truncated pass lays a fixed number of nodes
 # per unit of span, so its cost and memory grow linearly in tau: at this cap
-# one Barron pass over [-2 tau, 2 tau] holds 48k nodes.
+# one pass over [-tau, tau] holds 24k nodes.  The whole-line pass of the
+# original variant holds 1440 for every tau.
 TAU_MAX = 1000.0
 
 
@@ -103,7 +108,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 Z_MEMO_SIZE = 256
 
 # The Z memo, shared by partition_z and _Objective.value_derivs: key
-# (alpha, a, b, derivs, halves) -> Z alone (derivs False, from partition_z)
+# (alpha, a, b, derivs) -> Z alone (derivs False, from partition_z)
 # or the Z moments (derivs True, from value_derivs), oldest first.
 # The lock keeps each lookup-and-reorder or insert-and-evict whole.
 _Z_MEMO: OrderedDict = OrderedDict()
@@ -139,33 +144,43 @@ class AlphaOptResult:
     converged: bool
 
 
+def _panels(a: float, b: float, width: float, scale: float = 1.0):
+    """Nodes and weights of the 24-point rule on [a, b], panels at most ``width`` wide."""
+    panels = max(1, int(np.ceil((b - a) / width)))
+    half = 0.5 * (b - a) / panels
+    centers = a + half * (2.0 * np.arange(panels) + 1.0)
+    nodes = (centers[:, None] + half * _GL_NODES).ravel()
+    return nodes, np.tile(scale * half * _GL_WEIGHTS, panels)
+
+
 @lru_cache(maxsize=8)
-def _gl_rule(a: float, b: float, halves: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _gl_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on [a, b].
 
     The integrand is even in eps, so a symmetric interval folds onto [0, b]
-    with weight 2.  With ``halves`` the panels of the first half of the
-    (folded) interval are laid twice, so the first half of the nodes and
-    weights is exactly the rule of that half.
+    with weight 2.  The whole line ``(-inf, inf)`` folds onto the rule on
+    ``[0, T]``, ``T = UNTRUNCATED_SPAN``, followed by the tail
+    ``eps = T e^s`` for ``s`` in [0, 40], in panels 2 wide in ``s`` with
+    weights ``2 T e^s w_k``.  Past ``T e^40`` the slowest-decaying
+    integrand, ``2 / eps^2`` at alpha = 0, leaves under 1e-19 of ``Z``.
     """
     scale = 1.0
     if a == -b:
         a, scale = 0.0, 2.0
-    width = 0.5 * (a + b) - a if halves else b - a
-    panels = max(1, int(np.ceil(width / PANEL_WIDTH)))
-    half = 0.5 * width / panels
-    if halves:
-        panels *= 2
-    centers = a + half * (2.0 * np.arange(panels) + 1.0)
-    nodes = (centers[:, None] + half * _GL_NODES).ravel()
-    weights = np.tile(scale * half * _GL_WEIGHTS, panels)
+    whole_line = math.isinf(b)
+    nodes, weights = _panels(a, UNTRUNCATED_SPAN if whole_line else b, PANEL_WIDTH, scale)
+    if whole_line:
+        s, ws = _panels(0.0, 40.0, 2.0, scale)
+        tail = UNTRUNCATED_SPAN * np.exp(s)
+        nodes, weights = np.concatenate([nodes, tail]), np.concatenate([weights, tail * ws])
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
 def _checked_bounds(bounds) -> tuple[float, float]:
+    """Finite ``a < b``, or the whole line ``(-inf, inf)``."""
     a, b = float(bounds[0]), float(bounds[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    if (a, b) != (-math.inf, math.inf) and not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
     return a, b
 
@@ -188,67 +203,39 @@ def _memo_put(key, z):
     return z
 
 
-def partition_z(alpha, bounds: tuple[float, float], halves: bool = False):
+def partition_z(alpha, bounds: tuple[float, float]):
     """Normalization ``Z = integral of exp(-rho(eps, alpha))`` over bounds.
 
     One pass of a fixed composite 24-point Gauss-Legendre rule with panels
-    at most ``PANEL_WIDTH`` wide.  ``alpha`` may also be a 1-D array of
-    general-branch values, which returns their ``Z`` as an array from one
-    broadcast pass.  With ``halves`` the rule is built from the panels of
-    the first half of the (folded) interval laid twice, and the result is
-    the pair (over the first half, over the whole); for a symmetric
-    ``[-2T, 2T]`` the first half is ``[-T, T]``.  The alpha derivatives of
-    ``Z``, which only the Newton steps need, come from
+    at most ``PANEL_WIDTH`` wide; the bounds ``(-inf, inf)`` give the whole
+    line (see :func:`_gl_rule`), where ``Z`` is finite for alpha >= 0 only.
+    ``alpha`` may also be a 1-D array of general-branch values, which
+    returns their ``Z`` as an array from one broadcast pass.  The alpha
+    derivatives of ``Z``, which only the Newton steps need, come from
     :meth:`_Objective.value_derivs`.
 
     Passes are memoized in the least-recently-used memo of ``Z_MEMO_SIZE``
-    entries keyed by ``(alpha, a, b, False, halves)``, with alpha as a
-    float or, for the broadcast pass, a tuple of floats.  A repeated call
-    returns the objects of the first, bit-identical because the pass is a
-    pure function of its key; array results are read-only.
+    entries keyed by ``(alpha, a, b, False)``, with alpha as a float or, for
+    the broadcast pass, a tuple of floats.  A repeated call returns the
+    objects of the first, bit-identical because the pass is a pure function
+    of its key; array results are read-only.
     """
     a, b = _checked_bounds(bounds)
     alpha = float(alpha) if np.ndim(alpha) == 0 else tuple(np.asarray(alpha, dtype=float).tolist())
-    key = (alpha, a, b, False, bool(halves))
+    key = (alpha, a, b, False)
     z = _memo_get(key)
-    return _memo_put(key, _z_pass(alpha, a, b, bool(halves))) if z is None else z
+    return _memo_put(key, _z_pass(alpha, a, b)) if z is None else z
 
 
-def _z_pass(alpha, a: float, b: float, halves: bool):
+def _z_pass(alpha, a: float, b: float):
     """The unmemoized pass of :func:`partition_z`; a tuple ``alpha`` is a vector."""
-    x, w = _gl_rule(a, b, halves)
-    ends = (x.size // 2, x.size) if halves else (x.size,)
+    x, w = _gl_rule(a, b)
     if np.ndim(alpha) == 0 and _branch(alpha) != "general":
-        e = np.exp(-rho(x, alpha))
-        out = [float(w[:m] @ e[:m]) for m in ends]
-    else:
-        wf = w * np.exp(-_rho_general(x, np.asarray(alpha, dtype=float)[..., None]))
-        out = [wf[..., :m].sum(axis=-1) for m in ends]
-        if isinstance(alpha, tuple):
-            for z in out:
-                z.flags.writeable = False
-    return tuple(out) if halves else out[0]
-
-
-def _whole_line(halves):
-    """Extrapolated whole-line moments from the pair (over [-T, T], over [-2T, 2T])."""
-    z1, z2 = np.array(halves)
-    return 2.0 * z2 - z1
-
-
-def _untruncated_z(alpha, tau_span: float):
-    """Approximate normalization over the whole real line.
-
-    Takes the integrals over [-T, T] and [-2T, 2T] from one
-    :func:`partition_z` pass with ``halves`` and removes the leading 1/T
-    tail error by extrapolation; exact in the limit for the
-    slowest-decaying case (the Cauchy-like alpha = 0 member).  Returns what
-    :func:`partition_z` returns for ``alpha``.  For T = 40, which covers
-    every span up to 40, the [-T, T] half is the same rule as a separate
-    pass over [-T, T].
-    """
-    t = max(tau_span, UNTRUNCATED_SPAN)
-    return _whole_line(partition_z(alpha, (-2.0 * t, 2.0 * t), halves=True))
+        return float(w @ np.exp(-rho(x, alpha)))
+    z = (w * np.exp(-_rho_general(x, np.asarray(alpha, dtype=float)[..., None]))).sum(axis=-1)
+    if isinstance(alpha, tuple):
+        z.flags.writeable = False
+    return z
 
 
 class _Objective:
@@ -256,8 +243,8 @@ class _Objective:
 
     The quadrature rule of the domain is laid once, at construction, next to
     the clipped residuals: over the bounds for the truncated variant, over
-    ``[-2T, 2T]`` with halves for the original one (see
-    :func:`_untruncated_z`).
+    the whole line for the original one, whose residuals are clipped to
+    ``+-max(span, UNTRUNCATED_SPAN)``.
     """
 
     def __init__(self, residuals, domain: AlphaDomain, bounds: tuple[float, float]):
@@ -265,27 +252,20 @@ class _Objective:
         if r.size == 0:
             raise ValueError("residual list must be nonempty")
         self.domain = domain
-        self.span = max(abs(bounds[0]), abs(bounds[1]))
-        self.halves = domain.variant == "barron"
-        if self.halves:
-            t = max(self.span, UNTRUNCATED_SPAN)
-            bounds, z_bounds = (-t, t), (-2.0 * t, 2.0 * t)
+        if domain.variant == "barron":
+            t = max(abs(bounds[0]), abs(bounds[1]), UNTRUNCATED_SPAN)
+            bounds, z_bounds = (-t, t), (-math.inf, math.inf)
         else:
             z_bounds = bounds
         self.bounds = _checked_bounds(z_bounds)  # of the Z integral
         self.residuals = np.clip(r, bounds[0], bounds[1])
         self.n = r.size
-        nodes, self._weights = _gl_rule(*self.bounds, self.halves)
+        nodes, self._weights = _gl_rule(*self.bounds)
         self._points = np.concatenate([nodes, self.residuals])
 
-    def _z(self, alpha):
-        """``Z`` for this domain, without alpha derivatives."""
-        if self.halves:
-            return _untruncated_z(alpha, self.span)
-        return partition_z(alpha, self.bounds)
-
     def value(self, alpha: float) -> float:
-        return float(self.n * np.log(self._z(alpha)) + np.sum(rho(self.residuals, alpha)))
+        z = partition_z(alpha, self.bounds)
+        return float(self.n * np.log(z) + np.sum(rho(self.residuals, alpha)))
 
     def values(self, alphas) -> list[float]:
         """``Lam`` at each general-branch alpha, from one broadcast pass.
@@ -293,31 +273,29 @@ class _Objective:
         Bit-identical to calling :meth:`value` on each.
         """
         col = np.asarray(alphas, dtype=float)
-        z = self._z(col)
+        z = partition_z(col, self.bounds)
         sums = _rho_general(self.residuals, col[:, None]).sum(axis=1)
         return [float(self.n * np.log(zi) + si) for zi, si in zip(z, sums)]
 
     def value_derivs(self, alpha: float) -> tuple[float, float, float]:
         """``(Lam, dLam/dalpha, d2Lam/dalpha2)`` at a general-branch alpha.
 
-        The ``Z`` moments (Z, dZ/dalpha, d2Z/dalpha2, for both halves with
-        halves) come from the memo it shares with :func:`partition_z`, keyed
-        with ``derivs`` True; on a miss one pass over the nodes and the
-        residuals together computes them, and the memo keeps them.
+        The ``Z`` moments (Z, dZ/dalpha, d2Z/dalpha2) come from the memo it
+        shares with :func:`partition_z`, keyed with ``derivs`` True; on a
+        miss one pass over the nodes and the residuals together computes
+        them, and the memo keeps them.
         """
-        key = (float(alpha), *self.bounds, True, self.halves)
-        z = _memo_get(key)
-        if z is None:
+        key = (float(alpha), *self.bounds, True)
+        moments = _memo_get(key)
+        if moments is None:
             r, dr, d2r = rho_alpha_derivs(self._points, alpha)
             k = self._weights.size
             wf, h = self._weights * np.exp(-r[:k]), dr[:k] * dr[:k] - d2r[:k]
-            z = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m]))
-                 for m in ((k // 2, k) if self.halves else (k,))]
-            z = _memo_put(key, tuple(z) if self.halves else z[0])
+            moments = _memo_put(key, (float(wf.sum()), float(-(wf @ dr[:k])), float(wf @ h)))
             r, dr, d2r = r[k:], dr[k:], d2r[k:]
         else:
             r, dr, d2r = rho_alpha_derivs(self.residuals, alpha)
-        z, dz, d2z = _whole_line(z) if self.halves else z
+        z, dz, d2z = moments
         g = dz / z
         return (
             float(self.n * np.log(z) + r.sum()),

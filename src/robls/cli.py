@@ -66,6 +66,14 @@ def _tau(text: str) -> float:
     return value
 
 
+def _n_e(text: str) -> int:
+    value = int(text)
+    try:
+        return mbfit._dof(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _overlap(text: str) -> float:
     value = float(text)
     if not OVERLAP_MIN <= value <= OVERLAP_MAX:
@@ -176,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-mb", help="fit the residual-norm model and report weights")
     p.add_argument("--input", required=True, help="residual file (or - for stdin)")
-    p.add_argument("--n-e", type=_positive_int, default=3, help="error dimension")
+    p.add_argument("--n-e", type=_n_e, default=3, help="error dimension")
     p.add_argument("--tau", type=_tau, default=10.0, help="truncation bound")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_fit_mb)
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rlf", required=True, choices=RLF_KINDS)
     p.add_argument("--input", required=True, help="residual file (or - for stdin)")
     p.add_argument(
-        "--n-e", type=_positive_int, default=3,
+        "--n-e", type=_n_e, default=3,
         help="error dimension: the Chi model of adaptive_mb and the scale of cauchy/tukey/welsch",
     )
     p.add_argument("--tau", type=_tau, default=10.0)

@@ -102,17 +102,9 @@ class MbDiagnostics:
     below_mode_violations: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "a_star": self.a_star,
-            "mode": self.mode,
-            "alpha_star": self.alpha_star,
-            "inlier_fraction": self.inlier_fraction,
-            "fit_fallback": self.fit_fallback,
-            "mode_capped": self.mode_capped,
-            "alpha_converged": self.alpha_converged,
-            "below_mode": self.below_mode,
-            "below_mode_violations": self.below_mode_violations,
-        }
+        # Every field is a scalar, so a shallow copy; dataclasses.asdict deep
+        # copies each one, about 20 us of every adaptive_mb weights call.
+        return dict(vars(self))
 
 
 def _dof(n_e) -> int:

@@ -93,8 +93,6 @@ class TrialSpec:
     seed: int
     n_inliers: int = 20
     outlier_fraction: float = 0.0
-    inlier_cov: np.ndarray | None = None   # defaults to default_measurement_cov()
-    init_cov: np.ndarray | None = None     # defaults to the inlier covariance
     outlier_phi_max: float = np.deg2rad(60.0)   # per rotation-vector component
     outlier_r_max: float = 1.0                  # per translation component [m]
 
@@ -209,14 +207,14 @@ def n_outliers(spec: TrialSpec) -> int:
 def generate_trial(spec: TrialSpec) -> tuple[list[PoseMeasurement], Pose, Pose]:
     """Measurements, initialization, and ground truth (identity) for one trial.
 
-    Inliers are ``exp(dxi)`` with Gaussian twists; outliers are built from
-    per-component uniform rotation vectors and translations.  Draw order is
-    fixed: inlier twists, outlier rotations, outlier translations, then the
-    initialization twist.
+    Inliers are ``exp(dxi)`` with Gaussian twists of covariance
+    :func:`default_measurement_cov`, which the initialization twist shares;
+    outliers are built from per-component uniform rotation vectors and
+    translations.  Draw order is fixed: inlier twists, outlier rotations,
+    outlier translations, then the initialization twist.
     """
     rng = np.random.default_rng(spec.seed)
-    r_cov = default_measurement_cov() if spec.inlier_cov is None else np.asarray(spec.inlier_cov)
-    p_cov = r_cov if spec.init_cov is None else np.asarray(spec.init_cov)
+    r_cov = default_measurement_cov()
     chol = np.linalg.cholesky(r_cov)
 
     measurements = []
@@ -229,5 +227,5 @@ def generate_trial(spec: TrialSpec) -> tuple[list[PoseMeasurement], Pose, Pose]:
         r = rng.uniform(-spec.outlier_r_max, spec.outlier_r_max, 3)
         measurements.append(PoseMeasurement(Pose(so3_exp(phi), r), r_cov))
 
-    init = exp_map(np.linalg.cholesky(p_cov) @ rng.standard_normal(ERROR_DIM))
+    init = exp_map(chol @ rng.standard_normal(ERROR_DIM))
     return measurements, init, Pose.identity()

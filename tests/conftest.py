@@ -153,23 +153,17 @@ def grid_search_alpha(residuals, bounds, lo=-50.0, hi=2.0, step=0.01,
     return float(grid[int(np.argmin(values))])
 
 
-def z_moments(alpha, bounds, halves=False):
+def z_moments(alpha, bounds):
     """``(Z, dZ/dalpha, d2Z/dalpha2)`` over ``bounds`` on the quadrature rule
     of :func:`robls.adaptive.partition_z`, in the order in which the alpha
     fit's Newton evaluations sum them; the derivatives are NaN on the limit
-    branches (alpha = 2, 0 and -inf).  With ``halves`` the pair (first half
-    of the rule, all of it), as ``partition_z`` gives it."""
-    x, w = _gl_rule(float(bounds[0]), float(bounds[1]), halves)
-    ends = (x.size // 2, x.size) if halves else (x.size,)
+    branches (alpha = 2, 0 and -inf)."""
+    x, w = _gl_rule(float(bounds[0]), float(bounds[1]))
     if _branch(alpha) == "general":
         r, dr, d2r = rho_alpha_derivs(x, alpha)
-        wf, h = w * np.exp(-r), dr * dr - d2r
-        out = [(float(wf[:m].sum()), float(-(wf[:m] @ dr[:m])), float(wf[:m] @ h[:m]))
-               for m in ends]
-    else:
-        e = np.exp(-rho(x, alpha))
-        out = [(float(w[:m] @ e[:m]), np.nan, np.nan) for m in ends]
-    return tuple(out) if halves else out[0]
+        wf = w * np.exp(-r)
+        return float(wf.sum()), float(-(wf @ dr)), float(wf @ (dr * dr - d2r))
+    return float(w @ np.exp(-rho(x, alpha))), np.nan, np.nan
 
 
 def mb_pdf(eps, a: float, n_e: int):

@@ -16,9 +16,8 @@ from robls.adaptive import (
     MAX_NEWTON_ITERS,
     Z_MEMO_SIZE,
     _Z_MEMO,
+    _gl_rule,
     _Objective,
-    _untruncated_z,
-    _whole_line,
     _z_pass,
     minimize_bounded,
     optimize_alpha,
@@ -32,6 +31,7 @@ from conftest import PROPERTY, grid_search_alpha, z_moments
 ALPHAS = st.one_of(st.sampled_from([2.0, 0.0, -np.inf, ALPHA_MIN]), st.floats(-200.0, 2.0))
 BOUNDS = st.one_of(st.floats(0.05, 90.0).map(lambda t: (-t, t)),
                    st.floats(0.02, 90.0).map(lambda t: (0.0, t)))
+WHOLE_LINE = (-np.inf, np.inf)
 
 
 def neg_log_likelihood(residuals, alpha, bounds):
@@ -93,41 +93,59 @@ class TestPartitionZ:
             assert d2z == pytest.approx(fd, rel=1e-6)
 
     @PROPERTY
-    @given(alpha=ALPHAS, bounds=BOUNDS)
+    @given(alpha=ALPHAS, bounds=st.one_of(BOUNDS, st.just(WHOLE_LINE)))
     def test_z_only_pass_is_bit_identical(self, alpha, bounds):
         # Z as the scan sees it equals Z as the Newton evaluations sum it.
         assert partition_z(alpha, bounds) == z_moments(alpha, bounds)[0]
 
-    @PROPERTY
-    @given(alpha=st.one_of(st.sampled_from([2.0, 0.0]), st.floats(0.0, 2.0)),
-           tau=st.floats(0.01, 40.0), derivs=st.booleans())
-    def test_shared_barron_rule_is_bit_identical_to_two_passes(self, alpha, tau, derivs):
-        # Up to T = 40 the first half of the [-2T, 2T] rule is the [-T, T] rule,
-        # for Z alone and for the moments of the Newton evaluations.
-        t = 40.0
-        if derivs:
-            z1 = np.array(z_moments(alpha, (-t, t)))
-            z2 = np.array(z_moments(alpha, (-2.0 * t, 2.0 * t)))
-            whole = _whole_line(z_moments(alpha, (-2.0 * t, 2.0 * t), halves=True))
-        else:
-            z1, z2 = partition_z(alpha, (-t, t)), partition_z(alpha, (-2.0 * t, 2.0 * t))
-            whole = _untruncated_z(alpha, tau)
-        assert np.array_equal(whole, 2.0 * z2 - z1, equal_nan=True)
-
     @pytest.mark.parametrize(
         "alpha", [2.0 - 4 * BRANCH_TOL, 4 * BRANCH_TOL, 1.5, 0.7, -8.0, ALPHA_MIN]
     )
-    def test_shared_rule_matches_adaptive_quad_beyond_forty(self, alpha):
-        # Above T = 40 the [-2T, 2T] rule is the [-T, T] panels laid twice.
-        t = 45.3
-        halves = z_moments(alpha, (-2.0 * t, 2.0 * t), halves=True)
-        for (z, dz, _), span in zip(halves, (t, 2.0 * t)):
+    def test_fixed_rule_matches_adaptive_quad_beyond_forty(self, alpha):
+        # Truncated rules past the bounds of test_fixed_rule_matches_adaptive_quad.
+        for span in (45.3, 90.6):
+            z, dz, _ = z_moments(alpha, (-span, span))
             ref_z, _ = quad(lambda x: np.exp(-rho(x, alpha)), -span, span,
                             epsabs=1e-12, limit=400)
             ref_dz, _ = quad(lambda x: -np.exp(-rho(x, alpha)) * rho_alpha_derivs(x, alpha)[1],
                              -span, span, epsabs=1e-12, limit=400)
             assert abs(np.log(z) - np.log(ref_z)) <= 1e-10
             assert abs(dz - ref_dz) / ref_z <= 1e-8
+
+    # Near alpha = 0 the derivative integrands carry the cancellation noise of
+    # rho_alpha_derivs, which quad reports as roundoff; the tolerances absorb it.
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("alpha", [4 * BRANCH_TOL, 1e-3, 0.01, 0.1, 0.5, 1.5])
+    def test_barron_whole_line_moments_match_adaptive_quad(self, alpha):
+        # With one residual at 0, Barron's objective is Lam = log Z, Lam' = Z'/Z
+        # and Lam'' = Z''/Z - (Z'/Z)^2 for the Z of the whole real line.  The
+        # reference is quad on [0, inf) in s = log eps, where even the
+        # Cauchy-like integrand decays like e^-s: what lies outside
+        # s in [-40, 200] is below 1e-17 of Z.
+        lam, g, h = _Objective([0.0], BARRON_DOMAIN, (-10.0, 10.0)).value_derivs(alpha)
+        z = np.exp(lam)
+
+        def moment(k):
+            def f(s):
+                e = np.exp(s)
+                r, dr, d2r = rho_alpha_derivs(e, alpha)
+                return e * np.exp(-r) * (1.0, -dr, dr * dr - d2r)[k]
+            cuts = (-40.0, 0.0, np.log(40.0), 20.0, 60.0, 200.0)
+            return 2.0 * sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                             for lo, hi in zip(cuts, cuts[1:]))
+
+        ref_z, ref_dz, ref_d2z = (moment(k) for k in range(3))
+        assert z == pytest.approx(ref_z, rel=1e-12)
+        assert g * z == pytest.approx(ref_dz, rel=1e-10)
+        assert (h + g * g) * z == pytest.approx(ref_d2z, rel=1e-6)
+
+    def test_whole_line_rule_is_the_same_for_every_tau(self):
+        # Barron's Z is over the whole line for every tau; only its residual clip follows tau.
+        for tau in (0.5, 40.0, 90.0, 999.0):
+            obj = _Objective([0.3, 1.7, 95.0], BARRON_DOMAIN, (-tau, tau))
+            assert obj.bounds == WHOLE_LINE
+            assert obj.residuals.max() == min(95.0, max(tau, 40.0))
+        assert _gl_rule(*WHOLE_LINE)[0].size == 1440
 
     def test_limit_branches_have_no_derivatives(self):
         # Z exists on the limit branches; its alpha derivatives do not, and
@@ -155,18 +173,13 @@ def _same(x, y) -> bool:
 class TestPartitionZMemo:
     @PROPERTY
     @given(alpha=st.one_of(ALPHAS, st.lists(GENERAL_ALPHAS, min_size=1, max_size=4)),
-           bounds=BOUNDS)
+           bounds=st.one_of(BOUNDS, st.just(WHOLE_LINE)))
     def test_memo_returns_the_uncached_pass(self, alpha, bounds):
-        # Both halves variants of one alpha and bounds, so a key missing the
-        # flag hands one variant the result of the other.
-        uncached = {}
-        for halves in (False, True):
-            _Z_MEMO.clear()
-            uncached[halves] = partition_z(alpha, bounds, halves)
         _Z_MEMO.clear()
-        for _ in range(2):  # the first call of each variant, then a repeated one
-            for halves in (False, True):
-                assert _same(partition_z(alpha, bounds, halves), uncached[halves])
+        uncached = partition_z(alpha, bounds)
+        _Z_MEMO.clear()
+        for _ in range(2):  # the first call, then a repeated one
+            assert _same(partition_z(alpha, bounds), uncached)
 
     @PROPERTY
     @given(alpha=GENERAL_ALPHAS, tau=st.floats(0.05, 90.0),
@@ -183,14 +196,11 @@ class TestPartitionZMemo:
             assert obj.value(alpha) == lam
             assert obj.value_derivs(alpha) == lam_derivs
 
-    @pytest.mark.parametrize("halves", [False, True])
-    def test_vector_results_are_read_only(self, halves):
+    def test_vector_results_are_read_only(self):
         _Z_MEMO.clear()
         for _ in range(2):
-            out = partition_z([1.5, -0.5, -8.0], (-3.0, 3.0), halves=halves)
-            for z in out if halves else (out,):
-                with pytest.raises(ValueError, match="read-only"):
-                    z[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                partition_z([1.5, -0.5, -8.0], (-3.0, 3.0))[0] = 1.0
 
     def test_size_stays_within_the_bound(self):
         _Z_MEMO.clear()
@@ -205,7 +215,7 @@ class TestPartitionZMemo:
         # a key evicted between a hit and its reordering raises KeyError.
         monkeypatch.setattr(adaptive, "Z_MEMO_SIZE", 4)
         alphas = np.linspace(-3.0, 1.5, 6)
-        expected = {float(a): _z_pass(float(a), 0.0, 0.5, False) for a in alphas}
+        expected = {float(a): _z_pass(float(a), 0.0, 0.5) for a in alphas}
         _Z_MEMO.clear()
         wrong = []
 
@@ -235,14 +245,11 @@ class TestPartitionZMemo:
 
 def value_derivs_reference(residuals, domain, bounds, alpha):
     """Lam and its alpha derivatives as two passes: the ``Z`` moments on the
-    rule of :func:`partition_z` (extrapolated as :func:`_untruncated_z` does
-    for the whole line) and the sums of :func:`rho_alpha_derivs` over the
-    clipped residuals."""
-    span = max(abs(bounds[0]), abs(bounds[1]))
+    rule of :func:`partition_z` (over the whole line for Barron) and the sums
+    of :func:`rho_alpha_derivs` over the clipped residuals."""
     if domain.variant == "barron":
-        t = max(span, 40.0)
-        clip = (-t, t)
-        z, dz, d2z = _whole_line(z_moments(alpha, (-2.0 * t, 2.0 * t), halves=True))
+        t = max(abs(bounds[0]), abs(bounds[1]), 40.0)
+        clip, (z, dz, d2z) = (-t, t), z_moments(alpha, WHOLE_LINE)
     else:
         clip, (z, dz, d2z) = bounds, z_moments(alpha, bounds)
     r, dr, d2r = rho_alpha_derivs(np.clip(residuals, *clip), alpha)

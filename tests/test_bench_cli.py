@@ -6,6 +6,7 @@ import pytest
 
 from robls import bench
 from robls.cli import main
+from robls.mbfit import MAX_DOF
 
 
 def read_csv(path):
@@ -112,7 +113,7 @@ class TestCli:
                              ids=["fit-mb", "weights"])
     @pytest.mark.parametrize("option", [["--tau", "0"], ["--tau", "-2"], ["--tau", "nan"],
                                         ["--tau", "inf"], ["--tau", "1000.5"], ["--tau", "1e6"],
-                                        ["--n-e", "0"], ["--n-e", "-3"]])
+                                        ["--n-e", "0"], ["--n-e", "-3"], ["--n-e", "1001"]])
     def test_rejects_bad_tau_and_n_e_as_usage_errors(self, tmp_path, capsys, command, option):
         res_file = tmp_path / "resid.txt"
         res_file.write_text("0.5 1.0 2.0\n")
@@ -121,6 +122,14 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {option[0]}:" in err
+
+    def test_accepts_n_e_up_to_max_dof(self, tmp_path):
+        res_file = tmp_path / "resid.txt"
+        res_file.write_text("0.5 1.0 2.0\n")
+        out_file = tmp_path / "weights.json"
+        main(["weights", "--rlf", "welsch", "--input", str(res_file), "--n-e", str(MAX_DOF),
+              "--out", str(out_file)])
+        assert len(json.loads(out_file.read_text())["weights"]) == 3
 
     @pytest.mark.parametrize("command", ["pose-avg-bench", "icp-bench"])
     @pytest.mark.parametrize("option", [["--trials", "0"], ["--trials", "-2"],
