@@ -12,10 +12,10 @@ normalizes over a bounded interval and admits ``alpha`` down to the
 Welsch-like limit.
 
 Every ``Z`` is one pass of a fixed composite Gauss-Legendre rule.  The
-coarse start scan, the alpha = 2 check, the ``-inf`` sentinel and the grid
-fallback need ``Z`` alone and take it from :func:`partition_z`; the scan
-evaluates all of its general-branch points in one broadcast pass, with alpha
-as a column, bit-identical to evaluating them one at a time.  Only the Newton
+coarse start scan, the alpha = 2 check and the ``-inf`` sentinel need ``Z``
+alone and take it from :func:`partition_z`; the scan evaluates all of its
+general-branch points in one broadcast pass, with alpha as a column,
+bit-identical to evaluating them one at a time.  Only the Newton
 steps of :func:`minimize_bounded` need the alpha derivatives of ``Z``, which
 give ``Lam'`` and ``Lam''`` analytically.  :class:`_Objective` lays its rule
 once per fit, next to the clipped residuals, so that one
@@ -40,12 +40,16 @@ mode, so its evaluations almost never hit and store the moments of their
 fused pass.
 
 This fit and the scaled-Chi shape fit of :mod:`robls.mbfit` both run on
-:func:`minimize_bounded`, a safeguarded Newton method on an interval.
+:func:`minimize_bounded`, a safeguarded Newton method on an interval, and
+the inputs each accepts keep its objective finite: here the truncation bound
+``tau`` lies in ``[TAU_MIN, TAU_MAX]`` (:func:`check_tau`), and the residuals
+are clipped to the bounds.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
@@ -62,6 +66,7 @@ __all__ = [
     "BARRON_DOMAIN",
     "CHEBROLU_DOMAIN",
     "TAU_MAX",
+    "TAU_MIN",
     "check_tau",
     "minimize_bounded",
     "optimize_alpha",
@@ -77,12 +82,19 @@ UNTRUNCATED_SPAN = 40.0
 # original variant holds 1440 for every tau.
 TAU_MAX = 1000.0
 
+# Smallest truncation bound tau: the smallest normal float.  Below it the
+# weights of the rule on [-tau, tau] lose their precision; at tau = 1e-323 all
+# of them round to zero, so Z = 0 and Lam' divides by it, and the mode of
+# adaptive_mb, capped at MODE_TAU_CAP * tau, rounds up to tau itself.
+TAU_MIN = sys.float_info.min
+
 
 def check_tau(tau: float) -> None:
-    """Raise ``ValueError`` unless ``0 < tau <= TAU_MAX``."""
-    if not 0.0 < tau <= TAU_MAX:
+    """Raise ``ValueError`` unless ``TAU_MIN <= tau <= TAU_MAX``."""
+    if not TAU_MIN <= tau <= TAU_MAX:
         raise ValueError(
-            f"truncation bound tau must be positive and finite, at most {TAU_MAX:g}, got {tau}"
+            f"truncation bound tau must be positive and finite, at least {TAU_MIN!r} "
+            f"and at most {TAU_MAX:g}, got {tau}"
         )
 
 # Panel width of the composite 24-point Gauss-Legendre rule.  At 1.0, for
@@ -323,7 +335,8 @@ def minimize_bounded(f: Callable[[float], tuple[float, float, float]], lo: float
 
     Returns ``(x, f(x), iterations, converged)``, converged once a move or the
     bracket is shorter than ``tol(x)`` or no step lowers ``f``.  Raises
-    ``FloatingPointError`` if ``f`` or ``f'`` is not finite.
+    ``FloatingPointError`` if ``f`` or ``f'`` is not finite, which the input
+    checks of both fits rule out.
     """
 
     def evaluate(x):
@@ -371,18 +384,6 @@ _SCAN_CHEBROLU = (2.0, 1.5, 1.0, 0.5, 0.05, -0.05, -0.5, -1.0, -2.0, -3.5,
 _SCAN_BARRON = (2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5, 0.25, 0.1, 0.005)
 
 
-def _grid_refine(obj: _Objective) -> float:
-    """Fallback minimizer: coarse grid with two refinement passes."""
-    lo, hi = obj.domain.lo, 2.0
-    grid = np.linspace(lo, hi, 105)
-    for _ in range(3):
-        vals = [obj.value(a) for a in grid]
-        best = grid[int(np.nanargmin(vals))]
-        width = (grid[1] - grid[0]) * 2.0
-        grid = np.linspace(max(lo, best - width), min(hi, best + width), 21)
-    return float(best)
-
-
 def optimize_alpha(
     residuals,
     domain: AlphaDomain,
@@ -396,8 +397,8 @@ def optimize_alpha(
     iterates kept clear of the limit branches at 0 and 2; the boundary value
     at 2 is checked last.  For the truncated variant, a minimizer pinned at
     the domain floor is reported as the ``-inf`` sentinel (the Welsch-like
-    limit).  If the objective turns non-finite the optimizer falls back to a
-    bounded grid refinement and flags ``converged=False``.
+    limit).  ``converged`` is False only when the Newton search used up its
+    ``MAX_NEWTON_ITERS`` iterations.
 
     ``objective`` is always ``Lam`` at the reported ``alpha_star``.  For the
     sentinel that is ``Lam(-inf)``, which can exceed ``Lam(ALPHA_MIN)`` by up
@@ -406,25 +407,20 @@ def optimize_alpha(
     obj = _Objective(residuals, domain, bounds)
     lo = domain.lo if domain.lo < 0.0 else domain.lo + _INTERIOR_MARGIN
 
-    try:
-        if x0 is None:
-            scan = _SCAN_BARRON if domain.variant == "barron" else _SCAN_CHEBROLU
-            lam = [obj.value(scan[0]), *obj.values(scan[1:])]
-            x0 = min(zip(lam, scan))[1]
-        alpha, lam, iterations, converged = minimize_bounded(
-            lambda a: obj.value_derivs(_off_zero(a)), lo, domain.hi - _INTERIOR_MARGIN, x0,
-            lambda a: STEP_TOL * min(1.0, 2.0 - a))
-        alpha = _off_zero(alpha)
+    if x0 is None:
+        scan = _SCAN_BARRON if domain.variant == "barron" else _SCAN_CHEBROLU
+        lam = [obj.value(scan[0]), *obj.values(scan[1:])]
+        x0 = min(zip(lam, scan))[1]
+    alpha, lam, iterations, converged = minimize_bounded(
+        lambda a: obj.value_derivs(_off_zero(a)), lo, domain.hi - _INTERIOR_MARGIN, x0,
+        lambda a: STEP_TOL * min(1.0, 2.0 - a))
+    alpha = _off_zero(alpha)
 
-        # A true boundary minimum at alpha = 2 beats the interior margin.
-        if alpha >= 2.0 - 2.0 * _INTERIOR_MARGIN:
-            lam2 = obj.value(2.0)
-            if lam2 <= lam:
-                alpha, lam = 2.0, lam2
-    except FloatingPointError:
-        alpha = _grid_refine(obj)
-        lam = obj.value(alpha)
-        return AlphaOptResult(alpha, lam, MAX_NEWTON_ITERS, False)
+    # A true boundary minimum at alpha = 2 beats the interior margin.
+    if alpha >= 2.0 - 2.0 * _INTERIOR_MARGIN:
+        lam2 = obj.value(2.0)
+        if lam2 <= lam:
+            alpha, lam = 2.0, lam2
 
     if domain.variant == "chebrolu" and alpha <= domain.lo + 1e-9:
         alpha = -np.inf

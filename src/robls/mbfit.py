@@ -48,11 +48,13 @@ A_SCAN.flags.writeable = False
 # means the scale model no longer describes the data.
 MODE_TAU_CAP = 0.9
 
-# Largest degrees of freedom of the closed forms.  The CDF recurrence starts
-# from exp(-x^2 / 2), which underflows past x = 38.6; up to 1000 degrees of
-# freedom the CDF there is 1 to double precision, and it stays within about
-# 6e-15 of scipy.special.gammainc everywhere.
-MAX_DOF = 1000
+# Largest degrees of freedom n_e, the one n_e check of every loss kind.  The
+# shape fit's criterion computes eps ** (n_e - 1) at eps = c / a, with the bin
+# centres c below chi_quantile(n_e, CHI_THRESHOLD_P) and a >= A_LO.  At
+# n_e = 101 that bound is 12.04 / 0.01, and its 100th power is 1.2e308, still
+# finite; at n_e = 102 it is 12.09 / 0.01, whose 101st power, 2e311,
+# overflows, so the fit's objective would not be finite.
+MAX_DOF = 101
 
 
 class DegenerateHistogramError(ValueError):
@@ -146,7 +148,10 @@ def _chi_cdf(n: int, x: float) -> float:
     The regularized lower incomplete gamma ``P(n/2, t)`` at ``t = x^2 / 2``
     by the recurrence ``P(s + 1, t) = P(s, t) - t^s e^(-t) / Gamma(s + 1)``
     from ``P(0, t) = 1`` (even ``n``: ``1 - e^(-t) sum_{j < n/2} t^j / j!``)
-    or from ``P(1/2, t) = erf(sqrt(t))`` (odd ``n``).
+    or from ``P(1/2, t) = erf(sqrt(t))`` (odd ``n``).  ``e^(-t)`` underflows
+    past ``x = 38.6``, where for every ``n <= MAX_DOF`` the CDF is 1 to double
+    precision; everywhere it stays within about 6e-15 of
+    ``scipy.special.gammainc``.
     """
     t = 0.5 * x * x
     if n % 2 == 0:

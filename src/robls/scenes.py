@@ -43,33 +43,32 @@ WARP_AMP = (0.012, 0.03)        # per-component amplitude range [m]
 WARP_WAVELENGTH = (0.4, 1.2)    # spatial wavelength range [m]
 SENSOR_HEIGHT = 1.8
 MAX_YAW = np.deg2rad(12.0)
-N_SHADOW_WEDGES = 0  # view-dependent occlusion wedges per cloud
 
 STEP_DEPTH = 0.8     # staircase tread depth [m]
 STEP_RISE = 0.3      # staircase riser height [m]
 WALL_HEIGHT = 1.5
 
 
-def _sample_structured(rng, crates, x_lo, x_hi, n_scale=1.0):
+def _sample_structured(rng, crates, x_lo, x_hi):
     """Staircase treads/risers, a side wall, crates, and sparse clutter."""
     span = x_hi - x_lo
     pts = []
 
-    n_tread = int(DENSITY * span * WIDTH * n_scale)
+    n_tread = int(DENSITY * span * WIDTH)
     x = rng.uniform(x_lo, x_hi, n_tread)
     y = rng.uniform(-WIDTH / 2, WIDTH / 2, n_tread)
     z = STEP_RISE * np.floor(x / STEP_DEPTH)
     pts.append(np.column_stack([x, y, z]))
 
     k_lo, k_hi = int(np.ceil(x_lo / STEP_DEPTH)), int(np.floor(x_hi / STEP_DEPTH))
-    n_riser = int(DENSITY * WIDTH * STEP_RISE * n_scale)
+    n_riser = int(DENSITY * WIDTH * STEP_RISE)
     for k in range(k_lo, k_hi + 1):
         xr = np.full(n_riser, k * STEP_DEPTH)
         yr = rng.uniform(-WIDTH / 2, WIDTH / 2, n_riser)
         zr = STEP_RISE * (k - 1) + rng.uniform(0.0, STEP_RISE, n_riser)
         pts.append(np.column_stack([xr, yr, zr]))
 
-    n_wall = int(DENSITY * span * WALL_HEIGHT * n_scale)
+    n_wall = int(DENSITY * span * WALL_HEIGHT)
     xw = rng.uniform(x_lo, x_hi, n_wall)
     zw = STEP_RISE * np.floor(xw / STEP_DEPTH) + rng.uniform(0.0, WALL_HEIGHT, n_wall)
     pts.append(np.column_stack([xw, np.full(n_wall, -WIDTH / 2), zw]))
@@ -77,7 +76,7 @@ def _sample_structured(rng, crates, x_lo, x_hi, n_scale=1.0):
     # crates break the staircase's translation periodicity
     for cx, cy, side in crates:
         base = STEP_RISE * np.floor(cx / STEP_DEPTH)
-        n_face = max(6, int(DENSITY * side * side * n_scale))
+        n_face = max(6, int(DENSITY * side * side))
         top = np.column_stack(
             [
                 rng.uniform(cx - side / 2, cx + side / 2, n_face),
@@ -128,9 +127,9 @@ class _Relief:
         )
 
 
-def _sample_semi(rng, relief, rocks, ridges, x_lo, x_hi, n_scale=1.0):
+def _sample_semi(rng, relief, rocks, ridges, x_lo, x_hi):
     span = x_hi - x_lo
-    n_ground = int(DENSITY * span * WIDTH * n_scale)
+    n_ground = int(DENSITY * span * WIDTH)
     x = rng.uniform(x_lo, x_hi, n_ground)
     y = rng.uniform(-WIDTH / 2, WIDTH / 2, n_ground)
     z = relief.height(x, y)
@@ -143,7 +142,7 @@ def _sample_semi(rng, relief, rocks, ridges, x_lo, x_hi, n_scale=1.0):
     for cx, cy, radius in rocks:
         if not (x_lo - 3 * radius <= cx <= x_hi + 3 * radius):
             continue
-        n_rock = max(12, int(2.0 * DENSITY * np.pi * radius**2 * n_scale))
+        n_rock = max(12, int(2.0 * DENSITY * np.pi * radius**2))
         offset = rng.standard_normal((n_rock, 3)) * radius * 0.5
         base = relief.height(np.array([cx]), np.array([cy]))[0]
         pts.append(offset + np.array([cx, cy, base + 0.6 * radius]))
@@ -152,23 +151,18 @@ def _sample_semi(rng, relief, rocks, ridges, x_lo, x_hi, n_scale=1.0):
     return out[(out[:, 0] >= x_lo) & (out[:, 0] <= x_hi)]
 
 
-def _sample_unstructured(rng, blobs, x_lo, x_hi, n_scale=1.0):
+def _sample_unstructured(rng, blobs, x_lo, x_hi):
     pts = []
     for cx, cy, cz, sigma in blobs:
         if not (x_lo - 3 * sigma <= cx <= x_hi + 3 * sigma):
             continue
-        n_blob = max(40, int(170 * n_scale))
+        n_blob = 170
         pts.append(rng.standard_normal((n_blob, 3)) * sigma + np.array([cx, cy, cz]))
     out = np.vstack(pts)
     return out[(out[:, 0] >= x_lo) & (out[:, 0] <= x_hi)]
 
 
-def generate_scene(
-    kind: str,
-    overlap: float,
-    seed: int,
-    noise: float = POINT_NOISE,
-) -> tuple[PointCloud, PointCloud, Pose]:
+def generate_scene(kind: str, overlap: float, seed: int) -> tuple[PointCloud, PointCloud, Pose]:
     """Source/target clouds in their sensor frames plus the true transform.
 
     ``overlap`` is the requested shared fraction of the viewing windows,
@@ -233,23 +227,8 @@ def generate_scene(
         return _sample_unstructured(view_rng, blobs, x_lo, x_hi)
 
     def add_noise(pts):
-        sigma = np.where(
-            rng.random(len(pts)) < ROUGH_FRACTION, ROUGH_NOISE, noise
-        )
+        sigma = np.where(rng.random(len(pts)) < ROUGH_FRACTION, ROUGH_NOISE, POINT_NOISE)
         return pts + sigma[:, None] * rng.standard_normal(pts.shape)
-
-    def shadow(pts, origin):
-        # view-dependent self-occlusion: drop a couple of angular wedges,
-        # leaving coherent coverage holes that differ between the views
-        azim = np.arctan2(pts[:, 1] - origin[1], pts[:, 0] - origin[0])
-        rng_xy = np.hypot(pts[:, 0] - origin[0], pts[:, 1] - origin[1])
-        keep = np.ones(len(pts), dtype=bool)
-        for _ in range(N_SHADOW_WEDGES):
-            center = rng.uniform(-np.pi, np.pi)
-            half = 0.5 * np.deg2rad(rng.uniform(6.0, 14.0))
-            delta = np.abs((azim - center + np.pi) % (2 * np.pi) - np.pi)
-            keep &= ~((delta < half) & (rng_xy > 1.2))
-        return pts[keep]
 
     def warp(pts):
         out = pts.copy()
@@ -266,13 +245,13 @@ def generate_scene(
     target_origin = np.array([WINDOW / 2, 0.0, SENSOR_HEIGHT])
     source_origin = np.array([offset + WINDOW / 2, 0.0, SENSOR_HEIGHT])
 
-    def view(x_lo, x_hi, origin):
-        pts = add_noise(warp(shadow(sample(rng, x_lo, x_hi), origin)))
+    def view(x_lo, x_hi):
+        pts = add_noise(warp(sample(rng, x_lo, x_hi)))
         # re-cut after warping so the windows stay sharp
         return pts[(pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi)]
 
-    target_world = view(0.0, WINDOW, target_origin)
-    source_world = view(offset, offset + WINDOW, source_origin)
+    target_world = view(0.0, WINDOW)
+    source_world = view(offset, offset + WINDOW)
     yaw = rng.uniform(-MAX_YAW, MAX_YAW)
     source_rot = so3_exp(np.array([0.0, 0.0, yaw]))
 

@@ -144,10 +144,9 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 SOLVE_PROPERTY = settings(PROPERTY, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
-def grid_search_alpha(residuals, bounds, lo=-50.0, hi=2.0, step=0.01,
-                      domain=CHEBROLU_DOMAIN):
+def grid_search_alpha(residuals, bounds, lo=-50.0, hi=2.0, step=0.01):
     """Dense-grid minimizer of the truncated likelihood (the prior-work path)."""
-    obj = _Objective(residuals, domain, bounds)
+    obj = _Objective(residuals, CHEBROLU_DOMAIN, bounds)
     grid = np.arange(lo, hi + step / 2, step)
     values = np.array([obj.value(a) for a in grid])
     return float(grid[int(np.argmin(values))])

@@ -1,9 +1,10 @@
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -13,17 +14,21 @@ from robls.adaptive import (
     _SCAN_CHEBROLU,
     BARRON_DOMAIN,
     CHEBROLU_DOMAIN,
-    MAX_NEWTON_ITERS,
+    TAU_MAX,
+    TAU_MIN,
     Z_MEMO_SIZE,
+    _INTERIOR_MARGIN,
     _Z_MEMO,
     _gl_rule,
     _Objective,
+    _off_zero,
     _z_pass,
     minimize_bounded,
     optimize_alpha,
     partition_z,
 )
 from robls.loss import ALPHA_MIN, BRANCH_TOL, rho, rho_alpha_derivs
+from robls.mbfit import MODE_TAU_CAP
 
 from conftest import PROPERTY, grid_search_alpha, z_moments
 
@@ -469,24 +474,6 @@ class TestOptimizeAlpha:
         assert out.objective == obj.value(out.alpha_star)
         assert 0.0 < out.objective - obj.value(ALPHA_MIN) <= 0.01
 
-    @pytest.mark.parametrize("domain", [BARRON_DOMAIN, CHEBROLU_DOMAIN])
-    def test_non_finite_objective_falls_back_to_the_grid(self, rng, monkeypatch, domain):
-        # No default run makes Lam or Lam' non-finite, so the Newton search is
-        # made to raise as it would; the grid refinement then picks alpha.
-        def non_finite(*args):
-            raise FloatingPointError("non-finite objective")
-
-        monkeypatch.setattr(adaptive, "minimize_bounded", non_finite)
-        res = np.concatenate([np.abs(rng.standard_normal(300)), rng.uniform(4, 9, 80)])
-        bounds = (-10.0, 10.0)
-        out = optimize_alpha(res, domain, bounds)
-        assert out.converged is False
-        assert out.iterations == MAX_NEWTON_ITERS
-        assert domain.lo <= out.alpha_star <= domain.hi
-        assert out.objective == _Objective(res, domain, bounds).value(out.alpha_star)
-        ref = grid_search_alpha(res, bounds, lo=domain.lo, domain=domain)
-        assert abs(out.alpha_star - ref) <= 0.05
-
 
 def _residual_set(n, outlier_share, inlier_scale, seed):
     rng = np.random.default_rng(seed)
@@ -560,3 +547,41 @@ class TestOptimizeAlphaProperties:
         lo, hi = scan[min(i + 1, len(scan) - 1)], scan[max(i - 1, 0)]
         out = optimize_alpha(res, domain, bounds, x0=lo + where * (hi - lo))
         assert out.objective <= best + 1e-9 * max(1.0, abs(best))
+
+
+# tau at both ends of the accepted range and log-uniform between them.
+TAUS = st.one_of(
+    st.sampled_from([TAU_MIN, TAU_MAX]),
+    st.floats(math.log(TAU_MIN), math.log(TAU_MAX)).map(
+        lambda s: min(max(math.exp(s), TAU_MIN), TAU_MAX)),
+)
+
+
+class TestObjectiveFinite:
+    """Lam and Lam' stay finite on every input the fits accept.
+
+    ``minimize_bounded`` raises ``FloatingPointError`` otherwise, and
+    nothing catches it.  The residuals are any finite
+    floats, which the objective clips to its bounds.  ``chebrolu`` takes
+    ``(-tau, tau)`` from ``RobustLoss`` and ``(0, nu)`` from ``adaptive_mb``,
+    where ``nu = tau - mode`` and the mode is capped at ``MODE_TAU_CAP * tau``.
+    """
+
+    @PROPERTY
+    @example(res=[0.0], tau=TAU_MIN, nu_share=1.0 - MODE_TAU_CAP, where=0.5)
+    @example(res=[-1e308, 0.0, 1e308], tau=TAU_MAX, nu_share=1.0, where=0.5)
+    @given(res=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                        max_size=40),
+           tau=TAUS, nu_share=st.floats(1.0 - MODE_TAU_CAP, 1.0), where=st.floats(0.0, 1.0))
+    def test_finite_on_the_newton_interval(self, res, tau, nu_share, where):
+        for domain, bounds in ((BARRON_DOMAIN, (-tau, tau)), (CHEBROLU_DOMAIN, (-tau, tau)),
+                               (CHEBROLU_DOMAIN, (0.0, nu_share * tau))):
+            obj = _Objective(res, domain, bounds)
+            # The interval optimize_alpha hands to minimize_bounded.
+            lo = domain.lo if domain.lo < 0.0 else domain.lo + _INTERIOR_MARGIN
+            hi = domain.hi - _INTERIOR_MARGIN
+            for alpha in (lo, hi, lo + where * (hi - lo)):
+                assert all(math.isfinite(v) for v in obj.value_derivs(_off_zero(alpha)))
+            assert math.isfinite(obj.value(2.0))
+            if domain is CHEBROLU_DOMAIN:
+                assert math.isfinite(obj.value(-np.inf))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from robls import bench
+from robls.adaptive import TAU_MAX, TAU_MIN
 from robls.cli import main
 from robls.mbfit import MAX_DOF
+from robls.weighting import RLF_KINDS
 
 
 def read_csv(path):
@@ -113,7 +115,8 @@ class TestCli:
                              ids=["fit-mb", "weights"])
     @pytest.mark.parametrize("option", [["--tau", "0"], ["--tau", "-2"], ["--tau", "nan"],
                                         ["--tau", "inf"], ["--tau", "1000.5"], ["--tau", "1e6"],
-                                        ["--n-e", "0"], ["--n-e", "-3"], ["--n-e", "1001"]])
+                                        ["--n-e", "0"], ["--n-e", "-3"], ["--n-e", "102"],
+                                        ["--tau", "5e-324"]])
     def test_rejects_bad_tau_and_n_e_as_usage_errors(self, tmp_path, capsys, command, option):
         res_file = tmp_path / "resid.txt"
         res_file.write_text("0.5 1.0 2.0\n")
@@ -122,6 +125,23 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {option[0]}:" in err
+
+    @pytest.mark.parametrize("tau", [TAU_MIN, TAU_MAX])
+    @pytest.mark.parametrize("command", [["fit-mb"], *(["weights", "--rlf", k] for k in RLF_KINDS)],
+                             ids=["fit-mb", *RLF_KINDS])
+    def test_runs_at_the_bounds_of_tau_and_n_e(self, tmp_path, command, tau):
+        # Norms of MAX_DOF-dimensional errors far below the Chi scale, plus
+        # outliers: the shape fit then runs at its smallest a.
+        rng = np.random.default_rng(3)
+        res_file = tmp_path / "resid.txt"
+        np.savetxt(res_file, np.concatenate([
+            0.01 * np.linalg.norm(rng.standard_normal((60, MAX_DOF)), axis=1),
+            rng.uniform(0.0, 50.0, 20)]))
+        out_file = tmp_path / "out.json"
+        main([*command, "--input", str(res_file), "--tau", repr(tau), "--n-e", str(MAX_DOF),
+              "--out", str(out_file)])
+        weights = json.loads(out_file.read_text())["weights"]
+        assert len(weights) == 80 and all(0.0 <= w <= 1.0 for w in weights)
 
     def test_accepts_n_e_up_to_max_dof(self, tmp_path):
         res_file = tmp_path / "resid.txt"
@@ -146,6 +166,7 @@ class TestCli:
     @pytest.mark.parametrize("key, value, message", [
         ("trials", 0, "at least 1"), ("trials", -2, "at least 1"), ("threads", 0, "at least 1"),
         ("threads", -3, "at least 1"), ("tau", 2000.0, "at most 1000"),
+        ("tau", 5e-324, "at least 2.2250738585072014e-308"),
     ])
     def test_config_file_values_checked(self, tmp_path, command, key, value, message):
         if key == "trials":

@@ -202,7 +202,7 @@ class TestFixedKernelScale:
         assert self.scale(r, 1) == pytest.approx(mad, rel=1e-5)
 
 
-@pytest.mark.parametrize("tau", [0.0, -2.0, np.nan, np.inf, -np.inf, 1000.5, 1e6])
+@pytest.mark.parametrize("tau", [0.0, -2.0, np.nan, np.inf, -np.inf, 1000.5, 1e6, 5e-324, 1e-310])
 class TestTauRejected:
     def test_robust_loss(self, tau):
         for kind in ("barron", "chebrolu", "adaptive_mb"):

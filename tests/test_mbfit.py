@@ -14,6 +14,7 @@ from robls.mbfit import (
     A_HI,
     A_LO,
     A_SCAN,
+    CHI_THRESHOLD_P,
     MAX_DOF,
     DegenerateHistogramError,
     _chi_cdf,
@@ -114,6 +115,14 @@ class TestChiQuantile:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9973])
     def test_largest_dof_against_scipy(self, p):
         assert chi_quantile(MAX_DOF, p) == pytest.approx(chi(MAX_DOF).ppf(p), abs=1e-7)
+
+    def test_max_dof_is_the_last_with_a_finite_criterion_power(self):
+        # The shape fit's criterion raises eps = c / a to the power n_e - 1,
+        # with the bin centres c below the threshold quantile and a >= A_LO.
+        n = MAX_DOF
+        assert math.isfinite((chi_quantile(n, CHI_THRESHOLD_P) / A_LO) ** (n - 1))
+        with pytest.raises(OverflowError):
+            (chi_quantile_reference(n + 1, CHI_THRESHOLD_P) / A_LO) ** n
 
 
 def chi_norm_reference(a, n_e):
@@ -253,6 +262,15 @@ class TestFitMb:
         column = np.concatenate([[a], A_SCAN])[:, None]
         for got, want in zip(criterion(column), fit_criterion_reference(hist, column, n_e)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 1.0])
+    def test_finite_at_max_dof(self, rng, scale):
+        # Norms far below the Chi scale push the fit towards A_LO, where the
+        # criterion's power eps ** (n_e - 1) is largest.
+        r = scale * np.linalg.norm(rng.standard_normal((200, MAX_DOF)), axis=1)
+        with np.errstate(over="raise", invalid="raise"):
+            fit = fit_mb(r, MAX_DOF)
+        assert A_LO <= fit.a_star <= A_HI and math.isfinite(fit.objective)
 
     def test_empty_after_threshold_falls_back(self):
         fit = fit_mb(np.full(30, 50.0), 3)
