@@ -236,10 +236,7 @@ def _icp_trial(args) -> tuple[list[stats.TrialRecord], dict]:
     init = t_gt @ sample_perturbation(sigma_phi, sigma_r, rng)
 
     solver_cfg = icp.IcpConfig(
-        grid=cfg.grid,
-        normal_k=cfg.normal_k,
-        max_iters=cfg.max_iters,
-        weight_exponent=cfg.weight_exponent,
+        grid=cfg.grid, max_iters=cfg.max_iters, weight_exponent=cfg.weight_exponent
     )
     records, audit, results = _solve_kinds(
         cfg, kind, trial, seed, init, t_gt,

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .irls import IrlsResult, irls
+from .irls import IrlsResult, check_config, irls
 from .se3 import Pose, exp_map
 from .weighting import RobustLoss
 
@@ -117,7 +117,10 @@ class PointCloud:
 @dataclass(frozen=True)
 class IcpConfig:
     grid: float = 0.10            # voxel edge length [m]
-    normal_k: int = 15            # neighbours for normal estimation
+    # icp_solve never reads normal_k: callers estimate the target's normals
+    # themselves.  It stays only because perfbench's icp workload constructs
+    # IcpConfig(normal_k=...).
+    normal_k: int = 15
     max_iters: int = 50
     tol_phi: float = 1e-3         # step rotation norm [rad]
     tol_rho: float = 1e-3         # step translation norm [m]
@@ -125,8 +128,7 @@ class IcpConfig:
     weight_exponent: int = 2      # weights enter the objective inside the norm
 
     def __post_init__(self):
-        if min(self.grid, self.tol_phi, self.tol_rho) <= 0 or self.max_iters < 1:
-            raise ValueError("ICP config values must be positive")
+        check_config(self, "grid", "tol_phi", "tol_rho")
 
 
 def voxel_downsample(cloud: PointCloud, d_grid: float) -> PointCloud:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .se3 import Pose
 
-__all__ = ["IrlsResult", "irls"]
+__all__ = ["IrlsResult", "check_config", "irls"]
 
 
 @dataclass
@@ -24,6 +24,23 @@ class IrlsResult:
     converged: bool
     trace: list  # per-iteration dicts: iter, step_phi, step_rho, alpha_star, a_star, mode
     diagnostics: dict
+
+
+def check_config(config, *positive: str) -> None:
+    """Raise ``ValueError`` unless the solver config is usable by :func:`irls`.
+
+    ``max_iters`` and ``weight_exponent`` must be integers of at least 1
+    (``bool`` is not one), and every field named in ``positive`` must be
+    positive and finite: a NaN tolerance would never stop the loop.
+    """
+    for name in ("max_iters", "weight_exponent"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    for name in positive:
+        value = getattr(config, name)
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def irls(linearize, init: Pose, config, n_e: int) -> IrlsResult:

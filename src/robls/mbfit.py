@@ -80,14 +80,6 @@ class HistogramBins:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-@dataclass(frozen=True)
-class ShiftedResiduals:
-    xi: np.ndarray           # residuals at/above the mode, shifted down by it
-    nu: float                # shifted truncation bound
-    inlier_count: int        # residuals strictly below the mode
-    above: np.ndarray        # mask of the residuals at/above the mode
-
-
 @dataclass
 class MbDiagnostics:
     """Per-invocation record of the norm-aware weighting pipeline."""
@@ -296,20 +288,6 @@ def fit_mb(residuals, n_e: int, x0: float | None = None) -> MbFit:
     return MbFit(a, n_e, float(a * np.sqrt(n_e - 1)), objective=obj)
 
 
-def shift_residuals(residuals, mode: float, tau: float) -> ShiftedResiduals:
-    """Partition residuals at the mode and shift the upper part down by it."""
-    if tau <= mode:
-        raise ValueError(f"truncation bound {tau} must exceed the fitted mode {mode}")
-    r = np.asarray(residuals, dtype=float)
-    above = r >= mode
-    return ShiftedResiduals(
-        xi=r[above] - mode,
-        nu=float(tau - mode),
-        inlier_count=int(np.count_nonzero(~above)),
-        above=above,
-    )
-
-
 def adaptive_mb_weights(
     residuals,
     n_e: int,
@@ -334,18 +312,19 @@ def adaptive_mb_weights(
     if capped:
         mode = MODE_TAU_CAP * tau
 
-    shifted = shift_residuals(r, mode, tau)
-    if shifted.xi.size == 0:
+    # The mode is below tau (capped at MODE_TAU_CAP * tau, tau >= TAU_MIN),
+    # so the shifted bound nu = tau - mode is positive.
+    above = r >= mode
+    xi = r[above] - mode
+    if xi.size == 0:
         alpha_res = AlphaOptResult(2.0, 0.0, 0, True)
     else:
-        alpha_res = optimize_alpha(
-            shifted.xi, CHEBROLU_DOMAIN, bounds=(0.0, shifted.nu), x0=alpha_x0
-        )
+        alpha_res = optimize_alpha(xi, CHEBROLU_DOMAIN, bounds=(0.0, float(tau - mode)), x0=alpha_x0)
 
     weights = np.ones_like(r)
-    weights[shifted.above] = weight(shifted.xi, alpha_res.alpha_star)
+    weights[above] = weight(xi, alpha_res.alpha_star)
 
-    below = shifted.inlier_count
+    below = int(np.count_nonzero(~above))
     diag = MbDiagnostics(
         a_star=fit.a_star,
         mode=mode,
@@ -355,6 +334,6 @@ def adaptive_mb_weights(
         mode_capped=capped,
         alpha_converged=alpha_res.converged,
         below_mode=below,
-        below_mode_violations=int(np.count_nonzero(weights[~shifted.above] != 1.0)),
+        below_mode_violations=int(np.count_nonzero(weights[~above] != 1.0)),
     )
     return weights, diag

@@ -6,7 +6,7 @@ covariance ``Sigma = M R M'`` with ``M = -J_r(e)^-1``, residual
 ``sqrt(e' Sigma^-1 e)``, Chi(6)-like on inliers with mode sqrt(5)) is built
 in closed form from three exact identities: ``Sigma^-1 = J_r' R^-1 J_r``,
 ``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``.  With
-``W = chol(R)^-1``, computed once per measurement when it is built, the
+``W = chol(R)^-1``, stacked once per trial in a :class:`MeasurementSet`, the
 residual is ``|W e|`` and the normal equations come from ``W Ad(T~^-1 T)``
 alone: no Jacobian series, no ``Sigma`` and no per-measurement solve.
 """
@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .irls import IrlsResult, irls
+from .irls import IrlsResult, check_config, irls
 from .se3 import Pose, _batch_se3_log, _batch_skew, exp_map, so3_exp
 from .weighting import RobustLoss
 
 __all__ = [
-    "PoseMeasurement",
+    "MeasurementSet",
     "PoseAvgConfig",
     "TrialSpec",
     "SingularSystemError",
@@ -39,38 +39,30 @@ class SingularSystemError(RuntimeError):
     """IRLS normal equations are numerically singular."""
 
 
-@dataclass(frozen=True)
-class PoseMeasurement:
-    """A measured pose and its 6x6 covariance ``R``, twist ordering (phi, rho).
+class MeasurementSet:
+    """Measured poses and their 6x6 covariances ``R``, twist ordering (phi, rho).
 
-    Construction checks that ``R`` is finite and symmetric and proves it
-    positive definite by factoring it, ``R = L L'``.  The whitening factor
-    ``whiten = L^-1`` is kept, so a solve stacks the factors instead of
-    factoring again.  ``cov`` is a copy of the caller's matrix, and it and
-    ``whiten`` are read-only, so the factor cannot go stale.
+    ``cov`` is one covariance shared by every pose or one per pose; it is
+    broadcast to ``(n, 6, 6)``.  Construction checks that each ``R`` is
+    finite and symmetric and proves it positive definite by factoring it,
+    ``R = L L'``.  Only two stacks are kept: ``transforms``, the ``(n, 4, 4)``
+    matrices of the poses, and ``whiten``, the ``(n, 6, 6)`` factors
+    ``L^-1``.  No covariance is kept, so no factor can go stale.
     """
 
-    pose: Pose
-    cov: np.ndarray
-    whiten: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        cov = np.array(self.cov, dtype=float).reshape(6, 6)
-        if not (np.abs(cov - cov.T).max() <= 1e-9):
+    def __init__(self, poses, cov):
+        poses = list(poses)
+        if not poses:
+            raise ValueError("need at least one measurement")
+        cov = np.broadcast_to(np.asarray(cov, dtype=float), (len(poses), 6, 6))
+        if not (np.isfinite(cov).all() and np.abs(cov - cov.transpose(0, 2, 1)).max() <= 1e-9):
             raise ValueError("measurement covariance must be finite and symmetric")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("measurement covariance must be positive definite") from None
-        whiten = np.linalg.inv(chol)
-        cov.flags.writeable = whiten.flags.writeable = False
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "whiten", whiten)
-
-    def __reduce__(self):
-        # Copies and pickles are rebuilt through the check, so they keep
-        # read-only factors; a restored __dict__ would hold writable arrays.
-        return type(self), (self.pose, self.cov)
+        self.transforms = np.stack([pose.matrix() for pose in poses])
+        self.whiten = np.linalg.inv(chol)
 
 
 @dataclass(frozen=True)
@@ -82,8 +74,7 @@ class PoseAvgConfig:
     weight_exponent: int = 2
 
     def __post_init__(self):
-        if min(self.tol_phi, self.tol_rho) <= 0 or self.max_iters < 1:
-            raise ValueError("pose-averaging config values must be positive")
+        check_config(self, "tol_phi", "tol_rho")
 
 
 @dataclass(frozen=True)
@@ -118,11 +109,7 @@ def linearize_errors(
     ``j'r = H' Sigma^-1 e``.  The adjoint is read off ``(C, t) = T^-1 T~_i``
     as ``[[C', 0], [-C' t^, C']]``, ``t^`` the cross-product matrix of ``t``.
     """
-    rt = pose.rotation.T
-    inv = np.eye(4)
-    inv[:3, :3] = rt
-    inv[:3, 3] = -rt @ pose.translation
-    rel = np.einsum("ij,njk->nik", inv, tm)
+    rel = np.einsum("ij,njk->nik", pose.inverse().matrix(), tm)
     e, ok = _batch_se3_log(rel)
     rel, w = rel[ok], whiten[ok]
     ct = np.transpose(rel[:, :3, :3], (0, 2, 1))
@@ -134,7 +121,7 @@ def linearize_errors(
 
 
 def solve_pose_average(
-    measurements: list[PoseMeasurement],
+    measurements: MeasurementSet,
     init: Pose,
     config: PoseAvgConfig,
 ) -> IrlsResult:
@@ -147,13 +134,7 @@ def solve_pose_average(
     Measurements whose error leaves the logarithm branch are skipped for
     that iteration with a diagnostic count.
     """
-    if not measurements:
-        raise ValueError("need at least one measurement")
-    tm = np.zeros((len(measurements), 4, 4))
-    tm[:, :3, :3] = [m.pose.rotation for m in measurements]
-    tm[:, :3, 3] = [m.pose.translation for m in measurements]
-    tm[:, 3, 3] = 1.0
-    whiten = np.stack([m.whiten for m in measurements])
+    tm, whiten = measurements.transforms, measurements.whiten
     skipped_total = 0
 
     def linearize(pose):
@@ -204,7 +185,7 @@ def n_outliers(spec: TrialSpec) -> int:
     return int(round(spec.n_inliers * f / (1.0 - f)))
 
 
-def generate_trial(spec: TrialSpec) -> tuple[list[PoseMeasurement], Pose, Pose]:
+def generate_trial(spec: TrialSpec) -> tuple[MeasurementSet, Pose, Pose]:
     """Measurements, initialization, and ground truth (identity) for one trial.
 
     Inliers are ``exp(dxi)`` with Gaussian twists of covariance
@@ -217,15 +198,11 @@ def generate_trial(spec: TrialSpec) -> tuple[list[PoseMeasurement], Pose, Pose]:
     r_cov = default_measurement_cov()
     chol = np.linalg.cholesky(r_cov)
 
-    measurements = []
-    for _ in range(spec.n_inliers):
-        xi = chol @ rng.standard_normal(ERROR_DIM)
-        measurements.append(PoseMeasurement(exp_map(xi), r_cov))
-
+    poses = [exp_map(chol @ rng.standard_normal(ERROR_DIM)) for _ in range(spec.n_inliers)]
     for _ in range(n_outliers(spec)):
         phi = rng.uniform(-spec.outlier_phi_max, spec.outlier_phi_max, 3)
         r = rng.uniform(-spec.outlier_r_max, spec.outlier_r_max, 3)
-        measurements.append(PoseMeasurement(Pose(so3_exp(phi), r), r_cov))
+        poses.append(Pose(so3_exp(phi), r))
 
     init = exp_map(chol @ rng.standard_normal(ERROR_DIM))
-    return measurements, init, Pose.identity()
+    return MeasurementSet(poses, r_cov), init, Pose.identity()

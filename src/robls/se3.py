@@ -23,10 +23,11 @@ At every angle in ``[0, pi)`` each coefficient lies within 2e-12 (absolute)
 of its exact value; the truncation error of the series peaks just below the
 switch (3e-14, for ``sin(t)/t``).  The log side is batched: helpers prefixed
 ``_batch_`` take stacked arrays and serve the pose-averaging linearization;
-``so3_log`` and ``log_map`` run them on a single pose.  When every rotation
-angle of a batch is in branch and at least 1e-6, the rotation log skips its
-per-element branch selection and evaluates the closed form alone, element
-for element the same arithmetic.
+``log_map`` runs them on one pose's ``matrix()`` and returns the same bits as
+that pose's element of any batch.  When every rotation angle of a batch is in
+branch and at least 1e-6, the rotation log skips its per-element branch
+selection and evaluates the closed form alone, element for element the same
+arithmetic.
 
 ``Pose`` validates on Python floats: ``|R R' - I| <= 1e-6`` entrywise, a
 nonnegative determinant and a finite translation, with NaN and infinity
@@ -249,18 +250,12 @@ def _batch_se3_log(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([phi, rho], axis=-1), ok
 
 
-def so3_log(rot) -> np.ndarray:
-    phi, ok = _batch_so3_log(np.asarray(rot, dtype=float))
-    if not ok:
-        raise BranchError("rotation angle at or beyond pi - 1e-6")
-    return phi
-
-
 def log_map(pose: Pose) -> np.ndarray:
     """Principal-branch SE(3) logarithm, returned as a twist (phi, rho)."""
-    phi = so3_log(pose.rotation)
-    rho = _batch_v_inv(phi) @ pose.translation
-    return np.concatenate([phi, rho])
+    xi, ok = _batch_se3_log(pose.matrix())
+    if not ok:
+        raise BranchError("rotation angle at or beyond pi - 1e-6")
+    return xi
 
 
 def pose_error_norms(delta: Pose) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -72,6 +73,21 @@ class TestDeterminism:
         bench.run_icp_benchmark(mk(1), tmp_path / "a")
         bench.run_icp_benchmark(mk(2), tmp_path / "b")
         assert (tmp_path / "a/trials.csv").read_bytes() == (tmp_path / "b/trials.csv").read_bytes()
+
+
+class TestPinnedOutputs:
+    # sha256 of trials.csv for the default configs at a few trials each.  A
+    # change meant to keep every output keeps these; one that moves an
+    # output on purpose states the new hash.
+    @pytest.mark.parametrize("command, digest", [
+        (["pose-avg-bench", "--trials", "3"],
+         "ee8997b12391488f23e00239760f834f799beb8ab87b6ddb06b265a53de84c54"),
+        (["icp-bench", "--trials", "1"],
+         "14e31667c2367180eb1f58692d857af9586fe6dbbf5f7a1334d7aadca70aebdb"),
+    ], ids=["pose-avg-bench", "icp-bench"])
+    def test_trials_csv_hash(self, tmp_path, command, digest):
+        main([*command, "--threads", "1", "--out-dir", str(tmp_path)])
+        assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == digest
 
 
 class TestCli:

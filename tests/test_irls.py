@@ -62,9 +62,25 @@ def test_single_step_budget_not_converged(make_solver, rng):
 @pytest.mark.parametrize("config_cls", [IcpConfig, PoseAvgConfig])
 @pytest.mark.parametrize(
     "bad",
-    [{"max_iters": 0}, {"tol_phi": 0.0}, {"tol_rho": -1.0}],
-    ids=["max_iters=0", "tol_phi=0", "tol_rho=-1"],
+    [
+        {"max_iters": 0}, {"tol_phi": 0.0}, {"tol_rho": -1.0},
+        {"tol_phi": np.nan}, {"tol_rho": np.nan}, {"tol_phi": np.inf},
+        {"max_iters": True}, {"max_iters": 2.0},
+        {"weight_exponent": 0}, {"weight_exponent": True}, {"weight_exponent": 1.5},
+    ],
+    ids=[
+        "max_iters=0", "tol_phi=0", "tol_rho=-1",
+        "tol_phi=nan", "tol_rho=nan", "tol_phi=inf",
+        "max_iters=True", "max_iters=2.0",
+        "weight_exponent=0", "weight_exponent=True", "weight_exponent=1.5",
+    ],
 )
 def test_config_rejects_nonpositive(config_cls, bad):
     with pytest.raises(ValueError):
         config_cls(**bad)
+
+
+@pytest.mark.parametrize("grid", [0.0, -0.1, np.nan, np.inf])
+def test_icp_config_rejects_a_grid_that_is_not_positive_and_finite(grid):
+    with pytest.raises(ValueError, match="grid must be positive and finite"):
+        IcpConfig(grid=grid)

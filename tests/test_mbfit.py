@@ -9,6 +9,7 @@ from scipy.special import gamma, gammainc
 from scipy.stats import chi
 
 from robls.adaptive import CHEBROLU_DOMAIN, optimize_alpha
+from robls import mbfit
 from robls.loss import weight
 from robls.mbfit import (
     A_HI,
@@ -17,6 +18,7 @@ from robls.mbfit import (
     CHI_THRESHOLD_P,
     MAX_DOF,
     DegenerateHistogramError,
+    MbFit,
     _chi_cdf,
     _chi_norm,
     _half_gamma,
@@ -24,7 +26,6 @@ from robls.mbfit import (
     build_histogram,
     chi_quantile,
     fit_mb,
-    shift_residuals,
 )
 
 from conftest import (
@@ -288,25 +289,37 @@ def grid_probe(residuals, n_e, a):
 
 
 class TestShiftResiduals:
-    def test_direct_application(self):
-        out = shift_residuals([0.5, np.sqrt(2.0), 3.0], np.sqrt(2.0), 10.0)
-        assert out.inlier_count == 1
-        assert out.above.tolist() == [False, True, True]
-        assert np.allclose(sorted(out.xi), [0.0, 3.0 - np.sqrt(2.0)])
-        assert out.nu == pytest.approx(10.0 - np.sqrt(2.0))
+    """The partition and shift inside ``adaptive_mb_weights``, at a mode
+    pinned by replacing the Chi fit."""
 
-    def test_all_below_mode(self):
-        out = shift_residuals([0.1, 0.2], 1.0, 10.0)
-        assert out.xi.size == 0 and out.inlier_count == 2
+    @staticmethod
+    def weights_at_mode(monkeypatch, r, mode, tau=10.0):
+        monkeypatch.setattr(mbfit, "fit_mb", lambda r, n_e, x0=None: MbFit(1.0, n_e, mode))
+        return adaptive_mb_weights(r, 3, tau)
 
-    def test_zero_mode_passthrough(self):
-        r = [0.3, 1.0, 2.5]
-        out = shift_residuals(r, 0.0, 10.0)
-        assert np.allclose(out.xi, r) and out.nu == 10.0 and out.inlier_count == 0
+    @staticmethod
+    def expected_above(xi, nu):
+        alpha = optimize_alpha(xi, CHEBROLU_DOMAIN, bounds=(0.0, nu)).alpha_star
+        return alpha, weight(xi, alpha)
 
-    def test_inconsistent_bound_rejected(self):
-        with pytest.raises(ValueError):
-            shift_residuals([1.0], 5.0, 4.0)
+    def test_direct_application(self, monkeypatch):
+        mode = np.sqrt(2.0)
+        w, diag = self.weights_at_mode(monkeypatch, [3.0, 0.5, mode], mode)
+        assert diag.inlier_fraction == pytest.approx(1.0 / 3.0) and diag.below_mode == 1
+        alpha, w_above = self.expected_above(np.array([3.0 - mode, 0.0]), 10.0 - mode)
+        assert diag.alpha_star == alpha
+        assert w[1] == 1.0 and np.array_equal(w[[0, 2]], w_above)
+
+    def test_all_below_mode(self, monkeypatch):
+        w, diag = self.weights_at_mode(monkeypatch, [0.1, 0.2], 1.0)
+        assert np.all(w == 1.0) and diag.inlier_fraction == 1.0 and diag.alpha_star == 2.0
+
+    def test_zero_mode_passthrough(self, monkeypatch):
+        r = np.array([0.3, 1.0, 2.5])
+        w, diag = self.weights_at_mode(monkeypatch, r, 0.0)
+        alpha, w_above = self.expected_above(r, 10.0)
+        assert diag.inlier_fraction == 0.0 and diag.alpha_star == alpha
+        assert np.array_equal(w, w_above)
 
 
 class TestAdaptiveMbWeights:

@@ -1,7 +1,3 @@
-import copy
-import dataclasses
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -11,8 +7,8 @@ from scipy.special import gamma
 from robls import bench
 from robls.mbfit import chi_quantile
 from robls.pose_avg import (
+    MeasurementSet,
     PoseAvgConfig,
-    PoseMeasurement,
     SingularSystemError,
     TrialSpec,
     default_measurement_cov,
@@ -214,18 +210,36 @@ class TestWhitenedSystem:
 LEVELS = bench.PoseAvgBenchConfig().outlier_levels
 
 
+def poses_of(meas):
+    return [Pose(t[:3, :3], t[:3, 3]) for t in meas.transforms]
+
+
+def layouts(cov):
+    """``cov`` shared by three poses, then as the middle of three per-pose
+    covariances."""
+    yield cov
+    yield np.stack([np.eye(6), cov, np.eye(6)])
+
+
+def per_matrix_factors(cov, n):
+    return np.stack([np.linalg.inv(np.linalg.cholesky(c)) for c in np.broadcast_to(cov, (n, 6, 6))])
+
+
 class TestPoseMeasurement:
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    """Checks and whitening factors of a :class:`MeasurementSet`."""
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_covariance(self, bad):
         cov = np.eye(6)
         cov[2, 2] = bad
-        with pytest.raises(ValueError, match="covariance must be finite"):
-            PoseMeasurement(Pose.identity(), cov)
+        for c in layouts(cov):
+            with pytest.raises(ValueError, match="covariance must be finite"):
+                MeasurementSet([Pose.identity()] * 3, c)
 
     def test_rejects_all_nan_covariance(self):
-        with pytest.raises(ValueError, match="covariance must be finite"):
-            PoseMeasurement(Pose.identity(), np.full((6, 6), np.nan))
+        for c in layouts(np.full((6, 6), np.nan)):
+            with pytest.raises(ValueError, match="covariance must be finite"):
+                MeasurementSet([Pose.identity()] * 3, c)
 
     @PROPERTY
     @given(
@@ -245,14 +259,14 @@ class TestPoseMeasurement:
         cov = 0.5 * (cov + cov.T)
         eig = np.linalg.eigvalsh(cov)
         assert (eig[0] < -1e-9 * eig[-1]) if negative else (eig[0] > 1e-9 * eig[-1])
-        if negative:
-            with pytest.raises(ValueError, match=r"^measurement covariance must be positive definite$"):
-                PoseMeasurement(Pose.identity(), cov)
-            return
-        m = PoseMeasurement(Pose.identity(), cov)
-        assert np.array_equal(m.whiten, np.linalg.inv(np.linalg.cholesky(cov)))
+        for c in layouts(cov):
+            if negative:
+                with pytest.raises(ValueError, match=r"^measurement covariance must be positive definite$"):
+                    MeasurementSet([Pose.identity()] * 3, c)
+            else:
+                m = MeasurementSet([Pose.identity()] * 3, c)
+                assert np.array_equal(m.whiten, per_matrix_factors(c, 3))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     @PROPERTY
     @given(
         i=st.integers(0, 5),
@@ -267,47 +281,49 @@ class TestPoseMeasurement:
             cov[i, j] += delta
         else:
             cov[i, j] = bad
-        with pytest.raises(ValueError, match=r"^measurement covariance must be finite and symmetric$"):
-            PoseMeasurement(Pose.identity(), cov)
+        for c in layouts(cov):
+            with pytest.raises(ValueError, match=r"^measurement covariance must be finite and symmetric$"):
+                MeasurementSet([Pose.identity()] * 3, c)
 
-    def test_kept_factor_is_read_only(self):
-        cov = default_measurement_cov()
-        m = PoseMeasurement(Pose.identity(), cov)
-        cov[0, 0] = 2.0  # the caller's array is not the kept one
-        assert m.cov[0, 0] == default_measurement_cov()[0, 0]
-        for kept in (m.whiten, m.cov):
-            assert not kept.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                kept[0, 0] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            m.cov = np.eye(6)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            m.whiten = np.eye(6)
-        for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
-            assert not again.cov.flags.writeable and not again.whiten.flags.writeable
-            assert np.array_equal(again.whiten, m.whiten)
-            assert np.array_equal(again.pose.matrix(), m.pose.matrix())
+    def test_later_edits_of_the_callers_arrays_leave_the_stacks_unchanged(self):
+        for cov in layouts(default_measurement_cov()):
+            poses = [exp_map(np.full(6, 0.1)) for _ in range(3)]
+            m = MeasurementSet(poses, cov)
+            whiten, transforms = m.whiten.copy(), m.transforms.copy()
+            cov[..., 0, 0] = 2.0
+            poses[0].translation[0] = 5.0
+            assert np.array_equal(m.whiten, whiten) and np.array_equal(m.transforms, transforms)
+
+    def test_rejects_a_covariance_of_the_wrong_shape(self):
+        with pytest.raises(ValueError):
+            MeasurementSet([Pose.identity()] * 3, np.eye(5))
+        with pytest.raises(ValueError):
+            MeasurementSet([Pose.identity()] * 3, np.stack([np.eye(6)] * 2))
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_kept_factors_stack_to_the_batched_factor(self, level, rng):
+        # The batched factors of a set equal the factors of its covariances
+        # taken one at a time, for a shared and for per-pose covariances.
         for seed in range(4):
             meas, _, _ = generate_trial(TrialSpec(seed=seed, outlier_fraction=level))
-            meas += [PoseMeasurement(m.pose, random_spd(rng, 10.0**rng.uniform(-3, 0))) for m in meas]
-            kept = np.stack([m.whiten for m in meas])
-            batched = np.linalg.inv(np.linalg.cholesky(np.stack([m.cov for m in meas])))
-            assert np.array_equal(kept, batched)
+            n = len(meas.transforms)
+            assert np.array_equal(meas.whiten, per_matrix_factors(default_measurement_cov(), n))
+            covs = np.stack([random_spd(rng, 10.0**rng.uniform(-3, 0)) for _ in range(n)])
+            mixed = MeasurementSet(poses_of(meas), covs)
+            assert np.array_equal(mixed.whiten, per_matrix_factors(covs, n))
+            assert np.array_equal(mixed.transforms, meas.transforms)
 
 
 class TestSolver:
     def test_single_measurement_recovered(self):
-        meas = [PoseMeasurement(exp_map(np.array([0.1, -0.2, 0.3, 0.5, -0.1, 0.2])), np.eye(6))]
-        res = solve_pose_average(meas, Pose.identity(), cfg())
+        pose = exp_map(np.array([0.1, -0.2, 0.3, 0.5, -0.1, 0.2]))
+        res = solve_pose_average(MeasurementSet([pose], np.eye(6)), Pose.identity(), cfg())
         assert res.converged and res.iterations <= 2
-        assert np.abs(log_map(meas[0].pose.inverse() @ res.pose)).max() < 1e-9
+        assert np.abs(log_map(pose.inverse() @ res.pose)).max() < 1e-9
 
     def test_identical_measurements_fixed_point(self):
         pose = exp_map(np.array([0.2, 0.1, -0.1, 0.3, 0.2, -0.5]))
-        meas = [PoseMeasurement(pose, 0.01 * np.eye(6)) for _ in range(9)]
+        meas = MeasurementSet([pose] * 9, 0.01 * np.eye(6))
         res = solve_pose_average(meas, Pose.identity(), cfg())
         assert np.abs(log_map(pose.inverse() @ res.pose)).max() < 1e-9
 
@@ -317,7 +333,8 @@ class TestSolver:
         res = solve_pose_average(meas, init, cfg("none", tol_phi=1e-10, tol_rho=1e-10, max_iters=200))
         # gradient of the unweighted objective via the same linearization
         grad = sum(
-            reference_system(log_map(res.pose.inverse() @ m.pose), m.cov)[1] for m in meas
+            reference_system(log_map(res.pose.inverse() @ m), default_measurement_cov())[1]
+            for m in poses_of(meas)
         )
         assert np.linalg.norm(grad) < 1e-6
 
@@ -330,7 +347,7 @@ class TestSolver:
             res = solve_pose_average(meas, init, cfg())
             phi, _ = pose_error_norms(truth.inverse() @ res.pose)
             averages.append(phi)
-            phi1, _ = pose_error_norms(truth.inverse() @ meas[0].pose)
+            phi1, _ = pose_error_norms(truth.inverse() @ poses_of(meas)[0])
             singles.append(phi1)
         ratio = np.median(averages) / np.median(singles)
         assert ratio == pytest.approx(1.0 / np.sqrt(20.0), rel=0.35)
@@ -344,8 +361,8 @@ class TestSolver:
         assert res.diagnostics["mb_below_mode_violations"] == 0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            solve_pose_average([], Pose.identity(), cfg())
+        with pytest.raises(ValueError, match="^need at least one measurement$"):
+            MeasurementSet([], np.eye(6))
 
 
 class TestSolverInvariance:
@@ -379,7 +396,8 @@ class TestSolverInvariance:
         big_g = exp_map(np.array(g))
         config = cfg(kind)
         base = self._solve(meas, init, config)
-        moved = self._solve([PoseMeasurement(big_g @ m.pose, m.cov) for m in meas], big_g @ init, config)
+        moved_meas = MeasurementSet([big_g @ m for m in poses_of(meas)], default_measurement_cov())
+        moved = self._solve(moved_meas, big_g @ init, config)
         if isinstance(base, Exception) or isinstance(moved, Exception):
             assert type(base) is type(moved)
             return
@@ -493,8 +511,8 @@ class TestGenerateTrial:
         norms = []
         for seed in range(50):
             meas, _, _ = generate_trial(TrialSpec(seed=seed, outlier_fraction=0.0))
-            for m in meas:
-                xi = log_map(m.pose)
+            for m in poses_of(meas):
+                xi = log_map(m)
                 norms.append(np.sqrt(xi @ r_inv @ xi))
         bound = chi_quantile(6, 0.999)
         assert np.mean(np.asarray(norms) < bound) >= 0.995
@@ -507,7 +525,7 @@ class TestGenerateTrial:
         seed = 0
         while len(norms) < 10_000:
             meas, _, _ = generate_trial(TrialSpec(seed=seed, outlier_fraction=0.0))
-            norms.extend(np.sqrt(log_map(m.pose) @ r_inv @ log_map(m.pose)) for m in meas)
+            norms.extend(np.sqrt(log_map(m) @ r_inv @ log_map(m)) for m in poses_of(meas))
             seed += 1
         chi6_mean = np.sqrt(2.0) * gamma(3.5) / gamma(3.0)
         assert np.mean(norms) == pytest.approx(chi6_mean, rel=0.02)
@@ -516,14 +534,12 @@ class TestGenerateTrial:
         a, init_a, _ = generate_trial(TrialSpec(seed=42, outlier_fraction=0.4))
         b, init_b, _ = generate_trial(TrialSpec(seed=42, outlier_fraction=0.4))
         assert np.array_equal(init_a.matrix(), init_b.matrix())
-        for ma, mb in zip(a, b):
-            assert np.array_equal(ma.pose.matrix(), mb.pose.matrix())
+        assert np.array_equal(a.transforms, b.transforms) and np.array_equal(a.whiten, b.whiten)
 
     def test_outlier_translation_bounds(self):
         spec = TrialSpec(seed=3, outlier_fraction=0.8)
         meas, _, _ = generate_trial(spec)
-        for m in meas[spec.n_inliers:]:
-            assert np.all(np.abs(m.pose.translation) <= 1.0)
+        assert np.all(np.abs(meas.transforms[spec.n_inliers:, :3, 3]) <= 1.0)
 
     def test_monotone_robustness_trend(self):
         # median error of the norm-aware loss stays near-flat in the outlier rate
