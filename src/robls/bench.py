@@ -165,22 +165,20 @@ def _trial_seed(master: int, group_index: int, trial: int) -> int:
 def _solve_kinds(cfg, group, trial, seed, init, truth, solve):
     """Run ``solve(rlf)`` for every configured loss kind from one start.
 
-    Returns the trial records, the norm-aware audit totals and the solver
-    results in ``cfg.rlfs`` order.
+    Returns the trial records and the solver results in ``cfg.rlfs`` order.
     """
     prior_phi, prior_rho = pose_error_norms(truth.inverse() @ init)
     records, results = [], []
-    audit = {"invocations": 0, "below_mode": 0, "violations": 0}
-    for rlf_kind in cfg.rlfs:
+    for rlf_name in cfg.rlfs:
         t0 = time.perf_counter()
-        result = solve(RobustLoss(rlf_kind, tau=cfg.tau))
+        result = solve(RobustLoss(rlf_name, tau=cfg.tau))
         seconds = time.perf_counter() - t0
         phi, rho = pose_error_norms(truth.inverse() @ result.pose)
         records.append(
             stats.TrialRecord(
                 group=group,
                 trial=trial,
-                rlf=rlf_kind,
+                rlf=rlf_name,
                 seed=seed,
                 phi_err_deg=float(np.rad2deg(phi)),
                 rho_err_mm=rho * 1e3,
@@ -193,15 +191,12 @@ def _solve_kinds(cfg, group, trial, seed, init, truth, solve):
             )
         )
         results.append(result)
-        audit["invocations"] += result.diagnostics["mb_invocations"]
-        audit["below_mode"] += result.diagnostics["mb_below_mode"]
-        audit["violations"] += result.diagnostics["mb_below_mode_violations"]
-    return records, audit, results
+    return records, results
 
 
 # --- pose averaging --------------------------------------------------------
 
-def _pose_avg_trial(args) -> tuple[list[stats.TrialRecord], dict]:
+def _pose_avg_trial(args) -> list[stats.TrialRecord]:
     cfg, level_idx, trial = args
     level = cfg.outlier_levels[level_idx]
     seed = _trial_seed(cfg.master_seed, level_idx, trial)
@@ -211,16 +206,16 @@ def _pose_avg_trial(args) -> tuple[list[stats.TrialRecord], dict]:
     solver_cfg = pose_avg.PoseAvgConfig(
         max_iters=cfg.max_iters, weight_exponent=cfg.weight_exponent
     )
-    records, audit, _ = _solve_kinds(
+    records, _ = _solve_kinds(
         cfg, f"outliers_{int(round(level * 100)):02d}", trial, seed, init, truth,
         lambda rlf: pose_avg.solve_pose_average(measurements, init, replace(solver_cfg, rlf=rlf)),
     )
-    return records, audit
+    return records
 
 
 # --- ICP -------------------------------------------------------------------
 
-def _icp_trial(args) -> tuple[list[stats.TrialRecord], dict]:
+def _icp_trial(args) -> list[stats.TrialRecord]:
     cfg, kind_idx, trial = args
     kind = cfg.scene_kinds[kind_idx]
     seed = _trial_seed(cfg.master_seed, kind_idx, trial)
@@ -238,18 +233,18 @@ def _icp_trial(args) -> tuple[list[stats.TrialRecord], dict]:
     solver_cfg = icp.IcpConfig(
         grid=cfg.grid, max_iters=cfg.max_iters, weight_exponent=cfg.weight_exponent
     )
-    records, audit, results = _solve_kinds(
+    records, results = _solve_kinds(
         cfg, kind, trial, seed, init, t_gt,
         lambda rlf: icp.icp_solve(source_ds, target_ds, init, replace(solver_cfg, rlf=rlf)),
     )
     if cfg.trace_dir is not None:
         trace_dir = Path(cfg.trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        for rlf_kind, result in zip(cfg.rlfs, results):
+        for rlf_name, result in zip(cfg.rlfs, results):
             cloud_io.write_icp_trace_csv(
-                result.trace, trace_dir / f"trace_{kind}_{trial:03d}_{rlf_kind}.csv"
+                result.trace, trace_dir / f"trace_{kind}_{trial:03d}_{rlf_name}.csv"
             )
-    return records, audit
+    return records
 
 
 # --- shared runner ---------------------------------------------------------
@@ -260,15 +255,10 @@ def _run(jobs, worker, threads: int):
     else:
         with get_context("fork").Pool(threads) as pool:
             outs = pool.map(worker, jobs, chunksize=1)
-    records, audit = [], {"invocations": 0, "below_mode": 0, "violations": 0}
-    for recs, aud in outs:
-        records.extend(recs)
-        for key in audit:
-            audit[key] += aud[key]
-    return records, audit
+    return [record for records in outs for record in records]
 
 
-def _emit(records, audit, cfg, out_dir) -> dict:
+def _emit(records, cfg, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -276,13 +266,9 @@ def _emit(records, audit, cfg, out_dir) -> dict:
     cloud_io.write_trials_csv(records, chash, out / "trials.csv")
     cloud_io.write_timings_csv(records, out / "timings.csv")
     cloud_io.write_summary_csv(rows, out / "summary.csv")
-    meta = {
-        "config": cfg.as_dict(),
-        "config_hash": chash,
-        "mb_mode_audit": audit,
-    }
+    meta = {"config": cfg.as_dict(), "config_hash": chash}
     cloud_io.write_summary_json(rows, meta, out / "summary.json")
-    return {"rows": rows, "records": records, "audit": audit, "config_hash": chash}
+    return {"rows": rows, "records": records, "config_hash": chash}
 
 
 def run_pose_avg_benchmark(cfg: PoseAvgBenchConfig, out_dir) -> dict:
@@ -292,8 +278,7 @@ def run_pose_avg_benchmark(cfg: PoseAvgBenchConfig, out_dir) -> dict:
         for level_idx in range(len(cfg.outlier_levels))
         for trial in range(cfg.trials_per_level)
     ]
-    records, audit = _run(jobs, _pose_avg_trial, cfg.threads)
-    return _emit(records, audit, cfg, out_dir)
+    return _emit(_run(jobs, _pose_avg_trial, cfg.threads), cfg, out_dir)
 
 
 def run_icp_benchmark(cfg: IcpBenchConfig, out_dir) -> dict:
@@ -303,5 +288,4 @@ def run_icp_benchmark(cfg: IcpBenchConfig, out_dir) -> dict:
         for kind_idx in range(len(cfg.scene_kinds))
         for trial in range(cfg.trials_per_kind)
     ]
-    records, audit = _run(jobs, _icp_trial, cfg.threads)
-    return _emit(records, audit, cfg, out_dir)
+    return _emit(_run(jobs, _icp_trial, cfg.threads), cfg, out_dir)

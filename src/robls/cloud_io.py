@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .icp import PointCloud
+from .irls import TRACE_COLUMNS
 from .se3 import Pose
 from .stats import TrialRecord
 
@@ -123,9 +124,7 @@ def write_summary_csv(rows: list[dict], path) -> None:
         writer.writerow(SUMMARY_COLUMNS)
         for row in rows:
             writer.writerow(
-                [row["group"], row["rlf"], row["trials"]]
-                + [_fmt(row[c]) for c in SUMMARY_COLUMNS[3:-2]]
-                + [_fmt(row["success_rate"]), _fmt(row["convergence_rate"])]
+                [row["group"], row["rlf"], row["trials"]] + [_fmt(row[c]) for c in SUMMARY_COLUMNS[3:]]
             )
 
 
@@ -137,9 +136,6 @@ def write_summary_json(rows: list[dict], meta: dict, path) -> None:
 def write_icp_trace_csv(trace: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "step_phi", "step_rho", "alpha_star", "a_star", "mode"])
+        writer.writerow(TRACE_COLUMNS)
         for row in trace:
-            writer.writerow(
-                [row["iter"]]
-                + [_fmt(row[c]) for c in ("step_phi", "step_rho", "alpha_star", "a_star", "mode")]
-            )
+            writer.writerow([row["iter"]] + [_fmt(row[c]) for c in TRACE_COLUMNS[1:]])

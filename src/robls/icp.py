@@ -133,8 +133,8 @@ class IcpConfig:
 
 def voxel_downsample(cloud: PointCloud, d_grid: float) -> PointCloud:
     """One centroid per occupied cell of an origin-anchored voxel grid."""
-    if d_grid <= 0:
-        raise ValueError("d_grid must be positive")
+    if not 0.0 < d_grid < np.inf:
+        raise ValueError(f"d_grid must be positive and finite, got {d_grid!r}")
     pts = cloud.points
     if len(pts) == 0:
         return PointCloud(np.empty((0, 3)))
@@ -163,6 +163,8 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     included.  The returned cloud keeps the KD-tree built here as its
     :attr:`~PointCloud.tree`.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError(f"k must be an integer of at least 2, got {k!r}")
     if len(cloud) <= k:
         raise ValueError(f"need more than k={k} points to estimate normals")
     out = PointCloud(cloud.points)

@@ -2,19 +2,23 @@
 
 Point-to-plane ICP and pose averaging differ only in how they linearize
 the problem at the current pose; the loop around that (robust weights with
-a warm start, the norm-aware audit counters, the per-iteration trace and
-the step-norm stop test) lives here once.
+a warm start, the per-iteration trace and the step-norm stop test) lives
+here once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .se3 import Pose
 
-__all__ = ["IrlsResult", "check_config", "irls"]
+__all__ = ["IrlsResult", "TRACE_COLUMNS", "check_config", "irls"]
+
+# Keys of each per-iteration trace row; the last three are read from the
+# robust loss's diagnostics, NaN for kinds that do not report them.
+TRACE_COLUMNS = ("iter", "step_phi", "step_rho", "alpha_star", "a_star", "mode")
 
 
 @dataclass
@@ -22,8 +26,8 @@ class IrlsResult:
     pose: Pose
     iterations: int
     converged: bool
-    trace: list  # per-iteration dicts: iter, step_phi, step_rho, alpha_star, a_star, mode
-    diagnostics: dict
+    trace: list  # per-iteration dicts keyed by TRACE_COLUMNS
+    diagnostics: dict = field(default_factory=dict)
 
 
 def check_config(config, *positive: str) -> None:
@@ -58,44 +62,19 @@ def irls(linearize, init: Pose, config, n_e: int) -> IrlsResult:
     trace: list[dict] = []
     converged = False
     warm = None
-    mb_invocations = mb_below = mb_violations = 0
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
         eps, update = linearize(pose)
         wres = config.rlf.weights(eps, n_e=n_e, warm_start=warm)
         warm = wres.warm_start
-        diag = wres.diagnostics
-        if config.rlf.kind == "adaptive_mb":
-            mb_invocations += 1
-            mb_below += diag.get("below_mode", 0)
-            mb_violations += diag.get("below_mode_violations", 0)
-
         pose, step = update(wres.weights**config.weight_exponent)
         step_phi = float(np.linalg.norm(step[:3]))
         step_rho = float(np.linalg.norm(step[3:]))
-        trace.append(
-            {
-                "iter": iterations,
-                "step_phi": step_phi,
-                "step_rho": step_rho,
-                "alpha_star": diag.get("alpha_star", np.nan),
-                "a_star": diag.get("a_star", np.nan),
-                "mode": diag.get("mode", np.nan),
-            }
-        )
+        diag = [wres.diagnostics.get(key, np.nan) for key in TRACE_COLUMNS[3:]]
+        trace.append(dict(zip(TRACE_COLUMNS, (iterations, step_phi, step_rho, *diag))))
         if step_phi < config.tol_phi and step_rho < config.tol_rho:
             converged = True
             break
 
-    return IrlsResult(
-        pose=pose,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        diagnostics={
-            "mb_invocations": mb_invocations,
-            "mb_below_mode": mb_below,
-            "mb_below_mode_violations": mb_violations,
-        },
-    )
+    return IrlsResult(pose=pose, iterations=iterations, converged=converged, trace=trace)

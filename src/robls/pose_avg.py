@@ -157,7 +157,7 @@ def solve_pose_average(
         return np.sqrt(np.einsum("ni,ni->n", r, r)), update
 
     result = irls(linearize, init, config, n_e=ERROR_DIM)
-    result.diagnostics = {"skipped_measurements": skipped_total, **result.diagnostics}
+    result.diagnostics["skipped_measurements"] = skipped_total
     return result
 
 

@@ -30,7 +30,7 @@ class TestPoseAvgBench:
         assert (tmp_path / "timings.csv").exists()
         meta = json.loads((tmp_path / "summary.json").read_text())["meta"]
         assert meta["config_hash"] == out["config_hash"]
-        assert meta["mb_mode_audit"]["violations"] == 0
+        assert set(meta) == {"config", "config_hash"}
         # provenance on every row
         assert all(r["seed"] and r["config_hash"] for r in rows)
 
@@ -76,18 +76,30 @@ class TestDeterminism:
 
 
 class TestPinnedOutputs:
-    # sha256 of trials.csv for the default configs at a few trials each.  A
+    # sha256 of trials.csv and summary.csv for the default configs at a few
+    # trials each, and of the ICP trace CSVs concatenated in name order.  A
     # change meant to keep every output keeps these; one that moves an
     # output on purpose states the new hash.
-    @pytest.mark.parametrize("command, digest", [
-        (["pose-avg-bench", "--trials", "3"],
-         "ee8997b12391488f23e00239760f834f799beb8ab87b6ddb06b265a53de84c54"),
-        (["icp-bench", "--trials", "1"],
-         "14e31667c2367180eb1f58692d857af9586fe6dbbf5f7a1334d7aadca70aebdb"),
+    @pytest.mark.parametrize("command, digests", [
+        (["pose-avg-bench", "--trials", "3"], {
+            "trials.csv": "ee8997b12391488f23e00239760f834f799beb8ab87b6ddb06b265a53de84c54",
+            "summary.csv": "627c4683d1e96f93a1f98e38ff6b7f425fa5ea620c516b06c8b7c0b5f1a887cc",
+        }),
+        (["icp-bench", "--trials", "1"], {
+            "trials.csv": "14e31667c2367180eb1f58692d857af9586fe6dbbf5f7a1334d7aadca70aebdb",
+            "summary.csv": "7491c035bd9d6c920fce7cdcf0efea0d74c787f363dbb4ab069d4fb3916d0742",
+            "traces": "0020dc9bfda842171572822cee1d3eb96966f7753806073ec666de714cf35816",
+        }),
     ], ids=["pose-avg-bench", "icp-bench"])
-    def test_trials_csv_hash(self, tmp_path, command, digest):
-        main([*command, "--threads", "1", "--out-dir", str(tmp_path)])
-        assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == digest
+    def test_trials_csv_hash(self, tmp_path, command, digests):
+        traces = ["--trace-dir", str(tmp_path / "traces")] if "traces" in digests else []
+        main([*command, "--threads", "1", "--out-dir", str(tmp_path), *traces])
+        got = {name: (tmp_path / name).read_bytes() for name in ("trials.csv", "summary.csv")}
+        if traces:
+            files = sorted((tmp_path / "traces").iterdir())
+            assert len(files) == 3 * len(bench.DEFAULT_RLFS)
+            got["traces"] = b"".join(path.read_bytes() for path in files)
+        assert {name: hashlib.sha256(blob).hexdigest() for name, blob in got.items()} == digests
 
 
 class TestCli:

@@ -93,6 +93,12 @@ class TestVoxelDownsample:
     def test_empty_cloud(self):
         assert len(voxel_downsample(PointCloud(np.empty((0, 3))), 0.1)) == 0
 
+    @pytest.mark.parametrize("d_grid", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_a_grid_that_is_not_positive_and_finite(self, d_grid, rng):
+        # NaN and inf used to collapse any cloud to one point.
+        with pytest.raises(ValueError, match="d_grid must be positive and finite"):
+            voxel_downsample(PointCloud(rng.uniform(0, 1, (100, 3))), d_grid)
+
     def test_deterministic_order(self, rng):
         pts = rng.uniform(-1, 1, (500, 3))
         a = voxel_downsample(PointCloud(pts), 0.25).points
@@ -146,6 +152,15 @@ class TestEstimateNormals:
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             estimate_normals(PointCloud(np.zeros((5, 3))), 15)
+
+    @pytest.mark.parametrize("k", [0, 1, -3, True, 2.5, np.float64(15.0)])
+    def test_rejects_k_that_is_not_an_integer_of_at_least_2(self, k, rng):
+        with pytest.raises(ValueError, match="k must be an integer of at least 2"):
+            estimate_normals(PointCloud(rng.uniform(0, 1, (100, 3))), k)
+
+    @pytest.mark.parametrize("k", [2, np.int64(15)])
+    def test_accepts_integer_k_from_2(self, k, rng):
+        assert len(estimate_normals(PointCloud(rng.uniform(0, 1, (100, 3))), k).normals) == 100
 
     @pytest.mark.parametrize("shape", ["duplicates", "line", "plane", "sphere"])
     def test_every_normal_is_a_unit_vector(self, shape, rng):
@@ -575,7 +590,7 @@ class TestGoldenOutcomes:
     def test_first_trial_outcomes_kept(self, kind_idx):
         cfg = bench.IcpBenchConfig(master_seed=3, trials_per_kind=1,
                                    rlfs=("tukey", "chebrolu", "adaptive_mb"))
-        records, _ = bench._icp_trial((cfg, kind_idx, 0))
+        records = bench._icp_trial((cfg, kind_idx, 0))
         expected = [g for g in GOLDEN_OUTCOMES if g[0] == records[0].group]
         assert [(r.group, r.rlf) for r in records] == [g[:2] for g in expected]
         for r, (_, _, iterations, converged, phi, rho) in zip(records, expected):

@@ -322,12 +322,44 @@ class TestShiftResiduals:
         assert np.array_equal(w, w_above)
 
 
+NORMS = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+
+
+@st.composite
+def below_mode_cases(draw):
+    """``(n_e, norms)``: free sets with exact zeros, all-equal sets, or
+    Chi(n_e) inliers at a drawn scale plus uniform outliers."""
+    n_e = draw(st.sampled_from([1, 2, 3, 6]))
+    shape = draw(st.sampled_from(["free", "equal", "chi"]))
+    if shape == "free":
+        return n_e, np.array(draw(st.lists(NORMS, min_size=1, max_size=200)))
+    if shape == "equal":
+        return n_e, np.full(draw(st.integers(1, 200)), draw(NORMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_in, scale = draw(st.integers(1, 500)), draw(st.floats(0.1, 3.0))
+    n_out, spread = draw(st.integers(0, 300)), draw(st.floats(1.0, 40.0))
+    inliers = scale * np.linalg.norm(rng.standard_normal((n_in, n_e)), axis=1)
+    return n_e, np.concatenate([inliers, rng.uniform(0.0, spread, n_out)])
+
+
 class TestAdaptiveMbWeights:
     def test_below_mode_exactly_one(self, rng):
         r = np.linalg.norm(rng.standard_normal((3000, 3)), axis=1)
         w, diag = adaptive_mb_weights(r, 3, 10.0)
         assert diag.below_mode_violations == 0
         assert np.all(w[r < diag.mode] == 1.0)
+
+    @PROPERTY
+    @given(case=below_mode_cases(), tau=st.sampled_from([10.0, 20.0]))
+    def test_below_mode_rule_holds_on_any_set(self, case, tau):
+        n_e, r = case
+        w, diag = adaptive_mb_weights(r, n_e, tau)
+        assert np.all(np.isfinite(w)) and w.min() >= 0.0 and w.max() <= 1.0
+        below = r < diag.mode
+        assert np.all(w[below] == 1.0)
+        assert diag.below_mode == np.count_nonzero(below)
+        assert diag.below_mode_violations == 0
+        assert diag.inlier_fraction == diag.below_mode / r.size
 
     def test_clean_chi3(self, rng):
         r = np.linalg.norm(rng.standard_normal((10_000, 3)), axis=1)
