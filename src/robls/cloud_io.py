@@ -93,7 +93,12 @@ def write_trials_csv(records: list[TrialRecord], config_hash: str, path) -> None
 
 
 def write_timings_csv(records: list[TrialRecord], path) -> None:
-    """Wall-clock seconds per solve; inherently not deterministic."""
+    """Wall-clock seconds per solve; inherently not deterministic.
+
+    In an ICP trial the first kind in ``rlfs`` order also pays for the start
+    association that the trial's later solves reuse, so compare per-kind
+    times across kinds only with that cost set apart.
+    """
     ordered = sorted(records, key=lambda r: (r.group, r.trial, r.rlf))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

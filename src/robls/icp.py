@@ -23,17 +23,28 @@ Association returns exactly what a KD-tree query would, but ICP's late
 iterations move each source point far less than the gap between its nearest
 and second-nearest target, so most correspondences are proved unchanged
 instead of searched again (cached k-d tree search, Nuechter et al., 3DIM
-2007).  Each solve keeps a memo of where every point was last queried
-(``ref``), its nearest index ``j`` and its second-nearest distance ``d2``.
-By the triangle inequality every other target lies at least
-``d2 - |p - ref|`` from the point ``p``, so ``j`` is still the unique
-nearest while ``|p - t_j| + |p - ref| < d2``.  The test is made with a
-margin of ``CERT_MARGIN`` times the summed distances plus the coordinate
-magnitude, which covers the rounding of the computed distances.  Only the
-points that fail it are queried, for two neighbours, which refreshes their
-memo.  A tie ``d1 == d2`` in that query leaves the first index to the
-tree's traversal order, so a tied point takes its index from a one-neighbour
-query, as a plain query would, and stays uncertified.
+2007).  A memo records the tree it was filled against and, for every point,
+where that tree was last queried (``ref``), its nearest index ``j`` and its
+second-nearest distance ``d2``.  By the triangle inequality every other
+target lies at least ``d2 - |p - ref|`` from the point ``p``, so ``j`` is
+still the unique nearest while ``|p - t_j| + |p - ref| < d2``.  The test is
+made with a margin of ``CERT_MARGIN`` times the summed distances plus the
+coordinate magnitude, which covers the rounding of the computed distances.
+Only the points that fail it are queried, for two neighbours, which
+refreshes their memo.  A tie ``d1 == d2`` in that query leaves the first
+index to the tree's traversal order, so a tied point takes its index from a
+one-neighbour query, as a plain query would, and stays uncertified.
+
+The certificate needs nothing but a memo filled against the same tree, so
+the memo also carries across solves.  The target cloud keeps a copy of the
+memo left by the most recent solve's first association; each solve starts
+from a copy of it and stores a copy back after its own first association.
+The solves of one trial start from one pose, so all but the first certify
+their start association instead of querying every point again (the cached
+search applied across solves as well as across iterations).  A kept memo
+from another start only certifies fewer points, and a memo from another
+tree certifies none, so every index, pose and trace is exactly what a solve
+from an empty memo gives.
 """
 
 from __future__ import annotations
@@ -78,13 +89,17 @@ class PointCloud:
     """Points in the sensor frame, with optional per-point unit normals.
 
     The cloud's one KD-tree (:attr:`tree`) is built on first use and freezes
-    the points.  Invalid normals (``normals_valid``) weigh 0 but must be finite.
+    the points.  As a target it also keeps the association memo of the most
+    recent :func:`icp_solve`'s first association, where the next solve's
+    memo starts; a new tree drops it.  Invalid normals (``normals_valid``)
+    weigh 0 but must be finite.
     """
 
     points: np.ndarray
     normals: np.ndarray | None = None
     normals_valid: np.ndarray | None = None
     _tree: object = field(default=None, init=False, repr=False, compare=False)
+    _start_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -111,6 +126,7 @@ class PointCloud:
             self._tree = cKDTree(self.points, copy_data=True)
             self._tree.data.flags.writeable = False
             self.points = self._tree.data
+            self._start_memo = {}
         return self._tree
 
 
@@ -251,11 +267,12 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
     """Index of the nearest target point for every source point; no distance gating.
 
     The result always equals ``target_tree.query(source_points)[1]``.
-    ``memo`` is a dict that carries, from one call to the next, each
-    point's reference position ``ref`` (where the tree was last queried for
-    it), its nearest index ``idx`` and its second-nearest distance ``d2``
-    (infinite for a one-point target).  The call updates ``ref`` and ``d2``
-    in place and returns a new ``idx``, so a returned array never changes.
+    ``memo`` is a dict that carries, from one call to the next, the
+    ``tree`` it was filled against and each point's reference position
+    ``ref`` (where the tree was last queried for it), its nearest index
+    ``idx`` and its second-nearest distance ``d2`` (infinite for a one-point
+    target).  The call updates ``ref`` and ``d2`` in place and returns a new
+    ``idx``, so a returned array never changes.
     A point is certified, and keeps ``idx`` without a tree search, when
 
         |p - t_idx| + |p - ref| + CERT_MARGIN * (that sum + scale) < d2,
@@ -265,14 +282,15 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
     their memo.  Where that query returns ``d1 == d2`` the index comes from
     ``query(k=1)`` instead; such a point's ``d2`` equals its nearest
     distance, so it is never certified.  An empty or absent memo, or one
-    kept for a different number of points, certifies nothing.
+    kept for another tree or a different number of points, certifies nothing.
     """
     if target_tree.n == 0:
         raise ValueError("target cloud is empty")
     p = np.asarray(source_points, dtype=float)
     memo = {} if memo is None else memo
-    if "ref" not in memo or len(memo["ref"]) != len(p):
-        memo.update(ref=np.zeros_like(p), idx=np.zeros(len(p), dtype=np.intp), d2=np.zeros(len(p)))
+    if memo.get("tree") is not target_tree or len(memo["ref"]) != len(p):
+        memo.update(tree=target_tree, ref=np.zeros_like(p), idx=np.zeros(len(p), dtype=np.intp),
+                    d2=np.zeros(len(p)))
     ref, idx, d2 = memo["ref"], memo["idx"].copy(), memo["d2"]
 
     moved = _norms(p - ref)
@@ -296,6 +314,11 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
 
 def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _copy_memo(memo: dict) -> dict:
+    """A memo that :func:`associate` can update without touching ``memo``."""
+    return {**memo, "ref": memo["ref"].copy(), "d2": memo["d2"].copy()} if memo else {}
 
 
 def residuals_pt2pt(errors: np.ndarray, cov_scale: float) -> np.ndarray:
@@ -347,17 +370,26 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
 
     Expects preprocessed clouds (downsampled, target normals present).
     Terminates when both step norms fall below the configured tolerances.
+    The association memo starts as a copy of the one ``target`` kept from
+    the last solve's first association, and a copy of this solve's first
+    one replaces it.  Association returns exactly the tree's indices from
+    any memo, so the result is the same as from a fresh target; only the
+    time of the first association drops when the start is the same.
     """
     if target.normals is None:
         raise ValueError("target cloud must carry normals (run estimate_normals)")
     tree = target.tree
     cov_scale = 2.0 * config.grid**2
     proj_var = cov_scale  # n' (cov_scale * I) n for unit normals
-    memo: dict = {}
+    memo = _copy_memo(target._start_memo)
+    kept = False
 
     def linearize(pose):
+        nonlocal kept
         p = pose.apply(source.points)
         idx = associate(p, tree, memo=memo)
+        if not kept:
+            target._start_memo, kept = _copy_memo(memo), True
         e = np.take(target.points, idx, axis=0) - p
 
         def update(wf):

@@ -93,7 +93,8 @@ class RobustLoss:
         """Weights in [0, 1] for a set of nonnegative residual norms.
 
         Raises ``ValueError`` if the set is empty or holds a NaN, an
-        infinite or a negative norm.
+        infinite or a negative norm, or if ``n_e`` is not an integer in
+        ``[1, mbfit.MAX_DOF]``, whatever the kind.
 
         ``n_e`` is the dimension of the underlying error: it sets the
         fixed kernels' scale and the norm-aware kind's Chi model;
@@ -110,6 +111,7 @@ class RobustLoss:
                 f"{np.isnan(r).sum()} NaN, {np.isinf(r).sum()} infinite and "
                 f"{(r < 0.0).sum()} negative"
             )
+        n_e = mbfit._dof(n_e)
         seed_alpha = warm_start.alpha if warm_start is not None else None
         seed_a = warm_start.a if warm_start is not None else None
 

@@ -282,6 +282,35 @@ class TestAssociate:
             assert np.array_equal(associate(p, tree, memo=memo), tree.query(p)[1])
             pose = exp_map(step_scale * rng.standard_normal(6)) @ pose
 
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.floats(-1e5, 1e5),
+        spread=st.floats(1e-3, 10.0),
+        shift=st.floats(-3.0, 3.0),
+    )
+    def test_memo_filled_elsewhere_matches_plain_query(self, seed, offset, spread, shift):
+        # A memo filled against the same tree at unrelated positions, as a
+        # solve from another start leaves it, proves nothing false.
+        rng = np.random.default_rng(seed)
+        target = offset + rng.uniform(-1, 1, (300, 3))
+        tree = cKDTree(target)
+        p = target[:200] + 0.05 * rng.standard_normal((200, 3))
+        other = offset + shift + spread * rng.standard_normal((200, 3))
+        memo: dict = {}
+        associate(other, tree, memo=memo)
+        assert np.array_equal(associate(p, tree, memo=memo), tree.query(p)[1])
+
+    def test_memo_from_another_tree_certifies_nothing(self):
+        rng = np.random.default_rng(0)
+        tree_a = cKDTree(rng.uniform(-1, 1, (400, 3)))
+        tree_b = cKDTree(rng.uniform(-1, 1, (400, 3)))
+        p = tree_a.data[:300] + 0.01 * rng.standard_normal((300, 3))
+        memo: dict = {}
+        associate(p, tree_a, memo=memo)
+        assert np.array_equal(associate(p, tree_b, memo=memo), tree_b.query(p)[1])
+        assert memo["tree"] is tree_b and np.array_equal(memo["ref"], p)
+
     def test_small_motion_skips_the_tree(self, rng):
         target = rng.uniform(-1, 1, (400, 3))
         p = target[:300] + 0.05 * rng.standard_normal((300, 3))
@@ -550,6 +579,70 @@ class TestSharedTree:
         for res in (second, third):
             assert res.trace == first.trace
             assert np.array_equal(res.pose.matrix(), first.pose.matrix())
+
+    @staticmethod
+    def counting_queries(monkeypatch):
+        """Patch the KD-tree class; returns the list of points per k=2 query."""
+        sizes = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                if k == 2:
+                    sizes.append(len(x))
+                return super().query(x, k, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        return sizes
+
+    def test_a_second_solve_from_the_same_start_queries_only_ties(self, rng, monkeypatch):
+        sizes = self.counting_queries(monkeypatch)
+        base = corner_cloud(rng, noise=0.005)
+        # repeated points give the start association ties, which stay uncertified
+        target = estimate_normals(voxel_downsample(base, 0.1), 15)
+        target = PointCloud(np.vstack([target.points, target.points[:40]]),
+                            np.vstack([target.normals, target.normals[:40]]))
+        source = voxel_downsample(corner_cloud(rng, noise=0.005), 0.1)
+        init = exp_map(np.array([0.02, 0.01, -0.01, 0.06, -0.04, 0.02]))
+        cfg = IcpConfig(rlf=RobustLoss("cauchy"), max_iters=3)
+        d, _ = cKDTree(target.points).query(init.apply(source.points), k=2)
+        ties = int(np.sum(d[:, 0] == d[:, 1]))
+        assert ties > 0
+        first = icp_solve(source, target, init, cfg)
+        solo = len(sizes)
+        second = icp_solve(source, target, init, cfg)
+        assert sizes[0] == len(source) and sizes[solo] == ties
+        assert second.trace == first.trace
+        assert np.array_equal(second.pose.matrix(), first.pose.matrix())
+
+    def test_new_points_drop_the_kept_memo(self, rng, monkeypatch):
+        sizes = self.counting_queries(monkeypatch)
+        target = estimate_normals(voxel_downsample(corner_cloud(rng, noise=0.005), 0.1), 15)
+        source = voxel_downsample(corner_cloud(rng, noise=0.005), 0.1)
+        cfg = IcpConfig(rlf=RobustLoss("welsch"), max_iters=2)
+        first = icp_solve(source, target, Pose.identity(), cfg)
+        old_tree = target.tree
+        assert target._start_memo["tree"] is old_tree
+        target.points = target.points.copy()
+        assert target.tree is not old_tree and target._start_memo == {}
+        solo = len(sizes)
+        again = icp_solve(source, target, Pose.identity(), cfg)
+        assert sizes[solo] == len(source)
+        assert again.trace == first.trace
+
+    def test_solves_from_two_starts_match_fresh_targets(self, rng):
+        target = estimate_normals(voxel_downsample(corner_cloud(rng, noise=0.005), 0.1), 15)
+        source = voxel_downsample(corner_cloud(rng, noise=0.005), 0.1)
+        starts = [exp_map(np.array([0.02, 0.01, -0.01, 0.06, -0.04, 0.02])),
+                  exp_map(np.array([-0.03, 0.02, 0.04, -0.1, 0.08, 0.05]))]
+        for kind in ("tukey", "adaptive_mb"):
+            cfg = IcpConfig(rlf=RobustLoss(kind))
+            for init in starts + starts[::-1]:
+                shared = icp_solve(source, target, init, cfg)
+                fresh_target = PointCloud(target.points.copy(), target.normals.copy(),
+                                          target.normals_valid.copy())
+                fresh = icp_solve(source, fresh_target, init, cfg)
+                assert shared.trace == fresh.trace
+                assert np.array_equal(shared.pose.matrix(), fresh.pose.matrix())
 
     def test_points_freeze_when_the_tree_is_built(self, rng):
         raw = rng.uniform(-1, 1, (50, 3))

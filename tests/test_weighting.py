@@ -111,3 +111,13 @@ class TestGoldenWeights:
                    res.diagnostics.get("mode", NAN), float(res.weights.sum()))
             want = (alpha, a, mode, total)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-8, nan_ok=True), case
+
+
+class TestDofCheck:
+    """Every kind checks n_e, whether or not its weights read it."""
+
+    @pytest.mark.parametrize("kind", RLF_KINDS)
+    @pytest.mark.parametrize("n_e", (0, 2.5, 5000))
+    def test_every_kind_rejects_an_n_e_outside_the_dof_range(self, kind, n_e):
+        with pytest.raises(ValueError, match="n_e"):
+            RobustLoss(kind).weights(residual_set(3, 50, 0.2, 1), n_e=n_e)
