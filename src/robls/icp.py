@@ -35,16 +35,14 @@ refreshes their memo.  A tie ``d1 == d2`` in that query leaves the first
 index to the tree's traversal order, so a tied point takes its index from a
 one-neighbour query, as a plain query would, and stays uncertified.
 
-The certificate needs nothing but a memo filled against the same tree, so
-the memo also carries across solves.  The target cloud keeps a copy of the
-memo left by the most recent solve's first association; each solve starts
-from a copy of it and stores a copy back after its own first association.
-The solves of one trial start from one pose, so all but the first certify
-their start association instead of querying every point again (the cached
-search applied across solves as well as across iterations).  A kept memo
-from another start only certifies fewer points, and a memo from another
-tree certifies none, so every index, pose and trace is exactly what a solve
-from an empty memo gives.
+The certificate needs only a memo filled against the same tree, so a memo
+also carries across solves.  The target cloud keeps a copy of the memo of
+the most recent solve's first association; each solve starts from a copy
+of it and stores a copy of its own first one back.  A trial's solves start
+from one pose, so all but the first certify their start association
+instead of querying every point.  A memo from another start certifies fewer
+points and one from another tree none, so every index, pose and trace is
+what an empty memo gives.
 """
 
 from __future__ import annotations
@@ -372,9 +370,8 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     Terminates when both step norms fall below the configured tolerances.
     The association memo starts as a copy of the one ``target`` kept from
     the last solve's first association, and a copy of this solve's first
-    one replaces it.  Association returns exactly the tree's indices from
-    any memo, so the result is the same as from a fresh target; only the
-    time of the first association drops when the start is the same.
+    one replaces it.  Association returns the tree's indices from any memo,
+    so the result is that of a fresh target.
     """
     if target.normals is None:
         raise ValueError("target cloud must carry normals (run estimate_normals)")

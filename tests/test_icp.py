@@ -596,11 +596,10 @@ class TestSharedTree:
 
     def test_a_second_solve_from_the_same_start_queries_only_ties(self, rng, monkeypatch):
         sizes = self.counting_queries(monkeypatch)
-        base = corner_cloud(rng, noise=0.005)
         # repeated points give the start association ties, which stay uncertified
-        target = estimate_normals(voxel_downsample(base, 0.1), 15)
-        target = PointCloud(np.vstack([target.points, target.points[:40]]),
-                            np.vstack([target.normals, target.normals[:40]]))
+        cloud = estimate_normals(voxel_downsample(corner_cloud(rng, noise=0.005), 0.1), 15)
+        target = PointCloud(*(np.concatenate([a, a[:40]]) for a in
+                              (cloud.points, cloud.normals, cloud.normals_valid)))
         source = voxel_downsample(corner_cloud(rng, noise=0.005), 0.1)
         init = exp_map(np.array([0.02, 0.01, -0.01, 0.06, -0.04, 0.02]))
         cfg = IcpConfig(rlf=RobustLoss("cauchy"), max_iters=3)
