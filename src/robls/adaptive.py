@@ -43,7 +43,7 @@ This fit and the scaled-Chi shape fit of :mod:`robls.mbfit` both run on
 :func:`minimize_bounded`, a safeguarded Newton method on an interval, and
 the inputs each accepts keep its objective finite: here the truncation bound
 ``tau`` lies in ``[TAU_MIN, TAU_MAX]`` (:func:`check_tau`), and the residuals
-are clipped to the bounds.
+are finite norms (:func:`~robls.loss.check_norms`) clipped to the bounds.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .loss import ALPHA_MIN, BRANCH_TOL, _branch, _rho_general, rho, rho_alpha_derivs
+from .loss import ALPHA_MIN, BRANCH_TOL, _branch, _rho_general, check_norms, rho, rho_alpha_derivs
 
 __all__ = [
     "AlphaDomain",
@@ -261,8 +261,6 @@ class _Objective:
 
     def __init__(self, residuals, domain: AlphaDomain, bounds: tuple[float, float]):
         r = np.asarray(residuals, dtype=float)
-        if r.size == 0:
-            raise ValueError("residual list must be nonempty")
         self.domain = domain
         if domain.variant == "barron":
             t = max(abs(bounds[0]), abs(bounds[1]), UNTRUNCATED_SPAN)
@@ -403,8 +401,10 @@ def optimize_alpha(
     ``objective`` is always ``Lam`` at the reported ``alpha_star``.  For the
     sentinel that is ``Lam(-inf)``, which can exceed ``Lam(ALPHA_MIN)`` by up
     to about 0.01, so it can be worse than the best point of the scan.
+
+    The residuals must pass :func:`~robls.loss.check_norms`.
     """
-    obj = _Objective(residuals, domain, bounds)
+    obj = _Objective(check_norms(residuals), domain, bounds)
     lo = domain.lo if domain.lo < 0.0 else domain.lo + _INTERIOR_MARGIN
 
     if x0 is None:

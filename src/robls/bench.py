@@ -19,6 +19,7 @@ import numpy as np
 
 from . import cloud_io, icp, pose_avg, scenes, stats
 from .adaptive import check_tau
+from .irls import check_int
 from .scenes import OVERLAP_MAX, OVERLAP_MIN
 from .se3 import perturbation_sigma, pose_error_norms, sample_perturbation
 from .weighting import RLF_KINDS, RobustLoss
@@ -59,7 +60,7 @@ class PoseAvgBenchConfig:
 
     def __post_init__(self):
         _check_common(self, "trials_per_level")
-        _check_int(self, "n_inliers", 1)
+        check_int("n_inliers", self.n_inliers, 1)
         _check_sequence("outlier_levels", self.outlier_levels)
         for level in self.outlier_levels:
             if not 0.0 <= _number("outlier level", level) < 1.0:
@@ -88,7 +89,7 @@ class IcpBenchConfig:
 
     def __post_init__(self):
         _check_common(self, "trials_per_kind")
-        _check_int(self, "normal_k", 2)
+        check_int("normal_k", self.normal_k, 2)
         _check_names("scene_kinds", self.scene_kinds, scenes.SCENE_KINDS)
         _check_sequence("overlap_range", self.overlap_range)
         if len(self.overlap_range) != 2:
@@ -111,21 +112,12 @@ class IcpBenchConfig:
 
 def _check_common(cfg, trials_field: str) -> None:
     """Check the fields both bench configs share: TypeError or ValueError."""
-    _check_int(cfg, "master_seed", 0)
-    _check_int(cfg, trials_field, 1)
-    _check_int(cfg, "threads", 1)
-    _check_int(cfg, "max_iters", 1)
-    _check_int(cfg, "weight_exponent", 1)
+    check_int("master_seed", cfg.master_seed, 0)
+    check_int(trials_field, getattr(cfg, trials_field), 1)
+    for name in ("threads", "max_iters", "weight_exponent"):
+        check_int(name, getattr(cfg, name), 1)
     _check_names("rlfs", cfg.rlfs, RLF_KINDS)
     check_tau(_number("tau", cfg.tau))
-
-
-def _check_int(cfg, name: str, lo: int) -> None:
-    value = getattr(cfg, name)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < lo:
-        raise ValueError(f"{name} must be at least {lo}, got {value}")
 
 
 def _number(name: str, value) -> float:

@@ -123,18 +123,6 @@ def cmd_icp_bench(args):
     print(f"wrote {args.out_dir}/trials.csv ({len(result['records'])} rows)")
 
 
-def cmd_fit_mb(args):
-    residuals = _read_residuals(args.input)
-    weights, diag = mbfit.adaptive_mb_weights(residuals, n_e=args.n_e, tau=args.tau)
-    payload = diag.as_dict()
-    payload["weights"] = [float(w) for w in weights]
-    out = json.dumps(payload, indent=1)
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        print(out)
-
-
 def cmd_weights(args):
     residuals = _read_residuals(args.input)
     rlf = RobustLoss(args.rlf, tau=args.tau)
@@ -182,21 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-dir", help="dump per-iteration solver traces here")
     p.set_defaults(func=cmd_icp_bench)
 
-    p = sub.add_parser("fit-mb", help="fit the residual-norm model and report weights")
-    p.add_argument("--input", required=True, help="residual file (or - for stdin)")
-    p.add_argument("--n-e", type=_n_e, default=3, help="error dimension")
-    p.add_argument("--tau", type=_tau, default=10.0, help="truncation bound")
-    p.add_argument("--out", help="output JSON path (default stdout)")
-    p.set_defaults(func=cmd_fit_mb)
-
-    p = sub.add_parser("weights", help="evaluate any RLF on a residual list")
+    p = sub.add_parser(
+        "weights", help="evaluate any RLF on a residual list",
+        description="Print {rlf, diagnostics, weights} as JSON.  For adaptive_mb the "
+        "diagnostics carry the fitted Chi shape a_star and its mode, next to alpha_star "
+        "and the fallback flags: the fields that the former fit-mb command printed.",
+    )
     p.add_argument("--rlf", required=True, choices=RLF_KINDS)
     p.add_argument("--input", required=True, help="residual file (or - for stdin)")
     p.add_argument(
         "--n-e", type=_n_e, default=3,
         help="error dimension: the Chi model of adaptive_mb and the scale of cauchy/tukey/welsch",
     )
-    p.add_argument("--tau", type=_tau, default=10.0)
+    p.add_argument("--tau", type=_tau, default=10.0, help="truncation bound of the adaptive kinds")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_weights)
 

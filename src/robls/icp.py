@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .irls import IrlsResult, check_config, irls
+from .irls import IrlsResult, check_config, check_int, irls
 from .se3 import Pose, exp_map
 from .weighting import RobustLoss
 
@@ -177,8 +177,7 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     included.  The returned cloud keeps the KD-tree built here as its
     :attr:`~PointCloud.tree`.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValueError(f"k must be an integer of at least 2, got {k!r}")
+    check_int("k", k, 2)
     if len(cloud) <= k:
         raise ValueError(f"need more than k={k} points to estimate normals")
     out = PointCloud(cloud.points)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .se3 import Pose
 
-__all__ = ["IrlsResult", "TRACE_COLUMNS", "check_config", "irls"]
+__all__ = ["IrlsResult", "TRACE_COLUMNS", "check_config", "check_int", "irls"]
 
 # Keys of each per-iteration trace row; the last three are read from the
 # robust loss's diagnostics, NaN for kinds that do not report them.
@@ -30,17 +30,26 @@ class IrlsResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def check_int(name: str, value, lo: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least ``lo``.
+
+    Numpy integers pass; ``bool`` and integral floats do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+
+
 def check_config(config, *positive: str) -> None:
     """Raise ``ValueError`` unless the solver config is usable by :func:`irls`.
 
     ``max_iters`` and ``weight_exponent`` must be integers of at least 1
-    (``bool`` is not one), and every field named in ``positive`` must be
+    (:func:`check_int`), and every field named in ``positive`` must be
     positive and finite: a NaN tolerance would never stop the loop.
     """
     for name in ("max_iters", "weight_exponent"):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        check_int(name, getattr(config, name), 1)
     for name in positive:
         value = getattr(config, name)
         if not 0.0 < value < np.inf:

@@ -12,6 +12,11 @@ M-estimators (Cauchy / Tukey / Welsch) instead expect residuals divided by
 a Gaussian-consistent sigma estimate, see :func:`fixed_weight`.  Error
 norms have their median near the Chi mode rather than at zero, so
 :meth:`RobustLoss.weights` divides them by ``median(r) / median(Chi(n_e))``.
+
+:func:`check_norms` is the one rule for a residual set: every public
+function that takes one (``RobustLoss.weights``, ``adaptive_mb_weights``,
+``fit_mb``, ``optimize_alpha`` and :func:`var_trimmed_weights`) calls it on
+entry, and the internal steps behind them trust its result.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 __all__ = [
     "ALPHA_MIN",
     "BRANCH_TOL",
+    "check_norms",
     "rho",
     "weight",
     "var_trimmed_weights",
@@ -50,6 +56,23 @@ DEFAULT_TUNING = {
 
 VAR_TRIMMED_EXPONENT = 2.0
 VAR_TRIMMED_MIN_FRACTION = 0.4
+
+
+def check_norms(residuals) -> np.ndarray:
+    """``residuals`` as a float array, or ``ValueError`` unless it is a
+    nonempty set of finite, nonnegative norms.
+    """
+    r = np.asarray(residuals, dtype=float)
+    if r.size == 0:
+        raise ValueError("residual list must be nonempty")
+    # NaN fails the first test, +inf the second.
+    if not (r.min() >= 0.0 and r.max() < np.inf):
+        raise ValueError(
+            "residual norms must be finite and nonnegative, got "
+            f"{np.isnan(r).sum()} NaN, {np.isinf(r).sum()} infinite and "
+            f"{(r < 0.0).sum()} negative"
+        )
+    return r
 
 
 def _branch(alpha: float) -> str:
@@ -173,11 +196,10 @@ def var_trimmed_weights(residuals) -> np.ndarray:
     Weights 1 the ``k`` smallest residuals, and 0 the rest, for the first
     ``k in [ceil(0.4 n), n]`` minimizing ``mse(kept) / (k / n)^2``: a step
     function of the trim fraction, so every ``k`` is scored, not searched.
+    The residuals must pass :func:`check_norms`.
     """
-    r = np.asarray(residuals, dtype=float)
+    r = check_norms(residuals)
     n = r.size
-    if n == 0:
-        raise ValueError("var_trimmed_weights requires a nonempty residual list")
     order = np.argsort(r, kind="stable")
     prefix = np.cumsum(r[order] ** 2)
     ks = np.arange(max(1, int(np.ceil(VAR_TRIMMED_MIN_FRACTION * n))), n + 1)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .adaptive import CHEBROLU_DOMAIN, AlphaOptResult, check_tau, minimize_bounded, optimize_alpha
-from .loss import weight
+from .loss import check_norms, weight
 
 __all__ = [
     "MbFit",
@@ -58,7 +58,7 @@ MAX_DOF = 101
 
 
 class DegenerateHistogramError(ValueError):
-    """All residuals identical: no usable histogram support."""
+    """No residual, or all identical: no usable histogram support."""
 
 
 @dataclass
@@ -203,15 +203,14 @@ def build_histogram(residuals, n_bins: int | None = None, upper: float | None = 
     ``upper`` overrides the top edge (used by the fit after thresholding so
     that bin edges stay put while the residual set evolves between IRLS
     iterations).
+
+    Expects norms that its caller checked (:func:`~robls.loss.check_norms`);
+    an empty set raises :class:`DegenerateHistogramError`, as identical ones do.
     """
     r = np.asarray(residuals, dtype=float)
-    if r.size == 0:
-        raise ValueError("residual list must be nonempty")
-    if np.any(r < 0):
-        raise ValueError("residuals must be nonnegative")
-    if r.max() <= 0 or r.min() == r.max():
+    if r.size == 0 or r.min() == r.max():
         raise DegenerateHistogramError(
-            "all residuals identical; histogram has no usable support"
+            "no residual, or all identical; histogram has no usable support"
         )
     top = float(r.max()) if upper is None else float(upper)
     if top < r.max():
@@ -264,15 +263,12 @@ def fit_mb(residuals, n_e: int, x0: float | None = None) -> MbFit:
     estimate and a coarse scan (or from ``x0`` alone on warm-started calls,
     which keeps consecutive IRLS refits in the same local basin).  Returns
     the Chi default ``a = 1`` (with ``fallback=True``) when the residual set
-    is unusable (empty after thresholding, or degenerate).
+    is unusable (empty after thresholding, or degenerate).  The residuals
+    must pass :func:`~robls.loss.check_norms`.
     """
-    r = np.asarray(residuals, dtype=float)
-    if r.size == 0:
-        raise ValueError("residual list must be nonempty")
+    r = check_norms(residuals)
     thresh = chi_quantile(n_e, CHI_THRESHOLD_P)
     r = r[r < thresh]
-    if r.size == 0:
-        return MbFit(1.0, n_e, float(np.sqrt(n_e - 1)), fallback=True)
     try:
         hist = build_histogram(r, upper=thresh)
     except DegenerateHistogramError:
@@ -299,12 +295,11 @@ def adaptive_mb_weights(
 
     Runs the five-step pipeline (fit shape, mode, shift, optimize adaptive
     shape on the shifted residuals over ``[0, nu]``, weight).  Residuals
-    below the fitted mode always receive weight exactly 1.
+    below the fitted mode always receive weight exactly 1.  The residuals
+    must pass :func:`~robls.loss.check_norms`.
     """
     check_tau(tau)
-    r = np.asarray(residuals, dtype=float)
-    if r.size == 0:
-        raise ValueError("residual list must be nonempty")
+    r = check_norms(residuals)
 
     fit = fit_mb(r, n_e, x0=a_x0)
     mode = fit.mode

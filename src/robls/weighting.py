@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mbfit
 from .adaptive import BARRON_DOMAIN, CHEBROLU_DOMAIN, check_tau, optimize_alpha
-from .loss import MAD_FLOOR, fixed_weight, var_trimmed_weights, weight
+from .loss import MAD_FLOOR, check_norms, fixed_weight, var_trimmed_weights, weight
 
 __all__ = [
     "RobustLoss",
@@ -41,8 +41,8 @@ def _median(r: np.ndarray) -> float:
 
     The middle order statistic, or the mean ``(lo + hi) / 2`` of the two
     middle ones, as ``np.median`` computes it; without its NaN scan, which
-    the residual check of :meth:`RobustLoss.weights` makes redundant, it
-    costs about a fifth of ``np.median`` on small sets.
+    :func:`~robls.loss.check_norms` makes redundant, it costs about a fifth
+    of ``np.median`` on small sets.
     """
     k = r.size // 2
     if r.size % 2:
@@ -92,8 +92,8 @@ class RobustLoss:
     ) -> WeightResult:
         """Weights in [0, 1] for a set of nonnegative residual norms.
 
-        Raises ``ValueError`` if the set is empty or holds a NaN, an
-        infinite or a negative norm, or if ``n_e`` is not an integer in
+        Raises ``ValueError`` if the set fails
+        :func:`~robls.loss.check_norms`, or if ``n_e`` is not an integer in
         ``[1, mbfit.MAX_DOF]``, whatever the kind.
 
         ``n_e`` is the dimension of the underlying error: it sets the
@@ -101,16 +101,7 @@ class RobustLoss:
         ``warm_start`` seeds the adaptive shape searches with the previous
         solution.
         """
-        r = np.asarray(residuals, dtype=float)
-        if r.size == 0:
-            raise ValueError("residual list must be nonempty")
-        # NaN fails the first test, +inf the second.
-        if not (r.min() >= 0.0 and r.max() < np.inf):
-            raise ValueError(
-                "residual norms must be finite and nonnegative, got "
-                f"{np.isnan(r).sum()} NaN, {np.isinf(r).sum()} infinite and "
-                f"{(r < 0.0).sum()} negative"
-            )
+        r = check_norms(residuals)
         n_e = mbfit._dof(n_e)
         seed_alpha = warm_start.alpha if warm_start is not None else None
         seed_a = warm_start.a if warm_start is not None else None

@@ -317,10 +317,6 @@ class TestNegLogLikelihood:
         outside = neg_log_likelihood([25.0], 1.0, (-10, 10))
         assert outside == pytest.approx(inside)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            neg_log_likelihood([], 1.0, (-10, 10))
-
 
 def _fd_grad(residuals, alpha, bounds, h=1e-4):
     up = neg_log_likelihood(residuals, alpha + h, bounds)

@@ -119,19 +119,19 @@ class TestCli:
         assert len(payload["weights"]) == 200
         assert all(0.0 <= w <= 1.0 for w in payload["weights"])
 
-    def test_fit_mb_command(self, tmp_path):
+    def test_weights_adaptive_mb_reports_the_chi_fit(self, tmp_path):
         rng = np.random.default_rng(1)
         res_file = tmp_path / "resid.txt"
         np.savetxt(res_file, np.linalg.norm(rng.standard_normal((4000, 3)), axis=1))
         out_file = tmp_path / "fit.json"
-        main(["fit-mb", "--input", str(res_file), "--n-e", "3", "--out", str(out_file)])
+        main(["weights", "--rlf", "adaptive_mb", "--input", str(res_file), "--n-e", "3",
+              "--out", str(out_file)])
         payload = json.loads(out_file.read_text())
-        assert payload["a_star"] == pytest.approx(1.0, abs=0.07)
-        assert payload["mode"] == pytest.approx(np.sqrt(2.0), abs=0.1)
+        assert payload["diagnostics"]["a_star"] == pytest.approx(1.0, abs=0.07)
+        assert payload["diagnostics"]["mode"] == pytest.approx(np.sqrt(2.0), abs=0.1)
         assert len(payload["weights"]) == 4000
 
-    @pytest.mark.parametrize("command", [["fit-mb"], ["weights", "--rlf", "chebrolu"]],
-                             ids=["fit-mb", "weights"])
+    @pytest.mark.parametrize("command", [["weights", "--rlf", "chebrolu"]], ids=["weights"])
     @pytest.mark.parametrize("token", ["nan", "inf", "-0.5"])
     def test_rejects_non_finite_or_negative_residuals(self, tmp_path, command, token):
         res_file = tmp_path / "resid.txt"
@@ -139,8 +139,7 @@ class TestCli:
         with pytest.raises(SystemExit, match=f"line 2: '{token}'"):
             main([*command, "--input", str(res_file)])
 
-    @pytest.mark.parametrize("command", [["fit-mb"], ["weights", "--rlf", "adaptive_mb"]],
-                             ids=["fit-mb", "weights"])
+    @pytest.mark.parametrize("command", [["weights", "--rlf", "adaptive_mb"]], ids=["weights"])
     @pytest.mark.parametrize("option", [["--tau", "0"], ["--tau", "-2"], ["--tau", "nan"],
                                         ["--tau", "inf"], ["--tau", "1000.5"], ["--tau", "1e6"],
                                         ["--n-e", "0"], ["--n-e", "-3"], ["--n-e", "102"],
@@ -155,8 +154,7 @@ class TestCli:
         assert err.startswith("usage:") and f"argument {option[0]}:" in err
 
     @pytest.mark.parametrize("tau", [TAU_MIN, TAU_MAX])
-    @pytest.mark.parametrize("command", [["fit-mb"], *(["weights", "--rlf", k] for k in RLF_KINDS)],
-                             ids=["fit-mb", *RLF_KINDS])
+    @pytest.mark.parametrize("command", [["weights", "--rlf", k] for k in RLF_KINDS], ids=RLF_KINDS)
     def test_runs_at_the_bounds_of_tau_and_n_e(self, tmp_path, command, tau):
         # Norms of MAX_DOF-dimensional errors far below the Chi scale, plus
         # outliers: the shape fit then runs at its smallest a.

@@ -155,7 +155,7 @@ class TestEstimateNormals:
 
     @pytest.mark.parametrize("k", [0, 1, -3, True, 2.5, np.float64(15.0)])
     def test_rejects_k_that_is_not_an_integer_of_at_least_2(self, k, rng):
-        with pytest.raises(ValueError, match="k must be an integer of at least 2"):
+        with pytest.raises(ValueError, match="^k must be (an integer|at least 2), got"):
             estimate_normals(PointCloud(rng.uniform(0, 1, (100, 3))), k)
 
     @pytest.mark.parametrize("k", [2, np.int64(15)])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from robls.adaptive import BARRON_DOMAIN, CHEBROLU_DOMAIN, optimize_alpha
 from robls.loss import (
     ALPHA_MIN,
     BRANCH_TOL,
@@ -13,7 +14,7 @@ from robls.loss import (
     var_trimmed_weights,
     weight,
 )
-from robls.mbfit import adaptive_mb_weights
+from robls.mbfit import adaptive_mb_weights, fit_mb
 from robls.weighting import RLF_KINDS, RobustLoss, _median
 
 from conftest import PROPERTY, fd_d2rho_dalpha2, fd_drho_deps, fd_drho_dalpha, rho_reference
@@ -214,14 +215,28 @@ class TestTauRejected:
             adaptive_mb_weights(np.abs(rng.standard_normal(50)), n_e=3, tau=tau)
 
 
+# Every public function that takes a residual set, by kind for RobustLoss.weights.
+RESIDUAL_ENTRIES = {
+    **{kind: RobustLoss(kind).weights for kind in RLF_KINDS},
+    "adaptive_mb_weights": lambda r: adaptive_mb_weights(r, 3),
+    "fit_mb": lambda r: fit_mb(r, 3),
+    "optimize_alpha-barron": lambda r: optimize_alpha(r, BARRON_DOMAIN, (-10.0, 10.0)),
+    "optimize_alpha-chebrolu": lambda r: optimize_alpha(r, CHEBROLU_DOMAIN, (0.0, 10.0)),
+    "var_trimmed_weights": var_trimmed_weights,
+}
+
+
 @pytest.mark.parametrize("bad, what", [(np.nan, "1 NaN"), (np.inf, "1 infinite"),
-                                       (-1.0, "1 negative")])
-@pytest.mark.parametrize("kind", RLF_KINDS)
-def test_weights_reject_non_finite_or_negative_norms(kind, bad, what):
+                                       (-1.0, "1 negative"), (None, "empty")])
+@pytest.mark.parametrize("entry", RESIDUAL_ENTRIES.values(), ids=RESIDUAL_ENTRIES.keys())
+def test_weights_reject_non_finite_or_negative_norms(entry, bad, what):
     r = np.abs(np.random.default_rng(3).standard_normal(40))
-    r[7] = bad
-    with pytest.raises(ValueError, match=f"finite and nonnegative.*{what}"):
-        RobustLoss(kind).weights(r)
+    if bad is None:
+        r, pattern = r[:0], "^residual list must be nonempty$"
+    else:
+        r[7], pattern = bad, f"finite and nonnegative.*{what}"
+    with pytest.raises(ValueError, match=pattern):
+        entry(r)
 
 
 def test_tau_cap_named_and_accepted():
