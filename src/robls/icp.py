@@ -20,20 +20,30 @@ and collinear points, a zero scatter.  On the default icp-bench corpus that is
 0.07% of the rows, and every normal is within 4e-13 rad of LAPACK's.
 
 Association returns exactly what a KD-tree query would, but ICP's late
-iterations move each source point far less than the gap between its nearest
-and second-nearest target, so most correspondences are proved unchanged
-instead of searched again (cached k-d tree search, Nuechter et al., 3DIM
-2007).  A memo records the tree it was filled against and, for every point,
-where that tree was last queried (``ref``), its nearest index ``j`` and its
-second-nearest distance ``d2``.  By the triangle inequality every other
-target lies at least ``d2 - |p - ref|`` from the point ``p``, so ``j`` is
-still the unique nearest while ``|p - t_j| + |p - ref| < d2``.  The test is
-made with a margin of ``CERT_MARGIN`` times the summed distances plus the
-coordinate magnitude, which covers the rounding of the computed distances.
-Only the points that fail it are queried, for two neighbours, which
-refreshes their memo.  A tie ``d1 == d2`` in that query leaves the first
-index to the tree's traversal order, so a tied point takes its index from a
-one-neighbour query, as a plain query would, and stays uncertified.
+iterations move each source point far less than the gaps between the targets
+around it, so most correspondences are proved instead of searched again
+(cached k-d tree search, Nuechter et al., 3DIM 2007).  A memo records the
+tree it was filled against and, for every point, where that tree was last
+queried (``ref``), the nearest and second-nearest indices there, ``idx`` and
+``j2``, and the second- and third-nearest distances there, ``d2`` and
+``d3``.  By the triangle inequality every target but ``idx`` lies at least
+``d2 - |p - ref|`` from the point ``p``, and every target but the pair at
+least ``d3 - |p - ref|``.  So ``idx`` is still the unique nearest while
+``|p - t_idx| + |p - ref| < d2`` (test 1), and a point that fails this takes
+the closer of ``idx`` and ``j2`` while that one's distance plus
+``|p - ref|`` is below ``d3`` and strictly below the other's distance
+(test 2).  Test 2 follows the points outside the overlap, whose nearest
+flips between two almost equally far targets as the pose moves.  When it
+picks ``j2`` the two indices swap and ``d2`` becomes 0, since ``d2`` bounds
+the other targets only around the nearest at ``ref``; until its next query
+such a point is certified by test 2 alone.  Both tests carry a margin of
+``CERT_MARGIN`` times the summed distances plus the coordinate magnitude,
+which covers the rounding of the computed distances.  Only the points that
+fail both are queried, for three neighbours, which refreshes their memo.  A
+tie ``d1 == d2`` in that query leaves the first index to the tree's
+traversal order, so a tied point takes its index from a one-neighbour
+query, as a plain query would, and gets ``d3 = 0``, which keeps it
+uncertified.
 
 The certificate needs only a memo filled against the same tree, so a memo
 also carries across solves.  The target cloud keeps a copy of the memo of
@@ -89,8 +99,9 @@ class PointCloud:
     The cloud's one KD-tree (:attr:`tree`) is built on first use and freezes
     the points.  As a target it also keeps the association memo of the most
     recent :func:`icp_solve`'s first association, where the next solve's
-    memo starts; a new tree drops it.  Invalid normals (``normals_valid``)
-    weigh 0 but must be finite.
+    memo starts; a new tree drops it.  Invalid normals (``normals_valid``, a
+    boolean array with one entry per point) weigh 0 but must be finite;
+    construction raises ``ValueError`` otherwise.
     """
 
     points: np.ndarray
@@ -105,8 +116,13 @@ class PointCloud:
             self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
             if len(self.normals) != len(self.points):
                 raise ValueError("normals and points must have equal length")
+            if not np.all(np.isfinite(self.normals)):
+                raise ValueError("normals must be finite")
             if self.normals_valid is None:
                 self.normals_valid = np.ones(len(self.points), dtype=bool)
+            self.normals_valid = np.asarray(self.normals_valid)
+            if self.normals_valid.dtype != bool or self.normals_valid.shape != (len(self.points),):
+                raise ValueError("normals_valid must be a boolean array with one entry per point")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -265,45 +281,70 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
 
     The result always equals ``target_tree.query(source_points)[1]``.
     ``memo`` is a dict that carries, from one call to the next, the
-    ``tree`` it was filled against and each point's reference position
-    ``ref`` (where the tree was last queried for it), its nearest index
-    ``idx`` and its second-nearest distance ``d2`` (infinite for a one-point
-    target).  The call updates ``ref`` and ``d2`` in place and returns a new
-    ``idx``, so a returned array never changes.
-    A point is certified, and keeps ``idx`` without a tree search, when
+    ``tree`` it was filled against and, for each point, its reference
+    position ``ref`` (where the tree was last queried for it), the nearest
+    and second-nearest indices there, ``idx`` and ``j2``, and the second-
+    and third-nearest distances there, ``d2`` and ``d3`` (infinite where the
+    target has fewer points).  The call updates ``ref``, ``j2``, ``d2`` and
+    ``d3`` in place and returns a new ``idx``, so a returned array never
+    changes.  With ``scale`` the largest coordinate magnitude of the points
+    and the target, and ``a = |p - t_idx|``, a point keeps ``idx`` without a
+    tree search when
 
-        |p - t_idx| + |p - ref| + CERT_MARGIN * (that sum + scale) < d2,
+        a + |p - ref| + CERT_MARGIN * (that sum + scale) < d2.
 
-    where ``scale`` is the largest coordinate magnitude of the points and
-    the target.  The other points get one ``query(k=2)``, which refreshes
-    their memo.  Where that query returns ``d1 == d2`` the index comes from
-    ``query(k=1)`` instead; such a point's ``d2`` equals its nearest
-    distance, so it is never certified.  An empty or absent memo, or one
-    kept for another tree or a different number of points, certifies nothing.
+    A point that fails this test takes the closer of ``idx`` and ``j2``,
+    at distance ``best`` (the other at ``other``), when
+
+        best + |p - ref| + CERT_MARGIN * (that sum + scale) < d3  and
+        best + CERT_MARGIN * (best + other + scale) < other;
+
+    if that is ``j2``, the two swap and ``d2`` becomes 0, since it bounds
+    the other targets only around the nearest at ``ref``.  The remaining
+    points get one ``query(k=3)``, which refreshes their memo.  Where that
+    query returns ``d1 == d2`` the index comes from ``query(k=1)`` instead,
+    and the point gets ``d3 = 0``, so neither test certifies it.  An empty or
+    absent memo, or one kept for another tree or a different number of
+    points, certifies nothing.
     """
     if target_tree.n == 0:
         raise ValueError("target cloud is empty")
     p = np.asarray(source_points, dtype=float)
     memo = {} if memo is None else memo
     if memo.get("tree") is not target_tree or len(memo["ref"]) != len(p):
-        memo.update(tree=target_tree, ref=np.zeros_like(p), idx=np.zeros(len(p), dtype=np.intp),
-                    d2=np.zeros(len(p)))
-    ref, idx, d2 = memo["ref"], memo["idx"].copy(), memo["d2"]
+        n = len(p)
+        memo.update(tree=target_tree, ref=np.zeros_like(p), idx=np.zeros(n, dtype=np.intp),
+                    j2=np.zeros(n, dtype=np.intp), d2=np.zeros(n), d3=np.zeros(n))
+    ref, idx, j2, d2, d3 = memo["ref"], memo["idx"].copy(), memo["j2"], memo["d2"], memo["d3"]
+    data = target_tree.data
 
     moved = _norms(p - ref)
-    dj = _norms(p - np.take(target_tree.data, idx, axis=0))  # take: faster than [idx]
+    a = _norms(p - np.take(data, idx, axis=0))  # take: faster than [idx]
     scale = max(np.abs(p).max(initial=0.0), np.abs([target_tree.mins, target_tree.maxes]).max())
-    bound = dj + moved
-    stale = np.flatnonzero(~(bound + CERT_MARGIN * (bound + scale) < d2))
+    bound = a + moved
+    fail = np.flatnonzero(~(bound + CERT_MARGIN * (bound + scale) < d2))  # test 1
 
+    a = a[fail]  # test 2, on the pair idx, j2
+    b = _norms(np.take(p, fail, axis=0) - np.take(data, j2[fail], axis=0))
+    best, other = np.minimum(a, b), np.maximum(a, b)
+    bound = best + moved[fail]
+    pair = ((bound + CERT_MARGIN * (bound + scale) < d3[fail])
+            & (best + CERT_MARGIN * (best + other + scale) < other))
+    switch = fail[pair & (b < a)]
+    idx[switch], j2[switch] = j2[switch], idx[switch]
+    d2[switch] = 0.0
+
+    stale = fail[~pair]  # neither test holds: query
     q = np.take(p, stale, axis=0)
-    dist, nbr = target_tree.query(q, k=2)
-    nearest = nbr[:, 0]
+    dist, nbr = target_tree.query(q, k=3)
+    nearest, second, third = nbr[:, 0], nbr[:, 1], dist[:, 2]
     tie = dist[:, 0] == dist[:, 1]
     if tie.any():
         nearest[tie] = target_tree.query(q[tie])[1]
-    idx[stale] = nearest
-    d2[stale] = dist[:, 1]
+        third[tie] = 0.0
+    lone = second == target_tree.n  # a one-point target has no second neighbour
+    second[lone] = nearest[lone]
+    idx[stale], j2[stale], d2[stale], d3[stale] = nearest, second, dist[:, 1], third
     ref[stale] = q
     memo["idx"] = idx
     return idx
@@ -314,8 +355,13 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _copy_memo(memo: dict) -> dict:
-    """A memo that :func:`associate` can update without touching ``memo``."""
-    return {**memo, "ref": memo["ref"].copy(), "d2": memo["d2"].copy()} if memo else {}
+    """A memo that :func:`associate` can update without touching ``memo``.
+
+    ``idx`` is shared: :func:`associate` replaces it rather than writing to it.
+    """
+    if not memo:
+        return {}
+    return {**memo, **{key: memo[key].copy() for key in ("ref", "j2", "d2", "d3")}}
 
 
 def residuals_pt2pt(errors: np.ndarray, cov_scale: float) -> np.ndarray:

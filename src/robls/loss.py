@@ -196,15 +196,20 @@ def var_trimmed_weights(residuals) -> np.ndarray:
     Weights 1 the ``k`` smallest residuals, and 0 the rest, for the first
     ``k in [ceil(0.4 n), n]`` minimizing ``mse(kept) / (k / n)^2``: a step
     function of the trim fraction, so every ``k`` is scored, not searched.
+    The scores come from prefix sums over the sorted residuals, and the kept
+    set is the residuals below the ``k``-th smallest, ``s[k-1]``, plus the
+    lowest-indexed residuals equal to it up to ``k`` in all: the first ``k``
+    of a stable argsort, without the argsort.
     The residuals must pass :func:`check_norms`.
     """
     r = check_norms(residuals)
     n = r.size
-    order = np.argsort(r, kind="stable")
-    prefix = np.cumsum(r[order] ** 2)
+    s = np.sort(r)
+    prefix = np.cumsum(s**2)
     ks = np.arange(max(1, int(np.ceil(VAR_TRIMMED_MIN_FRACTION * n))), n + 1)
     criterion = (prefix[ks - 1] / ks) / (ks / n) ** VAR_TRIMMED_EXPONENT
     k = ks[int(np.argmin(criterion))]
-    weights = np.zeros(n)
-    weights[order[:k]] = 1.0
+    below = r < s[k - 1]
+    weights = below.astype(float)
+    weights[np.flatnonzero(r == s[k - 1])[: k - np.count_nonzero(below)]] = 1.0
     return weights

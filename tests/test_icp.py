@@ -324,6 +324,75 @@ class TestAssociate:
         # points still referenced to their old position were certified, not queried
         assert np.mean(np.all(memo["ref"] == queried_at, axis=1)) > 0.9
 
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.floats(-1e4, 1e4),
+        half_gap=st.floats(0.01, 0.2),
+        turn=st.floats(0.0, 0.05),
+        n_steps=st.integers(3, 8),
+    )
+    def test_switches_inside_a_pair_follow_the_plain_query(self, seed, offset, half_gap, turn,
+                                                           n_steps):
+        # Each source point sits near the bisector of one pair of targets, a
+        # pair per cell of a unit grid.  Every step moves the cloud rigidly
+        # to the other side of the bisectors, so every nearest index switches
+        # within its pair, while the other targets stay far.
+        rng = np.random.default_rng(seed)
+        cells = offset + np.stack(np.meshgrid(*[np.arange(5.0)] * 3), axis=-1).reshape(-1, 3)
+        axis = rng.standard_normal((len(cells), 3))
+        axis *= half_gap / np.linalg.norm(axis, axis=1, keepdims=True)
+        target = np.concatenate([cells + axis, cells - axis])
+        unit = axis / half_gap
+        source = cells + rng.uniform(-0.2, 0.2, (len(cells), 1)) * half_gap * unit
+        sides = np.sign(rng.uniform(-1, 1, (len(cells), 1)))
+        center = cells.mean(axis=0)
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queried.append(len(x))
+                return super().query(x, k, **kwargs)
+
+        tree, plain = CountingTree(target), cKDTree(target)
+        memo: dict = {}
+        certified_switches = 0
+        prev = None
+        for step in range(n_steps):
+            rot = so3_exp(turn * half_gap * rng.standard_normal(3))
+            shift = (-1) ** step * 0.5 * half_gap * sides * unit
+            p = (source - center) @ rot.T + center + shift
+            before = len(queried)
+            idx = associate(p, tree, memo=memo)
+            assert np.array_equal(idx, plain.query(p)[1])
+            if prev is not None:  # a switch that no query found was certified by the pair
+                certified_switches += max(0, np.count_nonzero(idx != prev) - sum(queried[before:]))
+            prev = idx
+        assert certified_switches > 0
+
+    def test_exact_tie_inside_a_pair_is_queried(self, rng):
+        # Points queried on either side of the bisector of two targets move
+        # onto it, where both are exactly equally far: the tree's tie rule
+        # decides, so the pair certificate must not keep either index.
+        tree = cKDTree(np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        yz = rng.uniform(-0.5, 0.5, (40, 2))
+        memo: dict = {}
+        for x in (np.repeat([-0.5, 0.5], 20), np.zeros(40)):
+            p = np.column_stack([x, yz])
+            assert np.array_equal(associate(p, tree, memo=memo), tree.query(p)[1])
+
+    @pytest.mark.parametrize("n_targets", [2, 3])
+    def test_two_and_three_point_targets_with_memo(self, n_targets, rng):
+        target = rng.uniform(-1, 1, (n_targets, 3))
+        tree = cKDTree(target)
+        memo: dict = {}
+        p = rng.uniform(-1.5, 1.5, (60, 3))
+        for _ in range(12):
+            assert np.array_equal(associate(p, tree, memo=memo), tree.query(p)[1])
+            p = p + 0.2 * rng.standard_normal(3)
+        assert np.all(memo["j2"] < n_targets)
+        assert np.all(np.isinf(memo["d3"])) == (n_targets == 2)
+
     def test_single_target_with_memo(self, rng):
         tree = cKDTree(np.zeros((1, 3)))
         memo: dict = {}
@@ -556,6 +625,24 @@ class TestFoldedValidity:
             icp_solve(PointCloud(line.points + 0.01), target, Pose.identity(), IcpConfig())
 
 
+    @pytest.mark.parametrize(
+        "normals, valid",
+        [
+            (np.tile([0.0, 0.0, 1.0], (5, 1)), np.ones(3, dtype=bool)),  # a mask of 3 on 5 points
+            (np.tile([0.0, 0.0, 1.0], (5, 1)), np.array([1, 2, 1, 0, 1])),  # 2 would double a weight
+            (np.array([[0.0, 0.0, 1.0]] * 4 + [[np.nan, 0.0, 1.0]]), np.ones(5, dtype=bool)),
+        ],
+        ids=["mask-of-wrong-length", "integer-mask", "nan-normal"],
+    )
+    def test_rejects_bad_normals_where_they_enter(self, normals, valid):
+        with pytest.raises(ValueError, match="normals"):
+            PointCloud(np.zeros((5, 3)), normals, valid)
+
+    def test_absent_mask_marks_every_normal_valid(self):
+        cloud = PointCloud(np.zeros((5, 3)), np.tile([0.0, 0.0, 1.0], (5, 1)))
+        assert cloud.normals_valid.dtype == bool and np.all(cloud.normals_valid)
+
+
 class TestSharedTree:
     def test_one_build_serves_normals_and_every_solve(self, rng, monkeypatch):
         builds = []
@@ -582,12 +669,13 @@ class TestSharedTree:
 
     @staticmethod
     def counting_queries(monkeypatch):
-        """Patch the KD-tree class; returns the list of points per k=2 query."""
+        """Patch the KD-tree class; returns the list of points per k=3 query,
+        the neighbour query of :func:`associate`."""
         sizes = []
 
         class CountingTree(cKDTree):
             def query(self, x, k=1, **kwargs):
-                if k == 2:
+                if k == 3:
                     sizes.append(len(x))
                 return super().query(x, k, **kwargs)
 

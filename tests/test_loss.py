@@ -315,3 +315,19 @@ class TestVarTrimmed:
         expected = np.zeros(n)
         expected[order[:best_k]] = 1.0
         assert np.array_equal(var_trimmed_weights(residuals), expected)
+
+    @PROPERTY
+    @given(n=st.integers(1, 6000), levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_ties_at_the_cut_keep_the_stable_order(self, n, levels, seed):
+        # Few distinct values, so the k-th smallest is tied on both sides of
+        # the cut: the kept set is the first k of the stable argsort.
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 30.0, levels - 1))])
+        residuals = rng.choice(values, n, p=rng.dirichlet(np.ones(levels)))
+        order = np.argsort(residuals, kind="stable")
+        prefix = np.cumsum(residuals[order] ** 2)
+        ks = np.arange(max(1, int(np.ceil(0.4 * n))), n + 1)
+        best_k = ks[int(np.argmin((prefix[ks - 1] / ks) / (ks / n) ** 2))]
+        expected = np.zeros(n)
+        expected[order[:best_k]] = 1.0
+        assert np.array_equal(var_trimmed_weights(residuals), expected)
