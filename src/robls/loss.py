@@ -196,10 +196,11 @@ def var_trimmed_weights(residuals) -> np.ndarray:
     Weights 1 the ``k`` smallest residuals, and 0 the rest, for the first
     ``k in [ceil(0.4 n), n]`` minimizing ``mse(kept) / (k / n)^2``: a step
     function of the trim fraction, so every ``k`` is scored, not searched.
-    The scores come from prefix sums over the sorted residuals, and the kept
-    set is the residuals below the ``k``-th smallest, ``s[k-1]``, plus the
-    lowest-indexed residuals equal to it up to ``k`` in all: the first ``k``
-    of a stable argsort, without the argsort.
+    The scores come from prefix sums over the sorted residuals ``s``.  The
+    kept set is the residuals at most ``s[k-1]``, less the highest-indexed
+    residuals equal to ``s[k-1]`` beyond ``k`` in all: ties at the cut keep
+    their index order, so this is the first ``k`` of a stable argsort,
+    without the argsort.
     The residuals must pass :func:`check_norms`.
     """
     r = check_norms(residuals)
@@ -209,7 +210,8 @@ def var_trimmed_weights(residuals) -> np.ndarray:
     ks = np.arange(max(1, int(np.ceil(VAR_TRIMMED_MIN_FRACTION * n))), n + 1)
     criterion = (prefix[ks - 1] / ks) / (ks / n) ** VAR_TRIMMED_EXPONENT
     k = ks[int(np.argmin(criterion))]
-    below = r < s[k - 1]
-    weights = below.astype(float)
-    weights[np.flatnonzero(r == s[k - 1])[: k - np.count_nonzero(below)]] = 1.0
+    weights = (r <= s[k - 1]).astype(float)
+    surplus = np.count_nonzero(weights) - k
+    if surplus:
+        weights[np.flatnonzero(r == s[k - 1])[-surplus:]] = 0.0
     return weights

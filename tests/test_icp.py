@@ -624,23 +624,19 @@ class TestFoldedValidity:
         with pytest.raises(DegenerateGeometryError, match="valid normals"):
             icp_solve(PointCloud(line.points + 0.01), target, Pose.identity(), IcpConfig())
 
-
     @pytest.mark.parametrize(
         "normals, valid",
         [
             (np.tile([0.0, 0.0, 1.0], (5, 1)), np.ones(3, dtype=bool)),  # a mask of 3 on 5 points
             (np.tile([0.0, 0.0, 1.0], (5, 1)), np.array([1, 2, 1, 0, 1])),  # 2 would double a weight
             (np.array([[0.0, 0.0, 1.0]] * 4 + [[np.nan, 0.0, 1.0]]), np.ones(5, dtype=bool)),
+            (np.tile([0.0, 0.0, 1.0], (4, 1)), None),
         ],
-        ids=["mask-of-wrong-length", "integer-mask", "nan-normal"],
+        ids=["mask-of-wrong-length", "integer-mask", "nan-normal", "normals-of-wrong-length"],
     )
     def test_rejects_bad_normals_where_they_enter(self, normals, valid):
         with pytest.raises(ValueError, match="normals"):
             PointCloud(np.zeros((5, 3)), normals, valid)
-
-    def test_absent_mask_marks_every_normal_valid(self):
-        cloud = PointCloud(np.zeros((5, 3)), np.tile([0.0, 0.0, 1.0], (5, 1)))
-        assert cloud.normals_valid.dtype == bool and np.all(cloud.normals_valid)
 
 
 class TestSharedTree:
