@@ -370,7 +370,7 @@ class TestAssociate:
             prev = idx
         assert certified_switches > 0
 
-    def test_exact_tie_inside_a_pair_is_queried(self, rng):
+    def test_exact_tie_inside_a_pair_follows_the_plain_query(self, rng):
         # Points queried on either side of the bisector of two targets move
         # onto it, where both are exactly equally far: the tree's tie rule
         # decides, so the pair certificate must not keep either index.

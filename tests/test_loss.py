@@ -266,6 +266,19 @@ class TestFixedWeight:
                 fixed_weight(kind, np.ones(3))
 
 
+def stable_order_weights(residuals):
+    """The var_trimmed rule by brute force: score every k over a stable
+    argsort and keep its first best k."""
+    n = len(residuals)
+    order = np.argsort(residuals, kind="stable")
+    prefix = np.cumsum(residuals[order] ** 2)
+    best_k = min(range(max(1, int(np.ceil(0.4 * n))), n + 1),
+                 key=lambda k: (prefix[k - 1] / k) / (k / n) ** 2)
+    expected = np.zeros(n)
+    expected[order[:best_k]] = 1.0
+    return expected
+
+
 class TestVarTrimmed:
     def test_all_equal_keeps_everything(self):
         w = var_trimmed_weights(np.full(37, 2.5))
@@ -308,13 +321,7 @@ class TestVarTrimmed:
         residuals = np.concatenate(
             [np.abs(rng.standard_normal(n - n_out)), rng.uniform(0.0, 30.0, n_out)]
         )
-        order = np.argsort(residuals, kind="stable")
-        prefix = np.cumsum(residuals[order] ** 2)
-        best_k = min(range(max(1, int(np.ceil(0.4 * n))), n + 1),
-                     key=lambda k: (prefix[k - 1] / k) / (k / n) ** 2)
-        expected = np.zeros(n)
-        expected[order[:best_k]] = 1.0
-        assert np.array_equal(var_trimmed_weights(residuals), expected)
+        assert np.array_equal(var_trimmed_weights(residuals), stable_order_weights(residuals))
 
     @PROPERTY
     @given(n=st.integers(1, 6000), levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -324,10 +331,4 @@ class TestVarTrimmed:
         rng = np.random.default_rng(seed)
         values = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 30.0, levels - 1))])
         residuals = rng.choice(values, n, p=rng.dirichlet(np.ones(levels)))
-        order = np.argsort(residuals, kind="stable")
-        prefix = np.cumsum(residuals[order] ** 2)
-        ks = np.arange(max(1, int(np.ceil(0.4 * n))), n + 1)
-        best_k = ks[int(np.argmin((prefix[ks - 1] / ks) / (ks / n) ** 2))]
-        expected = np.zeros(n)
-        expected[order[:best_k]] = 1.0
-        assert np.array_equal(var_trimmed_weights(residuals), expected)
+        assert np.array_equal(var_trimmed_weights(residuals), stable_order_weights(residuals))
