@@ -22,7 +22,7 @@ from .adaptive import check_tau
 from .irls import check_int
 from .scenes import OVERLAP_MAX, OVERLAP_MIN
 from .se3 import perturbation_sigma, pose_error_norms, sample_perturbation
-from .weighting import RLF_KINDS, RobustLoss
+from .weighting import ADAPTIVE_KINDS, FIXED_KINDS, RLF_KINDS, RobustLoss
 
 __all__ = [
     "DEFAULT_RLFS",
@@ -32,15 +32,7 @@ __all__ = [
     "run_icp_benchmark",
 ]
 
-DEFAULT_RLFS = (
-    "cauchy",
-    "tukey",
-    "welsch",
-    "var_trimmed",
-    "barron",
-    "chebrolu",
-    "adaptive_mb",
-)
+DEFAULT_RLFS = FIXED_KINDS + ADAPTIVE_KINDS
 
 MEDIUM_PHI_MAX_DEG = 20.0
 MEDIUM_R_MAX = 0.5

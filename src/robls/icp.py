@@ -25,25 +25,19 @@ around it, so most correspondences are proved instead of searched again
 (cached k-d tree search, Nuechter et al., 3DIM 2007).  A memo records the
 tree it was filled against and, for every point, where that tree was last
 queried (``ref``), the nearest and second-nearest indices there, ``idx`` and
-``j2``, and the second- and third-nearest distances there, ``d2`` and
-``d3``.  By the triangle inequality every target but ``idx`` lies at least
-``d2 - |p - ref|`` from the point ``p``, and every target but the pair at
-least ``d3 - |p - ref|``.  So ``idx`` is still the unique nearest while
-``|p - t_idx| + |p - ref| < d2`` (test 1), and a point that fails this takes
-the closer of ``idx`` and ``j2`` while that one's distance plus
-``|p - ref|`` is below ``d3`` and strictly below the other's distance
-(test 2).  Test 2 follows the points outside the overlap, whose nearest
-flips between two almost equally far targets as the pose moves.  When it
-picks ``j2`` the two indices swap and ``d2`` becomes 0, since ``d2`` bounds
-the other targets only around the nearest at ``ref``; until its next query
-such a point is certified by test 2 alone.  Both tests carry a margin of
-``CERT_MARGIN`` times the summed distances plus the coordinate magnitude,
-which covers the rounding of the computed distances.  Only the points that
-fail both are queried, for three neighbours, which refreshes their memo.  A
-tie ``d1 == d2`` in that query leaves the first index to the tree's
-traversal order, so a tied point takes its index from a one-neighbour
-query, as a plain query would, and gets ``d3 = 0``, which keeps it
-uncertified.
+``j2``, and the third-nearest distance there, ``d3``.  By the triangle
+inequality every target but that pair lies at least ``d3 - |p - ref|`` from
+the point ``p``.  So the closer of ``idx`` and ``j2`` is the unique nearest
+while its distance plus ``|p - ref|`` is below ``d3`` and strictly below the
+other's distance; when that is ``j2``, the two swap.  One test covers both the
+points whose nearest stays put and those outside the overlap, whose nearest
+flips between two almost equally far targets as the pose moves.  It carries a
+margin of ``CERT_MARGIN`` times the summed distances plus the coordinate
+magnitude, which covers the rounding of the computed distances.  Only the
+points that fail it are queried, for three neighbours, which refreshes their
+memo.  A tie ``d1 == d2`` in that query leaves the first index to the tree's
+traversal order, so a tied point takes its index from a one-neighbour query,
+as a plain query would, and gets ``d3 = 0``, which keeps it uncertified.
 
 The certificate needs only a memo filled against the same tree, so a memo
 also carries across solves.  The target cloud keeps a copy of the memo of
@@ -97,11 +91,13 @@ class PointCloud:
     """Points in the sensor frame, with optional per-point unit normals.
 
     The cloud's one KD-tree (:attr:`tree`) is built on first use and freezes
-    the points.  As a target it also keeps the association memo of the most
-    recent :func:`icp_solve`'s first association, where the next solve's
-    memo starts; a new tree drops it.  Invalid normals (``normals_valid``, a
-    boolean array with one entry per point) weigh 0 but must be finite;
-    construction raises ``ValueError`` otherwise.
+    the points.  As a target it also keeps the association memo (keys
+    ``tree``, ``ref``, ``idx``, ``j2`` and ``d3``, see :func:`associate`) of
+    the most recent :func:`icp_solve`'s first association, where the next
+    solve's memo starts; a new tree drops it.  Invalid normals
+    (``normals_valid``, a boolean array with one entry per point) weigh 0 but
+    must be finite.  Construction and :func:`icp_solve` raise ``ValueError``
+    otherwise, so normals assigned after construction are checked too.
     """
 
     points: np.ndarray
@@ -114,15 +110,22 @@ class PointCloud:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-            if len(self.normals) != len(self.points):
-                raise ValueError("normals and points must have equal length")
-            if not np.all(np.isfinite(self.normals)):
-                raise ValueError("normals must be finite")
             if self.normals_valid is None:
                 self.normals_valid = np.ones(len(self.points), dtype=bool)
             self.normals_valid = np.asarray(self.normals_valid)
-            if self.normals_valid.dtype != bool or self.normals_valid.shape != (len(self.points),):
-                raise ValueError("normals_valid must be a boolean array with one entry per point")
+            self._check_normals()
+
+    def _check_normals(self) -> None:
+        """Raise ``ValueError`` unless ``normals`` holds one finite row of 3
+        per point and ``normals_valid`` is a boolean array of one entry per point."""
+        n = len(self.points)
+        if np.shape(self.normals) != (n, 3):
+            raise ValueError(f"normals must have shape ({n}, 3), got {np.shape(self.normals)}")
+        if not np.all(np.isfinite(self.normals)):
+            raise ValueError("normals must be finite")
+        valid = self.normals_valid
+        if not isinstance(valid, np.ndarray) or valid.dtype != bool or valid.shape != (n,):
+            raise ValueError("normals_valid must be a boolean array with one entry per point")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -283,29 +286,24 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
     ``memo`` is a dict that carries, from one call to the next, the
     ``tree`` it was filled against and, for each point, its reference
     position ``ref`` (where the tree was last queried for it), the nearest
-    and second-nearest indices there, ``idx`` and ``j2``, and the second-
-    and third-nearest distances there, ``d2`` and ``d3`` (infinite where the
-    target has fewer points).  The call updates ``ref``, ``j2``, ``d2`` and
-    ``d3`` in place and returns a new ``idx``, so a returned array never
-    changes.  With ``scale`` the largest coordinate magnitude of the points
-    and the target, and ``a = |p - t_idx|``, a point keeps ``idx`` without a
-    tree search when
-
-        a + |p - ref| + CERT_MARGIN * (that sum + scale) < d2.
-
-    A point that fails this test takes the closer of ``idx`` and ``j2``,
-    at distance ``best`` (the other at ``other``), when
+    and second-nearest indices there, ``idx`` and ``j2``, and the
+    third-nearest distance there, ``d3`` (infinite where the target has
+    fewer points).  The call updates ``ref``, ``j2`` and ``d3`` in place and
+    returns a new ``idx``, so a returned array never changes.  With ``scale``
+    the largest coordinate magnitude of the points and the target, a point
+    takes the closer of ``idx`` and ``j2``, at distance ``best`` (the other
+    at ``other``), without a tree search when
 
         best + |p - ref| + CERT_MARGIN * (that sum + scale) < d3  and
         best + CERT_MARGIN * (best + other + scale) < other;
 
-    if that is ``j2``, the two swap and ``d2`` becomes 0, since it bounds
-    the other targets only around the nearest at ``ref``.  The remaining
-    points get one ``query(k=3)``, which refreshes their memo.  Where that
-    query returns ``d1 == d2`` the index comes from ``query(k=1)`` instead,
-    and the point gets ``d3 = 0``, so neither test certifies it.  An empty or
-    absent memo, or one kept for another tree or a different number of
-    points, certifies nothing.
+    if that is ``j2``, the two swap.  The remaining points get one
+    ``query(k=3)``, which refreshes their memo.  Where that query returns
+    ``d1 == d2`` the index comes from ``query(k=1)`` instead, and the point
+    gets ``d3 = 0``, so the test never certifies it.  On a one-point target
+    ``j2 = idx``, so the strict gap never holds and every call queries every
+    point.  An empty or absent memo, or one kept for another tree or a
+    different number of points, certifies nothing.
     """
     if target_tree.n == 0:
         raise ValueError("target cloud is empty")
@@ -314,27 +312,21 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
     if memo.get("tree") is not target_tree or len(memo["ref"]) != len(p):
         n = len(p)
         memo.update(tree=target_tree, ref=np.zeros_like(p), idx=np.zeros(n, dtype=np.intp),
-                    j2=np.zeros(n, dtype=np.intp), d2=np.zeros(n), d3=np.zeros(n))
-    ref, idx, j2, d2, d3 = memo["ref"], memo["idx"].copy(), memo["j2"], memo["d2"], memo["d3"]
+                    j2=np.zeros(n, dtype=np.intp), d3=np.zeros(n))
+    ref, idx, j2, d3 = memo["ref"], memo["idx"].copy(), memo["j2"], memo["d3"]
     data = target_tree.data
 
-    moved = _norms(p - ref)
     a = _norms(p - np.take(data, idx, axis=0))  # take: faster than [idx]
-    scale = max(np.abs(p).max(initial=0.0), np.abs([target_tree.mins, target_tree.maxes]).max())
-    bound = a + moved
-    fail = np.flatnonzero(~(bound + CERT_MARGIN * (bound + scale) < d2))  # test 1
-
-    a = a[fail]  # test 2, on the pair idx, j2
-    b = _norms(np.take(p, fail, axis=0) - np.take(data, j2[fail], axis=0))
+    b = _norms(p - np.take(data, j2, axis=0))
     best, other = np.minimum(a, b), np.maximum(a, b)
-    bound = best + moved[fail]
-    pair = ((bound + CERT_MARGIN * (bound + scale) < d3[fail])
-            & (best + CERT_MARGIN * (best + other + scale) < other))
-    switch = fail[pair & (b < a)]
+    scale = max(np.abs(p).max(initial=0.0), np.abs([target_tree.mins, target_tree.maxes]).max())
+    bound = best + _norms(p - ref)
+    certified = ((bound + CERT_MARGIN * (bound + scale) < d3)
+                 & (best + CERT_MARGIN * (best + other + scale) < other))
+    switch = certified & (b < a)
     idx[switch], j2[switch] = j2[switch], idx[switch]
-    d2[switch] = 0.0
 
-    stale = fail[~pair]  # neither test holds: query
+    stale = np.flatnonzero(~certified)
     q = np.take(p, stale, axis=0)
     dist, nbr = target_tree.query(q, k=3)
     nearest, second, third = nbr[:, 0], nbr[:, 1], dist[:, 2]
@@ -344,7 +336,7 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
         third[tie] = 0.0
     lone = second == target_tree.n  # a one-point target has no second neighbour
     second[lone] = nearest[lone]
-    idx[stale], j2[stale], d2[stale], d3[stale] = nearest, second, dist[:, 1], third
+    idx[stale], j2[stale], d3[stale] = nearest, second, third
     ref[stale] = q
     memo["idx"] = idx
     return idx
@@ -357,11 +349,12 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def _copy_memo(memo: dict) -> dict:
     """A memo that :func:`associate` can update without touching ``memo``.
 
-    ``idx`` is shared: :func:`associate` replaces it rather than writing to it.
+    Its keys are ``tree``, ``ref``, ``idx``, ``j2`` and ``d3``; ``idx`` is
+    shared, since :func:`associate` replaces it rather than writing to it.
     """
     if not memo:
         return {}
-    return {**memo, **{key: memo[key].copy() for key in ("ref", "j2", "d2", "d3")}}
+    return {**memo, **{key: memo[key].copy() for key in ("ref", "j2", "d3")}}
 
 
 def residuals_pt2pt(errors: np.ndarray, cov_scale: float) -> np.ndarray:
@@ -411,7 +404,8 @@ def minimize_pt2plane(
 def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpConfig) -> IrlsResult:
     """EM-style ICP loop: associate, weight residuals, minimize, repeat.
 
-    Expects preprocessed clouds (downsampled, target normals present).
+    Expects preprocessed clouds (downsampled, target normals present), and
+    checks the target's normals as construction does.
     Terminates when both step norms fall below the configured tolerances.
     The association memo starts as a copy of the one ``target`` kept from
     the last solve's first association, and a copy of this solve's first
@@ -420,6 +414,7 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     """
     if target.normals is None:
         raise ValueError("target cloud must carry normals (run estimate_normals)")
+    target._check_normals()
     tree = target.tree
     cov_scale = 2.0 * config.grid**2
     proj_var = cov_scale  # n' (cov_scale * I) n for unit normals

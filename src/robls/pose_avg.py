@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .irls import IrlsResult, check_config, irls
+from .irls import IrlsResult, check_config, check_int, irls
 from .se3 import Pose, _batch_se3_log, _batch_skew, exp_map, so3_exp
 from .weighting import RobustLoss
 
@@ -90,8 +90,7 @@ class TrialSpec:
     def __post_init__(self):
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must lie in [0, 1)")
-        if self.n_inliers < 1:
-            raise ValueError("need at least one inlier")
+        check_int("n_inliers", self.n_inliers, 1)
 
 
 def linearize_errors(

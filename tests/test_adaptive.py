@@ -30,7 +30,7 @@ from robls.adaptive import (
 from robls.loss import ALPHA_MIN, BRANCH_TOL, rho, rho_alpha_derivs
 from robls.mbfit import MODE_TAU_CAP
 
-from conftest import PROPERTY, grid_search_alpha, z_moments
+from oracles import PROPERTY, grid_search_alpha, z_moments
 
 
 ALPHAS = st.one_of(st.sampled_from([2.0, 0.0, -np.inf, ALPHA_MIN]), st.floats(-200.0, 2.0))

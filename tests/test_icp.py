@@ -30,7 +30,7 @@ from robls.icp import (
 from robls.se3 import Pose, exp_map, log_map, pose_error_norms, so3_exp
 from robls.weighting import ADAPTIVE_KINDS, RLF_KINDS, RobustLoss
 
-from conftest import PROPERTY, SOLVE_PROPERTY
+from oracles import PROPERTY, SOLVE_PROPERTY
 
 
 def corner_cloud(rng, n=1500, noise=0.0):
@@ -324,6 +324,25 @@ class TestAssociate:
         # points still referenced to their old position were certified, not queried
         assert np.mean(np.all(memo["ref"] == queried_at, axis=1)) > 0.9
 
+        # At zero motion on a target with repeated points, exactly the tied
+        # points, whose nearest the tree's tie rule decides, are queried again.
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                if k == 3:
+                    queried.append(x.copy())
+                return super().query(x, k, **kwargs)
+
+        tree = CountingTree(np.vstack([target, target[:40]]))
+        d, _ = tree.query(p, k=2)
+        ties = np.flatnonzero(d[:, 0] == d[:, 1])
+        assert ties.size > 0
+        memo = {}
+        associate(p, tree, memo=memo)
+        assert np.array_equal(associate(p, tree, memo=memo), tree.query(p)[1])
+        assert len(queried) == 2 and np.array_equal(queried[1], p[ties])
+
     @PROPERTY
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -397,9 +416,11 @@ class TestAssociate:
         tree = cKDTree(np.zeros((1, 3)))
         memo: dict = {}
         for shift in (0.0, 5.0, -300.0):
-            idx = associate(rng.uniform(-1, 1, (50, 3)) + shift, tree, memo=memo)
-            assert np.all(idx == 0)
-        assert np.all(memo["d2"] == np.inf)
+            p = rng.uniform(-1, 1, (50, 3)) + shift
+            idx = associate(p, tree, memo=memo)
+            # the pair is the one point twice, so no gap certifies it: every call queries
+            assert np.all(idx == 0) and np.array_equal(memo["ref"], p)
+        assert np.all(memo["j2"] == 0) and np.all(memo["d3"] == np.inf)
 
     def test_empty_source_with_memo(self, rng):
         tree = cKDTree(rng.uniform(-1, 1, (20, 3)))
@@ -638,6 +659,22 @@ class TestFoldedValidity:
         with pytest.raises(ValueError, match="normals"):
             PointCloud(np.zeros((5, 3)), normals, valid)
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("normals_valid", lambda t: 2 * t.normals_valid.astype(int)),  # would double weights
+            ("normals_valid", lambda t: t.normals_valid[:10]),
+            ("normals", lambda t: t.normals[:10]),
+            ("normals", lambda t: np.where(np.arange(len(t))[:, None] == 0, np.nan, t.normals)),
+        ],
+        ids=["integer-mask", "mask-of-10", "normals-of-10", "nan-normal"],
+    )
+    def test_rejects_bad_normals_assigned_after_construction(self, name, bad, rng):
+        target = estimate_normals(voxel_downsample(corner_cloud(rng), 0.1), 15)
+        setattr(target, name, bad(target))
+        with pytest.raises(ValueError, match="normals"):
+            icp_solve(PointCloud(target.points + 0.01), target, Pose.identity(), IcpConfig())
+
 
 class TestSharedTree:
     def test_one_build_serves_normals_and_every_solve(self, rng, monkeypatch):
@@ -787,7 +824,7 @@ class TestSolverInvariance:
     step perturbs the pose on the left, so moving the source by G and the
     start by T0 G^-1 moves the solution by G^-1."""
 
-    # Skips shrinking (see conftest) under the decorator's own name, since
+    # Skips shrinking (see oracles) under the decorator's own name, since
     # hypothesis derives the derandomized examples from the test's source.
     # The explicit examples run whatever that source is; a step multiplied on
     # the right fails each of them.

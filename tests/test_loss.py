@@ -17,7 +17,7 @@ from robls.loss import (
 from robls.mbfit import adaptive_mb_weights, fit_mb
 from robls.weighting import RLF_KINDS, RobustLoss, _median
 
-from conftest import PROPERTY, fd_d2rho_dalpha2, fd_drho_deps, fd_drho_dalpha, rho_reference
+from oracles import PROPERTY, fd_d2rho_dalpha2, fd_drho_deps, fd_drho_dalpha, rho_reference
 
 
 class TestRho:

@@ -28,7 +28,7 @@ from robls.mbfit import (
     fit_mb,
 )
 
-from conftest import (
+from oracles import (
     PROPERTY,
     chi_quantile_reference,
     dmb_da,

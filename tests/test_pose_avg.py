@@ -20,7 +20,7 @@ from robls.pose_avg import (
 from robls.se3 import Pose, exp_map, log_map, pose_error_norms
 from robls.weighting import ADAPTIVE_KINDS, RLF_KINDS, RobustLoss
 
-from conftest import PROPERTY, SOLVE_PROPERTY, left_jacobian
+from oracles import PROPERTY, SOLVE_PROPERTY, left_jacobian
 
 
 def cfg(kind="none", **kw):
@@ -381,7 +381,7 @@ class TestSolverInvariance:
     """Errors are left-invariant, so moving every measurement and the start
     by one pose G moves the solution by G."""
 
-    # Skips shrinking (see conftest) under the decorator's own name, since
+    # Skips shrinking (see oracles) under the decorator's own name, since
     # hypothesis derives the derandomized examples from the test's source.
     # The explicit examples run whatever that source is; a right-invariant
     # error fails each of them.
@@ -515,6 +515,11 @@ class TestGenerateTrial:
     def test_outlier_counts(self):
         for frac, expected in [(0.2, 5), (0.4, 13), (0.6, 30), (0.8, 80)]:
             assert n_outliers(TrialSpec(seed=0, outlier_fraction=frac)) == expected
+
+    @pytest.mark.parametrize("n_inliers", [0, True, 2.0])
+    def test_rejects_an_inlier_count_that_is_no_integer_of_at_least_one(self, n_inliers):
+        with pytest.raises(ValueError, match="n_inliers must be"):
+            TrialSpec(seed=0, n_inliers=n_inliers)
 
     def test_inlier_mahalanobis_envelope(self):
         # all inlier norms within the Chi(6) 99.9% envelope, checked in bulk

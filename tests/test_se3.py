@@ -20,7 +20,7 @@ from robls.se3 import (
 )
 from robls.se3 import _SERIES_SWITCH, _batch_se3_log, _batch_so3_log, _det3, _exp_coefs
 
-from conftest import (
+from oracles import (
     PROPERTY,
     exp_coefs_reference,
     left_jacobian,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from robls.weighting import ADAPTIVE_KINDS, RLF_KINDS, AdaptiveState, RobustLoss
 
-from conftest import PROPERTY
+from oracles import PROPERTY
 
 TAUS = {3: 10.0, 6: 20.0}  # the ICP and pose-averaging settings
 
