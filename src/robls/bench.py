@@ -150,9 +150,10 @@ def _solve_kinds(cfg, group, trial, seed, init, truth, solve):
     """Run ``solve(rlf)`` for every configured loss kind from one start.
 
     Returns the trial records and the solver results in ``cfg.rlfs`` order.
-    In an ICP trial the solves share the target's start association
-    (:func:`robls.icp.icp_solve`), so the first kind in ``cfg.rlfs`` order
-    also pays for it; a comparison of per-kind times must set that apart.
+    In an ICP trial the solves share the target's association memos
+    (:func:`robls.icp.icp_solve`), so each kind in ``cfg.rlfs`` order also
+    pays for part of the first ``MEMO_ASSOCIATIONS`` associations of the
+    kinds after it; a comparison of per-kind times must set that apart.
     """
     prior_phi, prior_rho = pose_error_norms(truth.inverse() @ init)
     records, results = [], []

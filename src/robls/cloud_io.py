@@ -95,9 +95,10 @@ def write_trials_csv(records: list[TrialRecord], config_hash: str, path) -> None
 def write_timings_csv(records: list[TrialRecord], path) -> None:
     """Wall-clock seconds per solve; inherently not deterministic.
 
-    In an ICP trial the first kind in ``rlfs`` order also pays for the start
-    association that the trial's later solves reuse, so compare per-kind
-    times across kinds only with that cost set apart.
+    In an ICP trial each kind in ``rlfs`` order also pays for part of the
+    first ``MEMO_ASSOCIATIONS`` associations of the kinds after it, whose
+    memos it fills (:func:`robls.icp.icp_solve`), so compare per-kind times
+    across kinds only with that cost set apart.
     """
     ordered = sorted(records, key=lambda r: (r.group, r.trial, r.rlf))
     with open(path, "w", newline="") as fh:

@@ -40,11 +40,15 @@ traversal order, so a tied point takes its index from a one-neighbour query,
 as a plain query would, and gets ``d3 = 0``, which keeps it uncertified.
 
 The certificate needs only a memo filled against the same tree, so a memo
-also carries across solves.  The target cloud keeps a copy of the memo of
-the most recent solve's first association; each solve starts from a copy
-of it and stores a copy of its own first one back.  A trial's solves start
-from one pose, so all but the first certify their start association
-instead of querying every point.  A memo from another start certifies fewer
+also carries across solves.  The target cloud keeps one memo per
+association number: memo ``j`` serves the ``j``-th association of every
+solve on it while ``j < MEMO_ASSOCIATIONS``, and memo ``MEMO_ASSOCIATIONS``
+every later one.  An association starts from a copy of its memo (of the one
+before if no solve has reached it yet) and stores its updated copy back.
+A trial's solves start from one pose and take similar early steps, so a
+later solve certifies much of what an earlier one queried there; in late
+iterations the last memo is the solve's own running memo, seeded near the
+earlier solves' converged poses.  A memo from another pose certifies fewer
 points and one from another tree none, so every index, pose and trace is
 what an empty memo gives.
 """
@@ -80,6 +84,10 @@ NORMAL_GAP_TOL = 1e-2
 # to the coordinate magnitude: thousands of times the few ulps of rounding in
 # a computed distance, and far below the gaps between neighbouring targets.
 CERT_MARGIN = 1e-12
+# Associations 0 to MEMO_ASSOCIATIONS - 1 of a solve each have a memo of their
+# own on the target, and all later ones share one more (see icp_solve): the
+# count with the fewest points sent to the tree on icp-bench's default corpus.
+MEMO_ASSOCIATIONS = 6
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -91,10 +99,11 @@ class PointCloud:
     """Points in the sensor frame, with optional per-point unit normals.
 
     The cloud's one KD-tree (:attr:`tree`) is built on first use and freezes
-    the points.  As a target it also keeps the association memo (keys
-    ``tree``, ``ref``, ``idx``, ``j2`` and ``d3``, see :func:`associate`) of
-    the most recent :func:`icp_solve`'s first association, where the next
-    solve's memo starts; a new tree drops it.  Invalid normals
+    the points.  As a target it also keeps association memos (keys
+    ``tree``, ``ref``, ``idx``, ``j2`` and ``d3``, see :func:`associate`)
+    keyed by the association number where :func:`icp_solve` reads and
+    stores them: at most ``MEMO_ASSOCIATIONS + 1``, 48 bytes per source
+    point each.  A new tree drops them all.  Invalid normals
     (``normals_valid``, a boolean array with one entry per point) weigh 0 but
     must be finite.  Construction and :func:`icp_solve` raise ``ValueError``
     otherwise, so normals assigned after construction are checked too.
@@ -104,7 +113,7 @@ class PointCloud:
     normals: np.ndarray | None = None
     normals_valid: np.ndarray | None = None
     _tree: object = field(default=None, init=False, repr=False, compare=False)
-    _start_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -143,7 +152,7 @@ class PointCloud:
             self._tree = cKDTree(self.points, copy_data=True)
             self._tree.data.flags.writeable = False
             self.points = self._tree.data
-            self._start_memo = {}
+            self._memos = {}
         return self._tree
 
 
@@ -407,10 +416,13 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     Expects preprocessed clouds (downsampled, target normals present), and
     checks the target's normals as construction does.
     Terminates when both step norms fall below the configured tolerances.
-    The association memo starts as a copy of the one ``target`` kept from
-    the last solve's first association, and a copy of this solve's first
-    one replaces it.  Association returns the tree's indices from any memo,
-    so the result is that of a fresh target.
+    The ``j``-th association starts from a copy of the memo that ``target``
+    keeps for association number ``min(j, MEMO_ASSOCIATIONS)``, or for the
+    number before it if no solve has reached that one yet, and the updated
+    copy replaces that memo.  Association returns the tree's indices from
+    any memo, so the result is that of a fresh target.  Each association
+    updates a private copy and rebinds the kept memo, so solves on one
+    target may run in threads.
     """
     if target.normals is None:
         raise ValueError("target cloud must carry normals (run estimate_normals)")
@@ -418,15 +430,17 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     tree = target.tree
     cov_scale = 2.0 * config.grid**2
     proj_var = cov_scale  # n' (cov_scale * I) n for unit normals
-    memo = _copy_memo(target._start_memo)
-    kept = False
+    memos = target._memos
+    n_assoc = 0
 
     def linearize(pose):
-        nonlocal kept
+        nonlocal n_assoc
+        j = min(n_assoc, MEMO_ASSOCIATIONS)
+        n_assoc += 1
+        memo = _copy_memo(memos.get(j) or memos.get(j - 1, {}))
         p = pose.apply(source.points)
         idx = associate(p, tree, memo=memo)
-        if not kept:
-            target._start_memo, kept = _copy_memo(memo), True
+        memos[j] = memo
         e = np.take(target.points, idx, axis=0) - p
 
         def update(wf):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from scipy.spatial import cKDTree
 import robls
 from robls import bench
 from robls.icp import (
+    MEMO_ASSOCIATIONS,
     NORMAL_GAP_TOL,
     NORMAL_RANK_TOL,
     DegenerateGeometryError,
@@ -741,13 +743,61 @@ class TestSharedTree:
         cfg = IcpConfig(rlf=RobustLoss("welsch"), max_iters=2)
         first = icp_solve(source, target, Pose.identity(), cfg)
         old_tree = target.tree
-        assert target._start_memo["tree"] is old_tree
+        assert target._memos[0]["tree"] is old_tree
         target.points = target.points.copy()
-        assert target.tree is not old_tree and target._start_memo == {}
+        assert target.tree is not old_tree and target._memos == {}
         solo = len(sizes)
         again = icp_solve(source, target, Pose.identity(), cfg)
         assert sizes[solo] == len(source)
         assert again.trace == first.trace
+
+    def test_seven_solves_match_fresh_targets_and_later_ones_query_less(self, rng, monkeypatch):
+        sizes = self.counting_queries(monkeypatch)
+        target = estimate_normals(voxel_downsample(corner_cloud(rng, noise=0.005), 0.1), 15)
+        source = voxel_downsample(corner_cloud(rng, noise=0.005), 0.1)
+        init = exp_map(np.array([0.05, -0.03, 0.04, 0.15, -0.1, 0.08]))
+        shared, early = [], []
+        for kind in bench.DEFAULT_RLFS:
+            start = len(sizes)
+            shared.append(icp_solve(source, target, init, IcpConfig(rlf=RobustLoss(kind))))
+            early.append(sum(sizes[start + 1:start + 1 + MEMO_ASSOCIATIONS]))
+        assert all(later < early[0] for later in early[1:]), early
+        for kind, res in zip(bench.DEFAULT_RLFS, shared):
+            fresh_target = PointCloud(target.points.copy(), target.normals.copy(),
+                                      target.normals_valid.copy())
+            fresh = icp_solve(source, fresh_target, init, IcpConfig(rlf=RobustLoss(kind)))
+            assert res.trace == fresh.trace
+            assert np.array_equal(res.pose.matrix(), fresh.pose.matrix())
+
+    def test_a_long_solve_keeps_one_memo_per_early_association_and_one_more(self, rng):
+        target = estimate_normals(voxel_downsample(corner_cloud(rng, noise=0.005), 0.1), 15)
+        source = voxel_downsample(corner_cloud(rng, noise=0.005), 0.1)
+        cfg = IcpConfig(rlf=RobustLoss("cauchy"), max_iters=50, tol_phi=1e-300, tol_rho=1e-300)
+        assert icp_solve(source, target, Pose.identity(), cfg).iterations == 50
+        assert sorted(target._memos) == list(range(MEMO_ASSOCIATIONS + 1))
+
+    def test_threads_solving_on_one_target_match_serial_fresh_targets(self, rng):
+        target = estimate_normals(voxel_downsample(corner_cloud(rng, noise=0.005), 0.1), 15)
+        source = voxel_downsample(corner_cloud(rng, noise=0.005), 0.1)
+        init = exp_map(np.array([0.05, -0.03, 0.04, 0.15, -0.1, 0.08]))
+        kinds = bench.DEFAULT_RLFS * 3
+
+        def solve(kind, on):
+            return icp_solve(source, on, init, IcpConfig(rlf=RobustLoss(kind)))
+
+        serial = [solve(kind, PointCloud(target.points.copy(), target.normals.copy(),
+                                         target.normals_valid.copy())) for kind in kinds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the solves interleave
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(solve, kind, target) for kind in kinds]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(threaded, serial):
+            assert a.trace == b.trace
+            assert np.array_equal(a.pose.matrix(), b.pose.matrix())
 
     def test_solves_from_two_starts_match_fresh_targets(self, rng):
         target = estimate_normals(voxel_downsample(corner_cloud(rng, noise=0.005), 0.1), 15)
