@@ -679,6 +679,11 @@ class TestFoldedValidity:
 
 
 class TestSharedTree:
+    @staticmethod
+    def fresh(target):
+        """A copy of ``target`` with no tree and no memos."""
+        return PointCloud(target.points.copy(), target.normals.copy(), target.normals_valid.copy())
+
     def test_one_build_serves_normals_and_every_solve(self, rng, monkeypatch):
         builds = []
 
@@ -695,8 +700,7 @@ class TestSharedTree:
         first = icp_solve(source, target, init, cfg)
         second = icp_solve(source, target, init, cfg)
         assert builds == [len(target)]
-        fresh = PointCloud(target.points.copy(), target.normals.copy(), target.normals_valid.copy())
-        third = icp_solve(source, fresh, init, cfg)
+        third = icp_solve(source, self.fresh(target), init, cfg)
         assert len(builds) == 2
         for res in (second, third):
             assert res.trace == first.trace
@@ -763,9 +767,7 @@ class TestSharedTree:
             early.append(sum(sizes[start + 1:start + 1 + MEMO_ASSOCIATIONS]))
         assert all(later < early[0] for later in early[1:]), early
         for kind, res in zip(bench.DEFAULT_RLFS, shared):
-            fresh_target = PointCloud(target.points.copy(), target.normals.copy(),
-                                      target.normals_valid.copy())
-            fresh = icp_solve(source, fresh_target, init, IcpConfig(rlf=RobustLoss(kind)))
+            fresh = icp_solve(source, self.fresh(target), init, IcpConfig(rlf=RobustLoss(kind)))
             assert res.trace == fresh.trace
             assert np.array_equal(res.pose.matrix(), fresh.pose.matrix())
 
@@ -785,8 +787,7 @@ class TestSharedTree:
         def solve(kind, on):
             return icp_solve(source, on, init, IcpConfig(rlf=RobustLoss(kind)))
 
-        serial = [solve(kind, PointCloud(target.points.copy(), target.normals.copy(),
-                                         target.normals_valid.copy())) for kind in kinds]
+        serial = [solve(kind, self.fresh(target)) for kind in kinds]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so the solves interleave
         try:
@@ -808,9 +809,7 @@ class TestSharedTree:
             cfg = IcpConfig(rlf=RobustLoss(kind))
             for init in starts + starts[::-1]:
                 shared = icp_solve(source, target, init, cfg)
-                fresh_target = PointCloud(target.points.copy(), target.normals.copy(),
-                                          target.normals_valid.copy())
-                fresh = icp_solve(source, fresh_target, init, cfg)
+                fresh = icp_solve(source, self.fresh(target), init, cfg)
                 assert shared.trace == fresh.trace
                 assert np.array_equal(shared.pose.matrix(), fresh.pose.matrix())
 
