@@ -57,6 +57,9 @@ class PoseAvgBenchConfig:
         for level in self.outlier_levels:
             if not 0.0 <= _number("outlier level", level) < 1.0:
                 raise ValueError(f"outlier levels must lie in [0, 1), got {level}")
+        groups = [_level_group(level) for level in self.outlier_levels]
+        if len(set(groups)) < len(groups):
+            raise ValueError(f"outlier levels must map to distinct groups, got {groups}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -130,6 +133,8 @@ def _check_names(name: str, values, allowed: tuple) -> None:
     for value in values:
         if value not in allowed:
             raise ValueError(f"unknown {name} entry {value!r}; expected one of {allowed}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must not repeat an entry, got {values!r}")
 
 
 def config_hash(cfg) -> str:
@@ -146,67 +151,29 @@ def _trial_seed(master: int, group_index: int, trial: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _solve_kinds(cfg, group, trial, seed, init, truth, solve):
-    """Run ``solve(rlf)`` for every configured loss kind from one start.
-
-    Returns the trial records and the solver results in ``cfg.rlfs`` order.
-    In an ICP trial the solves share the target's association memos
-    (:func:`robls.icp.icp_solve`), so each kind in ``cfg.rlfs`` order also
-    pays for part of the first ``MEMO_ASSOCIATIONS`` associations of the
-    kinds after it; a comparison of per-kind times must set that apart.
-    """
-    prior_phi, prior_rho = pose_error_norms(truth.inverse() @ init)
-    records, results = [], []
-    for rlf_name in cfg.rlfs:
-        t0 = time.perf_counter()
-        result = solve(RobustLoss(rlf_name, tau=cfg.tau))
-        seconds = time.perf_counter() - t0
-        phi, rho = pose_error_norms(truth.inverse() @ result.pose)
-        records.append(
-            stats.TrialRecord(
-                group=group,
-                trial=trial,
-                rlf=rlf_name,
-                seed=seed,
-                phi_err_deg=float(np.rad2deg(phi)),
-                rho_err_mm=rho * 1e3,
-                prior_phi_deg=float(np.rad2deg(prior_phi)),
-                prior_rho_mm=prior_rho * 1e3,
-                iterations=result.iterations,
-                converged=result.converged,
-                succeeded=stats.success(prior_phi, prior_rho, phi, rho),
-                seconds=seconds,
-            )
-        )
-        results.append(result)
-    return records, results
+def _level_group(level) -> str:
+    return f"outliers_{int(round(level * 100)):02d}"
 
 
-# --- pose averaging --------------------------------------------------------
+# --- one builder per application: (cfg, group index, seed) -> (group, init,
+# truth, solve(rlf)) --------------------------------------------------------
 
-def _pose_avg_trial(args) -> list[stats.TrialRecord]:
-    cfg, level_idx, trial = args
+def _pose_avg_problem(cfg, level_idx, seed):
     level = cfg.outlier_levels[level_idx]
-    seed = _trial_seed(cfg.master_seed, level_idx, trial)
     spec = pose_avg.TrialSpec(seed=seed, n_inliers=cfg.n_inliers, outlier_fraction=level)
     measurements, init, truth = pose_avg.generate_trial(spec)
 
     solver_cfg = pose_avg.PoseAvgConfig(
         max_iters=cfg.max_iters, weight_exponent=cfg.weight_exponent
     )
-    records, _ = _solve_kinds(
-        cfg, f"outliers_{int(round(level * 100)):02d}", trial, seed, init, truth,
+    return (
+        _level_group(level), init, truth,
         lambda rlf: pose_avg.solve_pose_average(measurements, init, replace(solver_cfg, rlf=rlf)),
     )
-    return records
 
 
-# --- ICP -------------------------------------------------------------------
-
-def _icp_trial(args) -> list[stats.TrialRecord]:
-    cfg, kind_idx, trial = args
+def _icp_problem(cfg, kind_idx, seed):
     kind = cfg.scene_kinds[kind_idx]
-    seed = _trial_seed(cfg.master_seed, kind_idx, trial)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
     overlap = rng.uniform(*cfg.overlap_range)
@@ -221,32 +188,68 @@ def _icp_trial(args) -> list[stats.TrialRecord]:
     solver_cfg = icp.IcpConfig(
         grid=cfg.grid, max_iters=cfg.max_iters, weight_exponent=cfg.weight_exponent
     )
-    records, results = _solve_kinds(
-        cfg, kind, trial, seed, init, t_gt,
+    return (
+        kind, init, t_gt,
         lambda rlf: icp.icp_solve(source_ds, target_ds, init, replace(solver_cfg, rlf=rlf)),
     )
-    if cfg.trace_dir is not None:
-        trace_dir = Path(cfg.trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        for rlf_name, result in zip(cfg.rlfs, results):
+
+
+def _trial(args) -> list[stats.TrialRecord]:
+    """Build trial ``(builder, cfg, group_index, trial)``; solve it with each kind.
+
+    Trial ``t`` runs ``cfg.rlfs`` rotated by ``t % len(cfg.rlfs)``, so each
+    kind takes each position equally often, and returns its records in
+    ``cfg.rlfs`` order.  Only ``seconds`` sees the order: an ICP trial's
+    solves share the target's association memos (:func:`robls.icp.icp_solve`),
+    so each kind also pays for part of the first ``MEMO_ASSOCIATIONS``
+    associations of the kinds after it.  The rotation balances positions,
+    not which kinds come first, so per-kind times must set that cost apart.
+    Trace CSVs (``cfg.trace_dir``) are written outside the timed region.
+    """
+    builder, cfg, group_index, trial = args
+    seed = _trial_seed(cfg.master_seed, group_index, trial)
+    group, init, truth, solve = builder(cfg, group_index, seed)
+    trace_dir = getattr(cfg, "trace_dir", None)
+    prior_phi, prior_rho = pose_error_norms(truth.inverse() @ init)
+    shift = trial % len(cfg.rlfs)
+    records = {}
+    for rlf_name in cfg.rlfs[shift:] + cfg.rlfs[:shift]:
+        t0 = time.perf_counter()
+        result = solve(RobustLoss(rlf_name, tau=cfg.tau))
+        seconds = time.perf_counter() - t0
+        phi, rho = pose_error_norms(truth.inverse() @ result.pose)
+        records[rlf_name] = stats.TrialRecord(
+            group=group,
+            trial=trial,
+            rlf=rlf_name,
+            seed=seed,
+            phi_err_deg=float(np.rad2deg(phi)),
+            rho_err_mm=rho * 1e3,
+            prior_phi_deg=float(np.rad2deg(prior_phi)),
+            prior_rho_mm=prior_rho * 1e3,
+            iterations=result.iterations,
+            converged=result.converged,
+            succeeded=stats.success(prior_phi, prior_rho, phi, rho),
+            seconds=seconds,
+        )
+        if trace_dir is not None:
+            Path(trace_dir).mkdir(parents=True, exist_ok=True)
             cloud_io.write_icp_trace_csv(
-                result.trace, trace_dir / f"trace_{kind}_{trial:03d}_{rlf_name}.csv"
+                result.trace, Path(trace_dir) / f"trace_{group}_{trial:03d}_{rlf_name}.csv"
             )
-    return records
+    return [records[rlf_name] for rlf_name in cfg.rlfs]
 
 
-# --- shared runner ---------------------------------------------------------
-
-def _run(jobs, worker, threads: int):
-    if threads <= 1:
-        outs = [worker(job) for job in jobs]
+def _run(cfg, builder, n_groups: int, n_trials: int, out_dir) -> dict:
+    """Groups x RLFs x trials; writes trials/timings/summary files."""
+    jobs = [(builder, cfg, g, t) for g in range(n_groups) for t in range(n_trials)]
+    if cfg.threads <= 1:
+        outs = [_trial(job) for job in jobs]
     else:
-        with get_context("fork").Pool(threads) as pool:
-            outs = pool.map(worker, jobs, chunksize=1)
-    return [record for records in outs for record in records]
+        with get_context("fork").Pool(cfg.threads) as pool:
+            outs = pool.map(_trial, jobs, chunksize=1)
+    records = [record for records in outs for record in records]
 
-
-def _emit(records, cfg, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -261,19 +264,9 @@ def _emit(records, cfg, out_dir) -> dict:
 
 def run_pose_avg_benchmark(cfg: PoseAvgBenchConfig, out_dir) -> dict:
     """Outlier levels x RLFs x trials; writes trials/timings/summary files."""
-    jobs = [
-        (cfg, level_idx, trial)
-        for level_idx in range(len(cfg.outlier_levels))
-        for trial in range(cfg.trials_per_level)
-    ]
-    return _emit(_run(jobs, _pose_avg_trial, cfg.threads), cfg, out_dir)
+    return _run(cfg, _pose_avg_problem, len(cfg.outlier_levels), cfg.trials_per_level, out_dir)
 
 
 def run_icp_benchmark(cfg: IcpBenchConfig, out_dir) -> dict:
     """Scene kinds x RLFs x trials from identical initializations per trial."""
-    jobs = [
-        (cfg, kind_idx, trial)
-        for kind_idx in range(len(cfg.scene_kinds))
-        for trial in range(cfg.trials_per_kind)
-    ]
-    return _emit(_run(jobs, _icp_trial, cfg.threads), cfg, out_dir)
+    return _run(cfg, _icp_problem, len(cfg.scene_kinds), cfg.trials_per_kind, out_dir)

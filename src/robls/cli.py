@@ -16,30 +16,6 @@ from .scenes import OVERLAP_MAX, OVERLAP_MIN
 from .weighting import RLF_KINDS, RobustLoss
 
 
-def _load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _apply_overrides(cfg_cls, file_cfg: dict, args, key_map: dict):
-    values = dict(file_cfg)
-    for attr, arg_name in key_map.items():
-        val = getattr(args, arg_name, None)
-        if val is not None:
-            values[attr] = val
-    field_names = {f.name for f in dataclasses.fields(cfg_cls)}
-    unknown = set(values) - field_names
-    if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    for key in ("rlfs", "outlier_levels", "scene_kinds", "overlap_range"):
-        if key in values and isinstance(values[key], list):
-            values[key] = tuple(values[key])
-    try:
-        return cfg_cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"bad config: {exc}")
-
-
 def _read_residuals(path) -> np.ndarray:
     values = []
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
@@ -97,29 +73,28 @@ def _seed(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def cmd_pose_avg_bench(args):
-    file_cfg = _load_config(args.config) if args.config else {}
-    cfg = _apply_overrides(
-        bench.PoseAvgBenchConfig,
-        file_cfg,
-        args,
-        {"master_seed": "seed", "trials_per_level": "trials", "threads": "threads", "rlfs": "rlf"},
-    )
-    result = bench.run_pose_avg_benchmark(cfg, args.out_dir)
-    print(f"wrote {args.out_dir}/trials.csv ({len(result['records'])} rows)")
-
-
-def cmd_icp_bench(args):
-    file_cfg = _load_config(args.config) if args.config else {}
+def cmd_bench(args):
+    """Build ``args.cfg_cls`` from ``--config`` and the flags; run ``args.runner``."""
+    values = json.loads(Path(args.config).read_text()) if args.config else {}
     overrides = {
-        "master_seed": "seed",
-        "trials_per_kind": "trials",
-        "threads": "threads",
-        "rlfs": "rlf",
-        "trace_dir": "trace_dir",
+        "master_seed": args.seed,
+        args.trials_field: args.trials,
+        "threads": args.threads,
+        "rlfs": args.rlf,
+        "trace_dir": getattr(args, "trace_dir", None),
     }
-    cfg = _apply_overrides(bench.IcpBenchConfig, file_cfg, args, overrides)
-    result = bench.run_icp_benchmark(cfg, args.out_dir)
+    values.update((key, val) for key, val in overrides.items() if val is not None)
+    unknown = set(values) - {f.name for f in dataclasses.fields(args.cfg_cls)}
+    if unknown:
+        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+    for key in ("rlfs", "outlier_levels", "scene_kinds", "overlap_range"):
+        if isinstance(values.get(key), list):
+            values[key] = tuple(values[key])
+    try:
+        cfg = args.cfg_cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"bad config: {exc}")
+    result = args.runner(cfg, args.out_dir)
     print(f"wrote {args.out_dir}/trials.csv ({len(result['records'])} rows)")
 
 
@@ -164,11 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("pose-avg-bench", parents=[common], help="pose averaging Monte Carlo")
-    p.set_defaults(func=cmd_pose_avg_bench)
+    p.set_defaults(func=cmd_bench, cfg_cls=bench.PoseAvgBenchConfig,
+                   trials_field="trials_per_level", runner=bench.run_pose_avg_benchmark)
 
     p = sub.add_parser("icp-bench", parents=[common], help="alignment Monte Carlo")
     p.add_argument("--trace-dir", help="dump per-iteration solver traces here")
-    p.set_defaults(func=cmd_icp_bench)
+    p.set_defaults(func=cmd_bench, cfg_cls=bench.IcpBenchConfig,
+                   trials_field="trials_per_kind", runner=bench.run_icp_benchmark)
 
     p = sub.add_parser(
         "weights", help="evaluate any RLF on a residual list",

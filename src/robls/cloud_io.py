@@ -95,10 +95,8 @@ def write_trials_csv(records: list[TrialRecord], config_hash: str, path) -> None
 def write_timings_csv(records: list[TrialRecord], path) -> None:
     """Wall-clock seconds per solve; inherently not deterministic.
 
-    In an ICP trial each kind in ``rlfs`` order also pays for part of the
-    first ``MEMO_ASSOCIATIONS`` associations of the kinds after it, whose
-    memos it fills (:func:`robls.icp.icp_solve`), so compare per-kind times
-    across kinds only with that cost set apart.
+    A kind's seconds depend on the kinds solved before it in its trial; see
+    :func:`robls.bench._trial`.
     """
     ordered = sorted(records, key=lambda r: (r.group, r.trial, r.rlf))
     with open(path, "w", newline="") as fh:

@@ -16,13 +16,13 @@ the truncated adaptive loss only on the residual mass above the mode:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .adaptive import CHEBROLU_DOMAIN, AlphaOptResult, check_tau, minimize_bounded, optimize_alpha
+from .irls import check_int
 from .loss import check_norms, weight
 
 __all__ = [
@@ -102,21 +102,16 @@ class MbDiagnostics:
 
 
 def _dof(n_e) -> int:
-    """``n_e`` as an ``int`` in ``[1, MAX_DOF]``; numpy integers pass, ``bool``
-    does not.
+    """``n_e`` as an ``int`` in ``[1, MAX_DOF]``, by the rule of
+    :func:`~robls.irls.check_int`.
 
     The closed forms of :func:`_half_gamma` and :func:`_chi_cdf` hold only
     for integer degrees of freedom.
     """
-    if isinstance(n_e, bool):
-        raise ValueError(f"n_e must be an integer, got {n_e!r}")
-    try:
-        n = operator.index(n_e)
-    except TypeError:
-        raise ValueError(f"n_e must be an integer, got {n_e!r}") from None
-    if not 1 <= n <= MAX_DOF:
-        raise ValueError(f"n_e must lie in [1, {MAX_DOF}], got {n}")
-    return n
+    check_int("n_e", n_e, 1)
+    if n_e > MAX_DOF:
+        raise ValueError(f"n_e must be at most {MAX_DOF}, got {n_e}")
+    return int(n_e)
 
 
 def _half_gamma(n: int) -> float:

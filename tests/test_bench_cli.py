@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from robls import bench
 from robls.adaptive import TAU_MAX, TAU_MIN
 from robls.cli import main
 from robls.mbfit import MAX_DOF
+from robls.se3 import Pose
 from robls.weighting import RLF_KINDS
 
 
@@ -49,6 +51,45 @@ class TestPoseAvgBench:
         medians = {row["rlf"]: row["phi_p50"] for row in out["rows"]}
         lo, hi = sorted((medians["none"], medians["adaptive_mb"]))
         assert hi <= 1.2 * lo  # within 20% of least squares on clean data
+
+
+def recording_builder(calls):
+    """A trial builder whose solve records the kinds in the order they run."""
+    def builder(cfg, group_index, seed):
+        def solve(rlf):
+            calls.append(rlf.kind)
+            return SimpleNamespace(pose=Pose.identity(), iterations=1, converged=True)
+        return "group", Pose.identity(), Pose.identity(), solve
+    return builder
+
+
+class TestTrialWorker:
+    def test_kinds_run_rotated_and_records_come_in_config_order(self):
+        rlfs = ("cauchy", "tukey", "welsch", "barron")
+        cfg = bench.PoseAvgBenchConfig(rlfs=rlfs)
+        orders = []
+        for trial in range(len(rlfs)):
+            calls = []
+            records = bench._trial((recording_builder(calls), cfg, 0, trial))
+            assert [r.rlf for r in records] == list(rlfs)
+            assert {r.trial for r in records} == {trial}
+            orders.append(calls)
+        assert orders[0] == list(rlfs)
+        for position in range(len(rlfs)):
+            assert sorted(order[position] for order in orders) == sorted(rlfs)
+
+    def test_icp_kind_order_leaves_trials_csv_unchanged(self, tmp_path):
+        # The solves of a trial share the target's association memos; the
+        # order they run in must not reach any result.
+        rows = {}
+        for name, rlfs in (("forward", bench.DEFAULT_RLFS), ("reversed", bench.DEFAULT_RLFS[::-1])):
+            cfg = bench.IcpBenchConfig(master_seed=3, trials_per_kind=2, scene_kinds=("semi",),
+                                       rlfs=rlfs)
+            bench.run_icp_benchmark(cfg, tmp_path / name)
+            rows[name] = [{k: v for k, v in row.items() if k != "config_hash"}
+                          for row in read_csv(tmp_path / name / "trials.csv")]
+        assert len(rows["forward"]) == 2 * len(bench.DEFAULT_RLFS)
+        assert rows["forward"] == rows["reversed"]
 
 
 class TestDeterminism:
@@ -220,6 +261,13 @@ class TestCli:
         ("icp-bench", {"grid": 0}, [], "grid must be positive and finite"),
         ("icp-bench", {"normal_k": 1.5}, [], "normal_k must be an integer"),
         ("icp-bench", {"weight_exponent": 0}, [], "weight_exponent must be at least 1"),
+        # Repeated entries would repeat (group, trial, rlf) keys and inflate
+        # the summary's trial counts.
+        ("pose-avg-bench", {"rlfs": ["cauchy", "cauchy"]}, [], "rlfs must not repeat an entry"),
+        ("icp-bench", {"scene_kinds": ["semi", "semi"]}, [],
+         "scene_kinds must not repeat an entry"),
+        ("pose-avg-bench", {"outlier_levels": [0.2, 0.204]}, [],
+         "outlier levels must map to distinct groups, got \\['outliers_20', 'outliers_20'\\]"),
     ])
     def test_bad_config_fields_are_usage_errors(self, tmp_path, command, config, extra, message):
         cfg_file = tmp_path / "cfg.json"

@@ -852,7 +852,7 @@ class TestGoldenOutcomes:
     def test_first_trial_outcomes_kept(self, kind_idx):
         cfg = bench.IcpBenchConfig(master_seed=3, trials_per_kind=1,
                                    rlfs=("tukey", "chebrolu", "adaptive_mb"))
-        records = bench._icp_trial((cfg, kind_idx, 0))
+        records = bench._trial((bench._icp_problem, cfg, kind_idx, 0))
         expected = [g for g in GOLDEN_OUTCOMES if g[0] == records[0].group]
         assert [(r.group, r.rlf) for r in records] == [g[:2] for g in expected]
         for r, (_, _, iterations, converged, phi, rho) in zip(records, expected):

@@ -492,7 +492,7 @@ class TestGoldenOutcomes:
     @pytest.mark.parametrize("level_idx", range(5))
     def test_first_trial_outcomes_kept(self, level_idx):
         cfg = bench.PoseAvgBenchConfig(master_seed=3, trials_per_level=1)
-        records = bench._pose_avg_trial((cfg, level_idx, 0))
+        records = bench._trial((bench._pose_avg_problem, cfg, level_idx, 0))
         expected = [g for g in GOLDEN_OUTCOMES if g[0] == records[0].group]
         assert [(r.group, r.rlf) for r in records] == [g[:2] for g in expected]
         for r, (_, _, iterations, converged, phi, rho) in zip(records, expected):
@@ -507,7 +507,7 @@ class TestAdaptiveMbConvergence:
     @pytest.mark.parametrize("level_idx,trial", [(1, 61), (2, 28)])
     def test_default_benchmark_trial_converges(self, level_idx, trial):
         cfg = bench.PoseAvgBenchConfig(rlfs=("adaptive_mb",))
-        (record,) = bench._pose_avg_trial((cfg, level_idx, trial))
+        (record,) = bench._trial((bench._pose_avg_problem, cfg, level_idx, trial))
         assert record.converged and record.iterations < cfg.max_iters
 
 
