@@ -61,9 +61,6 @@ class PoseAvgBenchConfig:
         if len(set(groups)) < len(groups):
             raise ValueError(f"outlier levels must map to distinct groups, got {groups}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class IcpBenchConfig:
@@ -101,9 +98,6 @@ class IcpBenchConfig:
         if self.trace_dir is not None and not isinstance(self.trace_dir, str):
             raise TypeError(f"trace_dir must be a path string, got {self.trace_dir!r}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _check_common(cfg, trials_field: str) -> None:
     """Check the fields both bench configs share: TypeError or ValueError."""
@@ -139,7 +133,7 @@ def _check_names(name: str, values, allowed: tuple) -> None:
 
 def config_hash(cfg) -> str:
     """Hash of the scientific configuration (execution details excluded)."""
-    payload = cfg.as_dict()
+    payload = asdict(cfg)
     payload.pop("threads", None)
     payload.pop("trace_dir", None)
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -257,7 +251,7 @@ def _run(cfg, builder, n_groups: int, n_trials: int, out_dir) -> dict:
     cloud_io.write_trials_csv(records, chash, out / "trials.csv")
     cloud_io.write_timings_csv(records, out / "timings.csv")
     cloud_io.write_summary_csv(rows, out / "summary.csv")
-    meta = {"config": cfg.as_dict(), "config_hash": chash}
+    meta = {"config": asdict(cfg), "config_hash": chash}
     cloud_io.write_summary_json(rows, meta, out / "summary.json")
     return {"rows": rows, "records": records, "config_hash": chash}
 

@@ -75,7 +75,12 @@ def _seed(text: str) -> int:
 
 def cmd_bench(args):
     """Build ``args.cfg_cls`` from ``--config`` and the flags; run ``args.runner``."""
-    values = json.loads(Path(args.config).read_text()) if args.config else {}
+    try:
+        values = json.loads(Path(args.config).read_text()) if args.config else {}
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"bad config: {exc}")
+    if not isinstance(values, dict):
+        raise SystemExit(f"bad config: expected a JSON object, got {type(values).__name__}")
     overrides = {
         "master_seed": args.seed,
         args.trials_field: args.trials,

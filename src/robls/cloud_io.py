@@ -27,24 +27,32 @@ __all__ = [
     "write_icp_trace_csv",
 ]
 
-_FLOAT_FMT = "%.12g"
+
+def _cell(value):
+    """A bool as 0/1, an int or a str as it is, any other number as ``%.12g``."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (int, str)):
+        return value
+    return "%.12g" % float(value)
 
 
-def _fmt(x) -> str:
-    return _FLOAT_FMT % float(x)
+def _write_table(path, columns, rows) -> None:
+    """A header of ``columns``, then the cells each row (a mapping) has under them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_cell(row[c]) for c in columns])
 
 
 def save_point_cloud_csv(cloud: PointCloud, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if cloud.normals is None:
-            writer.writerow(["x", "y", "z"])
-            for p in cloud.points:
-                writer.writerow([_fmt(v) for v in p])
-        else:
-            writer.writerow(["x", "y", "z", "nx", "ny", "nz"])
-            for p, n in zip(cloud.points, cloud.normals):
-                writer.writerow([_fmt(v) for v in (*p, *n)])
+    columns = ["x", "y", "z"]
+    values = cloud.points
+    if cloud.normals is not None:
+        columns += ["nx", "ny", "nz"]
+        values = np.hstack([cloud.points, cloud.normals])
+    _write_table(path, columns, (dict(zip(columns, v)) for v in values))
 
 
 def pose_to_flat(pose: Pose) -> list[float]:
@@ -70,26 +78,8 @@ TRIAL_COLUMNS = [
 def write_trials_csv(records: list[TrialRecord], config_hash: str, path) -> None:
     """Deterministic per-trial rows (wall time goes to timings.csv instead)."""
     ordered = sorted(records, key=lambda r: (r.group, r.trial, r.rlf))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_COLUMNS)
-        for r in ordered:
-            writer.writerow(
-                [
-                    r.group,
-                    r.trial,
-                    r.rlf,
-                    r.seed,
-                    config_hash,
-                    _fmt(r.prior_phi_deg),
-                    _fmt(r.prior_rho_mm),
-                    _fmt(r.phi_err_deg),
-                    _fmt(r.rho_err_mm),
-                    r.iterations,
-                    int(r.converged),
-                    int(r.succeeded),
-                ]
-            )
+    rows = ({**vars(r), "config_hash": config_hash, "success": r.succeeded} for r in ordered)
+    _write_table(path, TRIAL_COLUMNS, rows)
 
 
 def write_timings_csv(records: list[TrialRecord], path) -> None:
@@ -99,11 +89,8 @@ def write_timings_csv(records: list[TrialRecord], path) -> None:
     :func:`robls.bench._trial`.
     """
     ordered = sorted(records, key=lambda r: (r.group, r.trial, r.rlf))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "trial", "rlf", "seconds"])
-        for r in ordered:
-            writer.writerow([r.group, r.trial, r.rlf, "%.6f" % r.seconds])
+    rows = ({**vars(r), "seconds": "%.6f" % r.seconds} for r in ordered)
+    _write_table(path, ["group", "trial", "rlf", "seconds"], rows)
 
 
 SUMMARY_COLUMNS = [
@@ -123,13 +110,7 @@ SUMMARY_COLUMNS = [
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row["group"], row["rlf"], row["trials"]] + [_fmt(row[c]) for c in SUMMARY_COLUMNS[3:]]
-            )
+    _write_table(path, SUMMARY_COLUMNS, rows)
 
 
 def write_summary_json(rows: list[dict], meta: dict, path) -> None:
@@ -138,8 +119,4 @@ def write_summary_json(rows: list[dict], meta: dict, path) -> None:
 
 
 def write_icp_trace_csv(trace: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in trace:
-            writer.writerow([row["iter"]] + [_fmt(row[c]) for c in TRACE_COLUMNS[1:]])
+    _write_table(path, TRACE_COLUMNS, trace)

@@ -70,13 +70,12 @@ def irls(linearize, init: Pose, config, n_e: int) -> IrlsResult:
     pose = init
     trace: list[dict] = []
     converged = False
-    warm = None
+    wres = None
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
         eps, update = linearize(pose)
-        wres = config.rlf.weights(eps, n_e=n_e, warm_start=warm)
-        warm = wres.warm_start
+        wres = config.rlf.weights(eps, n_e=n_e, warm_start=wres)
         pose, step = update(wres.weights**config.weight_exponent)
         step_phi = float(np.linalg.norm(step[:3]))
         step_rho = float(np.linalg.norm(step[3:]))

@@ -64,7 +64,6 @@ class DegenerateHistogramError(ValueError):
 @dataclass
 class MbFit:
     a_star: float
-    n_e: int
     mode: float
     objective: float = np.nan
     fallback: bool = False
@@ -267,7 +266,7 @@ def fit_mb(residuals, n_e: int, x0: float | None = None) -> MbFit:
     try:
         hist = build_histogram(r, upper=thresh)
     except DegenerateHistogramError:
-        return MbFit(1.0, n_e, float(np.sqrt(n_e - 1)), fallback=True)
+        return MbFit(1.0, float(np.sqrt(n_e - 1)), fallback=True)
 
     criterion = _fit_criterion(hist, n_e)
     if x0 is None:
@@ -276,7 +275,7 @@ def fit_mb(residuals, n_e: int, x0: float | None = None) -> MbFit:
         candidates = candidates[(candidates >= A_LO) & (candidates <= A_HI)]
         x0 = candidates[int(np.argmin(criterion(candidates[:, None])[0]))]
     a, obj, _, _ = minimize_bounded(criterion, A_LO, A_HI, x0, lambda a: A_STEP_TOL)
-    return MbFit(a, n_e, float(a * np.sqrt(n_e - 1)), objective=obj)
+    return MbFit(a, float(a * np.sqrt(n_e - 1)), objective=obj)
 
 
 def adaptive_mb_weights(

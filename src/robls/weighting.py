@@ -25,7 +25,6 @@ from .loss import MAD_FLOOR, check_norms, fixed_weight, var_trimmed_weights, wei
 __all__ = [
     "RobustLoss",
     "WeightResult",
-    "AdaptiveState",
     "RLF_KINDS",
     "FIXED_KINDS",
     "ADAPTIVE_KINDS",
@@ -51,23 +50,10 @@ def _median(r: np.ndarray) -> float:
     return float((part[k - 1] + part[k]) / 2.0)
 
 
-@dataclass(frozen=True)
-class AdaptiveState:
-    """Warm-start seeds carried between IRLS iterations.
-
-    Reusing the previous shape estimates keeps consecutive refits in the
-    same local basin, which suppresses weight flapping near convergence.
-    """
-
-    alpha: float | None = None
-    a: float | None = None
-
-
 @dataclass
 class WeightResult:
     weights: np.ndarray
     diagnostics: dict
-    warm_start: AdaptiveState | None = None  # seeds for the next call
 
 
 @dataclass(frozen=True)
@@ -88,7 +74,7 @@ class RobustLoss:
         check_tau(self.tau)
 
     def weights(
-        self, residuals, n_e: int = 3, warm_start: AdaptiveState | None = None
+        self, residuals, n_e: int = 3, warm_start: WeightResult | None = None
     ) -> WeightResult:
         """Weights in [0, 1] for a set of nonnegative residual norms.
 
@@ -97,14 +83,21 @@ class RobustLoss:
         ``[1, mbfit.MAX_DOF]``, whatever the kind.
 
         ``n_e`` is the dimension of the underlying error: it sets the
-        fixed kernels' scale and the norm-aware kind's Chi model;
-        ``warm_start`` seeds the adaptive shape searches with the previous
-        solution.
+        fixed kernels' scale and the norm-aware kind's Chi model.
+
+        ``warm_start`` is the previous call's result.  Its diagnostics'
+        ``alpha_star`` seeds the alpha search, unless it is not finite (the
+        -inf sentinel), and ``a_star`` seeds the Chi fit.  Reusing them keeps
+        consecutive IRLS refits in the same local basin, which suppresses
+        weight flapping near convergence.
         """
         r = check_norms(residuals)
         n_e = mbfit._dof(n_e)
-        seed_alpha = warm_start.alpha if warm_start is not None else None
-        seed_a = warm_start.a if warm_start is not None else None
+        seeds = warm_start.diagnostics if warm_start is not None else {}
+        seed_alpha = seeds.get("alpha_star")
+        if seed_alpha is not None and not np.isfinite(seed_alpha):
+            seed_alpha = None
+        seed_a = seeds.get("a_star")
 
         if self.kind == "none":
             return WeightResult(np.ones_like(r), {})
@@ -123,13 +116,10 @@ class RobustLoss:
             res = optimize_alpha(r, domain, (-self.tau, self.tau), x0=seed_alpha)
             w = weight(r, res.alpha_star)
             diag = {"alpha_star": res.alpha_star, "alpha_converged": res.converged}
-            alpha_seed = res.alpha_star if np.isfinite(res.alpha_star) else None
-            return WeightResult(w, diag, warm_start=AdaptiveState(alpha=alpha_seed))
+            return WeightResult(w, diag)
 
         # norm-aware adaptive kind
         w, diag = mbfit.adaptive_mb_weights(
             r, n_e=n_e, tau=self.tau, alpha_x0=seed_alpha, a_x0=seed_a
         )
-        alpha_seed = diag.alpha_star if np.isfinite(diag.alpha_star) else None
-        state = AdaptiveState(alpha=alpha_seed, a=diag.a_star)
-        return WeightResult(w, diag.as_dict(), warm_start=state)
+        return WeightResult(w, diag.as_dict())

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,6 +143,29 @@ class TestPinnedOutputs:
             got["traces"] = b"".join(path.read_bytes() for path in files)
         assert {name: hashlib.sha256(blob).hexdigest() for name, blob in got.items()} == digests
 
+    def test_gen_scene_hashes(self, tmp_path):
+        main(["gen-scene", "--kind", "semi", "--overlap", "0.6", "--seed", "4",
+              "--out-dir", str(tmp_path)])
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("source.csv", "target.csv", "ground_truth.json")}
+        assert got == {
+            "source.csv": "3ac72a801978d567009bccb73ba63b76178665bfe297ab632bd2150b591c1d1e",
+            "target.csv": "4e5d2646c37f5d4919b74c8e8959d35fd3fb27432539bb4c03c59a425521a4ec",
+            "ground_truth.json": "420dc35147e767ab8845690296b1d1dd52e522e56fd7cbd9bc07987e8282fa2f",
+        }
+
+    @pytest.mark.parametrize("command", ["pose-avg-bench", "icp-bench"])
+    def test_timings_csv_layout(self, tmp_path, command):
+        # Wall times are not deterministic, so pin the layout, not the bytes.
+        main([command, "--trials", "1", "--rlf", "cauchy", "--rlf", "adaptive_mb",
+              "--out-dir", str(tmp_path)])
+        with open(tmp_path / "timings.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["group", "trial", "rlf", "seconds"]
+        keys = [[row["group"], row["trial"], row["rlf"]] for row in read_csv(tmp_path / "trials.csv")]
+        assert [row[:3] for row in rows] == keys
+        assert all(re.fullmatch(r"\d+\.\d{6}", row[3]) for row in rows)
+
 
 class TestCli:
     def test_gen_scene_and_weights(self, tmp_path):
@@ -268,12 +292,25 @@ class TestCli:
          "scene_kinds must not repeat an entry"),
         ("pose-avg-bench", {"outlier_levels": [0.2, 0.204]}, [],
          "outlier levels must map to distinct groups, got \\['outliers_20', 'outliers_20'\\]"),
+        ("pose-avg-bench", [0.2], [], "expected a JSON object, got list"),
+        ("icp-bench", [], [], "expected a JSON object, got list"),
     ])
     def test_bad_config_fields_are_usage_errors(self, tmp_path, command, config, extra, message):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(config))
         with pytest.raises(SystemExit, match=f"^bad config: {message}"):
             main([command, "--config", str(cfg_file), *extra, "--out-dir", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["pose-avg-bench", "icp-bench"])
+    @pytest.mark.parametrize("text, message", [(None, "No such file"), ('{"tau": 2', "Expecting")],
+                             ids=["missing", "malformed"])
+    def test_unreadable_config_file_is_a_usage_error(self, tmp_path, command, text, message):
+        cfg_file = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_file.write_text(text)
+        with pytest.raises(SystemExit, match=f"^bad config: .*{message}"):
+            main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overlap", ["1.5", "0.3", "-1", "nan"])

@@ -294,7 +294,7 @@ class TestShiftResiduals:
 
     @staticmethod
     def weights_at_mode(monkeypatch, r, mode, tau=10.0):
-        monkeypatch.setattr(mbfit, "fit_mb", lambda r, n_e, x0=None: MbFit(1.0, n_e, mode))
+        monkeypatch.setattr(mbfit, "fit_mb", lambda r, n_e, x0=None: MbFit(1.0, mode))
         return adaptive_mb_weights(r, 3, tau)
 
     @staticmethod

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robls.weighting import ADAPTIVE_KINDS, RLF_KINDS, AdaptiveState, RobustLoss
+from robls import mbfit
+from robls.weighting import ADAPTIVE_KINDS, RLF_KINDS, RobustLoss, WeightResult
 
 from oracles import PROPERTY
 
@@ -34,7 +35,8 @@ class TestPermutationInvariance:
         r = residual_set(n_e, n, share, seed)
         perm = np.random.default_rng(seed + 1).permutation(n)
         loss = RobustLoss(kind, tau=TAUS[n_e])
-        state = AdaptiveState(*warm) if warm is not None else None
+        state = (WeightResult(np.empty(0), {"alpha_star": warm[0], "a_star": warm[1]})
+                 if warm is not None else None)
         base, moved = loss.weights(r, n_e, state), loss.weights(r[perm], n_e, state)
         assert base.diagnostics.keys() == moved.diagnostics.keys()
         if kind not in ADAPTIVE_KINDS:
@@ -52,7 +54,8 @@ class TestPermutationInvariance:
                 assert moved.diagnostics[key] == pytest.approx(value, rel=0.0, abs=1e-6), key
             else:
                 assert moved.diagnostics[key] == value, key
-        assert (base.warm_start.alpha is None) == (moved.warm_start.alpha is None)
+        alphas = base.diagnostics["alpha_star"], moved.diagnostics["alpha_star"]
+        assert np.isfinite(alphas[0]) == np.isfinite(alphas[1])
 
 
 # (kind, n_e, case, alpha*, a*, mode, weight sum) of the adaptive kinds on
@@ -100,7 +103,7 @@ class TestGoldenWeights:
         first = loss.weights(residual_set(*GOLDEN_SETS[n_e, "first"]), n_e)
         following = residual_set(*GOLDEN_SETS[n_e, "next"])
         results = {"first": first, "next": loss.weights(following, n_e),
-                   "warm": loss.weights(following, n_e, first.warm_start)}
+                   "warm": loss.weights(following, n_e, first)}
         expected = [g for g in GOLDEN_WEIGHTS if g[:2] == (kind, n_e)]
         assert [g[2] for g in expected] == list(results)
         # Room for another BLAS or CPU's rounding, which the flat alpha
@@ -111,6 +114,21 @@ class TestGoldenWeights:
                    res.diagnostics.get("mode", NAN), float(res.weights.sum()))
             want = (alpha, a, mode, total)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-8, nan_ok=True), case
+
+
+class TestSentinelWarmStart:
+    def test_minus_inf_alpha_seeds_only_the_chi_fit(self):
+        # alpha* at the -inf sentinel seeds no alpha search; a* still seeds
+        # the Chi fit of the next call.
+        loss = RobustLoss("adaptive_mb", tau=10.0)
+        first = loss.weights(residual_set(3, 60, 0.5, 131), 3)
+        assert first.diagnostics["alpha_star"] == -np.inf
+        r = residual_set(3, 60, 0.5, 1131)
+        got = loss.weights(r, 3, first)
+        w, diag = mbfit.adaptive_mb_weights(r, n_e=3, tau=10.0, alpha_x0=None,
+                                            a_x0=first.diagnostics["a_star"])
+        assert np.array_equal(got.weights, w)
+        assert got.diagnostics == diag.as_dict()
 
 
 class TestDofCheck:
