@@ -6,9 +6,10 @@ covariance ``Sigma = M R M'`` with ``M = -J_r(e)^-1``, residual
 ``sqrt(e' Sigma^-1 e)``, Chi(6)-like on inliers with mode sqrt(5)) is built
 in closed form from three exact identities: ``Sigma^-1 = J_r' R^-1 J_r``,
 ``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``.  With
-``W = chol(R)^-1``, stacked once per trial in a :class:`MeasurementSet`, the
-residual is ``|W e|`` and the normal equations come from ``W Ad(T~^-1 T)``
-alone: no Jacobian series, no ``Sigma`` and no per-measurement solve.
+``W = chol(R)^-1`` the residual is ``|W e|`` and the Jacobian is
+``W Ad(T~^-1 T) = lift Ad(T)``: a :class:`MeasurementSet` lays ``lift =
+W Ad(T~^-1)`` once per trial and each iteration forms one 6x6 adjoint.  No
+Jacobian series, no ``Sigma`` and no per-measurement solve.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .irls import IrlsResult, check_config, check_int, irls
-from .se3 import Pose, _batch_se3_log, _batch_skew, exp_map, so3_exp
+from .se3 import Pose, _adjoint, _batch_se3_log_rt, exp_map, so3_exp
 from .weighting import RobustLoss
 
 __all__ = [
@@ -45,9 +46,10 @@ class MeasurementSet:
     ``cov`` is one covariance shared by every pose or one per pose; it is
     broadcast to ``(n, 6, 6)``.  Construction checks that each ``R`` is
     finite and symmetric and proves it positive definite by factoring it,
-    ``R = L L'``.  Only two stacks are kept: ``transforms``, the ``(n, 4, 4)``
-    matrices of the poses, and ``whiten``, the ``(n, 6, 6)`` factors
-    ``L^-1``.  No covariance is kept, so no factor can go stale.
+    ``R = L L'``.  Four read-only stacks are kept: the poses' ``rotations``
+    and ``translations`` and the (n, 6, 6) factors ``whiten = L^-1`` and
+    ``lift = whiten @ Ad(T~_i^-1)``.  No covariance is kept and no stack can
+    be edited in place, so no factor can go stale.
     """
 
     def __init__(self, poses, cov):
@@ -61,8 +63,13 @@ class MeasurementSet:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("measurement covariance must be positive definite") from None
-        self.transforms = np.stack([pose.matrix() for pose in poses])
+        self.rotations = np.stack([pose.rotation for pose in poses])
+        self.translations = np.stack([pose.translation for pose in poses])
         self.whiten = np.linalg.inv(chol)
+        inv_rot = self.rotations.transpose(0, 2, 1)
+        self.lift = self.whiten @ _adjoint(inv_rot, -(inv_rot @ self.translations[..., None])[..., 0])
+        for stack in (self.rotations, self.translations, self.whiten, self.lift):
+            stack.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -94,29 +101,26 @@ class TrialSpec:
 
 
 def linearize_errors(
-    pose: Pose, tm: np.ndarray, whiten: np.ndarray
+    pose: Pose, measurements: MeasurementSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whitened left-invariant errors of a pose against a stack of measurements.
+    """Whitened left-invariant errors of a pose ``T = (R, t)`` against a set
+    of measurements ``T~_i = (R~_i, t~_i)`` with factors ``W_i = chol(R_i)^-1``.
 
-    ``tm`` holds the (n, 4, 4) measurements ``T~_i`` and ``whiten`` the
-    (n, 6, 6) factors ``W_i = chol(R_i)^-1`` of their covariances.  Returns
-    ``(ok, r, j)``: the mask of errors ``e_i = log(T^-1 T~_i)`` in the
+    Returns ``(ok, r, j)``: the mask of errors ``e_i = log(T^-1 T~_i)`` in the
     principal logarithm branch and, for those only, ``r_i = W_i e_i`` and
     ``j_i = W_i Ad(T~_i^-1 T)``.  By ``Sigma^-1 = J_r' R^-1 J_r``,
     ``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``, ``|r_i|`` is the
     Mahalanobis norm ``sqrt(e' Sigma^-1 e)``, ``j'j = H' Sigma^-1 H`` and
-    ``j'r = H' Sigma^-1 e``.  The adjoint is read off ``(C, t) = T^-1 T~_i``
-    as ``[[C', 0], [-C' t^, C']]``, ``t^`` the cross-product matrix of ``t``.
+    ``j'r = H' Sigma^-1 e``.  ``T^-1 T~_i`` is ``(R' R~_i, R' (t~_i - t))``,
+    and ``j_i = lift_i Ad(T)``: the set's per-trial ``lift_i = W_i
+    Ad(T~_i^-1)`` times one 6x6 adjoint for the whole batch.
     """
-    rel = np.einsum("ij,njk->nik", pose.inverse().matrix(), tm)
-    e, ok = _batch_se3_log(rel)
-    rel, w = rel[ok], whiten[ok]
-    ct = np.transpose(rel[:, :3, :3], (0, 2, 1))
-    ad = np.zeros((len(rel), 6, 6))
-    ad[:, :3, :3] = ct
-    ad[:, 3:, 3:] = ct
-    ad[:, 3:, :3] = -ct @ _batch_skew(rel[:, :3, 3])
-    return ok, (w @ e[ok, :, None])[..., 0], w @ ad
+    rot, trans = pose.rotation, pose.translation
+    e, ok = _batch_se3_log_rt(
+        rot.T @ measurements.rotations, (measurements.translations - trans) @ rot
+    )
+    r = (measurements.whiten[ok] @ e[ok, :, None])[..., 0]
+    return ok, r, measurements.lift[ok] @ _adjoint(rot, trans)
 
 
 def solve_pose_average(
@@ -133,12 +137,11 @@ def solve_pose_average(
     Measurements whose error leaves the logarithm branch are skipped for
     that iteration with a diagnostic count.
     """
-    tm, whiten = measurements.transforms, measurements.whiten
     skipped_total = 0
 
     def linearize(pose):
         nonlocal skipped_total
-        ok, r, j = linearize_errors(pose, tm, whiten)
+        ok, r, j = linearize_errors(pose, measurements)
         skipped_total += int(np.count_nonzero(~ok))
         if not np.any(ok):
             raise SingularSystemError("all measurements left the logarithm branch")

@@ -210,6 +210,15 @@ def _batch_skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adjoint(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Adjoints ``[[R, 0], [t^ R, R]]`` of transforms ``(R, t)`` in twist
+    order (phi, rho), broadcast over leading axes."""
+    out = np.zeros(np.shape(rot)[:-2] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = rot
+    out[..., 3:, :3] = _batch_skew(trans) @ rot
+    return out
+
+
 def _batch_so3_log(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotation vectors plus an in-branch mask."""
     rot = np.asarray(rot, dtype=float)
@@ -242,12 +251,17 @@ def _batch_v_inv(phi: np.ndarray) -> np.ndarray:
     return _EYE3 - 0.5 * p + _coef_vinv(t2)[..., None, None] * pp
 
 
+def _batch_se3_log_rt(rot: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Twists (phi, rho) from rotations and translations, plus an in-branch mask."""
+    phi, ok = _batch_so3_log(rot)
+    rho = np.einsum("...ij,...j->...i", _batch_v_inv(phi), trans)
+    return np.concatenate([phi, rho], axis=-1), ok
+
+
 def _batch_se3_log(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Twists (phi, rho) from 4x4 transforms, plus an in-branch mask."""
     mat = np.asarray(mat, dtype=float)
-    phi, ok = _batch_so3_log(mat[..., :3, :3])
-    rho = np.einsum("...ij,...j->...i", _batch_v_inv(phi), mat[..., :3, 3])
-    return np.concatenate([phi, rho], axis=-1), ok
+    return _batch_se3_log_rt(mat[..., :3, :3], mat[..., :3, 3])
 
 
 def log_map(pose: Pose) -> np.ndarray:

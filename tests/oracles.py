@@ -10,6 +10,7 @@ from scipy.special import gammainc
 from robls.adaptive import CHEBROLU_DOMAIN, _gl_rule, _Objective
 from robls.loss import _branch, rho, rho_alpha_derivs
 from robls.mbfit import HistogramBins, _chi_norm, build_histogram, chi_quantile
+from robls.se3 import _batch_se3_log
 
 
 def rho_reference(eps, alpha):
@@ -121,6 +122,37 @@ def left_jacobian(xi):
     out[:3, :3] = out[3:, 3:] = np.eye(3) + b * p + c * pp
     out[3:, :3] = q
     return out
+
+
+def adjoint(pose):
+    """6x6 adjoint ``[[R, 0], [t^ R, R]]`` of one pose in (phi, rho) order."""
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = pose.rotation
+    out[3:, :3] = skew(pose.translation) @ pose.rotation
+    return out
+
+
+def linearize_errors_reference(pose, measurements, covs):
+    """``(ok, r, j)`` of :func:`robls.pose_avg.linearize_errors` assembled one
+    measurement at a time: ``e_i = log(T^-1 T~_i)`` of the 4x4 product,
+    ``r_i = W_i e_i`` and ``j_i = W_i Ad(T~_i^-1 T)`` with ``W_i =
+    chol(R_i)^-1`` and the adjoint read off ``(C, t) = T^-1 T~_i`` as
+    ``[[C', 0], [-C' t^, C']]``, with no factor shared between iterates."""
+    inv = np.linalg.inv(pose.matrix())
+    ok, r, j = [], [], []
+    for meas, cov in zip(measurements, covs):
+        rel = inv @ meas.matrix()
+        e, in_branch = _batch_se3_log(rel)
+        ok.append(bool(in_branch))
+        if in_branch:
+            w = np.linalg.inv(np.linalg.cholesky(cov))
+            ct = rel[:3, :3].T
+            ad = np.zeros((6, 6))
+            ad[:3, :3] = ad[3:, 3:] = ct
+            ad[3:, :3] = -ct @ skew(rel[:3, 3])
+            r.append(w @ e)
+            j.append(w @ ad)
+    return np.array(ok), np.reshape(r, (-1, 6)), np.reshape(j, (-1, 6, 6))
 
 
 def pose_check_reference(rotation, translation):

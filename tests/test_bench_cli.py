@@ -124,8 +124,8 @@ class TestPinnedOutputs:
     # output on purpose states the new hash.
     @pytest.mark.parametrize("command, digests", [
         (["pose-avg-bench", "--trials", "3"], {
-            "trials.csv": "ee8997b12391488f23e00239760f834f799beb8ab87b6ddb06b265a53de84c54",
-            "summary.csv": "627c4683d1e96f93a1f98e38ff6b7f425fa5ea620c516b06c8b7c0b5f1a887cc",
+            "trials.csv": "6fa6f898672ec0369f5c36e4b2b564e2daaae432d3e60fd5178b10f215280622",
+            "summary.csv": "96184dbadfffa05f8e8c8ce39afdb228874d37831e646bb2a71458870b64c651",
         }),
         (["icp-bench", "--trials", "1"], {
             "trials.csv": "14e31667c2367180eb1f58692d857af9586fe6dbbf5f7a1334d7aadca70aebdb",

@@ -18,10 +18,11 @@ from robls.se3 import (
     sample_perturbation,
     so3_exp,
 )
-from robls.se3 import _SERIES_SWITCH, _batch_se3_log, _batch_so3_log, _det3, _exp_coefs
+from robls.se3 import _SERIES_SWITCH, _adjoint, _batch_se3_log, _batch_so3_log, _det3, _exp_coefs
 
 from oracles import (
     PROPERTY,
+    adjoint,
     exp_coefs_reference,
     left_jacobian,
     pose_check_reference,
@@ -168,10 +169,7 @@ class TestJacobians:
         worst = 0.0
         for _ in range(200):
             xi = random_twist(rng, max_angle=2.9)
-            pose = exp_map(xi)
-            ad = np.zeros((6, 6))
-            ad[:3, :3] = ad[3:, 3:] = pose.rotation
-            ad[3:, :3] = skew(pose.translation) @ pose.rotation
+            ad = adjoint(exp_map(xi))
             worst = max(worst, np.abs(left_jacobian(xi) - ad @ left_jacobian(-xi)).max())
         assert worst < 1e-10
 
@@ -197,10 +195,7 @@ class TestJacobians:
         # Ad(C, t) = [[C, 0], [skew(t) C, C]] in (phi, rho) order
         for _ in range(50):
             xi = random_twist(rng, max_angle=2.5)
-            inv = exp_map(-xi)
-            ad = np.zeros((6, 6))
-            ad[:3, :3] = ad[3:, 3:] = inv.rotation
-            ad[3:, :3] = skew(inv.translation) @ inv.rotation
+            ad = adjoint(exp_map(-xi))
             prod = left_jacobian(-xi) @ np.linalg.inv(left_jacobian(xi))
             assert np.abs(prod - ad).max() < 1e-10
 
@@ -217,6 +212,34 @@ class TestJacobians:
             defects.append(np.linalg.norm(log_map(lhs.inverse() @ rhs)))
         assert defects[1] <= defects[0] / 3.0
         assert defects[2] <= defects[1] / 3.0
+
+
+TWIST = st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6).map(np.array)
+
+
+class TestAdjoint:
+    def ad(self, pose):
+        return _adjoint(pose.rotation, pose.translation)
+
+    @PROPERTY
+    @given(x=TWIST, y=TWIST)
+    def test_homomorphism(self, x, y):
+        a, b = exp_map(x), exp_map(y)
+        assert np.allclose(self.ad(a) @ self.ad(b), self.ad(a @ b), rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(x=TWIST)
+    def test_inverse(self, x):
+        a = exp_map(x)
+        assert np.allclose(self.ad(a.inverse()), np.linalg.inv(self.ad(a)), rtol=0, atol=1e-12)
+
+    def test_matches_one_pose_at_a_time(self, rng):
+        # the batch broadcast gives each pose's own adjoint, bit for bit
+        poses = [exp_map(random_twist(rng)) for _ in range(5)]
+        batch = _adjoint(np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]))
+        for pose, ad in zip(poses, batch):
+            assert np.array_equal(ad, self.ad(pose))
+            assert np.allclose(ad, adjoint(pose), rtol=0, atol=1e-15)
 
 
 class TestPoseErrorNorms:
