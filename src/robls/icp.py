@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .irls import IrlsResult, check_config, check_int, irls
+from .irls import IrlsResult, check_config, check_int, irls, solve_normal_equations
 from .se3 import Pose, exp_map
 from .weighting import RobustLoss
 
@@ -389,7 +389,8 @@ def minimize_pt2plane(
     current pose and solves the weighted normal equations; the per-term
     scale is the plane-projected variance of the correspondence covariance.
     ``weights`` multiply the squared errors as given, so a solver that puts
-    the robust weights inside the norm passes them already squared.
+    the robust weights inside the norm passes them already squared.  An
+    eigenvalue ratio below 1e-12 raises :class:`DegenerateGeometryError`.
     """
     s, n = transformed_source, normals
     g0 = np.einsum("ni,ni->n", n, errors)
@@ -401,20 +402,15 @@ def minimize_pt2plane(
     wf = weights / proj_var
     a = jac.T @ (jac * wf[:, None])
     b = -jac.T @ (wf * g0)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] <= 0 or sv[-1] / sv[0] < 1e-12:
-        raise DegenerateGeometryError(
-            "point-to-plane normal equations are rank deficient "
-            f"(singular value ratio {sv[-1] / max(sv[0], 1e-300):.2e})"
-        )
-    return np.linalg.solve(a, b)
+    return solve_normal_equations(a, b, 1e-12, DegenerateGeometryError, "point-to-plane")
 
 
 def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpConfig) -> IrlsResult:
     """EM-style ICP loop: associate, weight residuals, minimize, repeat.
 
     Expects preprocessed clouds (downsampled, target normals present), and
-    checks the target's normals as construction does.
+    checks the target's normals as construction does.  Steps compose on the
+    left, ``T <- exp(dxi) T``, with no re-orthonormalization.
     Terminates when both step norms fall below the configured tolerances.
     The ``j``-th association starts from a copy of the memo that ``target``
     keeps for association number ``min(j, MEMO_ASSOCIATIONS)``, or for the
@@ -449,7 +445,7 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
                 raise DegenerateGeometryError("no correspondences with valid normals")
             normals = np.take(target.normals, idx, axis=0)  # an invalid one weighs 0
             step = minimize_pt2plane(p, e, normals, wf * valid, proj_var)
-            return (exp_map(step) @ pose).orthonormalized(), step
+            return exp_map(step) @ pose, step
 
         return residuals_pt2pt(e, cov_scale), update
 

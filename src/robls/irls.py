@@ -3,7 +3,7 @@
 Point-to-plane ICP and pose averaging differ only in how they linearize
 the problem at the current pose; the loop around that (robust weights with
 a warm start, the per-iteration trace and the step-norm stop test) lives
-here once.
+here once, and so does the conditioning rule of their normal equations.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .se3 import Pose
 
-__all__ = ["IrlsResult", "TRACE_COLUMNS", "check_config", "check_int", "irls"]
+__all__ = ["IrlsResult", "TRACE_COLUMNS", "check_config", "check_int", "irls", "solve_normal_equations"]
 
 # Keys of each per-iteration trace row; the last three are read from the
 # robust loss's diagnostics, NaN for kinds that do not report them.
@@ -54,6 +54,21 @@ def check_config(config, *positive: str) -> None:
         value = getattr(config, name)
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def solve_normal_equations(a: np.ndarray, b: np.ndarray, min_ratio: float, error: type, name: str):
+    """Solve ``a x = b`` for a symmetric positive semidefinite ``a``, raising
+    ``error`` unless ``|lambda|_min / |lambda|_max >= min_ratio`` over the
+    eigenvalues of ``a`` (its singular values).  A zero ``a`` raises.
+    Eigenvalues and singular values from LAPACK differ in their last bits,
+    so a matrix whose ratio lies within a few ulps of ``|lambda|_max`` of
+    ``min_ratio`` may be decided otherwise than by an SVD check."""
+    lam = np.abs(np.linalg.eigvalsh(a)).tolist()
+    hi = max(lam)
+    ratio = min(lam) / hi if hi > 0 else 0.0
+    if not ratio >= min_ratio:
+        raise error(f"{name} normal equations are singular (eigenvalue ratio {ratio:.2e})")
+    return np.linalg.solve(a, b)
 
 
 def irls(linearize, init: Pose, config, n_e: int) -> IrlsResult:

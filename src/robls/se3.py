@@ -24,10 +24,11 @@ of its exact value; the truncation error of the series peaks just below the
 switch (3e-14, for ``sin(t)/t``).  The log side is batched: helpers prefixed
 ``_batch_`` take stacked arrays and serve the pose-averaging linearization;
 ``log_map`` runs them on one pose's ``matrix()`` and returns the same bits as
-that pose's element of any batch.  When every rotation angle of a batch is in
-branch and at least 1e-6, the rotation log skips its per-element branch
-selection and evaluates the closed form alone, element for element the same
-arithmetic.
+that pose's element of any batch.  ``V^-1`` acts on the translation in
+closed form, by cross products on the stacked 3-vectors, with no 3x3 matrix
+per element; its coefficient is a series through ``t^6`` below
+``_SERIES_SWITCH``.  Near the branch end the log loses about
+``eps / (pi - t)`` relative, as the antisymmetric part of ``R`` shrinks.
 
 ``Pose`` validates on Python floats: ``|R R' - I| <= 1e-6`` entrywise, a
 nonnegative determinant and a finite translation, with NaN and infinity
@@ -136,14 +137,6 @@ class Pose:
         p = np.asarray(points, dtype=float)
         return p @ self.rotation.T + self.translation
 
-    def orthonormalized(self) -> "Pose":
-        u, _, vt = np.linalg.svd(self.rotation)
-        r = u @ vt
-        if _det3(r.tolist()) < 0:
-            u[:, -1] = -u[:, -1]
-            r = u @ vt
-        return Pose(r, self.translation)
-
 
 # --- exp side: one twist, coefficients on Python floats -------------------
 
@@ -190,14 +183,14 @@ def exp_map(xi) -> Pose:
 
 # --- log side: batched over stacked transforms ----------------------------
 
-def _coef_vinv(t2):
-    """Second coefficient of the inverse rotation Jacobian."""
-    t = np.sqrt(t2)
-    small = t < _SERIES_SWITCH
-    ts = np.where(small, 1.0, t)
-    closed = 1.0 / np.where(small, 1.0, t2) - (1.0 + np.cos(ts)) / (2.0 * ts * np.sin(ts))
-    series = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 * (1.0 / 1209600.0)
-    return np.where(small, series, closed)
+# Cyclic index shifts of a 3-vector: v[..., _NEXT] is (v1, v2, v0).
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a x b`` over the last axis of two stacks of 3-vectors."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def _batch_skew(v: np.ndarray) -> np.ndarray:
@@ -219,42 +212,27 @@ def _adjoint(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_so3_log(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation vectors plus an in-branch mask."""
-    rot = np.asarray(rot, dtype=float)
-    w = 0.5 * np.stack(
-        [
-            rot[..., 2, 1] - rot[..., 1, 2],
-            rot[..., 0, 2] - rot[..., 2, 0],
-            rot[..., 1, 0] - rot[..., 0, 1],
-        ],
-        axis=-1,
-    )
-    s = np.linalg.norm(w, axis=-1)
-    c = 0.5 * (np.trace(rot, axis1=-2, axis2=-1) - 1.0)
-    theta = np.arctan2(s, c)
-    ok = theta < np.pi - LOG_BRANCH_MARGIN
-    small = theta < 1e-6
-    if ok.all() and not small.any():
-        # 1e-6 <= theta < pi - 1e-6 keeps s away from 0
-        return w * (theta / s)[..., None], ok
-    ratio = np.where(small, 1.0 + theta * theta / 6.0, theta / np.where(s == 0.0, 1.0, s))
-    ratio = np.where(ok, ratio, 0.0)
-    return w * ratio[..., None], ok
-
-
-def _batch_v_inv(phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    t2 = np.sum(phi * phi, axis=-1)
-    p = _batch_skew(phi)
-    pp = p @ p
-    return _EYE3 - 0.5 * p + _coef_vinv(t2)[..., None, None] * pp
-
-
 def _batch_se3_log_rt(rot: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Twists (phi, rho) from rotations and translations, plus an in-branch mask."""
-    phi, ok = _batch_so3_log(rot)
-    rho = np.einsum("...ij,...j->...i", _batch_v_inv(phi), trans)
+    """Twists (phi, rho) from rotations and translations, plus an in-branch mask.
+
+    ``rho = t - phi x t / 2 + k phi x (phi x t)`` with ``k = 1/theta^2 -
+    (1 + cos theta) / (2 theta sin theta)``; rows out of branch get ``phi = 0``.
+    """
+    w = 0.5 * (rot[..., _PREV, _NEXT] - rot[..., _NEXT, _PREV])
+    s = np.linalg.norm(w, axis=-1)
+    c = 0.5 * ((rot[..., 0, 0] + rot[..., 1, 1] + rot[..., 2, 2]) - 1.0)
+    theta = np.arctan2(s, c)
+    t2 = theta * theta
+    ok = theta < np.pi - LOG_BRANCH_MARGIN
+    ratio = np.where(theta < 1e-6, 1.0 + t2 / 6.0, theta / np.where(s == 0.0, 1.0, s))
+    phi = w * np.where(ok, ratio, 0.0)[..., None]
+    small = theta < _SERIES_SWITCH
+    ts = np.where(small, 1.0, theta)
+    closed = 1.0 / np.where(small, 1.0, t2) - (1.0 + np.cos(ts)) / (2.0 * ts * np.sin(ts))
+    series = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 * (1.0 / 1209600.0)
+    k = np.where(small, series, closed)
+    pt = _cross(phi, trans)
+    rho = trans - 0.5 * pt + k[..., None] * _cross(phi, pt)
     return np.concatenate([phi, rho], axis=-1), ok
 
 

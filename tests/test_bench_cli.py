@@ -124,13 +124,13 @@ class TestPinnedOutputs:
     # output on purpose states the new hash.
     @pytest.mark.parametrize("command, digests", [
         (["pose-avg-bench", "--trials", "3"], {
-            "trials.csv": "6fa6f898672ec0369f5c36e4b2b564e2daaae432d3e60fd5178b10f215280622",
-            "summary.csv": "96184dbadfffa05f8e8c8ce39afdb228874d37831e646bb2a71458870b64c651",
+            "trials.csv": "338ae608bd2c46360358487a2e8503c2b6bc53850cd9a605131a58ea61db7490",
+            "summary.csv": "2e82969888923eb9bec7e161652362f1be45cddeb7c8e8bf840094448489d80f",
         }),
         (["icp-bench", "--trials", "1"], {
-            "trials.csv": "14e31667c2367180eb1f58692d857af9586fe6dbbf5f7a1334d7aadca70aebdb",
-            "summary.csv": "7491c035bd9d6c920fce7cdcf0efea0d74c787f363dbb4ab069d4fb3916d0742",
-            "traces": "0020dc9bfda842171572822cee1d3eb96966f7753806073ec666de714cf35816",
+            "trials.csv": "66caa07b90d1e5238983c25cc7046438cf076d0df32819ef59793c3f57f41bc7",
+            "summary.csv": "88577dfbe91f1009e11da981cc7c16d6dd5f21ae58f25b6d88ca43ac6021580d",
+            "traces": "391f0e64ca634d1a3a80a74c1bb0cb91605fe4cc9377e04814b566ff5a11465f",
         }),
     ], ids=["pose-avg-bench", "icp-bench"])
     def test_trials_csv_hash(self, tmp_path, command, digests):

@@ -3,10 +3,24 @@
 import numpy as np
 import pytest
 
-from robls.icp import IcpConfig, PointCloud, estimate_normals, icp_solve, voxel_downsample
-from robls.pose_avg import PoseAvgConfig, TrialSpec, generate_trial, solve_pose_average
+from robls.icp import (
+    DegenerateGeometryError,
+    IcpConfig,
+    PointCloud,
+    estimate_normals,
+    icp_solve,
+    voxel_downsample,
+)
+from robls.irls import solve_normal_equations
+from robls.pose_avg import (
+    PoseAvgConfig,
+    SingularSystemError,
+    TrialSpec,
+    generate_trial,
+    solve_pose_average,
+)
 from robls.se3 import exp_map
-from robls.weighting import RobustLoss
+from robls.weighting import RobustLoss, WeightResult
 
 
 def _icp(rng):
@@ -78,3 +92,51 @@ def test_config_rejects_nonpositive(config_cls, bad):
 def test_icp_config_rejects_a_grid_that_is_not_positive_and_finite(grid):
     with pytest.raises(ValueError, match="grid must be positive and finite"):
         IcpConfig(grid=grid)
+
+
+def svd_rule_accepts(a, min_ratio):
+    """The conditioning rule as the solvers first wrote it, on singular values."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    return not (sv[0] <= 0 or sv[-1] / sv[0] < min_ratio), sv[-1] / sv[0]
+
+
+# Both rules find the smallest eigenvalue to a few ulps of the largest, so
+# their ratios may differ by about that much (4e-16 at worst over 20,000
+# draws of the matrices below); closer than this to a threshold they may
+# decide differently.
+RATIO_BAND = 2e-15
+
+
+@pytest.mark.parametrize("min_ratio, error", [(1e-14, SingularSystemError), (1e-12, DegenerateGeometryError)],
+                         ids=["pose_avg", "icp"])
+def test_conditioning_rule_decides_like_the_svd_rule(min_ratio, error):
+    rng = np.random.default_rng(29)
+    decided = []
+    for _ in range(200):
+        log_cond = rng.uniform(10.0, 16.0)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        lam = 10.0 ** np.concatenate([[0.0, -log_cond], rng.uniform(-log_cond, 0.0, 4)])
+        a = (q * (lam * 10.0 ** rng.uniform(-3.0, 3.0))) @ q.T
+        a = 0.5 * (a + a.T)
+        b = rng.standard_normal(6)
+        accepts, ratio = svd_rule_accepts(a, min_ratio)
+        if abs(ratio - min_ratio) <= RATIO_BAND:
+            continue
+        decided.append(accepts)
+        if accepts:
+            assert np.array_equal(solve_normal_equations(a, b, min_ratio, error, "test"), np.linalg.solve(a, b))
+        else:
+            with pytest.raises(error, match="test normal equations are singular"):
+                solve_normal_equations(a, b, min_ratio, error, "test")
+    assert len(decided) >= 180 and 20 <= sum(decided) <= len(decided) - 20
+
+
+@pytest.mark.parametrize("make_solver, error", [(_icp, DegenerateGeometryError), (_pose_avg, SingularSystemError)],
+                         ids=["icp", "pose_avg"])
+def test_all_zero_weights_raise(make_solver, error, rng, monkeypatch):
+    def zero_weights(self, eps, n_e, warm_start=None):
+        return WeightResult(np.zeros(len(eps)), {})
+
+    monkeypatch.setattr(RobustLoss, "weights", zero_weights)
+    with pytest.raises(error, match=r"normal equations are singular \(eigenvalue ratio 0.00e\+00\)"):
+        make_solver(rng)("welsch")
