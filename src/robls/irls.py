@@ -8,6 +8,7 @@ here once, and so does the conditioning rule of their normal equations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +93,9 @@ def irls(linearize, init: Pose, config, n_e: int) -> IrlsResult:
         eps, update = linearize(pose)
         wres = config.rlf.weights(eps, n_e=n_e, warm_start=wres)
         pose, step = update(wres.weights**config.weight_exponent)
-        step_phi = float(np.linalg.norm(step[:3]))
-        step_rho = float(np.linalg.norm(step[3:]))
+        x, y, z, u, v, w = step.tolist()
+        step_phi = math.sqrt(x * x + y * y + z * z)
+        step_rho = math.sqrt(u * u + v * v + w * w)
         diag = [wres.diagnostics.get(key, np.nan) for key in TRACE_COLUMNS[3:]]
         trace.append(dict(zip(TRACE_COLUMNS, (iterations, step_phi, step_rho, *diag))))
         if step_phi < config.tol_phi and step_rho < config.tol_rho:

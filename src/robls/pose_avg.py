@@ -7,9 +7,13 @@ covariance ``Sigma = M R M'`` with ``M = -J_r(e)^-1``, residual
 in closed form from three exact identities: ``Sigma^-1 = J_r' R^-1 J_r``,
 ``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``.  With
 ``W = chol(R)^-1`` the residual is ``|W e|`` and the Jacobian is
-``W Ad(T~^-1 T) = lift Ad(T)``: a :class:`MeasurementSet` lays ``lift =
-W Ad(T~^-1)`` once per trial and each iteration forms one 6x6 adjoint.  No
-Jacobian series, no ``Sigma``, no per-measurement solve and no SVD.
+``j = W Ad(T~^-1 T) = lift Ad(T)`` with ``lift = W Ad(T~^-1)``.  So the
+normal equations are ``Ad(T)' (sum w lift' lift) Ad(T)`` and ``-Ad(T)' sum w
+lift' W e``: a :class:`MeasurementSet` lays the Gram stack ``lift' lift``
+and the stack ``lift' W`` once per trial, and an iteration takes two
+weighted sums over them and forms one 6x6 adjoint.  No Jacobian is formed,
+and there is no Jacobian series, no ``Sigma``, no per-measurement solve and
+no SVD.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "TrialSpec",
     "SingularSystemError",
     "linearize_errors",
+    "normal_equations",
     "solve_pose_average",
     "default_measurement_cov",
     "generate_trial",
@@ -46,10 +51,12 @@ class MeasurementSet:
     ``cov`` is one covariance shared by every pose or one per pose; it is
     broadcast to ``(n, 6, 6)``.  Construction checks that each ``R`` is
     finite and symmetric and proves it positive definite by factoring it,
-    ``R = L L'``.  Four read-only stacks are kept: the poses' ``rotations``
-    and ``translations`` and the (n, 6, 6) factors ``whiten = L^-1`` and
-    ``lift = whiten @ Ad(T~_i^-1)``.  No covariance is kept and no stack can
-    be edited in place, so no factor can go stale.
+    ``R = L L'``.  Five read-only stacks are kept: the poses' ``rotations``
+    and ``translations``, and three (n, 6, 6) stacks built from ``whiten =
+    L^-1`` and ``lift = whiten @ Ad(T~_i^-1)``: ``whiten`` itself, the Gram
+    stack ``gram = lift' lift`` and ``lift_whiten = lift' whiten``.  No
+    covariance and no ``lift`` is kept, and no stack can be edited in place,
+    so no factor can go stale.
     """
 
     def __init__(self, poses, cov):
@@ -67,8 +74,11 @@ class MeasurementSet:
         self.translations = np.stack([pose.translation for pose in poses])
         self.whiten = np.linalg.inv(chol)
         inv_rot = self.rotations.transpose(0, 2, 1)
-        self.lift = self.whiten @ _adjoint(inv_rot, -(inv_rot @ self.translations[..., None])[..., 0])
-        for stack in (self.rotations, self.translations, self.whiten, self.lift):
+        lift = self.whiten @ _adjoint(inv_rot, -(inv_rot @ self.translations[..., None])[..., 0])
+        lift_t = lift.transpose(0, 2, 1)
+        self.gram = lift_t @ lift
+        self.lift_whiten = lift_t @ self.whiten
+        for stack in (self.rotations, self.translations, self.whiten, self.gram, self.lift_whiten):
             stack.flags.writeable = False
 
 
@@ -106,21 +116,45 @@ def linearize_errors(
     """Whitened left-invariant errors of a pose ``T = (R, t)`` against a set
     of measurements ``T~_i = (R~_i, t~_i)`` with factors ``W_i = chol(R_i)^-1``.
 
-    Returns ``(ok, r, j)``: the mask of errors ``e_i = log(T^-1 T~_i)`` in the
+    Returns ``(ok, r, g)``: the mask of errors ``e_i = log(T^-1 T~_i)`` in the
     principal logarithm branch and, for those only, ``r_i = W_i e_i`` and
-    ``j_i = W_i Ad(T~_i^-1 T)``.  By ``Sigma^-1 = J_r' R^-1 J_r``,
-    ``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``, ``|r_i|`` is the
-    Mahalanobis norm ``sqrt(e' Sigma^-1 e)``, ``j'j = H' Sigma^-1 H`` and
-    ``j'r = H' Sigma^-1 e``.  ``T^-1 T~_i`` is ``(R' R~_i, R' (t~_i - t))``,
-    and ``j_i = lift_i Ad(T)``: the set's per-trial ``lift_i = W_i
-    Ad(T~_i^-1)`` times one 6x6 adjoint for the whole batch.
+    ``g_i = lift_i' W_i e_i``.  The Jacobian ``j_i = W_i Ad(T~_i^-1 T) =
+    lift_i Ad(T)`` is not formed: ``j_i' r_i = Ad(T)' g_i``, and
+    :func:`normal_equations` sums the rest.  By ``Sigma^-1 = J_r' R^-1
+    J_r``, ``J_r(e) e = e`` and ``J_r(e) J_l(e)^-1 = Ad(exp(-e))``, ``|r_i|``
+    is the Mahalanobis norm ``sqrt(e' Sigma^-1 e)``, ``j'j = H' Sigma^-1 H``
+    and ``j'r = H' Sigma^-1 e``.  ``T^-1 T~_i`` is ``(R' R~_i, R' (t~_i -
+    t))``.
     """
     rot, trans = pose.rotation, pose.translation
     e, ok = _batch_se3_log_rt(
         rot.T @ measurements.rotations, (measurements.translations - trans) @ rot
     )
-    r = (measurements.whiten[ok] @ e[ok, :, None])[..., 0]
-    return ok, r, measurements.lift[ok] @ _adjoint(rot, trans)
+    e = e[..., None]
+    r, g = (measurements.whiten @ e)[..., 0], (measurements.lift_whiten @ e)[..., 0]
+    if not ok.all():
+        r, g = r[ok], g[ok]
+    return ok, r, g
+
+
+def normal_equations(
+    pose: Pose, measurements: MeasurementSet, ok: np.ndarray, g: np.ndarray, wf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(sum wf_i j_i' j_i, -sum wf_i j_i' r_i)`` over the rows ``ok`` keeps,
+    from the outputs of :func:`linearize_errors` and the weights ``wf`` of
+    those rows.  With ``j_i = lift_i Ad(T)`` the sums are ``Ad(T)' (sum wf_i
+    G_i) Ad(T)`` and ``-Ad(T)' sum wf_i g_i``, with the set's Gram stack
+    ``G_i = lift_i' lift_i``: one weighted sum of ``G``, one of ``g`` and
+    two 6x6 products.  A row out of branch takes weight zero in the first
+    sum, so no stack is gathered.
+    """
+    w_all = wf
+    if len(wf) < len(ok):
+        w_all = np.zeros(len(ok))
+        w_all[ok] = wf
+    ad = _adjoint(pose.rotation, pose.translation)
+    a = (w_all @ measurements.gram.reshape(-1, 36)).reshape(6, 6)
+    return ad.T @ a @ ad, -ad.T @ (wf @ g)
 
 
 def solve_pose_average(
@@ -130,13 +164,14 @@ def solve_pose_average(
 ) -> IrlsResult:
     """IRLS Gauss-Newton average of noisy pose measurements.
 
-    Each iteration recomputes the whitened errors ``r`` and Jacobians ``j``
+    Each iteration recomputes the whitened errors ``r`` and the rows ``g``
     (:func:`linearize_errors`), asks the robust loss for weights of the
     Mahalanobis norms ``|r|`` (``n_e = 6``), and solves ``sum w j'j dxi =
-    -sum w j'r`` for an update twist applied as ``T <- T exp(-dxi)``.  An
-    eigenvalue ratio below 1e-14 raises :class:`SingularSystemError`.  The
-    product is not re-orthonormalized: its ``R R' - I`` stays at rounding
-    level (3.2e-13 after 10,000 chained steps; Pose accepts 1e-6).
+    -sum w j'r`` (:func:`normal_equations`) for an update twist applied as
+    ``T <- T exp(-dxi)``.  An eigenvalue ratio below 1e-14 raises
+    :class:`SingularSystemError`.  The product is not re-orthonormalized:
+    its ``R R' - I`` stays at rounding level (3.2e-13 after 10,000 chained
+    steps; Pose accepts 1e-6).
     Measurements whose error leaves the logarithm branch are skipped for
     that iteration with a diagnostic count.
     """
@@ -144,15 +179,13 @@ def solve_pose_average(
 
     def linearize(pose):
         nonlocal skipped_total
-        ok, r, j = linearize_errors(pose, measurements)
-        skipped_total += int(np.count_nonzero(~ok))
-        if not np.any(ok):
+        ok, r, g = linearize_errors(pose, measurements)
+        skipped_total += len(ok) - len(r)
+        if not len(r):
             raise SingularSystemError("all measurements left the logarithm branch")
 
         def update(wf):
-            jw = (j * wf[:, None, None]).reshape(-1, ERROR_DIM)
-            a = jw.T @ j.reshape(-1, ERROR_DIM)
-            b = -jw.T @ r.reshape(-1)
+            a, b = normal_equations(pose, measurements, ok, g, wf)
             step = solve_normal_equations(a, b, 1e-14, SingularSystemError, "pose-averaging")
             return pose @ exp_map(-step), step
 

@@ -24,11 +24,14 @@ of its exact value; the truncation error of the series peaks just below the
 switch (3e-14, for ``sin(t)/t``).  The log side is batched: helpers prefixed
 ``_batch_`` take stacked arrays and serve the pose-averaging linearization;
 ``log_map`` runs them on one pose's ``matrix()`` and returns the same bits as
-that pose's element of any batch.  ``V^-1`` acts on the translation in
-closed form, by cross products on the stacked 3-vectors, with no 3x3 matrix
-per element; its coefficient is a series through ``t^6`` below
-``_SERIES_SWITCH``.  Near the branch end the log loses about
-``eps / (pi - t)`` relative, as the antisymmetric part of ``R`` shrinks.
+that pose's element of any batch.  Of a rotation the log reads only ``w``,
+the axial vector of its antisymmetric part, and ``cos t`` from its trace.
+``V^-1`` acts on the translation in closed form with one cross product per
+element, since ``phi x (phi x t) = phi (phi . t) - |phi|^2 t``, and no 3x3
+matrix per element; its coefficient is a series through ``t^6`` below
+``_SERIES_SWITCH``.  The twists are written into one (n, 6) array.  Near the
+branch end the log loses about ``eps / (pi - t)`` relative, as the
+antisymmetric part of ``R`` shrinks.
 
 ``Pose`` validates on Python floats: ``|R R' - I| <= 1e-6`` entrywise, a
 nonnegative determinant and a finite translation, with NaN and infinity
@@ -212,28 +215,44 @@ def _adjoint(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     return out
 
 
+# Floor of the denominator of theta / |w|.  Below it the ratio multiplies a
+# zero w, but the floor keeps the quotient finite without a warning.
+_TINY = 1e-300
+
+
 def _batch_se3_log_rt(rot: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Twists (phi, rho) from rotations and translations, plus an in-branch mask.
 
-    ``rho = t - phi x t / 2 + k phi x (phi x t)`` with ``k = 1/theta^2 -
-    (1 + cos theta) / (2 theta sin theta)``; rows out of branch get ``phi = 0``.
+    Of each rotation only ``w``, the axial vector of its antisymmetric part,
+    and ``c = cos theta`` from its trace are read: ``theta = atan2(|w|, c)``
+    and ``phi = theta w / |w|``.  With ``k = 1/theta^2 - (1 + cos theta) /
+    (2 theta sin theta)``, ``rho = t - phi x t / 2 + k phi x (phi x t)``,
+    computed with one cross product as ``(1 - k theta^2) t - phi x t / 2 + k
+    (phi . t) phi``.  ``k`` takes the cosine and sine of ``theta``, not ``c``
+    and ``|w|``: near pi those lose about ``eps / (pi - theta)`` relative in
+    ``1 + c`` and ``|w|``, which would make ``rho`` four to six times less
+    accurate there.  Rows out of branch get ``phi = 0`` and a finite
+    ``rho`` that means nothing.
     """
     w = 0.5 * (rot[..., _PREV, _NEXT] - rot[..., _NEXT, _PREV])
-    s = np.linalg.norm(w, axis=-1)
     c = 0.5 * ((rot[..., 0, 0] + rot[..., 1, 1] + rot[..., 2, 2]) - 1.0)
+    s = np.sqrt(np.einsum("...i,...i->...", w, w))
     theta = np.arctan2(s, c)
     t2 = theta * theta
     ok = theta < np.pi - LOG_BRANCH_MARGIN
-    ratio = np.where(theta < 1e-6, 1.0 + t2 / 6.0, theta / np.where(s == 0.0, 1.0, s))
-    phi = w * np.where(ok, ratio, 0.0)[..., None]
+    out = np.empty(np.shape(trans)[:-1] + (6,))
+    phi = out[..., :3]
+    np.multiply(w, (np.where(ok, theta, 0.0) / np.maximum(s, _TINY))[..., None], out=phi)
     small = theta < _SERIES_SWITCH
     ts = np.where(small, 1.0, theta)
-    closed = 1.0 / np.where(small, 1.0, t2) - (1.0 + np.cos(ts)) / (2.0 * ts * np.sin(ts))
-    series = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 * (1.0 / 1209600.0)
-    k = np.where(small, series, closed)
-    pt = _cross(phi, trans)
-    rho = trans - 0.5 * pt + k[..., None] * _cross(phi, pt)
-    return np.concatenate([phi, rho], axis=-1), ok
+    k = np.where(
+        small,
+        ((t2 * (1.0 / 1209600.0) + 1.0 / 30240.0) * t2 + 1.0 / 720.0) * t2 + 1.0 / 12.0,
+        1.0 / (ts * ts) - (1.0 + np.cos(ts)) / (2.0 * ts * np.sin(ts)),
+    )
+    pt = np.einsum("...i,...i->...", phi, trans)
+    out[..., 3:] = (1.0 - k * t2)[..., None] * trans - 0.5 * _cross(phi, trans) + (k * pt)[..., None] * phi
+    return out, ok
 
 
 def _batch_se3_log(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -124,8 +124,8 @@ class TestPinnedOutputs:
     # output on purpose states the new hash.
     @pytest.mark.parametrize("command, digests", [
         (["pose-avg-bench", "--trials", "3"], {
-            "trials.csv": "338ae608bd2c46360358487a2e8503c2b6bc53850cd9a605131a58ea61db7490",
-            "summary.csv": "2e82969888923eb9bec7e161652362f1be45cddeb7c8e8bf840094448489d80f",
+            "trials.csv": "46e0fa69d84a1836dd5c0d857cba27df733e2e19ef3a7beae5d27001d4e87c8c",
+            "summary.csv": "aa1b896bd0419517fff907739b8439b9bdc32a3dfa811e9fbd20fcb569acd5a5",
         }),
         (["icp-bench", "--trials", "1"], {
             "trials.csv": "66caa07b90d1e5238983c25cc7046438cf076d0df32819ef59793c3f57f41bc7",

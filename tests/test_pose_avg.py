@@ -15,6 +15,7 @@ from robls.pose_avg import (
     generate_trial,
     linearize_errors,
     n_outliers,
+    normal_equations,
     solve_pose_average,
 )
 from robls.se3 import Pose, exp_map, log_map, pose_error_norms
@@ -28,12 +29,14 @@ def cfg(kind="none", **kw):
 
 
 def linearize_one(estimate, measurement, cov=None):
-    """``linearize_errors`` for a single in-branch measurement: (r, J, W)."""
+    """``linearize_errors`` for a single in-branch measurement at weight 1:
+    ``(r, j'j, j'r)``."""
     cov = np.eye(6) if cov is None else cov
-    w = np.linalg.inv(np.linalg.cholesky(cov))
-    ok, r, j = linearize_errors(estimate, MeasurementSet([measurement], cov))
+    meas = MeasurementSet([measurement], cov)
+    ok, r, g = linearize_errors(estimate, meas)
     assert ok.tolist() == [True]
-    return r[0], j[0], w
+    a, b = normal_equations(estimate, meas, ok, g, np.ones(1))
+    return r[0], a, -b
 
 
 def left_invariant_error(estimate, measurement):
@@ -79,17 +82,20 @@ class TestLeftInvariantError:
 
 class TestErrorJacobians:
     def test_identity_at_zero(self):
-        r, j, _ = linearize_one(Pose.identity(), Pose.identity())
+        r, a, _ = linearize_one(Pose.identity(), Pose.identity())
         assert np.abs(r).max() == 0.0
-        assert np.allclose(j, np.linalg.inv(left_jacobian(np.zeros(6))))  # = I
+        assert np.allclose(a, np.linalg.inv(left_jacobian(np.zeros(6))))  # = I
 
     def test_estimate_side_first_order(self, rng):
         # J is the whitened estimate-side Jacobian S H with S = W J_r(e):
-        # S (e(T exp(-d)) - e) - J d shrinks quadratically in |d|
+        # S (e(T exp(-d)) - e) - J d shrinks quadratically in |d|.  The
+        # solver keeps no J; TestNormalEquations ties its j'j and j'r to
+        # this J.
         t = exp_map(rng.uniform(-0.4, 0.4, 6))
         meas = exp_map(rng.uniform(-0.4, 0.4, 6))
         r_cov = default_measurement_cov()
-        _, j, w = linearize_one(t, meas, r_cov)
+        _, _, (j,) = linearize_errors_reference(t, [meas], [r_cov])
+        w = np.linalg.inv(np.linalg.cholesky(r_cov))
         e_bar = left_invariant_error(t, meas)
         s = w @ left_jacobian(-e_bar)
         direction = rng.standard_normal(6)
@@ -108,7 +114,7 @@ class TestErrorJacobians:
         t = exp_map(rng.uniform(-0.4, 0.4, 6))
         meas = exp_map(rng.uniform(-0.4, 0.4, 6))
         r_cov = default_measurement_cov()
-        r, j, _ = linearize_one(t, meas, r_cov)
+        r, a, grad = linearize_one(t, meas, r_cov)
         e = left_invariant_error(t, meas)
         step = 1e-6
         m_fd = np.column_stack(
@@ -121,8 +127,8 @@ class TestErrorJacobians:
         sig_inv = np.linalg.inv(m_fd @ r_cov @ m_fd.T)
         h = np.linalg.inv(left_jacobian(e))
         assert r @ r == pytest.approx(e @ sig_inv @ e, rel=1e-6)
-        assert np.allclose(j.T @ r, h.T @ sig_inv @ e, rtol=1e-6, atol=1e-9)
-        assert np.allclose(j.T @ j, h.T @ sig_inv @ h, rtol=1e-6, atol=1e-9)
+        assert np.allclose(grad, h.T @ sig_inv @ e, rtol=1e-6, atol=1e-9)
+        assert np.allclose(a, h.T @ sig_inv @ h, rtol=1e-6, atol=1e-9)
 
 
 class TestPropagateCov:
@@ -130,30 +136,30 @@ class TestPropagateCov:
         # at zero error M = -I, so the error covariance is the measurement's
         r_cov = default_measurement_cov()
         pose = exp_map(np.array([0.1, -0.2, 0.3, 0.5, -0.1, 0.2]))
-        r, j, _ = linearize_one(pose, pose, r_cov)
+        r, a, _ = linearize_one(pose, pose, r_cov)
         _, _, _, sigma = reference_system(np.zeros(6), r_cov)
         assert np.allclose(sigma, r_cov)
-        assert np.allclose(j.T @ j, np.linalg.inv(r_cov))
+        assert np.allclose(a, np.linalg.inv(r_cov))
         assert np.abs(r).max() < 1e-12
 
     def test_identity_cov(self, rng):
         # M = -J_right(e)^-1 = -J_left(-e)^-1, inverted numerically here
         xi = rng.uniform(-0.5, 0.5, 6)
-        r, j, _ = linearize_one(Pose.identity(), exp_map(xi))
-        normal, grad, norm, _ = reference_system(xi, np.eye(6))
-        assert np.allclose(j.T @ j, normal, atol=1e-12)
-        assert np.allclose(j.T @ r, grad, atol=1e-12)
+        r, a, grad = linearize_one(Pose.identity(), exp_map(xi))
+        normal, grad_ref, norm, _ = reference_system(xi, np.eye(6))
+        assert np.allclose(a, normal, atol=1e-12)
+        assert np.allclose(grad, grad_ref, atol=1e-12)
         assert np.linalg.norm(r) == pytest.approx(norm, rel=1e-12)
 
     def test_positive_definite_output(self, rng):
         for _ in range(10):
             xi = rng.uniform(-0.5, 0.5, 6)
             r_cov = default_measurement_cov()
-            _, j, _ = linearize_one(Pose.identity(), exp_map(xi), r_cov)
+            _, a, _ = linearize_one(Pose.identity(), exp_map(xi), r_cov)
             normal, _, _, sigma = reference_system(xi, r_cov)
             assert np.all(np.linalg.eigvalsh(sigma) > 0)
-            assert np.all(np.linalg.eigvalsh(j.T @ j) > 0)
-            assert np.allclose(j.T @ j, normal, rtol=1e-10, atol=1e-10)
+            assert np.all(np.linalg.eigvalsh(a) > 0)
+            assert np.allclose(a, normal, rtol=1e-10, atol=1e-10)
 
 
 class TestWhitenedSystem:
@@ -174,22 +180,23 @@ class TestWhitenedSystem:
         e = np.concatenate([angle * np.array(axis) / np.linalg.norm(axis), rng.uniform(-2.0, 2.0, 3)])
         meas = estimate @ exp_map(e)
         r_cov = random_spd(rng, scale=10.0 ** rng.uniform(-3.0, 0.0))
-        r, j, _ = linearize_one(estimate, meas, r_cov)
-        normal, grad, norm, _ = reference_system(log_map(estimate.inverse() @ meas), r_cov)
+        r, a, grad = linearize_one(estimate, meas, r_cov)
+        normal, grad_ref, norm, _ = reference_system(log_map(estimate.inverse() @ meas), r_cov)
 
-        def rel(a, b):
-            return np.linalg.norm(a - b) / np.linalg.norm(b)
+        def rel(x, y):
+            return np.linalg.norm(x - y) / np.linalg.norm(y)
 
-        assert rel(j.T @ j, normal) <= 1e-8
-        assert rel(j.T @ r, grad) <= 1e-8
+        assert rel(a, normal) <= 1e-8
+        assert rel(grad, grad_ref) <= 1e-8
         assert abs(np.linalg.norm(r) - norm) <= 1e-8 * norm
 
 
     def test_out_of_branch_row_leaves_the_others_unchanged(self, rng):
         # Errors at angles below 1e-6, below 0.1 and in the closed-form range,
-        # then one beyond the branch.  With that row the batched log takes its
-        # general path; without it, or alone, each row takes whichever its
-        # angle allows.  The kept rows must agree bit for bit.
+        # then one beyond the branch.  With that row the kept rows are
+        # gathered; without it, or alone, they are returned as computed.  The
+        # per-row outputs r_i = W_i e_i and g_i = lift_i' W_i e_i must agree
+        # bit for bit.
         estimate = exp_map(np.concatenate([rng.uniform(-3.0, 3.0, 3), rng.uniform(-5.0, 5.0, 3)]))
         poses, covs = [], []
         for angle in (0.0, 1e-7, 0.05, 1.0, 2.5, np.pi - 1e-9):
@@ -198,23 +205,27 @@ class TestWhitenedSystem:
             poses.append(estimate @ exp_map(e))
             covs.append(random_spd(rng))
         covs = np.stack(covs)
-        ok, r, j = linearize_errors(estimate, MeasurementSet(poses, covs))
+        ok, *rows = linearize_errors(estimate, MeasurementSet(poses, covs))
         assert ok.tolist() == [True] * 5 + [False]
-        ok_in, r_in, j_in = linearize_errors(estimate, MeasurementSet(poses[:5], covs[:5]))
-        assert ok_in.all() and np.array_equal(r_in, r) and np.array_equal(j_in, j)
+        ok_in, *rows_in = linearize_errors(estimate, MeasurementSet(poses[:5], covs[:5]))
+        assert ok_in.all() and all(np.array_equal(x, y) for x, y in zip(rows_in, rows))
         for i in range(5):
-            _, r_i, j_i = linearize_errors(estimate, MeasurementSet(poses[i : i + 1], covs[i : i + 1]))
-            assert np.array_equal(r_i[0], r[i]) and np.array_equal(j_i[0], j[i])
+            _, *row_i = linearize_errors(estimate, MeasurementSet(poses[i : i + 1], covs[i : i + 1]))
+            assert all(np.array_equal(x[0], y[i]) for x, y in zip(row_i, rows))
 
 
-class TestFactoredJacobian:
-    # lift_i Ad(T) against the per-measurement W_i Ad(T~_i^-1 T) it replaced.
-    # Entries of j that cancel to near zero differ in relative terms, so each
-    # row is compared by its norm.  Worst gaps over 3,000 seeded draws:
-    # 2.1e-14 for r, 3.6e-15 for j.
+class TestNormalEquations:
+    # Ad(T)' (sum w G_i) Ad(T) and -Ad(T)' sum w g_i against sum w j'j and
+    # -sum w j'r, with j_i = W_i Ad(T~_i^-1 T) assembled one measurement at a
+    # time.  Worst gaps over 3,000 seeded draws: see CHANGES.md.
     @PROPERTY
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), out_at=st.integers(0, 8))
-    def test_matches_the_per_measurement_assembly(self, seed, n, out_at):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        out_at=st.integers(0, 8),
+        zeros=st.integers(1, 7),
+    )
+    def test_matches_the_per_measurement_assembly(self, seed, n, out_at, zeros):
         rng = np.random.default_rng(seed)
         estimate = exp_map(np.concatenate([rng.uniform(-3.0, 3.0, 3), rng.uniform(-5.0, 5.0, 3)]))
         angles = list(rng.uniform(0.0, np.pi - 0.05, n))
@@ -225,20 +236,30 @@ class TestFactoredJacobian:
             e = np.concatenate([angle * axis / np.linalg.norm(axis), rng.uniform(-2.0, 2.0, 3)])
             poses.append(estimate @ exp_map(e))
             covs.append(random_spd(rng, scale=10.0 ** rng.uniform(-3.0, 0.0)))
-        ok, r, j = linearize_errors(estimate, MeasurementSet(poses, np.stack(covs)))
+        meas = MeasurementSet(poses, np.stack(covs))
+        ok, r, g = linearize_errors(estimate, meas)
         ok_ref, r_ref, j_ref = linearize_errors_reference(estimate, poses, covs)
         assert ok.tolist() == ok_ref.tolist() and np.count_nonzero(~ok) == 1
 
-        def row_rel(a, b, axis):
-            return np.linalg.norm(a - b, axis=axis) / np.linalg.norm(b, axis=axis)
+        def row_rel(x, y, axis):
+            return np.linalg.norm(x - y, axis=axis) / np.linalg.norm(y, axis=axis)
 
         assert np.all(row_rel(r, r_ref, -1) <= 1e-12)
-        assert np.all(row_rel(j, j_ref, (1, 2)) <= 1e-12)
+
+        # one weight or more is not zero; with n >= 2, one or more is exactly
+        # zero as well
+        wf = rng.uniform(0.0, 2.0, n)
+        wf[rng.permutation(n)[: min(zeros, n - 1)]] = 0.0
+        a, b = normal_equations(estimate, meas, ok, g, wf)
+        a_ref = np.einsum("n,nki,nkj->ij", wf, j_ref, j_ref)
+        b_ref = -np.einsum("n,nki,nk->i", wf, j_ref, r_ref)
+        assert row_rel(a, a_ref, None) <= 1e-12
+        assert row_rel(b, b_ref, None) <= 1e-12
 
 
 LEVELS = bench.PoseAvgBenchConfig().outlier_levels
 
-STACKS = ("rotations", "translations", "whiten", "lift")
+STACKS = ("rotations", "translations", "whiten", "gram", "lift_whiten")
 
 
 def poses_of(meas):
@@ -327,7 +348,8 @@ class TestPoseMeasurement:
 
     @pytest.mark.parametrize("name", STACKS)
     def test_kept_stacks_reject_writes(self, name):
-        # lift is derived from the other stacks, so none may change after it
+        # gram and lift_whiten are derived from the other stacks, so none may
+        # change after them
         m = MeasurementSet([exp_map(np.full(6, 0.1))] * 3, default_measurement_cov())
         stack = getattr(m, name)
         with pytest.raises(ValueError, match="read-only"):
