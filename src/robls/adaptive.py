@@ -12,12 +12,12 @@ normalizes over a bounded interval and admits ``alpha`` down to the
 Welsch-like limit.
 
 Every ``Z`` is one pass of a fixed composite Gauss-Legendre rule.  The
-coarse start scan, the alpha = 2 check and the ``-inf`` sentinel need ``Z``
-alone and take it from :func:`partition_z`; the scan evaluates all of its
-general-branch points in one broadcast pass, with alpha as a column,
-bit-identical to evaluating them one at a time.  Only the Newton
-steps of :func:`minimize_bounded` need the alpha derivatives of ``Z``, which
-give ``Lam'`` and ``Lam''`` analytically.  :class:`_Objective` lays its rule
+coarse start scan and the alpha = 2 check need ``Z`` alone and take it
+from :func:`partition_z`; the scan evaluates all of its general-branch
+points in one broadcast pass, with alpha as a column, bit-identical to
+evaluating them one at a time.  Only the Newton steps of
+:func:`minimize_bounded` need the alpha derivatives of ``Z``, which give
+``Lam'`` and ``Lam''`` analytically.  :class:`_Objective` lays its rule
 once per fit, next to the clipped residuals, so that one
 :func:`~robls.loss.rho_alpha_derivs` pass over ``[nodes | residuals]`` yields
 the ``Z`` moments and the residual sums together.  The whole-line ``Z`` of the
@@ -31,10 +31,10 @@ least-recently-used memo of ``Z_MEMO_SIZE`` passes, keyed by
 the Newton evaluations (the moments).  A pass is a pure function of its key,
 so a hit returns the objects of the first pass and every output stays
 bit-identical.  ``chebrolu`` fixes its bounds by tau and ``barron`` always
-takes the whole line, so every cold fit repeats the same scan, alpha = 2
-check and ``-inf`` sentinel, and its first Newton evaluation sits at a scan
-point (or, warm, at the previous alpha*); those passes are computed once per
-process, and a Newton evaluation that hits passes over the residuals alone.
+takes the whole line, so every cold fit repeats the same scan and alpha = 2
+check, and its first Newton evaluation sits at a scan point (or, warm, at
+the previous alpha*); those passes are computed once per process, and a
+Newton evaluation that hits passes over the residuals alone.
 The bounds of ``adaptive_mb``, ``(0, tau - mode)``, move with the fitted
 mode, so its evaluations almost never hit and store the moments of their
 fused pass.
@@ -151,8 +151,6 @@ CHEBROLU_DOMAIN = AlphaDomain("chebrolu", ALPHA_MIN)
 @dataclass
 class AlphaOptResult:
     alpha_star: float
-    objective: float
-    iterations: int
     converged: bool
 
 
@@ -398,10 +396,6 @@ def optimize_alpha(
     limit).  ``converged`` is False only when the Newton search used up its
     ``MAX_NEWTON_ITERS`` iterations.
 
-    ``objective`` is always ``Lam`` at the reported ``alpha_star``.  For the
-    sentinel that is ``Lam(-inf)``, which can exceed ``Lam(ALPHA_MIN)`` by up
-    to about 0.01, so it can be worse than the best point of the scan.
-
     The residuals must pass :func:`~robls.loss.check_norms`.
     """
     obj = _Objective(check_norms(residuals), domain, bounds)
@@ -411,18 +405,15 @@ def optimize_alpha(
         scan = _SCAN_BARRON if domain.variant == "barron" else _SCAN_CHEBROLU
         lam = [obj.value(scan[0]), *obj.values(scan[1:])]
         x0 = min(zip(lam, scan))[1]
-    alpha, lam, iterations, converged = minimize_bounded(
+    alpha, lam, _, converged = minimize_bounded(
         lambda a: obj.value_derivs(_off_zero(a)), lo, domain.hi - _INTERIOR_MARGIN, x0,
         lambda a: STEP_TOL * min(1.0, 2.0 - a))
     alpha = _off_zero(alpha)
 
     # A true boundary minimum at alpha = 2 beats the interior margin.
-    if alpha >= 2.0 - 2.0 * _INTERIOR_MARGIN:
-        lam2 = obj.value(2.0)
-        if lam2 <= lam:
-            alpha, lam = 2.0, lam2
+    if alpha >= 2.0 - 2.0 * _INTERIOR_MARGIN and obj.value(2.0) <= lam:
+        alpha = 2.0
 
     if domain.variant == "chebrolu" and alpha <= domain.lo + 1e-9:
         alpha = -np.inf
-        lam = obj.value(alpha)
-    return AlphaOptResult(float(alpha), float(lam), iterations, converged)
+    return AlphaOptResult(float(alpha), converged)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from . import bench, cloud_io, mbfit, scenes
 from .adaptive import check_tau
+from .irls import check_int
 from .scenes import OVERLAP_MAX, OVERLAP_MIN
 from .weighting import RLF_KINDS, RobustLoss
 
@@ -33,44 +35,20 @@ def _read_residuals(path) -> np.ndarray:
     return np.asarray(values)
 
 
-def _tau(text: str) -> float:
-    value = float(text)
-    try:
-        check_tau(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
+def _checked(parse, check):
+    """An argparse type: ``parse(text)``, rejected as a usage error with the
+    message of ``check``, one of the program's own input checks."""
 
+    def convert(text: str):
+        value = parse(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
 
-def _n_e(text: str) -> int:
-    value = int(text)
-    try:
-        return mbfit._dof(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _overlap(text: str) -> float:
-    value = float(text)
-    if not OVERLAP_MIN <= value <= OVERLAP_MAX:
-        raise argparse.ArgumentTypeError(f"must lie in [{OVERLAP_MIN}, {OVERLAP_MAX}], got {text!r}")
-    return value
-
-
-def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _seed(text: str) -> int:
-    """A seed ``numpy.random.default_rng`` accepts: a non-negative int."""
-    return _int_at_least(text, 0)
+    convert.__name__ = parse.__name__  # argparse names it in "invalid int value: ..."
+    return convert
 
 
 def cmd_bench(args):
@@ -107,9 +85,12 @@ def cmd_weights(args):
     residuals = _read_residuals(args.input)
     rlf = RobustLoss(args.rlf, tau=args.tau)
     result = rlf.weights(residuals, n_e=args.n_e)
-    payload = {"rlf": args.rlf, "diagnostics": result.diagnostics,
+    # A non-finite number goes out as its repr, "inf", "-inf" or "nan": strict JSON.
+    diagnostics = {key: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                   for key, v in result.diagnostics.items()}
+    payload = {"rlf": args.rlf, "diagnostics": diagnostics,
                "weights": [float(w) for w in result.weights]}
-    out = json.dumps(payload, indent=1, default=float)
+    out = json.dumps(payload, indent=1, default=float, allow_nan=False)
     if args.out:
         Path(args.out).write_text(out)
     else:
@@ -137,8 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="master seed override")
     common.add_argument("--out-dir", default="out", help="output directory")
-    common.add_argument("--trials", type=_positive_int, help="trials per group override")
-    common.add_argument("--threads", type=_positive_int, help="worker processes")
+    common.add_argument("--trials", type=_checked(int, lambda v: check_int("trials", v, 1)),
+                        help="trials per group override")
+    common.add_argument("--threads", type=_checked(int, lambda v: check_int("threads", v, 1)),
+                        help="worker processes")
     common.add_argument(
         "--rlf", action="append", choices=RLF_KINDS, help="restrict to these RLFs (repeatable)"
     )
@@ -156,23 +139,27 @@ def build_parser() -> argparse.ArgumentParser:
         "weights", help="evaluate any RLF on a residual list",
         description="Print {rlf, diagnostics, weights} as JSON.  For adaptive_mb the "
         "diagnostics carry the fitted Chi shape a_star and its mode, next to alpha_star "
-        "and the fallback flags: the fields that the former fit-mb command printed.",
+        "and the fallback flags: the fields that the former fit-mb command printed.  "
+        "A number that is not finite, such as the alpha_star = -inf sentinel, is written "
+        "as the string \"-inf\", \"inf\" or \"nan\", which float() reads back, so the "
+        "output is strict JSON.",
     )
     p.add_argument("--rlf", required=True, choices=RLF_KINDS)
     p.add_argument("--input", required=True, help="residual file (or - for stdin)")
     p.add_argument(
-        "--n-e", type=_n_e, default=3,
+        "--n-e", type=_checked(int, mbfit._dof), default=3,
         help="error dimension: the Chi model of adaptive_mb and the scale of cauchy/tukey/welsch",
     )
-    p.add_argument("--tau", type=_tau, default=10.0, help="truncation bound of the adaptive kinds")
+    p.add_argument("--tau", type=_checked(float, check_tau), default=10.0,
+                   help="truncation bound of the adaptive kinds")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("gen-scene", help="generate a synthetic scan pair")
     p.add_argument("--kind", required=True, choices=scenes.SCENE_KINDS)
-    p.add_argument("--overlap", type=_overlap, default=0.6,
+    p.add_argument("--overlap", type=_checked(float, scenes.check_overlap), default=0.6,
                    help=f"shared fraction of the two views, in [{OVERLAP_MIN}, {OVERLAP_MAX}]")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_checked(int, lambda v: check_int("seed", v, 0)), default=0)
     p.add_argument("--out-dir", default="scene")
     p.set_defaults(func=cmd_gen_scene)
 

@@ -47,12 +47,9 @@ def _write_table(path, columns, rows) -> None:
 
 
 def save_point_cloud_csv(cloud: PointCloud, path) -> None:
+    """The points as ``x, y, z`` rows; normals are not written."""
     columns = ["x", "y", "z"]
-    values = cloud.points
-    if cloud.normals is not None:
-        columns += ["nx", "ny", "nz"]
-        values = np.hstack([cloud.points, cloud.normals])
-    _write_table(path, columns, (dict(zip(columns, v)) for v in values))
+    _write_table(path, columns, (dict(zip(columns, v)) for v in cloud.points))
 
 
 def pose_to_flat(pose: Pose) -> list[float]:

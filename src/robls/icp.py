@@ -43,8 +43,8 @@ The certificate needs only a memo filled against the same tree, so a memo
 also carries across solves.  The target cloud keeps one memo per
 association number: memo ``j`` serves the ``j``-th association of every
 solve on it while ``j < MEMO_ASSOCIATIONS``, and memo ``MEMO_ASSOCIATIONS``
-every later one.  An association starts from a copy of its memo (of the one
-before if no solve has reached it yet) and stores its updated copy back.
+every later one.  An association reads its memo (the one before if no solve
+has reached it yet) without writing into it and stores an updated one back.
 A trial's solves start from one pose and take similar early steps, so a
 later solve certifies much of what an earlier one queried there; in late
 iterations the last memo is the solve's own running memo, seeded near the
@@ -297,8 +297,8 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
     position ``ref`` (where the tree was last queried for it), the nearest
     and second-nearest indices there, ``idx`` and ``j2``, and the
     third-nearest distance there, ``d3`` (infinite where the target has
-    fewer points).  The call updates ``ref``, ``j2`` and ``d3`` in place and
-    returns a new ``idx``, so a returned array never changes.  With ``scale``
+    fewer points).  The call rebinds the memo's keys to updated copies and
+    writes into no array it was given or returned.  With ``scale``
     the largest coordinate magnitude of the points and the target, a point
     takes the closer of ``idx`` and ``j2``, at distance ``best`` (the other
     at ``other``), without a tree search when
@@ -322,7 +322,7 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
         n = len(p)
         memo.update(tree=target_tree, ref=np.zeros_like(p), idx=np.zeros(n, dtype=np.intp),
                     j2=np.zeros(n, dtype=np.intp), d3=np.zeros(n))
-    ref, idx, j2, d3 = memo["ref"], memo["idx"].copy(), memo["j2"], memo["d3"]
+    ref, idx, j2, d3 = (memo[key].copy() for key in ("ref", "idx", "j2", "d3"))
     data = target_tree.data
 
     a = _norms(p - np.take(data, idx, axis=0))  # take: faster than [idx]
@@ -347,23 +347,12 @@ def associate(source_points: np.ndarray, target_tree, memo: dict | None = None) 
     second[lone] = nearest[lone]
     idx[stale], j2[stale], d3[stale] = nearest, second, third
     ref[stale] = q
-    memo["idx"] = idx
+    memo.update(ref=ref, idx=idx, j2=j2, d3=d3)
     return idx
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
-
-
-def _copy_memo(memo: dict) -> dict:
-    """A memo that :func:`associate` can update without touching ``memo``.
-
-    Its keys are ``tree``, ``ref``, ``idx``, ``j2`` and ``d3``; ``idx`` is
-    shared, since :func:`associate` replaces it rather than writing to it.
-    """
-    if not memo:
-        return {}
-    return {**memo, **{key: memo[key].copy() for key in ("ref", "j2", "d3")}}
 
 
 def residuals_pt2pt(errors: np.ndarray, cov_scale: float) -> np.ndarray:
@@ -412,13 +401,12 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     checks the target's normals as construction does.  Steps compose on the
     left, ``T <- exp(dxi) T``, with no re-orthonormalization.
     Terminates when both step norms fall below the configured tolerances.
-    The ``j``-th association starts from a copy of the memo that ``target``
-    keeps for association number ``min(j, MEMO_ASSOCIATIONS)``, or for the
-    number before it if no solve has reached that one yet, and the updated
-    copy replaces that memo.  Association returns the tree's indices from
-    any memo, so the result is that of a fresh target.  Each association
-    updates a private copy and rebinds the kept memo, so solves on one
-    target may run in threads.
+    The ``j``-th association starts from a shallow copy of the memo that
+    ``target`` keeps for association number ``min(j, MEMO_ASSOCIATIONS)``, or
+    for the number before it if no solve has reached that one yet, and the
+    updated memo replaces that one.  Association returns the tree's indices
+    from any memo, so the result is that of a fresh target, and never writes
+    into a kept memo's arrays, so solves on one target may run in threads.
     """
     if target.normals is None:
         raise ValueError("target cloud must carry normals (run estimate_normals)")
@@ -433,7 +421,7 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
         nonlocal n_assoc
         j = min(n_assoc, MEMO_ASSOCIATIONS)
         n_assoc += 1
-        memo = _copy_memo(memos.get(j) or memos.get(j - 1, {}))
+        memo = dict(memos.get(j) or memos.get(j - 1, {}))
         p = pose.apply(source.points)
         idx = associate(p, tree, memo=memo)
         memos[j] = memo

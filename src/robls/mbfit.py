@@ -65,7 +65,6 @@ class DegenerateHistogramError(ValueError):
 class MbFit:
     a_star: float
     mode: float
-    objective: float = np.nan
     fallback: bool = False
 
 
@@ -186,17 +185,17 @@ def chi_quantile(n_e: int, p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def build_histogram(residuals, n_bins: int | None = None, upper: float | None = None) -> HistogramBins:
-    """Equal-width density histogram over ``[0, max residual]``.
+def build_histogram(residuals, upper: float) -> HistogramBins:
+    """Equal-width density histogram over ``[0, upper]`` in
+    ``clip(ceil(sqrt(N)), MIN_BINS, MAX_BINS)`` bins for ``N`` residuals.
 
     Linear (cloud-in-cell) binning: each residual splits its unit mass
     between the two nearest bin centres, so the fitted shape moves
     continuously with the residuals instead of jumping when one crosses a
     bin edge.  Within half a bin of either end all of it goes to the end bin.
 
-    ``upper`` overrides the top edge (used by the fit after thresholding so
-    that bin edges stay put while the residual set evolves between IRLS
-    iterations).
+    The fit passes its threshold as ``upper``, so that bin edges stay put
+    while the residual set evolves between IRLS iterations.
 
     Expects norms that its caller checked (:func:`~robls.loss.check_norms`);
     an empty set raises :class:`DegenerateHistogramError`, as identical ones do.
@@ -206,12 +205,11 @@ def build_histogram(residuals, n_bins: int | None = None, upper: float | None = 
         raise DegenerateHistogramError(
             "no residual, or all identical; histogram has no usable support"
         )
-    top = float(r.max()) if upper is None else float(upper)
-    if top < r.max():
+    if upper < r.max():
         raise ValueError("histogram upper edge must cover the residuals")
-    k = int(np.clip(np.ceil(np.sqrt(r.size)), MIN_BINS, MAX_BINS) if n_bins is None else n_bins)
-    edges = np.linspace(0.0, top, k + 1)
-    width = top / k
+    k = int(np.clip(np.ceil(np.sqrt(r.size)), MIN_BINS, MAX_BINS))
+    edges = np.linspace(0.0, upper, k + 1)
+    width = upper / k
     u = np.clip(r / width - 0.5, 0.0, k - 1.0)  # position in bin-centre units
     j = u.astype(np.intp)
     frac = u - j
@@ -274,8 +272,8 @@ def fit_mb(residuals, n_e: int, x0: float | None = None) -> MbFit:
         candidates = np.concatenate([[a0], A_SCAN])
         candidates = candidates[(candidates >= A_LO) & (candidates <= A_HI)]
         x0 = candidates[int(np.argmin(criterion(candidates[:, None])[0]))]
-    a, obj, _, _ = minimize_bounded(criterion, A_LO, A_HI, x0, lambda a: A_STEP_TOL)
-    return MbFit(a, float(a * np.sqrt(n_e - 1)), objective=obj)
+    a, _, _, _ = minimize_bounded(criterion, A_LO, A_HI, x0, lambda a: A_STEP_TOL)
+    return MbFit(a, float(a * np.sqrt(n_e - 1)))
 
 
 def adaptive_mb_weights(
@@ -306,7 +304,7 @@ def adaptive_mb_weights(
     above = r >= mode
     xi = r[above] - mode
     if xi.size == 0:
-        alpha_res = AlphaOptResult(2.0, 0.0, 0, True)
+        alpha_res = AlphaOptResult(2.0, True)
     else:
         alpha_res = optimize_alpha(xi, CHEBROLU_DOMAIN, bounds=(0.0, float(tau - mode)), x0=alpha_x0)
 

@@ -17,12 +17,14 @@ ground-truth transform mapping source coordinates into the target frame.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .icp import PointCloud
 from .se3 import Pose, so3_exp
 
-__all__ = ["SCENE_KINDS", "OVERLAP_MIN", "OVERLAP_MAX", "generate_scene"]
+__all__ = ["SCENE_KINDS", "OVERLAP_MIN", "OVERLAP_MAX", "check_overlap", "generate_scene"]
 
 SCENE_KINDS = ("structured", "semi", "unstructured")
 OVERLAP_MIN, OVERLAP_MAX = 0.4, 1.0  # accepted shared fraction of the two views
@@ -31,8 +33,6 @@ WINDOW = 6.0         # window length along x [m]
 WIDTH = 4.0          # strip width along y [m]
 DENSITY = 240.0      # surface sampling density [pts / m^2]
 POINT_NOISE = 0.03       # white per-point sensor noise [m]
-ROUGH_NOISE = 0.12       # mixed-pixel / vegetation noise [m]
-ROUGH_FRACTION = 0.0     # share of returns drawing the rough noise
 
 # Per-view smooth distortion field: a proxy for everything that makes two
 # real scans of the same surface disagree at the voxel scale (viewpoint-
@@ -162,6 +162,12 @@ def _sample_unstructured(rng, blobs, x_lo, x_hi):
     return out[(out[:, 0] >= x_lo) & (out[:, 0] <= x_hi)]
 
 
+def check_overlap(overlap: float) -> None:
+    """Raise ``ValueError`` unless ``OVERLAP_MIN <= overlap <= OVERLAP_MAX``."""
+    if not OVERLAP_MIN <= overlap <= OVERLAP_MAX:
+        raise ValueError(f"overlap must lie in [{OVERLAP_MIN}, {OVERLAP_MAX}], got {overlap}")
+
+
 def generate_scene(kind: str, overlap: float, seed: int) -> tuple[PointCloud, PointCloud, Pose]:
     """Source/target clouds in their sensor frames plus the true transform.
 
@@ -170,14 +176,13 @@ def generate_scene(kind: str, overlap: float, seed: int) -> tuple[PointCloud, Po
     """
     if kind not in SCENE_KINDS:
         raise ValueError(f"unknown scene kind {kind!r}; expected one of {SCENE_KINDS}")
-    if not OVERLAP_MIN <= overlap <= OVERLAP_MAX:
-        raise ValueError(f"overlap must lie in [{OVERLAP_MIN}, {OVERLAP_MAX}], got {overlap}")
+    check_overlap(overlap)
 
     rng = np.random.default_rng(seed)
     offset = (1.0 - overlap) * WINDOW
     x_max = offset + WINDOW
 
-    # World features shared by both views.
+    # World features shared by both views, and the sampler of one view.
     if kind == "structured":
         n_crates = int(np.ceil(0.7 * x_max))
         crates = [
@@ -188,6 +193,7 @@ def generate_scene(kind: str, overlap: float, seed: int) -> tuple[PointCloud, Po
             )
             for _ in range(n_crates)
         ]
+        sample = partial(_sample_structured, rng, crates)
     elif kind == "semi":
         relief = _Relief(rng)
         n_rocks = int(np.ceil(3.5 * x_max))  # uniform count per meter of strip
@@ -205,7 +211,8 @@ def generate_scene(kind: str, overlap: float, seed: int) -> tuple[PointCloud, Po
             )
             for _ in range(n_ridges)
         ]
-    elif kind == "unstructured":
+        sample = partial(_sample_semi, rng, relief, rocks, ridges)
+    else:
         n_cols = int(np.ceil(4.0 * x_max))
         blobs = []
         for i in range(n_cols):  # jittered x-grid keeps density uniform along x
@@ -218,17 +225,11 @@ def generate_scene(kind: str, overlap: float, seed: int) -> tuple[PointCloud, Po
                         rng.uniform(0.06, 0.15),
                     )
                 )
-
-    def sample(view_rng, x_lo, x_hi):
-        if kind == "structured":
-            return _sample_structured(view_rng, crates, x_lo, x_hi)
-        if kind == "semi":
-            return _sample_semi(view_rng, relief, rocks, ridges, x_lo, x_hi)
-        return _sample_unstructured(view_rng, blobs, x_lo, x_hi)
+        sample = partial(_sample_unstructured, rng, blobs)
 
     def add_noise(pts):
-        sigma = np.where(rng.random(len(pts)) < ROUGH_FRACTION, ROUGH_NOISE, POINT_NOISE)
-        return pts + sigma[:, None] * rng.standard_normal(pts.shape)
+        rng.random(len(pts))  # unused, but part of the stream every scene is drawn from
+        return pts + POINT_NOISE * rng.standard_normal(pts.shape)
 
     def warp(pts):
         out = pts.copy()
@@ -246,7 +247,7 @@ def generate_scene(kind: str, overlap: float, seed: int) -> tuple[PointCloud, Po
     source_origin = np.array([offset + WINDOW / 2, 0.0, SENSOR_HEIGHT])
 
     def view(x_lo, x_hi):
-        pts = add_noise(warp(sample(rng, x_lo, x_hi)))
+        pts = add_noise(warp(sample(x_lo, x_hi)))
         # re-cut after warping so the windows stay sharp
         return pts[(pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi)]
 

@@ -391,12 +391,17 @@ class TestMinimizeBounded:
             minimize_bounded(lambda x: (np.nan, 0.0, 1.0), 0.0, 1.0, 0.5, _tight)
 
 
+def _lam_at(res, domain, bounds, alpha):
+    """Lam at ``alpha``, as the fit's own objective evaluates it."""
+    return _Objective(res, domain, bounds).value(alpha)
+
+
 class TestOptimizeAlpha:
     def test_clean_gaussian_near_two(self, rng):
         res = np.abs(rng.standard_normal(500))
         out = optimize_alpha(res, CHEBROLU_DOMAIN, (-10, 10))
         assert 1.5 <= out.alpha_star <= 2.0
-        assert np.isfinite(out.objective)
+        assert np.isfinite(_lam_at(res, CHEBROLU_DOMAIN, (-10, 10), out.alpha_star))
 
     def test_contaminated_goes_negative(self, rng):
         res = np.concatenate([np.abs(rng.standard_normal(400)), rng.uniform(5, 10, 100)])
@@ -426,8 +431,9 @@ class TestOptimizeAlpha:
         res = np.concatenate([np.abs(rng.standard_normal(200)), rng.uniform(3, 8, 60)])
         bounds = (-10, 10)
         out = optimize_alpha(res, CHEBROLU_DOMAIN, bounds)
+        lam = _lam_at(res, CHEBROLU_DOMAIN, bounds, out.alpha_star)
         for probe in (-50.0, 2.0, 0.0, 1.0):
-            assert out.objective <= neg_log_likelihood(res, probe, bounds) + 1e-6
+            assert lam <= neg_log_likelihood(res, probe, bounds) + 1e-6
 
     def test_outliers_push_alpha_down(self, rng):
         clean = np.abs(rng.standard_normal(400))
@@ -459,16 +465,15 @@ class TestOptimizeAlpha:
         with pytest.raises(ValueError):
             optimize_alpha([], CHEBROLU_DOMAIN, (-10, 10))
 
-    def test_floor_pinned_objective_is_lambda_at_the_sentinel(self):
-        # The fit ends at the floor and is reported as -inf; the objective is
-        # Lam(-inf), here above Lam(ALPHA_MIN) by about 0.007.
+    def test_floor_pinned_fit_reports_the_sentinel(self):
+        # The fit ends at the floor and is reported as -inf, whose Lam lies
+        # above Lam(ALPHA_MIN), here by about 0.007.
         res = _residual_set(300, 0.8, 1.0, 0)
         bounds = (-10.0, 10.0)
         out = optimize_alpha(res, CHEBROLU_DOMAIN, bounds)
         obj = _Objective(res, CHEBROLU_DOMAIN, bounds)
         assert out.alpha_star == -np.inf
-        assert out.objective == obj.value(out.alpha_star)
-        assert 0.0 < out.objective - obj.value(ALPHA_MIN) <= 0.01
+        assert 0.0 < obj.value(out.alpha_star) - obj.value(ALPHA_MIN) <= 0.01
 
 
 def _residual_set(n, outlier_share, inlier_scale, seed):
@@ -516,7 +521,7 @@ class TestOptimizeAlphaProperties:
         bounds = (0.0, 10.0) if half_open and domain is CHEBROLU_DOMAIN else (-10.0, 10.0)
         best, _ = self._scan_best(res, domain, scan, bounds)
         out = optimize_alpha(res, domain, bounds)
-        assert out.objective <= best + 1e-9 * max(1.0, abs(best))
+        assert _lam_at(res, domain, bounds, out.alpha_star) <= best + 1e-9 * max(1.0, abs(best))
 
     @PROPERTY
     @given(res=RESIDUALS, dom=DOMAINS, where=st.floats(0.0, 1.0))
@@ -527,10 +532,8 @@ class TestOptimizeAlphaProperties:
         out = optimize_alpha(res, domain, bounds, x0=domain.lo + where * (2.0 - domain.lo))
         # Compare the point the search ended at, before the -inf sentinel:
         # Lam(-inf) can exceed Lam(ALPHA_MIN) by about 0.01.
-        lam = out.objective
-        if np.isinf(out.alpha_star):
-            lam = _Objective(res, domain, bounds).value(ALPHA_MIN)
-        assert lam <= best + 1e-9 * max(1.0, abs(best))
+        alpha = ALPHA_MIN if np.isinf(out.alpha_star) else out.alpha_star
+        assert _lam_at(res, domain, bounds, alpha) <= best + 1e-9 * max(1.0, abs(best))
 
     @PROPERTY
     @given(res=RESIDUALS, dom=DOMAINS, where=st.floats(0.0, 1.0))
@@ -542,7 +545,7 @@ class TestOptimizeAlphaProperties:
         best, i = self._scan_best(res, domain, scan, bounds)
         lo, hi = scan[min(i + 1, len(scan) - 1)], scan[max(i - 1, 0)]
         out = optimize_alpha(res, domain, bounds, x0=lo + where * (hi - lo))
-        assert out.objective <= best + 1e-9 * max(1.0, abs(best))
+        assert _lam_at(res, domain, bounds, out.alpha_star) <= best + 1e-9 * max(1.0, abs(best))
 
 
 # tau at both ends of the accepted range and log-uniform between them.

@@ -144,15 +144,67 @@ class TestPinnedOutputs:
         assert {name: hashlib.sha256(blob).hexdigest() for name, blob in got.items()} == digests
 
     def test_gen_scene_hashes(self, tmp_path):
-        main(["gen-scene", "--kind", "semi", "--overlap", "0.6", "--seed", "4",
-              "--out-dir", str(tmp_path)])
-        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("source.csv", "target.csv", "ground_truth.json")}
-        assert got == {
-            "source.csv": "3ac72a801978d567009bccb73ba63b76178665bfe297ab632bd2150b591c1d1e",
-            "target.csv": "4e5d2646c37f5d4919b74c8e8959d35fd3fb27432539bb4c03c59a425521a4ec",
-            "ground_truth.json": "420dc35147e767ab8845690296b1d1dd52e522e56fd7cbd9bc07987e8282fa2f",
+        want = {
+            "semi": {
+                "source.csv": "3ac72a801978d567009bccb73ba63b76178665bfe297ab632bd2150b591c1d1e",
+                "target.csv": "4e5d2646c37f5d4919b74c8e8959d35fd3fb27432539bb4c03c59a425521a4ec",
+                "ground_truth.json": "420dc35147e767ab8845690296b1d1dd52e522e56fd7cbd9bc07987e8282fa2f",
+            },
+            "structured": {
+                "source.csv": "59585651792ffd2839307c4dcdb073ce3feb55b3abe05407d91a86abc5440958",
+                "target.csv": "ef6b2d3160d74c100dc27a87b2e1dc77c6abac2feb15a15d8db63cd9bbb392a7",
+                "ground_truth.json": "38586095240590f2a7d9108ff1622acfb09b4c8f1a3c03a9cd16fc0be8d5c721",
+            },
+            "unstructured": {
+                "source.csv": "f6da40b4c77c117f91775614ee6cdbc7f12f708dadaca8259875ecbdb8d04a45",
+                "target.csv": "f7288ca3306397b489d4a47037254663e920ce9df451035fb6feb6ed4cb56c58",
+                "ground_truth.json": "4c18ce1b724f0523d6500f2cef4558cde5bedb0e37c4fe4fec71659f340d4f98",
+            },
         }
+        got = {}
+        for kind in want:
+            main(["gen-scene", "--kind", kind, "--overlap", "0.6", "--seed", "4",
+                  "--out-dir", str(tmp_path / kind)])
+            got[kind] = {name: hashlib.sha256((tmp_path / kind / name).read_bytes()).hexdigest()
+                         for name in ("source.csv", "target.csv", "ground_truth.json")}
+        assert got == want
+
+    @pytest.mark.parametrize("n_e, tau, digests", [
+        (3, 10, {
+            "none": "5c305a0c141226d777dec68e75276ae68a48c57947d70a0f0917527e2dce6e19",
+            "cauchy": "c6c59691ee57089e1e02e7e778708293ab09f118c6ce3b9497e4a974752addec",
+            "tukey": "f9dac92b8f47833da3ce4834cf0694499ca03065d0c44b2a94e8d0823fa1070b",
+            "welsch": "b5ad0e8209e91ce1f2aea7665668ee234f19aee93aa590b93e634c6dd43b4c64",
+            "var_trimmed": "e06c4d57fcd93cfb362c6a799f82cddb6532dea8e01be427f5cc233fcbda83a3",
+            "barron": "4ef6db2c1a3368f6bbed2e5ee98a08440c85a0fc5b19fd99a47a12d02fb17711",
+            "chebrolu": "939558ef227f71ece317e79810e716def8ff9dc77728ab0de5bc3577abcd36ee",
+            "adaptive_mb": "fd738823c423fa4a54085406adda5e362b8bac148c4fcf5dfcf99bef44a70c0f",
+        }),
+        (6, 20, {
+            "none": "5c305a0c141226d777dec68e75276ae68a48c57947d70a0f0917527e2dce6e19",
+            "cauchy": "5f8cb05126a63f9455d9b28f7b723228f03af54a043ebfc060980826fbff9c66",
+            "tukey": "aba51f8d077e501a2f579f720cc47e475813b426b05a15fa97c3df92244e1e9f",
+            "welsch": "1e808871237944e86c0dd898240636b4d87595aa0e298d9d4f9c686a1f6d7d04",
+            "var_trimmed": "8dfe6381a5d4e8f75bac90ceae78fb8ccd043b626c9716027fcc2ca6f79b5357",
+            "barron": "32058f7b7d5afcb52e377090ad2b59b43e19241d830e888b81a4e33273aa85aa",
+            "chebrolu": "27afe4d43c7cfb03665a0cbf0f7b5b2ec94e20527e46240b1a8304d47cd5a67c",
+            "adaptive_mb": "8dc27338df9af188bbbd66c76fde54845179cae25a0d9d5b664bc90d9648048a",
+        }),
+    ], ids=["n_e3-tau10", "n_e6-tau20"])
+    def test_weights_hashes(self, tmp_path, n_e, tau, digests):
+        # Chi(n_e) inlier norms plus uniform outliers on [0, tau], at the
+        # settings of the two benches.  No kind ends at the -inf sentinel.
+        rng = np.random.default_rng(n_e)
+        res_file = tmp_path / "resid.txt"
+        np.savetxt(res_file, np.concatenate([
+            np.linalg.norm(rng.standard_normal((40, n_e)), axis=1), rng.uniform(0.0, tau, 12)]))
+        got = {}
+        for kind in RLF_KINDS:
+            out_file = tmp_path / f"{kind}.json"
+            main(["weights", "--rlf", kind, "--input", str(res_file), "--n-e", str(n_e),
+                  "--tau", str(tau), "--out", str(out_file)])
+            got[kind] = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert got == digests
 
     @pytest.mark.parametrize("command", ["pose-avg-bench", "icp-bench"])
     def test_timings_csv_layout(self, tmp_path, command):
@@ -195,6 +247,23 @@ class TestCli:
         assert payload["diagnostics"]["a_star"] == pytest.approx(1.0, abs=0.07)
         assert payload["diagnostics"]["mode"] == pytest.approx(np.sqrt(2.0), abs=0.1)
         assert len(payload["weights"]) == 4000
+
+    def test_weights_output_is_strict_json_at_the_sentinel(self, tmp_path):
+        # Mostly outliers drive chebrolu's alpha to the -inf sentinel, which
+        # must be written as a string: -Infinity is not JSON.
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rng = np.random.default_rng(0)
+        res_file = tmp_path / "resid.txt"
+        np.savetxt(res_file, np.concatenate([np.abs(rng.standard_normal(60)),
+                                             rng.uniform(0.0, 10.0, 240)]))
+        out_file = tmp_path / "weights.json"
+        main(["weights", "--rlf", "chebrolu", "--input", str(res_file), "--out", str(out_file)])
+        payload = json.loads(out_file.read_text(), parse_constant=reject)
+        assert payload["diagnostics"]["alpha_star"] == "-inf"
+        assert float(payload["diagnostics"]["alpha_star"]) == -np.inf
+        assert len(payload["weights"]) == 300
 
     @pytest.mark.parametrize("command", [["weights", "--rlf", "chebrolu"]], ids=["weights"])
     @pytest.mark.parametrize("token", ["nan", "inf", "-0.5"])

@@ -313,6 +313,20 @@ class TestAssociate:
         assert np.array_equal(associate(p, tree_b, memo=memo), tree_b.query(p)[1])
         assert memo["tree"] is tree_b and np.array_equal(memo["ref"], p)
 
+    def test_leaves_the_memo_arrays_it_was_given_unchanged(self, rng):
+        # Solves on one target share its memos from threads, so a call may
+        # only rebind the memo's keys, never write into their arrays.
+        target = rng.uniform(-1, 1, (400, 3))
+        tree = cKDTree(target)
+        memo: dict = {}
+        associate(target[:300] + 0.05 * rng.standard_normal((300, 3)), tree, memo=memo)
+        given = dict(memo)
+        kept = {key: given[key].copy() for key in ("ref", "idx", "j2", "d3")}
+        associate(rng.uniform(-1, 1, (300, 3)), tree, memo=memo)
+        assert not np.array_equal(memo["ref"], kept["ref"])
+        for key, value in kept.items():
+            assert np.array_equal(given[key], value), key
+
     def test_small_motion_skips_the_tree(self, rng):
         target = rng.uniform(-1, 1, (400, 3))
         p = target[:300] + 0.05 * rng.standard_normal((300, 3))
@@ -321,7 +335,7 @@ class TestAssociate:
         moved = p + 1e-6
         p.flags.writeable = moved.flags.writeable = False  # the memo never writes to them
         associate(p, tree, memo=memo)
-        queried_at = memo["ref"].copy()  # the memo updates its arrays in place
+        queried_at = memo["ref"]
         assert np.array_equal(associate(moved, tree, memo=memo), tree.query(moved)[1])
         # points still referenced to their old position were certified, not queried
         assert np.mean(np.all(memo["ref"] == queried_at, axis=1)) > 0.9

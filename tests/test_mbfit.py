@@ -16,11 +16,13 @@ from robls.mbfit import (
     A_LO,
     A_SCAN,
     CHI_THRESHOLD_P,
+    MAX_BINS,
     MAX_DOF,
     DegenerateHistogramError,
     MbFit,
     _chi_cdf,
     _chi_norm,
+    _fit_criterion,
     _half_gamma,
     adaptive_mb_weights,
     build_histogram,
@@ -162,39 +164,48 @@ class TestChiClosedForms:
 class TestBuildHistogram:
     def test_degenerate_identical_residuals(self):
         with pytest.raises(DegenerateHistogramError):
-            build_histogram(np.full(50, 0.5))
+            build_histogram(np.full(50, 0.5), 1.0)
 
     def test_uniform_density_near_one(self, rng):
-        hist = build_histogram(rng.uniform(0, 1, 100_000), n_bins=10)
+        # 10^6 residuals in MAX_BINS = 100 bins: 10^4 per bin
+        r = rng.uniform(0, 1, 1_000_000)
+        hist = build_histogram(r, 1.0)
+        assert len(hist.density) == MAX_BINS
         assert np.allclose(hist.density, 1.0, atol=0.05)
 
     def test_density_integrates_to_one(self, rng):
-        hist = build_histogram(rng.uniform(0, 3, 5000))
+        r = rng.uniform(0, 3, 5000)
+        hist = build_histogram(r, r.max())
         widths = np.diff(hist.edges)
         assert np.sum(hist.density * widths) == pytest.approx(1.0, abs=1e-9)
 
     def test_edges_strictly_increasing(self, rng):
-        hist = build_histogram(np.abs(rng.standard_normal(500)))
+        r = np.abs(rng.standard_normal(500))
+        hist = build_histogram(r, r.max())
         assert np.all(np.diff(hist.edges) > 0)
 
     @pytest.mark.parametrize("upper", [None, 4.0])
     def test_linear_binning_integrates_to_one(self, rng, upper):
-        hist = build_histogram(rng.uniform(0, 3, 37), n_bins=7, upper=upper)
+        r = rng.uniform(0, 3, 37)  # 7 bins
+        hist = build_histogram(r, r.max() if upper is None else upper)
+        assert len(hist.density) == 7
         assert np.sum(hist.density * np.diff(hist.edges)) == pytest.approx(1.0, abs=1e-12)
 
     def test_residuals_on_bin_centres_give_hard_histogram(self, rng):
         k, top = 8, 4.0
         centres = (np.arange(k) + 0.5) * top / k
-        r = np.concatenate([rng.choice(centres, 60), [top]])
-        hist = build_histogram(r, n_bins=k, upper=top)
+        r = np.concatenate([rng.choice(centres, 60), [top]])  # 61 residuals: 8 bins
+        hist = build_histogram(r, top)
         hard, _ = np.histogram(r, bins=k, range=(0.0, top), density=True)
+        assert len(hist.density) == k
         assert np.allclose(hist.density, hard, rtol=0, atol=1e-12)
 
     def test_mass_splits_between_neighbouring_centres(self):
-        # centres at 0.5, 1.5, 2.5, 3.5: 1.25 gives 0.25 to 0.5 and 0.75 to
-        # 1.5, the top edge 4.0 gives all its mass to the last bin
-        hist = build_histogram([0.5, 1.25, 4.0], n_bins=4, upper=4.0)
-        assert np.allclose(hist.density * 3, [1.25, 0.75, 0.0, 1.0])
+        # MIN_BINS = 5 bins, centres at 0.5, 1.5, 2.5, 3.5, 4.5: 1.25 gives
+        # 0.25 to 0.5 and 0.75 to 1.5, the top edge 5.0 gives all its mass
+        # to the last bin
+        hist = build_histogram([0.5, 1.25, 5.0], 5.0)
+        assert np.allclose(hist.density * 3, [1.25, 0.75, 0.0, 0.0, 1.0])
 
 
 class TestFitMb:
@@ -226,13 +237,12 @@ class TestFitMb:
              rng.uniform(3, 7, 500)]
         )
         fit = fit_mb(r, 3)
+        value = fit_value(r, 3, fit.a_star)
         for probe in (1.0, 0.1, 5.0):
-            assert fit.objective <= grid_probe(r, 3, probe) + 1e-12
+            assert value <= grid_probe(r, 3, probe) + 1e-12
 
     @pytest.mark.parametrize("a", [0.3, 0.8, 1.0, 2.5])
     def test_criterion_derivatives_match_finite_differences(self, rng, a):
-        from robls.mbfit import _fit_criterion
-
         r = np.concatenate(
             [0.8 * np.linalg.norm(rng.standard_normal((400, 3)), axis=1), rng.uniform(3, 7, 60)]
         )
@@ -253,11 +263,9 @@ class TestFitMb:
     def test_criterion_equals_the_reference(self, n_e, n, a, seed):
         # Hoisting what does not depend on a keeps every bit, for the
         # Newton evaluations (a scalar a) and the start scan (a column).
-        from robls.mbfit import _fit_criterion
-
         rng = np.random.default_rng(seed)
         r = np.linalg.norm(rng.standard_normal((n, n_e)), axis=1) * rng.uniform(0.3, 3.0)
-        hist = build_histogram(r)
+        hist = build_histogram(r, r.max())
         criterion = _fit_criterion(hist, n_e)
         assert criterion(a) == fit_criterion_reference(hist, a, n_e)
         column = np.concatenate([[a], A_SCAN])[:, None]
@@ -271,7 +279,8 @@ class TestFitMb:
         r = scale * np.linalg.norm(rng.standard_normal((200, MAX_DOF)), axis=1)
         with np.errstate(over="raise", invalid="raise"):
             fit = fit_mb(r, MAX_DOF)
-        assert A_LO <= fit.a_star <= A_HI and math.isfinite(fit.objective)
+            value = fit_value(r, MAX_DOF, fit.a_star)
+        assert A_LO <= fit.a_star <= A_HI and math.isfinite(value)
 
     def test_empty_after_threshold_falls_back(self):
         fit = fit_mb(np.full(30, 50.0), 3)
@@ -280,6 +289,13 @@ class TestFitMb:
     def test_degenerate_falls_back(self):
         fit = fit_mb(np.full(30, 0.5), 3)  # 0.5 is below the threshold
         assert fit.fallback and fit.a_star == 1.0
+
+
+def fit_value(residuals, n_e, a):
+    """The criterion that :func:`fit_mb` minimizes for ``residuals``, at ``a``."""
+    r = np.asarray(residuals, float)
+    thresh = chi_quantile(n_e, 0.9973)
+    return _fit_criterion(build_histogram(r[r < thresh], thresh), n_e)(a)[0]
 
 
 def grid_probe(residuals, n_e, a):
