@@ -133,19 +133,17 @@ _INTERIOR_MARGIN = 4.0 * BRANCH_TOL
 
 @dataclass(frozen=True)
 class AlphaDomain:
-    """Admissible shape-parameter interval plus normalization variant."""
+    """Admissible shape-parameter interval ``[lo, hi]``, with ``Z`` normalized
+    over the whole line (the original variant) or over the bounds."""
 
-    variant: str  # "barron" | "chebrolu"
+    hi = 2.0  # a class constant, not a field
+
     lo: float
-    hi: float = 2.0
-
-    def __post_init__(self):
-        if self.variant not in ("barron", "chebrolu"):
-            raise ValueError(f"unknown alpha domain variant: {self.variant!r}")
+    whole_line: bool = False
 
 
-BARRON_DOMAIN = AlphaDomain("barron", 0.0)
-CHEBROLU_DOMAIN = AlphaDomain("chebrolu", ALPHA_MIN)
+BARRON_DOMAIN = AlphaDomain(0.0, whole_line=True)
+CHEBROLU_DOMAIN = AlphaDomain(ALPHA_MIN)
 
 
 @dataclass
@@ -259,8 +257,7 @@ class _Objective:
 
     def __init__(self, residuals, domain: AlphaDomain, bounds: tuple[float, float]):
         r = np.asarray(residuals, dtype=float)
-        self.domain = domain
-        if domain.variant == "barron":
+        if domain.whole_line:
             t = max(abs(bounds[0]), abs(bounds[1]), UNTRUNCATED_SPAN)
             bounds, z_bounds = (-t, t), (-math.inf, math.inf)
         else:
@@ -402,7 +399,7 @@ def optimize_alpha(
     lo = domain.lo if domain.lo < 0.0 else domain.lo + _INTERIOR_MARGIN
 
     if x0 is None:
-        scan = _SCAN_BARRON if domain.variant == "barron" else _SCAN_CHEBROLU
+        scan = _SCAN_BARRON if domain.whole_line else _SCAN_CHEBROLU
         lam = [obj.value(scan[0]), *obj.values(scan[1:])]
         x0 = min(zip(lam, scan))[1]
     alpha, lam, _, converged = minimize_bounded(
@@ -414,6 +411,6 @@ def optimize_alpha(
     if alpha >= 2.0 - 2.0 * _INTERIOR_MARGIN and obj.value(2.0) <= lam:
         alpha = 2.0
 
-    if domain.variant == "chebrolu" and alpha <= domain.lo + 1e-9:
+    if not domain.whole_line and alpha <= domain.lo + 1e-9:
         alpha = -np.inf
     return AlphaOptResult(float(alpha), converged)

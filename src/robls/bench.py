@@ -202,6 +202,7 @@ def _trial(args) -> list[stats.TrialRecord]:
     """
     builder, cfg, group_index, trial = args
     seed = _trial_seed(cfg.master_seed, group_index, trial)
+    chash = config_hash(cfg)
     group, init, truth, solve = builder(cfg, group_index, seed)
     trace_dir = getattr(cfg, "trace_dir", None)
     prior_phi, prior_rho = pose_error_norms(truth.inverse() @ init)
@@ -217,17 +218,17 @@ def _trial(args) -> list[stats.TrialRecord]:
             trial=trial,
             rlf=rlf_name,
             seed=seed,
-            phi_err_deg=float(np.rad2deg(phi)),
-            rho_err_mm=rho * 1e3,
+            config_hash=chash,
             prior_phi_deg=float(np.rad2deg(prior_phi)),
             prior_rho_mm=prior_rho * 1e3,
+            phi_err_deg=float(np.rad2deg(phi)),
+            rho_err_mm=rho * 1e3,
             iterations=result.iterations,
             converged=result.converged,
-            succeeded=stats.success(prior_phi, prior_rho, phi, rho),
+            success=stats.success(prior_phi, prior_rho, phi, rho),
             seconds=seconds,
         )
         if trace_dir is not None:
-            Path(trace_dir).mkdir(parents=True, exist_ok=True)
             cloud_io.write_icp_trace_csv(
                 result.trace, Path(trace_dir) / f"trace_{group}_{trial:03d}_{rlf_name}.csv"
             )
@@ -235,7 +236,11 @@ def _trial(args) -> list[stats.TrialRecord]:
 
 
 def _run(cfg, builder, n_groups: int, n_trials: int, out_dir) -> dict:
-    """Groups x RLFs x trials; writes trials/timings/summary files."""
+    """Groups x RLFs x trials; makes the output directories, then writes
+    trials/timings/summary files."""
+    out = cloud_io.make_dir(out_dir, "out-dir")
+    if getattr(cfg, "trace_dir", None) is not None:
+        cloud_io.make_dir(cfg.trace_dir, "trace-dir")
     jobs = [(builder, cfg, g, t) for g in range(n_groups) for t in range(n_trials)]
     if cfg.threads <= 1:
         outs = [_trial(job) for job in jobs]
@@ -244,11 +249,9 @@ def _run(cfg, builder, n_groups: int, n_trials: int, out_dir) -> dict:
             outs = pool.map(_trial, jobs, chunksize=1)
     records = [record for records in outs for record in records]
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    chash = config_hash(cfg)
+    chash = records[0].config_hash
     rows = stats.summarize(records)
-    cloud_io.write_trials_csv(records, chash, out / "trials.csv")
+    cloud_io.write_trials_csv(records, out / "trials.csv")
     cloud_io.write_timings_csv(records, out / "timings.csv")
     cloud_io.write_summary_csv(rows, out / "summary.csv")
     meta = {"config": asdict(cfg), "config_hash": chash}

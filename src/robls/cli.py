@@ -20,7 +20,10 @@ from .weighting import RLF_KINDS, RobustLoss
 
 def _read_residuals(path) -> np.ndarray:
     values = []
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except OSError as exc:
+        raise SystemExit(f"residual file: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         for token in line.replace(",", " ").split():
             try:
@@ -92,15 +95,15 @@ def cmd_weights(args):
                "weights": [float(w) for w in result.weights]}
     out = json.dumps(payload, indent=1, default=float, allow_nan=False)
     if args.out:
+        cloud_io.make_dir(Path(args.out).parent, "out")
         Path(args.out).write_text(out)
     else:
         print(out)
 
 
 def cmd_gen_scene(args):
+    out = cloud_io.make_dir(args.out_dir, "out-dir")
     source, target, t_gt = scenes.generate_scene(args.kind, args.overlap, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cloud_io.save_point_cloud_csv(source, out / "source.csv")
     cloud_io.save_point_cloud_csv(target, out / "target.csv")
     with open(out / "ground_truth.json", "w") as fh:

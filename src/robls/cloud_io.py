@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .se3 import Pose
 from .stats import TrialRecord
 
 __all__ = [
+    "make_dir",
     "save_point_cloud_csv",
     "pose_to_flat",
     "write_trials_csv",
@@ -46,6 +49,16 @@ def _write_table(path, columns, rows) -> None:
             writer.writerow([_cell(row[c]) for c in columns])
 
 
+def make_dir(path, flag: str) -> Path:
+    """``path`` as a directory, made with its parents if it is missing.  A
+    path that cannot be one exits as the usage error ``bad <flag>: ...``."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"bad {flag}: {exc}")
+    return Path(path)
+
+
 def save_point_cloud_csv(cloud: PointCloud, path) -> None:
     """The points as ``x, y, z`` rows; normals are not written."""
     columns = ["x", "y", "z"]
@@ -56,27 +69,13 @@ def pose_to_flat(pose: Pose) -> list[float]:
     return [float(v) for v in np.concatenate([pose.rotation.ravel(), pose.translation])]
 
 
-TRIAL_COLUMNS = [
-    "group",
-    "trial",
-    "rlf",
-    "seed",
-    "config_hash",
-    "prior_phi_deg",
-    "prior_rho_mm",
-    "phi_err_deg",
-    "rho_err_mm",
-    "iterations",
-    "converged",
-    "success",
-]
+TRIAL_COLUMNS = [f.name for f in fields(TrialRecord) if f.name != "seconds"]
 
 
-def write_trials_csv(records: list[TrialRecord], config_hash: str, path) -> None:
+def write_trials_csv(records: list[TrialRecord], path) -> None:
     """Deterministic per-trial rows (wall time goes to timings.csv instead)."""
     ordered = sorted(records, key=lambda r: (r.group, r.trial, r.rlf))
-    rows = ({**vars(r), "config_hash": config_hash, "success": r.succeeded} for r in ordered)
-    _write_table(path, TRIAL_COLUMNS, rows)
+    _write_table(path, TRIAL_COLUMNS, (vars(r) for r in ordered))
 
 
 def write_timings_csv(records: list[TrialRecord], path) -> None:
@@ -90,24 +89,9 @@ def write_timings_csv(records: list[TrialRecord], path) -> None:
     _write_table(path, ["group", "trial", "rlf", "seconds"], rows)
 
 
-SUMMARY_COLUMNS = [
-    "group",
-    "rlf",
-    "trials",
-    "phi_p50",
-    "phi_p75",
-    "phi_p90",
-    "rho_p50",
-    "rho_p75",
-    "rho_p90",
-    "median_iterations",
-    "success_rate",
-    "convergence_rate",
-]
-
-
 def write_summary_csv(rows: list[dict], path) -> None:
-    _write_table(path, SUMMARY_COLUMNS, rows)
+    """The keys of ``rows`` (:func:`robls.stats.summarize`) but wall time."""
+    _write_table(path, [key for key in rows[0] if key != "median_seconds"], rows)
 
 
 def write_summary_json(rows: list[dict], meta: dict, path) -> None:

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .irls import IrlsResult, check_config, check_int, irls, solve_normal_equations
+from .irls import IrlsConfig, IrlsResult, check_int, irls, solve_normal_equations
 from .se3 import Pose, exp_map
 from .weighting import RobustLoss
 
@@ -157,20 +157,15 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class IcpConfig:
+class IcpConfig(IrlsConfig):
+    POSITIVE = ("grid",) + IrlsConfig.POSITIVE
+
+    rlf: RobustLoss = field(default_factory=RobustLoss)
     grid: float = 0.10            # voxel edge length [m]
     # icp_solve never reads normal_k: callers estimate the target's normals
     # themselves.  It stays only because perfbench's icp workload constructs
     # IcpConfig(normal_k=...).
     normal_k: int = 15
-    max_iters: int = 50
-    tol_phi: float = 1e-3         # step rotation norm [rad]
-    tol_rho: float = 1e-3         # step translation norm [m]
-    rlf: RobustLoss = field(default_factory=RobustLoss)
-    weight_exponent: int = 2      # weights enter the objective inside the norm
-
-    def __post_init__(self):
-        check_config(self, "grid", "tol_phi", "tol_rho")
 
 
 def voxel_downsample(cloud: PointCloud, d_grid: float) -> PointCloud:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .se3 import Pose
 
-__all__ = ["IrlsResult", "TRACE_COLUMNS", "check_config", "check_int", "irls", "solve_normal_equations"]
+__all__ = ["IrlsConfig", "IrlsResult", "TRACE_COLUMNS", "check_int", "irls", "solve_normal_equations"]
 
 # Keys of each per-iteration trace row; the last three are read from the
 # robust loss's diagnostics, NaN for kinds that do not report them.
@@ -42,19 +42,31 @@ def check_int(name: str, value, lo: int) -> None:
         raise ValueError(f"{name} must be at least {lo}, got {value}")
 
 
-def check_config(config, *positive: str) -> None:
-    """Raise ``ValueError`` unless the solver config is usable by :func:`irls`.
+@dataclass(frozen=True)
+class IrlsConfig:
+    """The settings of :func:`irls`.  Each application adds its robust loss
+    ``rlf``, which this module cannot name: :mod:`robls.weighting` imports it
+    through :mod:`robls.mbfit`.
 
     ``max_iters`` and ``weight_exponent`` must be integers of at least 1
-    (:func:`check_int`), and every field named in ``positive`` must be
+    (:func:`check_int`), and every field named in ``POSITIVE`` must be
     positive and finite: a NaN tolerance would never stop the loop.
     """
-    for name in ("max_iters", "weight_exponent"):
-        check_int(name, getattr(config, name), 1)
-    for name in positive:
-        value = getattr(config, name)
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+    POSITIVE = ("tol_phi", "tol_rho")
+
+    max_iters: int = 50
+    tol_phi: float = 1e-3         # step rotation norm [rad]
+    tol_rho: float = 1e-3         # step translation norm [m]
+    weight_exponent: int = 2      # weights enter the objective inside the norm
+
+    def __post_init__(self):
+        for name in ("max_iters", "weight_exponent"):
+            check_int(name, getattr(self, name), 1)
+        for name in self.POSITIVE:
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def solve_normal_equations(a: np.ndarray, b: np.ndarray, min_ratio: float, error: type, name: str):
@@ -78,10 +90,9 @@ def irls(linearize, init: Pose, config, n_e: int) -> IrlsResult:
     ``linearize(pose)`` returns the residual norms at ``pose`` and a
     function ``update(wf)`` that takes the per-residual factors
     ``weights ** config.weight_exponent`` and returns the new pose and the
-    step twist ``(phi, rho)``.  ``config`` supplies ``max_iters``,
-    ``tol_phi``, ``tol_rho``, ``rlf`` and ``weight_exponent``; ``n_e`` is
-    the error dimension handed to the robust loss.  Stops when both step
-    norms fall below their tolerances.
+    step twist ``(phi, rho)``.  ``config`` is an :class:`IrlsConfig` with a
+    robust loss ``rlf``; ``n_e`` is the error dimension handed to the loss.
+    Stops when both step norms fall below their tolerances.
     """
     pose = init
     trace: list[dict] = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .irls import IrlsResult, check_config, check_int, irls, solve_normal_equations
+from .irls import IrlsConfig, IrlsResult, check_int, irls, solve_normal_equations
 from .se3 import Pose, _adjoint, _batch_se3_log_rt, exp_map, so3_exp
 from .weighting import RobustLoss
 
@@ -83,15 +83,8 @@ class MeasurementSet:
 
 
 @dataclass(frozen=True)
-class PoseAvgConfig:
-    max_iters: int = 50
-    tol_phi: float = 1e-3
-    tol_rho: float = 1e-3
+class PoseAvgConfig(IrlsConfig):
     rlf: RobustLoss = field(default_factory=lambda: RobustLoss(tau=20.0))
-    weight_exponent: int = 2
-
-    def __post_init__(self):
-        check_config(self, "tol_phi", "tol_rho")
 
 
 @dataclass(frozen=True)

@@ -196,14 +196,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
-def _batch_skew(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    out[..., 0, 1], out[..., 0, 2] = -z, y
-    out[..., 1, 0], out[..., 1, 2] = z, -x
-    out[..., 2, 0], out[..., 2, 1] = -y, x
-    return out
+# t @ _SKEW is t^ row-major: each entry is +-1 times one component of t.
+_SKEW = np.zeros((3, 9))
+_SKEW[2, 1] = _SKEW[0, 5] = _SKEW[1, 6] = -1.0
+_SKEW[1, 2] = _SKEW[2, 3] = _SKEW[0, 7] = 1.0
+_SKEW.flags.writeable = False
 
 
 def _adjoint(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
@@ -211,7 +208,7 @@ def _adjoint(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     order (phi, rho), broadcast over leading axes."""
     out = np.zeros(np.shape(rot)[:-2] + (6, 6))
     out[..., :3, :3] = out[..., 3:, 3:] = rot
-    out[..., 3:, :3] = _batch_skew(trans) @ rot
+    out[..., 3:, :3] = (trans @ _SKEW).reshape(np.shape(trans)[:-1] + (3, 3)) @ rot
     return out
 
 

@@ -26,19 +26,20 @@ def success(prior_phi: float, prior_rho: float, post_phi: float, post_rho: float
 
 @dataclass
 class TrialRecord:
-    """One solver run within a benchmark group."""
+    """One solver run within a benchmark group: a trials.csv row, and its wall time."""
 
     group: str              # outlier level or scene kind
     trial: int
     rlf: str
     seed: int
-    phi_err_deg: float
-    rho_err_mm: float
+    config_hash: str
     prior_phi_deg: float
     prior_rho_mm: float
+    phi_err_deg: float
+    rho_err_mm: float
     iterations: int
     converged: bool
-    succeeded: bool
+    success: bool
     seconds: float          # wall time; excluded from deterministic outputs
 
 
@@ -61,7 +62,7 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
             "rho_p75": percentile(rho, 75),
             "rho_p90": percentile(rho, 90),
             "median_iterations": percentile([r.iterations for r in sel], 50),
-            "success_rate": float(np.mean([r.succeeded for r in sel])),
+            "success_rate": float(np.mean([r.success for r in sel])),
             "convergence_rate": float(np.mean([r.converged for r in sel])),
             "median_seconds": percentile([r.seconds for r in sel], 50),
         }

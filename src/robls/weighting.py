@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mbfit
 from .adaptive import BARRON_DOMAIN, CHEBROLU_DOMAIN, check_tau, optimize_alpha
-from .loss import MAD_FLOOR, check_norms, fixed_weight, var_trimmed_weights, weight
+from .loss import DEFAULT_TUNING, MAD_FLOOR, check_norms, fixed_weight, var_trimmed_weights, weight
 
 __all__ = [
     "RobustLoss",
@@ -102,7 +102,7 @@ class RobustLoss:
         if self.kind == "none":
             return WeightResult(np.ones_like(r), {})
 
-        if self.kind in ("cauchy", "tukey", "welsch"):
+        if self.kind in DEFAULT_TUNING:
             scale = max(_median(r) / mbfit.chi_quantile(n_e, 0.5), MAD_FLOOR)
             w = fixed_weight(self.kind, r / scale)
             return WeightResult(w, {"chi_sigma": scale})

@@ -252,7 +252,7 @@ def value_derivs_reference(residuals, domain, bounds, alpha):
     """Lam and its alpha derivatives as two passes: the ``Z`` moments on the
     rule of :func:`partition_z` (over the whole line for Barron) and the sums
     of :func:`rho_alpha_derivs` over the clipped residuals."""
-    if domain.variant == "barron":
+    if domain.whole_line:
         t = max(abs(bounds[0]), abs(bounds[1]), 40.0)
         clip, (z, dz, d2z) = (-t, t), z_moments(alpha, WHOLE_LINE)
     else:

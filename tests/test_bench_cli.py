@@ -401,6 +401,49 @@ class TestCli:
         assert err.startswith("usage:") and "argument --seed:" in err and "at least 0" in err
         assert not (tmp_path / "scene").exists()
 
+    @pytest.mark.parametrize("command, flag, builder", [
+        ("pose-avg-bench", "--out-dir", "_pose_avg_problem"),
+        ("icp-bench", "--out-dir", "_icp_problem"),
+        ("icp-bench", "--trace-dir", "_icp_problem"),
+    ])
+    def test_bad_output_directory_is_a_usage_error_before_any_trial(
+            self, tmp_path, monkeypatch, command, flag, builder):
+        calls = []
+        monkeypatch.setattr(bench, builder, recording_builder(calls))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [command, "--trials", "1", "--rlf", "none"]
+        for option, path in {"--out-dir": tmp_path / "out", flag: blocker}.items():
+            argv += [option, str(path)]
+        with pytest.raises(SystemExit, match=f"^bad {flag[2:]}: .*File exists"):
+            main(argv)
+        assert calls == []
+
+    def test_missing_residual_file_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="^residual file: .*No such file"):
+            main(["weights", "--rlf", "welsch", "--input", str(tmp_path / "missing.txt")])
+
+    def test_weights_out_makes_its_directory(self, tmp_path):
+        res_file = tmp_path / "resid.txt"
+        res_file.write_text("0.5 1.0 2.0")
+        out_file = tmp_path / "nodir" / "sub" / "w.json"
+        main(["weights", "--rlf", "welsch", "--input", str(res_file), "--out", str(out_file)])
+        assert len(json.loads(out_file.read_text())["weights"]) == 3
+
+    def test_weights_out_under_a_file_is_a_usage_error(self, tmp_path):
+        res_file = tmp_path / "resid.txt"
+        res_file.write_text("0.5 1.0 2.0")
+        with pytest.raises(SystemExit, match="^bad out: "):
+            main(["weights", "--rlf", "welsch", "--input", str(res_file),
+                  "--out", str(res_file / "w.json")])
+
+    def test_gen_scene_out_dir_that_is_a_file_is_a_usage_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit, match="^bad out-dir: .*File exists"):
+            main(["gen-scene", "--kind", "semi", "--out-dir", str(blocker)])
+        assert blocker.read_text() == ""
+
     def test_gen_scene_accepts_full_overlap(self, tmp_path):
         main(["gen-scene", "--kind", "structured", "--overlap", "1.0", "--seed", "3",
               "--out-dir", str(tmp_path / "scene")])

@@ -48,13 +48,14 @@ def make_records():
                     trial=trial,
                     rlf=rlf,
                     seed=trial,
-                    phi_err_deg=float(trial),
-                    rho_err_mm=float(10 * trial),
+                    config_hash="cafe12345678",
                     prior_phi_deg=5.0,
                     prior_rho_mm=100.0,
+                    phi_err_deg=float(trial),
+                    rho_err_mm=float(10 * trial),
                     iterations=trial + 1,
                     converged=trial % 2 == 0,
-                    succeeded=trial < 4,
+                    success=trial < 4,
                     seconds=0.1 * trial,
                 )
             )
@@ -76,7 +77,7 @@ class TestSummaries:
     def test_trials_csv_round_and_order(self, tmp_path):
         path = tmp_path / "trials.csv"
         recs = make_records()[::-1]  # emit must re-sort
-        cloud_io.write_trials_csv(recs, "cafe12345678", path)
+        cloud_io.write_trials_csv(recs, path)
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[:3] == ["group", "trial", "rlf"]
         trials = [int(line.split(",")[1]) for line in lines[1:]]

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import robls
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(robls.__path__))
+TRAFFIC = Path(__file__).resolve().parent.parent / "tools" / "traffic.py"
 
 
 class TestExports:
@@ -25,3 +28,11 @@ class TestExports:
             for alias in node.names:
                 assert hasattr(robls, alias.name)
                 assert alias.name in module.__all__, f"robls.{node.module}.{alias.name}"
+
+
+def test_every_function_is_reached_by_some_command():
+    # A fresh process: lru_caches warmed by other tests in this one would
+    # keep the tracer from seeing the bodies they cache.
+    run = subprocess.run([sys.executable, str(TRAFFIC), "--check"],
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -241,6 +241,21 @@ class TestAdjoint:
             assert np.array_equal(ad, self.ad(pose))
             assert np.allclose(ad, adjoint(pose), rtol=0, atol=1e-15)
 
+    def test_is_exact(self, rng):
+        # t^ is built from t by a product with a 0/+-1 matrix; each of its
+        # entries must be exactly 0 or +-t_k, so the adjoint equals the one
+        # assembled from the elementwise skew(t), bit for bit.
+        rots = [so3_exp(rng.uniform(-3.0, 3.0, 3)) for _ in range(8)]
+        trans = rng.uniform(-5.0, 5.0, (8, 3))
+        trans[0] = 0.0
+        trans[1] = [0.0, -2.5, 0.0]
+        trans[2] = [-1.0, -1e-300, -7.0]
+        trans[3, 1:] = 0.0
+        expected = [np.block([[r, np.zeros((3, 3))], [skew(t) @ r, r]]) for r, t in zip(rots, trans)]
+        for r, t, want in zip(rots, trans, expected):
+            assert np.array_equal(_adjoint(r, t), want)
+        assert np.array_equal(_adjoint(np.stack(rots), trans), np.stack(expected))
+
 
 class TestPoseErrorNorms:
     def test_identity(self):

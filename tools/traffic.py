@@ -20,13 +20,20 @@ lines, less those of the statements nested in it.  Docstrings and
 run is in this process, so the worker pool of ``--threads`` above 1 is never
 reached.
 
-Standard library only; not part of the test suite.  Run it from anywhere:
+It also lists every function (``def``, nested closures included) none of
+whose statements a run reached.  With ``--check`` it exits 1 if there is
+any, so a function that no command calls fails the test suite
+(``tests/test_package.py`` runs it in a fresh process: caches warmed by other
+tests in the same process would hide function bodies from the tracer).
 
-    python3 tools/traffic.py
+Standard library only.  Run it from anywhere:
+
+    python3 tools/traffic.py [--check]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -113,7 +120,22 @@ def _ranges(lines: list[int]) -> str:
     return ", ".join(out)
 
 
-def main() -> int:
+def _unreached_functions(statements: dict[int, ast.stmt], reached: set[int]) -> list[ast.stmt]:
+    """The functions among ``statements`` with no reached statement in their body."""
+    out = []
+    for node in statements.values():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = {id(n) for n in ast.walk(node) if n is not node and id(n) in statements}
+            if not body & reached:
+                out.append(node)
+    return sorted(out, key=lambda node: node.lineno)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if some function has no reached statement")
+    args = parser.parse_args(argv)
     files = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
     seen: dict[str, set[int]] = {name: set() for name in files}
 
@@ -136,6 +158,7 @@ def main() -> int:
         threading.settrace(None)
 
     total = missed_total = 0
+    dead = []
     for name, path in files.items():
         owner = _statements(path)
         statements = {id(node): node for node in owner.values()}
@@ -144,6 +167,8 @@ def main() -> int:
                         key=lambda node: node.lineno)
         total += len(statements)
         missed_total += len(missed)
+        dead += [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+                 for node in _unreached_functions(statements, reached)]
         if not missed:
             continue
         raises = [node.lineno for node in missed if isinstance(node, ast.Raise)]
@@ -154,7 +179,10 @@ def main() -> int:
         if raises:
             print(f"  raise:      {_ranges(raises)}")
     print(f"{missed_total} of {total} statements not reached")
-    return 0
+    for line in dead:
+        print(f"function not reached: {line}")
+    print(f"{len(dead)} functions not reached")
+    return 1 if args.check and dead else 0
 
 
 if __name__ == "__main__":
