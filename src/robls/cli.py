@@ -96,7 +96,10 @@ def cmd_weights(args):
     out = json.dumps(payload, indent=1, default=float, allow_nan=False)
     if args.out:
         cloud_io.make_dir(Path(args.out).parent, "out")
-        Path(args.out).write_text(out)
+        try:
+            Path(args.out).write_text(out)
+        except OSError as exc:
+            raise SystemExit(f"bad out: {exc}")
     else:
         print(out)
 
@@ -142,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "weights", help="evaluate any RLF on a residual list",
         description="Print {rlf, diagnostics, weights} as JSON.  For adaptive_mb the "
         "diagnostics carry the fitted Chi shape a_star and its mode, next to alpha_star "
-        "and the fallback flags: the fields that the former fit-mb command printed.  "
+        "and the fallback flags.  "
         "A number that is not finite, such as the alpha_star = -inf sentinel, is written "
         "as the string \"-inf\", \"inf\" or \"nan\", which float() reads back, so the "
         "output is strict JSON.",

@@ -91,27 +91,27 @@ MEMO_ASSOCIATIONS = 6
 
 
 class DegenerateGeometryError(RuntimeError):
-    """Normal equations are rank deficient (e.g. all constraints coplanar)."""
+    """Normal equations are rank deficient (e.g. all constraints coplanar or all normals zero)."""
 
 
 @dataclass
 class PointCloud:
-    """Points in the sensor frame, with optional per-point unit normals.
+    """Points in the sensor frame, with optional per-point normals.
 
     The cloud's one KD-tree (:attr:`tree`) is built on first use and freezes
     the points.  As a target it also keeps association memos (keys
     ``tree``, ``ref``, ``idx``, ``j2`` and ``d3``, see :func:`associate`)
     keyed by the association number where :func:`icp_solve` reads and
     stores them: at most ``MEMO_ASSOCIATIONS + 1``, 48 bytes per source
-    point each.  A new tree drops them all.  Invalid normals
-    (``normals_valid``, a boolean array with one entry per point) weigh 0 but
-    must be finite.  Construction and :func:`icp_solve` raise ``ValueError``
-    otherwise, so normals assigned after construction are checked too.
+    point each.  A new tree drops them all.  Normals are unit rows or zero
+    rows: a zero normal (a rank-deficient neighbourhood) adds nothing to the
+    point-to-plane step.  They must be finite, one row of 3 per point;
+    construction and :func:`icp_solve` raise ``ValueError`` otherwise, so
+    normals assigned after construction are checked too.
     """
 
     points: np.ndarray
     normals: np.ndarray | None = None
-    normals_valid: np.ndarray | None = None
     _tree: object = field(default=None, init=False, repr=False, compare=False)
     _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -119,22 +119,15 @@ class PointCloud:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-            if self.normals_valid is None:
-                self.normals_valid = np.ones(len(self.points), dtype=bool)
-            self.normals_valid = np.asarray(self.normals_valid)
             self._check_normals()
 
     def _check_normals(self) -> None:
-        """Raise ``ValueError`` unless ``normals`` holds one finite row of 3
-        per point and ``normals_valid`` is a boolean array of one entry per point."""
+        """Raise ``ValueError`` unless ``normals`` holds one finite row of 3 per point."""
         n = len(self.points)
         if np.shape(self.normals) != (n, 3):
             raise ValueError(f"normals must have shape ({n}, 3), got {np.shape(self.normals)}")
         if not np.all(np.isfinite(self.normals)):
             raise ValueError("normals must be finite")
-        valid = self.normals_valid
-        if not isinstance(valid, np.ndarray) or valid.dtype != bool or valid.shape != (n,):
-            raise ValueError("normals_valid must be a boolean array with one entry per point")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -192,12 +185,13 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     """Per-point normals from the k-NN scatter matrix, oriented to the origin.
 
     The normal is the eigenvector of the smallest eigenvalue; neighbourhoods
-    whose scatter is rank deficient (collinear points) are flagged invalid.
-    The eigenpairs come in closed form (:func:`_scatter_eigen`), within about
-    2.2e-12 rad of LAPACK's normals, and from ``np.linalg.eigh`` for the
-    rows whose two smallest eigenvalues lie within ``NORMAL_GAP_TOL`` times
-    the largest.  Every normal is finite and of unit length, invalid ones
-    included.  The returned cloud keeps the KD-tree built here as its
+    whose scatter is rank deficient (collinear or repeated points, middle
+    eigenvalue at most ``NORMAL_RANK_TOL`` times the largest) get a zero
+    normal.  The eigenpairs come in closed form (:func:`_scatter_eigen`),
+    within about 2.2e-12 rad of LAPACK's normals, and from ``np.linalg.eigh``
+    for the rows whose two smallest eigenvalues lie within ``NORMAL_GAP_TOL``
+    times the largest.  Every other normal is finite and of unit length.
+    The returned cloud keeps the KD-tree built here as its
     :attr:`~PointCloud.tree`.
     """
     check_int("k", k, 2)
@@ -217,7 +211,8 @@ def estimate_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     # orient toward the sensor origin
     flip = np.einsum("ni,ni->n", normals, pts) > 0.0
     normals[flip] = -normals[flip]
-    out.normals, out.normals_valid = normals, valid
+    normals[~valid] = 0.0
+    out.normals = normals
     return out
 
 
@@ -248,8 +243,8 @@ def _scatter_eigen(xx, yy, zz, xy, xz, yz):
     or isotropic scatter, duplicate and collinear points and every other
     near-double ``lam0``.  So every normal is within about
     ``eps / NORMAL_GAP_TOL**2`` (2.2e-12) rad of the exact one and of unit
-    length, and the ``lam1``-to-``lam2`` ratio that decides validity comes
-    from ``eigh`` wherever it is below ``NORMAL_GAP_TOL``.
+    length, and the ``lam1``-to-``lam2`` ratio that decides rank deficiency
+    comes from ``eigh`` wherever it is below ``NORMAL_GAP_TOL``.
     """
     t = xx + yy + zz
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 or an isotropic scatter: NaN rows
@@ -373,7 +368,8 @@ def minimize_pt2plane(
     current pose and solves the weighted normal equations; the per-term
     scale is the plane-projected variance of the correspondence covariance.
     ``weights`` multiply the squared errors as given, so a solver that puts
-    the robust weights inside the norm passes them already squared.  An
+    the robust weights inside the norm passes them already squared.  A zero
+    normal zeroes its Jacobian row and its error, as a weight of 0 would.  An
     eigenvalue ratio below 1e-12 raises :class:`DegenerateGeometryError`.
     """
     s, n = transformed_source, normals
@@ -396,6 +392,8 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     checks the target's normals as construction does.  Steps compose on the
     left, ``T <- exp(dxi) T``, with no re-orthonormalization.
     Terminates when both step norms fall below the configured tolerances.
+    A singular step, as when every correspondence has a zero normal, raises
+    :class:`DegenerateGeometryError`.
     The ``j``-th association starts from a shallow copy of the memo that
     ``target`` keeps for association number ``min(j, MEMO_ASSOCIATIONS)``, or
     for the number before it if no solve has reached that one yet, and the
@@ -408,7 +406,7 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
     target._check_normals()
     tree = target.tree
     cov_scale = 2.0 * config.grid**2
-    proj_var = cov_scale  # n' (cov_scale * I) n for unit normals
+    proj_var = cov_scale  # n' (cov_scale * I) n for a unit normal; a zero one adds nothing
     memos = target._memos
     n_assoc = 0
 
@@ -423,11 +421,7 @@ def icp_solve(source: PointCloud, target: PointCloud, init: Pose, config: IcpCon
         e = np.take(target.points, idx, axis=0) - p
 
         def update(wf):
-            valid = target.normals_valid[idx]
-            if not valid.any():
-                raise DegenerateGeometryError("no correspondences with valid normals")
-            normals = np.take(target.normals, idx, axis=0)  # an invalid one weighs 0
-            step = minimize_pt2plane(p, e, normals, wf * valid, proj_var)
+            step = minimize_pt2plane(p, e, np.take(target.normals, idx, axis=0), wf, proj_var)
             return exp_map(step) @ pose, step
 
         return residuals_pt2pt(e, cov_scale), update

@@ -11,7 +11,8 @@ norms); no extra scale parameter is applied to them here.  The fixed
 M-estimators (Cauchy / Tukey / Welsch) instead expect residuals divided by
 a Gaussian-consistent sigma estimate, see :func:`fixed_weight`.  Error
 norms have their median near the Chi mode rather than at zero, so
-:meth:`RobustLoss.weights` divides them by ``median(r) / median(Chi(n_e))``.
+:meth:`~robls.weighting.RobustLoss.weights` divides them by
+``median(r) / median(Chi(n_e))``.
 
 :func:`check_norms` is the one rule for a residual set: every public
 function that takes one (``RobustLoss.weights``, ``adaptive_mb_weights``,

@@ -166,15 +166,15 @@ def chi_quantile(n_e: int, p: float) -> float:
     """Inverse CDF of the Chi distribution with ``n_e`` degrees of freedom.
 
     Bisection on the closed-form CDF of :func:`_chi_cdf` to absolute
-    tolerance 1e-8.  ``n_e`` must be an integer in ``[1, MAX_DOF]`` (numpy
+    tolerance 1e-8, over ``[0, n_e + 10]``: the CDF is exactly 1 at
+    ``n_e + 10`` for every ``n_e`` up to ``MAX_DOF``, so that bracket holds
+    every ``p < 1``.  ``n_e`` must be an integer in ``[1, MAX_DOF]`` (numpy
     integers pass, ``bool`` and floats raise ``ValueError``).
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
     n = _dof(n_e)
     hi = float(n + 10.0)
-    while _chi_cdf(n, hi) < p:
-        hi *= 2.0
     lo = 0.0
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)

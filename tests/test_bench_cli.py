@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,13 +109,19 @@ class TestDeterminism:
         assert (tmp_path / "a/trials.csv").read_bytes() == (tmp_path / "b/trials.csv").read_bytes()
 
     def test_icp_thread_invariance(self, tmp_path):
-        mk = lambda threads: bench.IcpBenchConfig(
+        # The pool's workers write the same trials, summary and traces as one process.
+        mk = lambda threads, out: bench.IcpBenchConfig(
             master_seed=13, trials_per_kind=2, scene_kinds=("structured",),
-            rlfs=("chebrolu",), threads=threads,
+            rlfs=("chebrolu",), threads=threads, trace_dir=str(tmp_path / out / "traces"),
         )
-        bench.run_icp_benchmark(mk(1), tmp_path / "a")
-        bench.run_icp_benchmark(mk(2), tmp_path / "b")
-        assert (tmp_path / "a/trials.csv").read_bytes() == (tmp_path / "b/trials.csv").read_bytes()
+        bench.run_icp_benchmark(mk(1, "a"), tmp_path / "a")
+        bench.run_icp_benchmark(mk(2, "b"), tmp_path / "b")
+        read = lambda out: {path.name: path.read_bytes() for path in [
+            tmp_path / out / "trials.csv", tmp_path / out / "summary.csv",
+            *sorted((tmp_path / out / "traces").iterdir())]}
+        a = read("a")
+        assert len(a) == 4
+        assert a == read("b")
 
 
 class TestPinnedOutputs:
@@ -205,6 +212,29 @@ class TestPinnedOutputs:
                   "--tau", str(tau), "--out", str(out_file)])
             got[kind] = hashlib.sha256(out_file.read_bytes()).hexdigest()
         assert got == digests
+
+    def test_perfbench_outcome_digests(self, monkeypatch):
+        # perfbench's reference corpora (its REFERENCE_SEED), as its run.py
+        # digests them.  Inside a session other tests have already filled the
+        # Z memo and the lru caches, so this also checks that no output
+        # depends on cache state.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench import tracing, workloads
+
+        checker = tracing.Checker()
+        got = {}
+        with checker.install():
+            for name, make in workloads.WORKLOADS.items():
+                wl = make()
+                got[name] = workloads.outcome_digest(
+                    op for t in range(wl.reference_trials)
+                    for op in workloads.run_trial(wl, 20220516, t, checker).ops)
+        assert got == {
+            "pose_avg": "3752f8f4d377d546c5b327b30565de7ac6e3879af5d7e0b1cf616299cab86e44",
+            "icp": "ff59a0547230ae84f2a2147dcf7ff799d9ae53e059d3e701428b9be407fc7b2a",
+            "weights_cold": "a81647ae5591c92f7eb69c17cce8a2b8dc3eb4eb3f4f08f29a4f109e65a9fd34",
+        }
+        assert checker.violations == 0, checker.messages
 
     @pytest.mark.parametrize("command", ["pose-avg-bench", "icp-bench"])
     def test_timings_csv_layout(self, tmp_path, command):
@@ -433,9 +463,10 @@ class TestCli:
     def test_weights_out_under_a_file_is_a_usage_error(self, tmp_path):
         res_file = tmp_path / "resid.txt"
         res_file.write_text("0.5 1.0 2.0")
-        with pytest.raises(SystemExit, match="^bad out: "):
-            main(["weights", "--rlf", "welsch", "--input", str(res_file),
-                  "--out", str(res_file / "w.json")])
+        # a path under a file, and an existing directory
+        for out in (res_file / "w.json", tmp_path):
+            with pytest.raises(SystemExit, match="^bad out: "):
+                main(["weights", "--rlf", "welsch", "--input", str(res_file), "--out", str(out)])
 
     def test_gen_scene_out_dir_that_is_a_file_is_a_usage_error(self, tmp_path):
         blocker = tmp_path / "file"

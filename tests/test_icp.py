@@ -54,7 +54,7 @@ def corner_cloud(rng, n=1500, noise=0.0):
 
 def rod_and_corner(rng):
     """The corner plus a rod 1 m above the floor, whose middle part has
-    collinear neighbourhoods and so invalid normals."""
+    collinear neighbourhoods and so zero normals."""
     rod = np.column_stack([np.linspace(-1.5, 1.5, 300), np.zeros(300), np.ones(300)])
     return PointCloud(np.vstack([corner_cloud(rng, noise=0.005).points, rod]))
 
@@ -134,7 +134,7 @@ class TestEstimateNormals:
         # sensor above the plane so normals must point up
         cloud = PointCloud(pts - np.array([0.0, 0.0, 1.5]))
         out = estimate_normals(cloud, 15)
-        assert np.all(out.normals_valid)
+        assert np.all(np.any(out.normals != 0.0, axis=1))
         assert np.allclose(np.abs(out.normals[:, 2]), 1.0, atol=1e-6)
         assert np.all(out.normals[:, 2] > 0)  # the sensor sits above the plane
 
@@ -149,7 +149,7 @@ class TestEstimateNormals:
     def test_collinear_flagged_invalid(self, rng):
         line = np.column_stack([np.linspace(0, 5, 200), np.zeros(200), np.ones(200)])
         out = estimate_normals(PointCloud(line), 15)
-        assert not np.any(out.normals_valid)
+        assert np.all(out.normals == 0.0)
 
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
@@ -166,9 +166,9 @@ class TestEstimateNormals:
 
     @pytest.mark.parametrize("shape", ["duplicates", "line", "plane", "sphere"])
     def test_every_normal_is_a_unit_vector(self, shape, rng):
-        # Invalid rows included: PointCloud requires finite normals, and the
-        # duplicates' zero scatter and the line's rank-1 scatter leave the
-        # closed-form eigenvector undefined.
+        # Or exactly zero where the scatter is rank deficient: PointCloud
+        # requires finite normals, and the duplicates' zero scatter and the
+        # line's rank-1 scatter leave the closed-form eigenvector undefined.
         if shape == "duplicates":
             pts = np.repeat(rng.uniform(-1, 1, (10, 3)), 20, axis=0)
         elif shape == "line":
@@ -180,11 +180,10 @@ class TestEstimateNormals:
             pts *= 2.0 / np.linalg.norm(pts, axis=1, keepdims=True)
         out = estimate_normals(PointCloud(pts), 15)
         assert np.all(np.isfinite(out.normals))
-        assert np.abs(np.linalg.norm(out.normals, axis=1) - 1.0).max() <= 1e-12
         if shape in ("plane", "sphere"):
-            assert np.all(out.normals_valid)
+            assert np.abs(np.linalg.norm(out.normals, axis=1) - 1.0).max() <= 1e-12
         else:
-            assert not np.any(out.normals_valid)
+            assert np.all(out.normals == 0.0)
 
 
 EPS = np.finfo(float).eps
@@ -631,8 +630,23 @@ class TestIcpSolve:
 
 
 class TestFoldedValidity:
-    """A correspondence whose target normal is invalid enters the step with
-    weight 0 instead of being masked out."""
+    """A correspondence whose target normal is zero (a rank-deficient
+    neighbourhood) adds nothing to the step, as a weight of 0 would, instead
+    of being masked out."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_normals_give_the_zero_weight_step(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 200
+        pts = rng.uniform(-2, 2, (n, 3))
+        normals = rng.standard_normal((n, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        errors = 0.05 * rng.standard_normal((n, 3))
+        weights = rng.uniform(0.0, 1.0, n)
+        invalid = rng.uniform(size=n) < 0.3
+        zeroed = np.where(invalid[:, None], 0.0, normals)
+        step = minimize_pt2plane(pts, errors, zeroed, weights, 0.02)
+        assert np.array_equal(step, minimize_pt2plane(pts, errors, normals, weights * ~invalid, 0.02))
 
     def test_invalid_normals_give_the_masked_step(self, rng):
         target = estimate_normals(voxel_downsample(rod_and_corner(rng), 0.1), 15)
@@ -642,7 +656,7 @@ class TestFoldedValidity:
         cov_scale = 2.0 * cfg.grid**2
         p = init.apply(source.points)
         _, idx = cKDTree(target.points).query(p)
-        usable = target.normals_valid[idx]
+        usable = np.any(target.normals[idx] != 0.0, axis=1)
         assert np.sum(~usable) >= 10 and np.any(usable)  # the rod's strip is hit
         e = target.points[idx] - p
         wf = cfg.rlf.weights(residuals_pt2pt(e, cov_scale), n_e=3).weights ** cfg.weight_exponent
@@ -657,37 +671,33 @@ class TestFoldedValidity:
     def test_no_valid_normal_raises(self):
         line = PointCloud(np.column_stack([np.linspace(0, 5, 200), np.zeros(200), np.ones(200)]))
         target = estimate_normals(line, 15)
-        assert not np.any(target.normals_valid)
-        with pytest.raises(DegenerateGeometryError, match="valid normals"):
+        assert np.all(target.normals == 0.0)
+        with pytest.raises(DegenerateGeometryError, match="singular"):
             icp_solve(PointCloud(line.points + 0.01), target, Pose.identity(), IcpConfig())
 
     @pytest.mark.parametrize(
-        "normals, valid",
+        "normals",
         [
-            (np.tile([0.0, 0.0, 1.0], (5, 1)), np.ones(3, dtype=bool)),  # a mask of 3 on 5 points
-            (np.tile([0.0, 0.0, 1.0], (5, 1)), np.array([1, 2, 1, 0, 1])),  # 2 would double a weight
-            (np.array([[0.0, 0.0, 1.0]] * 4 + [[np.nan, 0.0, 1.0]]), np.ones(5, dtype=bool)),
-            (np.tile([0.0, 0.0, 1.0], (4, 1)), None),
+            np.array([[0.0, 0.0, 1.0]] * 4 + [[np.nan, 0.0, 1.0]]),
+            np.tile([0.0, 0.0, 1.0], (4, 1)),
         ],
-        ids=["mask-of-wrong-length", "integer-mask", "nan-normal", "normals-of-wrong-length"],
+        ids=["nan-normal", "normals-of-wrong-length"],
     )
-    def test_rejects_bad_normals_where_they_enter(self, normals, valid):
+    def test_rejects_bad_normals_where_they_enter(self, normals):
         with pytest.raises(ValueError, match="normals"):
-            PointCloud(np.zeros((5, 3)), normals, valid)
+            PointCloud(np.zeros((5, 3)), normals)
 
     @pytest.mark.parametrize(
-        "name, bad",
+        "bad",
         [
-            ("normals_valid", lambda t: 2 * t.normals_valid.astype(int)),  # would double weights
-            ("normals_valid", lambda t: t.normals_valid[:10]),
-            ("normals", lambda t: t.normals[:10]),
-            ("normals", lambda t: np.where(np.arange(len(t))[:, None] == 0, np.nan, t.normals)),
+            lambda t: t.normals[:10],
+            lambda t: np.where(np.arange(len(t))[:, None] == 0, np.nan, t.normals),
         ],
-        ids=["integer-mask", "mask-of-10", "normals-of-10", "nan-normal"],
+        ids=["normals-of-10", "nan-normal"],
     )
-    def test_rejects_bad_normals_assigned_after_construction(self, name, bad, rng):
+    def test_rejects_bad_normals_assigned_after_construction(self, bad, rng):
         target = estimate_normals(voxel_downsample(corner_cloud(rng), 0.1), 15)
-        setattr(target, name, bad(target))
+        target.normals = bad(target)
         with pytest.raises(ValueError, match="normals"):
             icp_solve(PointCloud(target.points + 0.01), target, Pose.identity(), IcpConfig())
 
@@ -696,7 +706,7 @@ class TestSharedTree:
     @staticmethod
     def fresh(target):
         """A copy of ``target`` with no tree and no memos."""
-        return PointCloud(target.points.copy(), target.normals.copy(), target.normals_valid.copy())
+        return PointCloud(target.points.copy(), target.normals.copy())
 
     def test_one_build_serves_normals_and_every_solve(self, rng, monkeypatch):
         builds = []
@@ -739,8 +749,7 @@ class TestSharedTree:
         sizes = self.counting_queries(monkeypatch)
         # repeated points give the start association ties, which stay uncertified
         cloud = estimate_normals(voxel_downsample(corner_cloud(rng, noise=0.005), 0.1), 15)
-        target = PointCloud(*(np.concatenate([a, a[:40]]) for a in
-                              (cloud.points, cloud.normals, cloud.normals_valid)))
+        target = PointCloud(*(np.concatenate([a, a[:40]]) for a in (cloud.points, cloud.normals)))
         source = voxel_downsample(corner_cloud(rng, noise=0.005), 0.1)
         init = exp_map(np.array([0.02, 0.01, -0.01, 0.06, -0.04, 0.02]))
         cfg = IcpConfig(rlf=RobustLoss("cauchy"), max_iters=3)

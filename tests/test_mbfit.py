@@ -96,6 +96,11 @@ class TestChiQuantile:
         with pytest.raises(ValueError):
             chi_quantile(3, 1.0)
 
+    def test_bracket_holds_every_quantile(self):
+        # chi_quantile bisects on [0, n + 10] without widening it, which holds
+        # every p < 1 only while the CDF there rounds to exactly 1.
+        assert all(_chi_cdf(n, n + 10.0) == 1.0 for n in range(1, MAX_DOF + 1))
+
     @pytest.mark.parametrize("n_e", [3, 6])
     @pytest.mark.parametrize("p", [0.5, 0.9973])
     def test_bit_identical_to_incomplete_gamma_bisection(self, n_e, p):
