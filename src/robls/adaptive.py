@@ -32,12 +32,14 @@ the Newton evaluations (the moments).  A pass is a pure function of its key,
 so a hit returns the objects of the first pass and every output stays
 bit-identical.  ``chebrolu`` fixes its bounds by tau and ``barron`` always
 takes the whole line, so every cold fit repeats the same scan and alpha = 2
-check, and its first Newton evaluation sits at a scan point (or, warm, at
-the previous alpha*); those passes are computed once per process, and a
-Newton evaluation that hits passes over the residuals alone.
-The bounds of ``adaptive_mb``, ``(0, tau - mode)``, move with the fitted
-mode, so its evaluations almost never hit and store the moments of their
-fused pass.
+check, and its first Newton evaluation sits at a scan point; those passes
+are computed once per process, and a Newton evaluation that hits passes over
+the residuals alone.  A warm fit starts at the previous alpha*, which is
+rarely a hit: a search usually ends on a Newton step shorter than its
+tolerance, and :func:`minimize_bounded` takes that step without evaluating
+its end.  The bounds of ``adaptive_mb``, ``(0, tau - mode)``, move with the
+fitted mode, so its evaluations almost never hit and store the moments of
+their fused pass.
 
 This fit and the scaled-Chi shape fit of :mod:`robls.mbfit` both run on
 :func:`minimize_bounded`, a safeguarded Newton method on an interval, and
@@ -315,7 +317,7 @@ def _off_zero(alpha: float) -> float:
 
 
 def minimize_bounded(f: Callable[[float], tuple[float, float, float]], lo: float, hi: float,
-                     x0: float, tol: Callable[[float], float]) -> tuple[float, float, int, bool]:
+                     x0: float, tol: Callable[[float], float]) -> tuple[float, int, bool]:
     """Minimize a smooth ``f`` of one variable on ``[lo, hi]`` from ``x0``.
 
     ``f(x)`` returns ``(f, f', f'')``.  A Newton step where ``f'' > 0``, else
@@ -326,10 +328,14 @@ def minimize_bounded(f: Callable[[float], tuple[float, float, float]], lo: float
     ``f'' <= 0``, becomes its midpoint.  Only accepted iterates bound the
     bracket, never the domain ends, so it cannot bisect onto a flat tail.
 
-    Returns ``(x, f(x), iterations, converged)``, converged once a move or the
-    bracket is shorter than ``tol(x)`` or no step lowers ``f``.  Raises
-    ``FloatingPointError`` if ``f`` or ``f'`` is not finite, which the input
-    checks of both fits rule out.
+    Returns ``(x, iterations, converged)``, converged once a move or the
+    bracket is shorter than ``tol(x)`` or no step lowers ``f``.  A full
+    Newton step shorter than ``tol`` at its end is the last move, taken
+    without evaluating ``f`` there: the returned ``x`` may be a point ``f``
+    never saw, so it returns no ``f(x)``.  Every other step (backtracked,
+    bisection or downhill) is evaluated and must pass the Armijo test.  Raises
+    ``FloatingPointError`` if ``f`` or ``f'`` is not finite at a point it
+    evaluates, which the input checks of both fits rule out.
     """
 
     def evaluate(x):
@@ -345,30 +351,33 @@ def minimize_bounded(f: Callable[[float], tuple[float, float, float]], lo: float
     for iteration in range(1, MAX_NEWTON_ITERS + 1):
         newton = x - g / h if h > 0.0 else None
         if far is not None:
-            inside = newton is not None and min(x, far) < newton < max(x, far)
-            target = newton if inside else 0.5 * (x + far)
+            is_newton = newton is not None and min(x, far) < newton < max(x, far)
+            target = newton if is_newton else 0.5 * (x + far)
         elif newton is not None:
-            target = min(max(newton, lo), hi)
+            is_newton, target = True, min(max(newton, lo), hi)
         else:
-            target = min(max(x - np.copysign(stride, g), lo), hi)
+            is_newton, target = False, min(max(x - np.copysign(stride, g), lo), hi)
             stride *= 2.0
+        delta = target - x
+        if is_newton and abs(delta) < tol(x + delta):
+            return x + delta, iteration, True  # the last move: no evaluation to accept it
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             delta = t * (target - x)
             if delta == 0.0:
-                return x, fx, iteration, True
+                return x, iteration, True
             fc, gc, hc = evaluate(x + delta)
             if fc <= fx + ARMIJO_C1 * g * delta:
                 break
             t *= BACKTRACK_SHRINK
         else:
-            return x, fx, iteration, True
+            return x, iteration, True
         if gc * delta > 0.0:
             far = x
         x, fx, g, h = x + delta, fc, gc, hc
         if abs(delta) < tol(x) or (far is not None and abs(far - x) < tol(x)):
-            return x, fx, iteration, True
-    return x, fx, MAX_NEWTON_ITERS, False
+            return x, iteration, True
+    return x, MAX_NEWTON_ITERS, False
 
 
 # Both scans start at alpha = 2, a limit branch; the rest are general-branch.
@@ -387,11 +396,14 @@ def optimize_alpha(
 
     :func:`minimize_bounded` on the analytic ``Lam'`` and ``Lam''``, started
     from ``x0`` (warm start) or the best point of a coarse scan, with the
-    iterates kept clear of the limit branches at 0 and 2; the boundary value
-    at 2 is checked last.  For the truncated variant, a minimizer pinned at
-    the domain floor is reported as the ``-inf`` sentinel (the Welsch-like
-    limit).  ``converged`` is False only when the Newton search used up its
-    ``MAX_NEWTON_ITERS`` iterations.
+    iterates kept clear of the limit branches at 0 and 2.  A search that
+    ends within ``2 * _INTERIOR_MARGIN`` of 2 is checked last against the
+    boundary: alpha = 2 is reported when ``Lam(2)`` is at most ``Lam`` at
+    the returned point, both evaluated for that test, since the search need
+    not have evaluated the point it returns.  For the truncated variant, a
+    minimizer pinned at the domain floor is reported as the ``-inf``
+    sentinel (the Welsch-like limit).  ``converged`` is False only when the
+    Newton search used up its ``MAX_NEWTON_ITERS`` iterations.
 
     The residuals must pass :func:`~robls.loss.check_norms`.
     """
@@ -402,13 +414,14 @@ def optimize_alpha(
         scan = _SCAN_BARRON if domain.whole_line else _SCAN_CHEBROLU
         lam = [obj.value(scan[0]), *obj.values(scan[1:])]
         x0 = min(zip(lam, scan))[1]
-    alpha, lam, _, converged = minimize_bounded(
+    alpha, _, converged = minimize_bounded(
         lambda a: obj.value_derivs(_off_zero(a)), lo, domain.hi - _INTERIOR_MARGIN, x0,
         lambda a: STEP_TOL * min(1.0, 2.0 - a))
     alpha = _off_zero(alpha)
 
-    # A true boundary minimum at alpha = 2 beats the interior margin.
-    if alpha >= 2.0 - 2.0 * _INTERIOR_MARGIN and obj.value(2.0) <= lam:
+    # A true boundary minimum at alpha = 2 beats the interior margin.  The
+    # search may end at a point it never evaluated, so Lam is taken there.
+    if alpha >= 2.0 - 2.0 * _INTERIOR_MARGIN and obj.value(2.0) <= obj.value(alpha):
         alpha = 2.0
 
     if not domain.whole_line and alpha <= domain.lo + 1e-9:

@@ -253,7 +253,9 @@ def fit_mb(residuals, n_e: int, x0: float | None = None) -> MbFit:
     analytic derivatives (the criterion of :func:`_fit_criterion`, built
     once per call), started from the best of a method-of-moments
     estimate and a coarse scan (or from ``x0`` alone on warm-started calls,
-    which keeps consecutive IRLS refits in the same local basin).  Returns
+    which keeps consecutive IRLS refits in the same local basin).  The
+    search usually ends on a Newton step shorter than ``A_STEP_TOL``, taken
+    without evaluating the criterion at its end.  Returns
     the Chi default ``a = 1`` (with ``fallback=True``) when the residual set
     is unusable (empty after thresholding, or degenerate).  The residuals
     must pass :func:`~robls.loss.check_norms`.
@@ -272,7 +274,7 @@ def fit_mb(residuals, n_e: int, x0: float | None = None) -> MbFit:
         candidates = np.concatenate([[a0], A_SCAN])
         candidates = candidates[(candidates >= A_LO) & (candidates <= A_HI)]
         x0 = candidates[int(np.argmin(criterion(candidates[:, None])[0]))]
-    a, _, _, _ = minimize_bounded(criterion, A_LO, A_HI, x0, lambda a: A_STEP_TOL)
+    a, _, _ = minimize_bounded(criterion, A_LO, A_HI, x0, lambda a: A_STEP_TOL)
     return MbFit(a, float(a * np.sqrt(n_e - 1)))
 
 

@@ -365,13 +365,15 @@ def _tight(x):
 
 class TestMinimizeBounded:
     def test_quadratic_in_one_newton_step(self):
-        x, fx, iterations, converged = minimize_bounded(
-            lambda x: ((x - 1.3) ** 2, 2.0 * (x - 1.3), 2.0), -5.0, 5.0, -4.0, _tight)
-        assert x == pytest.approx(1.3, abs=1e-12) and fx == pytest.approx(0.0, abs=1e-20)
+        def f(x):
+            return (x - 1.3) ** 2, 2.0 * (x - 1.3), 2.0
+
+        x, iterations, converged = minimize_bounded(f, -5.0, 5.0, -4.0, _tight)
+        assert x == pytest.approx(1.3, abs=1e-12) and f(x)[0] == pytest.approx(0.0, abs=1e-20)
         assert converged and iterations <= 2
 
     def test_minimum_at_the_domain_end(self):
-        x, _, _, converged = minimize_bounded(
+        x, _, converged = minimize_bounded(
             lambda x: ((x - 3.0) ** 2, 2.0 * (x - 3.0), 2.0), -1.0, 2.0, -0.5, _tight)
         assert x == 2.0 and converged
 
@@ -382,9 +384,41 @@ class TestMinimizeBounded:
             e = np.exp(-0.5 * x * x)
             return -e, x * e, (1.0 - x * x) * e
 
-        x, _, iterations, converged = minimize_bounded(f, -100.0, 100.0, 4.0, _tight)
+        x, iterations, converged = minimize_bounded(f, -100.0, 100.0, 4.0, _tight)
         assert x == pytest.approx(0.0, abs=1e-8)
         assert converged and iterations <= 10
+
+    def test_no_evaluation_after_a_sub_tolerance_newton_step(self):
+        # Strictly convex, not quadratic: Newton moves at most 1 per step
+        # from x0 = -4, then converges cubically.  The step that ends the
+        # search is shorter than the tolerance, and the point it reaches is
+        # returned without evaluating f there.
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.cosh(x - 1.3), math.sinh(x - 1.3), math.cosh(x - 1.3)
+
+        x, iterations, converged = minimize_bounded(f, -5.0, 5.0, -4.0, _tight)
+        assert converged and x == pytest.approx(1.3, abs=1e-12)
+        assert x not in seen
+        assert len(seen) == iterations == 9
+
+    @PROPERTY
+    @given(m=st.floats(-20.0, 20.0), c=st.floats(0.0, 100.0), lo=st.floats(-10.0, 9.0),
+           width=st.floats(0.01, 10.0), where=st.floats(0.0, 1.0))
+    def test_newton_finds_the_clipped_minimum(self, m, c, lo, width, where):
+        # f = e^2 + c e^4 with e = x - m: f'' > 0 everywhere, one minimum at m,
+        # which may lie outside [lo, hi].
+        def f(x):
+            e = x - m
+            return e * e + c * e**4, 2.0 * e + 4.0 * c * e**3, 2.0 + 12.0 * c * e * e
+
+        hi = lo + width
+        tol = 1e-9
+        x, _, converged = minimize_bounded(f, lo, hi, lo + where * width, lambda x: tol)
+        assert converged
+        assert abs(x - min(max(m, lo), hi)) <= tol
 
     def test_non_finite_objective_raises(self):
         with pytest.raises(FloatingPointError):
@@ -397,11 +431,28 @@ def _lam_at(res, domain, bounds, alpha):
 
 
 class TestOptimizeAlpha:
-    def test_clean_gaussian_near_two(self, rng):
+    def test_clean_gaussian_near_two(self, rng, monkeypatch):
+        # The alpha = 2 rule compares Lam(2) with Lam at the point the search
+        # returns, which the search need not have evaluated.  On all 500 norms
+        # the search ends inside the interval; on the first 40 it ends at the
+        # interior margin, where alpha = 2 wins.
+        returned = []
+        search = adaptive.minimize_bounded
+
+        def recording(*args):
+            out = search(*args)
+            returned.append(out[0])
+            return out
+
+        monkeypatch.setattr(adaptive, "minimize_bounded", recording)
         res = np.abs(rng.standard_normal(500))
-        out = optimize_alpha(res, CHEBROLU_DOMAIN, (-10, 10))
-        assert 1.5 <= out.alpha_star <= 2.0
-        assert np.isfinite(_lam_at(res, CHEBROLU_DOMAIN, (-10, 10), out.alpha_star))
+        for sample, at_two in ((res, False), (res[:40], True)):
+            out = optimize_alpha(sample, CHEBROLU_DOMAIN, (-10, 10))
+            assert 1.5 <= out.alpha_star <= 2.0
+            assert np.isfinite(_lam_at(sample, CHEBROLU_DOMAIN, (-10, 10), out.alpha_star))
+            lam_two, lam_end = (_lam_at(sample, CHEBROLU_DOMAIN, (-10, 10), a)
+                                for a in (2.0, returned[-1]))
+            assert (out.alpha_star == 2.0) == (lam_two <= lam_end) == at_two
 
     def test_contaminated_goes_negative(self, rng):
         res = np.concatenate([np.abs(rng.standard_normal(400)), rng.uniform(5, 10, 100)])

@@ -131,13 +131,13 @@ class TestPinnedOutputs:
     # output on purpose states the new hash.
     @pytest.mark.parametrize("command, digests", [
         (["pose-avg-bench", "--trials", "3"], {
-            "trials.csv": "46e0fa69d84a1836dd5c0d857cba27df733e2e19ef3a7beae5d27001d4e87c8c",
-            "summary.csv": "aa1b896bd0419517fff907739b8439b9bdc32a3dfa811e9fbd20fcb569acd5a5",
+            "trials.csv": "8a0a2285e63ee2f753cf9881935ba52aa1b782810d992c61d649cb4d7739de1e",
+            "summary.csv": "ec0f2f4d86bf88e019c44492228cd6ca610f66354eab2e3b2110cfd9570f59f1",
         }),
         (["icp-bench", "--trials", "1"], {
-            "trials.csv": "66caa07b90d1e5238983c25cc7046438cf076d0df32819ef59793c3f57f41bc7",
-            "summary.csv": "88577dfbe91f1009e11da981cc7c16d6dd5f21ae58f25b6d88ca43ac6021580d",
-            "traces": "391f0e64ca634d1a3a80a74c1bb0cb91605fe4cc9377e04814b566ff5a11465f",
+            "trials.csv": "14e31667c2367180eb1f58692d857af9586fe6dbbf5f7a1334d7aadca70aebdb",
+            "summary.csv": "7491c035bd9d6c920fce7cdcf0efea0d74c787f363dbb4ab069d4fb3916d0742",
+            "traces": "c224c31cd47ecb4c0abc8d4480ca69b037ebfe1dd5b1a9ab845e06386f2dfade",
         }),
     ], ids=["pose-avg-bench", "icp-bench"])
     def test_trials_csv_hash(self, tmp_path, command, digests):
@@ -230,9 +230,9 @@ class TestPinnedOutputs:
                     op for t in range(wl.reference_trials)
                     for op in workloads.run_trial(wl, 20220516, t, checker).ops)
         assert got == {
-            "pose_avg": "3752f8f4d377d546c5b327b30565de7ac6e3879af5d7e0b1cf616299cab86e44",
-            "icp": "ff59a0547230ae84f2a2147dcf7ff799d9ae53e059d3e701428b9be407fc7b2a",
-            "weights_cold": "a81647ae5591c92f7eb69c17cce8a2b8dc3eb4eb3f4f08f29a4f109e65a9fd34",
+            "pose_avg": "9de7440f4f4ba163fe98b3e825093981bc75d43bf477e2d76993852785287eeb",
+            "icp": "125df57ec1145539b64e4fab704b39d5ef6a93cce8ded97b0021b87af3358f36",
+            "weights_cold": "52ad39c5fb3e473b4f986680ca7cd111fb32ac734d93611447f5097b67fd10d1",
         }
         assert checker.violations == 0, checker.messages
 
