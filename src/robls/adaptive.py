@@ -11,19 +11,22 @@ Two domains are supported: the original variant, restricted to
 normalizes over a bounded interval and admits ``alpha`` down to the
 Welsch-like limit.
 
-Every ``Z`` is one pass of a fixed composite Gauss-Legendre rule.  The
+Every ``Z`` is one pass of a fixed composite Gauss-Legendre rule, on
+panels that double in width from the origin.  The
 coarse start scan and the alpha = 2 check need ``Z`` alone and take it
 from :func:`partition_z`; the scan evaluates all of its general-branch
 points in one broadcast pass, with alpha as a column, bit-identical to
 evaluating them one at a time.  Only the Newton steps of
 :func:`minimize_bounded` need the alpha derivatives of ``Z``, which give
 ``Lam'`` and ``Lam''`` analytically.  :class:`_Objective` lays its rule
-once per fit, next to the clipped residuals, so that one
-:func:`~robls.loss.rho_alpha_derivs` pass over ``[nodes | residuals]`` yields
-the ``Z`` moments and the residual sums together.  The whole-line ``Z`` of the
-original variant is the bounds ``(-inf, inf)``: the rule on ``[0, T]`` plus
-the tail ``eps = T e^s`` laid in ``s``, the same for every tau.  Only the
-truncated passes grow with tau.
+once per fit and keeps its squared nodes next to the squared clipped
+residuals, so that one :func:`~robls.loss.rho_alpha_terms` pass over
+``[nodes | residuals]`` yields the ``Z`` moments, as dot products over the
+nodes, and the three residual sums together; no pass builds per-residual
+loss or derivative arrays.  The whole-line ``Z`` of the original variant is
+the bounds ``(-inf, inf)``: the rule on ``[0, T]`` plus the tail
+``eps = T e^s`` laid in ``s``, 288 nodes for every tau.  A truncated pass
+grows with log tau: 24 nodes per doubling of the span, 144 on [0, 20].
 
 ``Z`` depends on alpha and the bounds alone, never on the residuals, so one
 least-recently-used memo of ``Z_MEMO_SIZE`` passes, keyed by
@@ -60,7 +63,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .loss import ALPHA_MIN, BRANCH_TOL, _branch, _rho_general, check_norms, rho, rho_alpha_derivs
+from .loss import (
+    ALPHA_MIN,
+    BRANCH_TOL,
+    _branch,
+    check_norms,
+    rho,
+    rho_alpha_sums,
+    rho_alpha_terms,
+    rho_em1,
+    rho_general,
+    rho_scale,
+    rho_sq,
+)
 
 __all__ = [
     "AlphaDomain",
@@ -78,10 +93,10 @@ __all__ = [
 # and the half-width to which the original variant clips its residuals.
 UNTRUNCATED_SPAN = 40.0
 
-# Largest truncation bound tau.  A truncated pass lays a fixed number of nodes
-# per unit of span, so its cost and memory grow linearly in tau: at this cap
-# one pass over [-tau, tau] holds 24k nodes.  The whole-line pass of the
-# original variant holds 1440 for every tau.
+# Largest truncation bound tau, the largest at which the rule's accuracy is
+# tested.  A truncated pass lays one 24-node panel per doubling of its span,
+# so at this cap one pass over [-tau, tau] holds 264 nodes.  The whole-line
+# pass of the original variant holds 288 for every tau.
 TAU_MAX = 1000.0
 
 # Smallest truncation bound tau: the smallest normal float.  Below it the
@@ -98,11 +113,6 @@ def check_tau(tau: float) -> None:
             f"truncation bound tau must be positive and finite, at least {TAU_MIN!r} "
             f"and at most {TAU_MAX:g}, got {tau}"
         )
-
-# Panel width of the composite 24-point Gauss-Legendre rule.  At 1.0, for
-# bounds from 0.02 to 80, log Z agrees with adaptive quadrature to about 1e-14
-# and dZ/dalpha to about 3e-10 of Z.
-PANEL_WIDTH = 1.0
 
 # Constants of minimize_bounded.
 ARMIJO_C1 = 1e-4
@@ -154,37 +164,53 @@ class AlphaOptResult:
     converged: bool
 
 
-def _panels(a: float, b: float, width: float, scale: float = 1.0):
-    """Nodes and weights of the 24-point rule on [a, b], panels at most ``width`` wide."""
-    panels = max(1, int(np.ceil((b - a) / width)))
-    half = 0.5 * (b - a) / panels
-    centers = a + half * (2.0 * np.arange(panels) + 1.0)
-    nodes = (centers[:, None] + half * _GL_NODES).ravel()
-    return nodes, np.tile(scale * half * _GL_WEIGHTS, panels)
+def _panels(edges, scale: float = 1.0):
+    """Nodes and weights of the 24-point rule on each ``[edges[i], edges[i + 1]]``."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (edges[:-1, None] + half) + half * _GL_NODES
+    return nodes.ravel(), (scale * half * _GL_WEIGHTS).ravel()
+
+
+def _graded(a: float, b: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Squared nodes and weights of the 24-point rule on [a, b] in panels
+    that double in width from a: ``[a, a + 1], [a + 1, a + 2], [a + 2, a + 4],
+    ..., [a + 2^(m - 1), b]``, one panel where ``b <= a + 1``."""
+    m = (math.ceil(b - a) - 1).bit_length()  # panels before the last
+    x, w = _panels([a, *(a + 2.0**j for j in range(m)), b], scale)
+    return x * x, w
 
 
 @lru_cache(maxsize=8)
 def _gl_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on [a, b].
+    """Squared nodes and weights of the composite rule on [a, b].
 
-    The integrand is even in eps, so a symmetric interval folds onto [0, b]
-    with weight 2.  The whole line ``(-inf, inf)`` folds onto the rule on
-    ``[0, T]``, ``T = UNTRUNCATED_SPAN``, followed by the tail
-    ``eps = T e^s`` for ``s`` in [0, 40], in panels 2 wide in ``s`` with
-    weights ``2 T e^s w_k``.  Past ``T e^40`` the slowest-decaying
-    integrand, ``2 / eps^2`` at alpha = 0, leaves under 1e-19 of ``Z``.
+    The nodes come squared, the one form the kernels read.  The integrand
+    is even in eps and peaks at 0, so with squared nodes [a, 0] has the rule
+    of [0, -a]: the bounds fold onto [0, inf), a symmetric interval onto
+    [0, b] with weight 2, and the panels double in width from the end
+    nearest the origin (:func:`_graded`).  A pass over [0, b] holds
+    ``24 * (ceil(log2 b) + 1)`` nodes for ``b > 1``.  The whole line
+    ``(-inf, inf)`` folds onto the rule on ``[0, T]``,
+    ``T = UNTRUNCATED_SPAN``, followed by the tail ``eps = T e^s`` for
+    ``s`` in [0, 40], in panels 8 wide in ``s`` with weights ``2 T e^s w_k``:
+    288 nodes.  Past ``T e^40`` the slowest-decaying integrand,
+    ``2 / eps^2`` at alpha = 0, leaves under 1e-19 of ``Z``.
     """
-    scale = 1.0
-    if a == -b:
-        a, scale = 0.0, 2.0
-    whole_line = math.isinf(b)
-    nodes, weights = _panels(a, UNTRUNCATED_SPAN if whole_line else b, PANEL_WIDTH, scale)
-    if whole_line:
-        s, ws = _panels(0.0, 40.0, 2.0, scale)
+    if math.isinf(b):
+        x2, w = _graded(0.0, UNTRUNCATED_SPAN, 2.0)
+        s, ws = _panels(np.arange(0.0, 41.0, 8.0), 2.0)
         tail = UNTRUNCATED_SPAN * np.exp(s)
-        nodes, weights = np.concatenate([nodes, tail]), np.concatenate([weights, tail * ws])
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+        x2, w = np.concatenate([x2, tail * tail]), np.concatenate([w, tail * ws])
+    elif a == -b:
+        x2, w = _graded(0.0, b, 2.0)
+    elif a < 0.0 < b:
+        (x2, w), (x2r, wr) = _graded(0.0, -a, 1.0), _graded(0.0, b, 1.0)
+        x2, w = np.concatenate([x2, x2r]), np.concatenate([w, wr])
+    else:
+        x2, w = _graded(a, b, 1.0) if a >= 0.0 else _graded(-b, -a, 1.0)
+    x2.flags.writeable = w.flags.writeable = False
+    return x2, w
 
 
 def _checked_bounds(bounds) -> tuple[float, float]:
@@ -216,9 +242,9 @@ def _memo_put(key, z):
 def partition_z(alpha, bounds: tuple[float, float]):
     """Normalization ``Z = integral of exp(-rho(eps, alpha))`` over bounds.
 
-    One pass of a fixed composite 24-point Gauss-Legendre rule with panels
-    at most ``PANEL_WIDTH`` wide; the bounds ``(-inf, inf)`` give the whole
-    line (see :func:`_gl_rule`), where ``Z`` is finite for alpha >= 0 only.
+    One pass of a fixed composite 24-point Gauss-Legendre rule on panels
+    that double in width (see :func:`_gl_rule`); the bounds ``(-inf, inf)``
+    give the whole line, where ``Z`` is finite for alpha >= 0 only.
     ``alpha`` may also be a 1-D array of general-branch values, which
     returns their ``Z`` as an array from one broadcast pass.  The alpha
     derivatives of ``Z``, which only the Newton steps need, come from
@@ -234,15 +260,21 @@ def partition_z(alpha, bounds: tuple[float, float]):
     alpha = float(alpha) if np.ndim(alpha) == 0 else tuple(np.asarray(alpha, dtype=float).tolist())
     key = (alpha, a, b, False)
     z = _memo_get(key)
-    return _memo_put(key, _z_pass(alpha, a, b)) if z is None else z
+    return _memo_put(key, _z_pass(alpha, *_gl_rule(a, b))) if z is None else z
 
 
-def _z_pass(alpha, a: float, b: float):
-    """The unmemoized pass of :func:`partition_z`; a tuple ``alpha`` is a vector."""
-    x, w = _gl_rule(a, b)
+def _z_pass(alpha, x2, w):
+    """The unmemoized pass of :func:`partition_z` on the squared nodes
+    ``x2`` and weights ``w``; a tuple ``alpha`` is a vector.
+
+    On the general branch the integrand is ``exp(-k * expm1(u))`` with the
+    expressions of :meth:`_Objective.value_derivs`, so both give the same
+    ``Z`` bit for bit.
+    """
     if np.ndim(alpha) == 0 and _branch(alpha) != "general":
-        return float(w @ np.exp(-rho(x, alpha)))
-    z = (w * np.exp(-_rho_general(x, np.asarray(alpha, dtype=float)[..., None]))).sum(axis=-1)
+        return float(w @ np.exp(-rho_sq(x2, alpha)))
+    col = np.asarray(alpha, dtype=float)[..., None]
+    z = (w * np.exp(-rho_general(x2, col))).sum(axis=-1)
     if isinstance(alpha, tuple):
         z.flags.writeable = False
     return z
@@ -251,10 +283,11 @@ def _z_pass(alpha, a: float, b: float):
 class _Objective:
     """Lambda(alpha) and its alpha derivatives for one residual set and domain.
 
-    The quadrature rule of the domain is laid once, at construction, next to
-    the clipped residuals: over the bounds for the truncated variant, over
-    the whole line for the original one, whose residuals are clipped to
-    ``+-max(span, UNTRUNCATED_SPAN)``.
+    The quadrature rule of the domain is laid once, at construction, and
+    its squared nodes are kept next to the squared clipped residuals: over
+    the bounds for the truncated variant, over the whole line for the
+    original one, whose residuals are clipped to
+    ``+-max(span, UNTRUNCATED_SPAN)``.  All alpha passes read the squares.
     """
 
     def __init__(self, residuals, domain: AlphaDomain, bounds: tuple[float, float]):
@@ -268,11 +301,14 @@ class _Objective:
         self.residuals = np.clip(r, bounds[0], bounds[1])
         self.n = r.size
         nodes, self._weights = _gl_rule(*self.bounds)
-        self._points = np.concatenate([nodes, self.residuals])
+        self._k = nodes.size
+        self._squares = np.concatenate([nodes, self.residuals * self.residuals])
 
     def value(self, alpha: float) -> float:
         z = partition_z(alpha, self.bounds)
-        return float(self.n * np.log(z) + np.sum(rho(self.residuals, alpha)))
+        general = _branch(alpha) == "general"
+        total = self._rho_sum(alpha) if general else np.sum(rho(self.residuals, alpha))
+        return float(self.n * np.log(z) + total)
 
     def values(self, alphas) -> list[float]:
         """``Lam`` at each general-branch alpha, from one broadcast pass.
@@ -281,34 +317,54 @@ class _Objective:
         """
         col = np.asarray(alphas, dtype=float)
         z = partition_z(col, self.bounds)
-        sums = _rho_general(self.residuals, col[:, None]).sum(axis=1)
-        return [float(self.n * np.log(zi) + si) for zi, si in zip(z, sums)]
+        return [float(self.n * np.log(zi) + si) for zi, si in zip(z, self._rho_sum(col))]
+
+    def _rho_sum(self, alpha):
+        """The general-branch loss summed over the residuals as
+        :meth:`value_derivs` sums it, ``k * sum expm1(u)``; an array of
+        alpha gives one sum per value."""
+        alpha = np.asarray(alpha, dtype=float)
+        return rho_scale(alpha) * rho_em1(self._squares[self._k:], alpha[..., None]).sum(axis=-1)
 
     def value_derivs(self, alpha: float) -> tuple[float, float, float]:
         """``(Lam, dLam/dalpha, d2Lam/dalpha2)`` at a general-branch alpha.
 
         The ``Z`` moments (Z, dZ/dalpha, d2Z/dalpha2) come from the memo it
         shares with :func:`partition_z`, keyed with ``derivs`` True; on a
-        miss one pass over the nodes and the residuals together computes
-        them, and the memo keeps them.
+        miss one :func:`~robls.loss.rho_alpha_terms` pass over the nodes and
+        the residuals together computes them by dot products over the nodes,
+        and the memo keeps them.  The residuals enter through the sums of
+        their terms alone.
         """
         key = (float(alpha), *self.bounds, True)
         moments = _memo_get(key)
+        k = self._k
         if moments is None:
-            r, dr, d2r = rho_alpha_derivs(self._points, alpha)
-            k = self._weights.size
-            wf, h = self._weights * np.exp(-r[:k]), dr[:k] * dr[:k] - d2r[:k]
-            moments = _memo_put(key, (float(wf.sum()), float(-(wf @ dr[:k])), float(wf @ h)))
-            r, dr, d2r = r[k:], dr[k:], d2r[k:]
+            em1, dem1, d2em1 = rho_alpha_terms(self._squares, alpha)
+            moments = _memo_put(key, _z_moments(alpha, self._weights, em1[:k], dem1[:k], d2em1[:k]))
+            em1, dem1, d2em1 = em1[k:], dem1[k:], d2em1[k:]
         else:
-            r, dr, d2r = rho_alpha_derivs(self.residuals, alpha)
+            em1, dem1, d2em1 = rho_alpha_terms(self._squares[k:], alpha)
+        total, d1, d2 = rho_alpha_sums(alpha, em1.sum(), dem1.sum(), d2em1.sum())
         z, dz, d2z = moments
         g = dz / z
         return (
-            float(self.n * np.log(z) + r.sum()),
-            float(self.n * g + dr.sum()),
-            float(self.n * (d2z / z - g * g) + d2r.sum()),
+            float(self.n * np.log(z) + total),
+            float(self.n * g + d1),
+            float(self.n * (d2z / z - g * g) + d2),
         )
+
+
+def _z_moments(alpha: float, w, em1, dem1, d2em1) -> tuple[float, float, float]:
+    """``(Z, dZ/dalpha, d2Z/dalpha2)`` from the weights and the node terms of
+    :func:`~robls.loss.rho_alpha_terms`: ``Z = sum w e^-rho``,
+    ``Z' = -sum w e^-rho rho'`` and ``Z'' = sum w e^-rho (rho'^2 - rho'')``.
+    """
+    k = rho_scale(alpha)
+    wf = w * np.exp(-k * em1)
+    drho = (-2.0 / alpha**2) * em1 + k * dem1
+    _, m1, m2 = rho_alpha_sums(alpha, wf @ em1, wf @ dem1, wf @ d2em1)
+    return float(wf.sum()), float(-m1), float(wf @ (drho * drho) - m2)
 
 
 def _off_zero(alpha: float) -> float:

@@ -5,6 +5,12 @@ parameter ``alpha in (-inf, 2]`` interpolating between squared loss
 (``alpha = 2``), a Cauchy-like loss (``alpha = 0``) and a Welsch-like loss
 (``alpha = -inf``).  Weights for IRLS are the influence function divided by
 the residual, ``w = rho'(eps) / eps``, evaluated in closed form per branch.
+The alpha search reads the general branch from squared residuals: there
+``rho = k * expm1(u)`` with ``k = (2 - alpha) / alpha`` (:func:`rho_general`
+of :func:`rho_scale` and :func:`rho_em1`), and :func:`rho_alpha_terms`
+returns ``expm1(u)`` with its two alpha derivatives, whose sums give the
+sums of the loss and of its derivatives by the product rule
+(:func:`rho_alpha_sums`).
 
 Residuals are unitless nonnegative scalars (covariance-normalized error
 norms); no extra scale parameter is applied to them here.  The fixed
@@ -101,27 +107,49 @@ def rho(eps, alpha: float):
     in ``eps``.
     """
     eps = np.asarray(eps, dtype=float)
-    sq = 0.5 * eps * eps
+    return rho_sq(eps * eps, alpha)
+
+
+def rho_sq(e2, alpha: float):
+    """:func:`rho` of the residuals whose squares are ``e2``."""
     branch = _branch(alpha)
     if branch == "quadratic":
-        return sq
+        return 0.5 * e2
     if branch == "cauchy":
-        return np.log1p(sq)
+        return np.log1p(0.5 * e2)
     if branch == "welsch":
-        return -np.expm1(-sq)
-    return _rho_general(eps, alpha)
+        return -np.expm1(-0.5 * e2)
+    return rho_general(e2, alpha)
 
 
-def _rho_general(eps, alpha):
-    """General-branch loss, broadcasting ``eps`` against ``alpha``.
+def rho_general(e2, alpha):
+    """General-branch loss ``k * expm1(u)`` of the squared residuals ``e2``
+    (:func:`rho_scale`, :func:`rho_em1`); broadcasts like :func:`rho_em1`."""
+    return rho_scale(alpha) * rho_em1(e2, alpha)
 
-    ``(b/alpha) * ((eps^2/b + 1)^(alpha/2) - 1)`` with ``b = |alpha - 2|``,
-    cancellation-safe near the removable singularities via
-    ``expm1(log1p(.))``.  A column of ``alpha`` gives one row per value,
-    each bit-identical to the scalar call; no branch check is made.
+
+def rho_scale(alpha):
+    """``k = b / alpha``, ``b = 2 - alpha``: on the general branch
+    ``rho = k * expm1(u)`` (:func:`rho_em1`).  Broadcasts over an array of
+    alpha."""
+    return (2.0 - alpha) / alpha
+
+
+def _log_t(e2, alpha):
+    """``ln t`` with ``t = 1 + e2 / b``; broadcasts ``e2`` against ``alpha``."""
+    return np.log1p(e2 / (2.0 - alpha))
+
+
+def rho_em1(e2, alpha):
+    """``expm1(u)``, the general-branch loss over ``k`` of :func:`rho_scale`.
+
+    ``rho = (b/alpha) * ((eps^2/b + 1)^(alpha/2) - 1)`` with ``b = 2 - alpha``
+    is ``k * expm1(u)``, ``u = (alpha/2) log1p(eps^2/b)``, cancellation-safe
+    near the removable singularities at 0 and 2.  ``e2`` holds the squared
+    residuals.  A column of ``alpha`` gives one row per value, each
+    bit-identical to the scalar call; no branch check is made.
     """
-    b = np.abs(alpha - 2.0)
-    return (b / alpha) * np.expm1(0.5 * alpha * np.log1p(eps * eps / b))
+    return np.expm1((0.5 * alpha) * _log_t(e2, alpha))
 
 
 def weight(eps, alpha: float):
@@ -142,34 +170,45 @@ def weight(eps, alpha: float):
     return np.exp((0.5 * alpha - 1.0) * np.log1p(eps * eps / b))
 
 
-def rho_alpha_derivs(eps, alpha: float):
-    """General-branch loss and its first two partial derivatives in alpha.
+def rho_alpha_terms(e2, alpha: float):
+    """``expm1(u)`` and its first two partial derivatives in alpha.
 
-    Returns ``(rho, drho/dalpha, d2rho/dalpha2)``, sharing one ``log1p``
-    and one ``expm1`` per residual.  Only valid strictly inside the general
-    branch; callers must stay at least ``BRANCH_TOL`` away from the
-    removable singularities at 0 and 2.
+    Per squared residual in ``e2``, with ``u`` of :func:`rho_em1`: since
+    ``d expm1(u)/dalpha = t s`` with ``t = e^u`` and ``s = du/dalpha``, the
+    terms are ``(expm1(u), t s, t (s^2 + ds))``, ``ds = d2u/dalpha2``, from
+    one ``log1p`` and one ``expm1`` per residual.  The loss is
+    ``k * expm1(u)`` (:func:`rho_scale`), so it and its alpha derivatives
+    are linear in the terms (:func:`rho_alpha_sums`).  Only valid strictly
+    inside the general branch; callers must stay at least ``BRANCH_TOL``
+    away from the removable singularities at 0 and 2.
     """
     if _branch(alpha) != "general":
         raise ValueError(
-            f"rho_alpha_derivs requires alpha strictly inside the general branch, got {alpha}"
+            f"rho_alpha_terms requires alpha strictly inside the general branch, got {alpha}"
         )
-    eps = np.asarray(eps, dtype=float)
-    e2 = eps * eps
-    b = abs(alpha - 2.0)  # = 2 - alpha, so db/dalpha = -1
-    be = b + e2
-    u = (0.5 * alpha) * np.log1p(e2 / b)  # (alpha/2) ln t, t = 1 + eps^2/b
-    em1 = np.expm1(u)
-    t_pow = em1 + 1.0
-    # q = d(ln t)/dalpha; s = du/dalpha; ds = d2u/dalpha2.
-    q = e2 / be * (1.0 / b)
-    s = u * (1.0 / alpha) + (0.5 * alpha) * q
-    ds = q + (alpha / (2.0 * b)) * q * (b + be) / be
-    ps = t_pow * s
-    value = (b / alpha) * em1
-    first = (-2.0 / alpha**2) * em1 + (b / alpha) * ps
-    second = (4.0 / alpha**3) * em1 - (4.0 / alpha**2) * ps + (b / alpha) * t_pow * (s * s + ds)
-    return value, first, second
+    log_t = _log_t(e2, alpha)
+    em1 = np.expm1((0.5 * alpha) * log_t)  # as in rho_em1
+    t = em1 + 1.0
+    # With b = 2 - alpha (db/dalpha = -1), y = e2 / (b + e2) and c = alpha / (2b):
+    # d(ln t)/dalpha = y / b, so s = du/dalpha = ln(t) / 2 + c y and
+    # ds = d2u/dalpha2 = (y / b) (1 + c (2 - y)).
+    b = 2.0 - alpha
+    c = alpha / (2.0 * b)
+    y = e2 / (b + e2)
+    s = 0.5 * log_t + c * y
+    ds = y * (1.0 / b + (c / b) * (2.0 - y))
+    return em1, t * s, t * (s * s + ds)
+
+
+def rho_alpha_sums(alpha: float, em1, dem1, d2em1):
+    """``(rho, drho/dalpha, d2rho/dalpha2)`` from the terms of
+    :func:`rho_alpha_terms`, by the product rule on ``rho = k * expm1(u)``.
+
+    Linear in the terms, so the sums of the terms over a residual set (or
+    their weighted sums) give the sums of the loss and its derivatives.
+    """
+    k, k1, k2 = rho_scale(alpha), -2.0 / alpha**2, 4.0 / alpha**3
+    return k * em1, k1 * em1 + k * dem1, k2 * em1 + 2.0 * k1 * dem1 + k * d2em1
 
 
 def fixed_weight(kind: str, eps_scaled):

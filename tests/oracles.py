@@ -7,8 +7,8 @@ import numpy as np
 from hypothesis import Phase, settings
 from scipy.special import gammainc
 
-from robls.adaptive import CHEBROLU_DOMAIN, _gl_rule, _Objective
-from robls.loss import _branch, rho, rho_alpha_derivs
+from robls.adaptive import CHEBROLU_DOMAIN, _gl_rule, _Objective, _z_moments
+from robls.loss import _branch, rho_alpha_sums, rho_alpha_terms, rho_sq
 from robls.mbfit import HistogramBins, _chi_norm, build_histogram, chi_quantile
 from robls.se3 import _batch_se3_log
 
@@ -186,15 +186,20 @@ def grid_search_alpha(residuals, bounds, lo=-50.0, hi=2.0, step=0.01):
 
 def z_moments(alpha, bounds):
     """``(Z, dZ/dalpha, d2Z/dalpha2)`` over ``bounds`` on the quadrature rule
-    of :func:`robls.adaptive.partition_z`, in the order in which the alpha
-    fit's Newton evaluations sum them; the derivatives are NaN on the limit
-    branches (alpha = 2, 0 and -inf)."""
-    x, w = _gl_rule(float(bounds[0]), float(bounds[1]))
+    of :func:`robls.adaptive.partition_z`, from a kernel pass over its nodes
+    alone, summed as the alpha fit's Newton evaluations sum them
+    (:func:`robls.adaptive._z_moments`).  The derivatives are NaN on the
+    limit branches (alpha = 2, 0 and -inf)."""
+    x2, w = _gl_rule(float(bounds[0]), float(bounds[1]))
     if _branch(alpha) == "general":
-        r, dr, d2r = rho_alpha_derivs(x, alpha)
-        wf = w * np.exp(-r)
-        return float(wf.sum()), float(-(wf @ dr)), float(wf @ (dr * dr - d2r))
-    return float(w @ np.exp(-rho(x, alpha))), np.nan, np.nan
+        return _z_moments(alpha, w, *rho_alpha_terms(x2, alpha))
+    return float(w @ np.exp(-rho_sq(x2, alpha))), np.nan, np.nan
+
+
+def rho_derivs(eps, alpha):
+    """``(rho, drho/dalpha, d2rho/dalpha2)`` per residual from the kernel terms."""
+    eps = np.asarray(eps, dtype=float)
+    return rho_alpha_sums(alpha, *rho_alpha_terms(eps * eps, alpha))
 
 
 def mb_pdf(eps, a: float, n_e: int):

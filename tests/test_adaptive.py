@@ -27,16 +27,19 @@ from robls.adaptive import (
     optimize_alpha,
     partition_z,
 )
-from robls.loss import ALPHA_MIN, BRANCH_TOL, rho, rho_alpha_derivs
+from robls.loss import ALPHA_MIN, BRANCH_TOL, rho, rho_alpha_sums, rho_alpha_terms
 from robls.mbfit import MODE_TAU_CAP
 
-from oracles import PROPERTY, grid_search_alpha, z_moments
+from oracles import PROPERTY, grid_search_alpha, rho_derivs, z_moments
 
 
 ALPHAS = st.one_of(st.sampled_from([2.0, 0.0, -np.inf, ALPHA_MIN]), st.floats(-200.0, 2.0))
 BOUNDS = st.one_of(st.floats(0.05, 90.0).map(lambda t: (-t, t)),
                    st.floats(0.02, 90.0).map(lambda t: (0.0, t)))
 WHOLE_LINE = (-np.inf, np.inf)
+# Span of a rule's part on one side of 0: log-uniform in [0.02, TAU_MAX].
+SPANS = st.floats(math.log(0.02), math.log(TAU_MAX)).map(
+    lambda s: min(max(math.exp(s), 0.02), TAU_MAX))
 
 
 def neg_log_likelihood(residuals, alpha, bounds):
@@ -81,14 +84,36 @@ class TestPartitionZ:
         "alpha", [2.0 - 4 * BRANCH_TOL, 4 * BRANCH_TOL, -4 * BRANCH_TOL, 1.5, -8.0, ALPHA_MIN]
     )
     @pytest.mark.parametrize("bounds", [(0.0, 0.02), (0.0, 0.37), (0.0, 2.9), (0.0, 13.1),
-                                        (0.0, 80.0), (-9.5, 9.5)])
+                                        (0.0, 80.0), (-9.5, 9.5), (0.0, 200.0), (0.0, 999.0),
+                                        (-100.0, 100.5), (-1000.0, 1.0), (-50.0, -0.5)])
     def test_fixed_rule_matches_adaptive_quad(self, alpha, bounds):
+        # quad is told where the integrand peaks: on (-1000, 1) it misses
+        # the peak at 0 by 6e-10 in log Z otherwise.
         z, dz, _ = z_moments(alpha, bounds)
-        ref_z, _ = quad(lambda x: np.exp(-rho(x, alpha)), *bounds, epsabs=1e-12, limit=200)
-        ref_dz, _ = quad(lambda x: -np.exp(-rho(x, alpha)) * rho_alpha_derivs(x, alpha)[1],
-                         *bounds, epsabs=1e-12, limit=200)
+        peak = (0.0,) if bounds[0] < 0.0 < bounds[1] else None
+        ref_z, _ = quad(lambda x: np.exp(-rho(x, alpha)), *bounds, epsabs=1e-12, limit=200,
+                        points=peak)
+        ref_dz, _ = quad(lambda x: -np.exp(-rho(x, alpha)) * rho_derivs(x, alpha)[1],
+                         *bounds, epsabs=1e-12, limit=200, points=peak)
         assert abs(np.log(z) - np.log(ref_z)) <= 1e-10
         assert abs(dz - ref_dz) / ref_z <= 1e-8
+
+    @PROPERTY
+    @given(b=SPANS, c=SPANS, lower=st.sampled_from(["zero", "minus_b", "minus_c"]))
+    def test_graded_rule_matches_closed_forms(self, b, c, lower):
+        # On [-a, b], 0 <= a, Z is the sum of its parts on [0, a] and [0, b]:
+        # sqrt(pi/2) erf(x/sqrt2) at alpha = 2 and sqrt2 atan(x/sqrt2) at
+        # alpha = 0 on [0, x].  a = b folds; a = c crosses 0 asymmetrically.
+        a = {"zero": 0.0, "minus_b": b, "minus_c": c}[lower]
+        bounds, r2 = (-a if a else 0.0, b), math.sqrt(2.0)
+        gauss = math.sqrt(math.pi / 2.0) * (math.erf(a / r2) + math.erf(b / r2))
+        cauchy = r2 * (math.atan(a / r2) + math.atan(b / r2))
+        assert abs(math.log(partition_z(2.0, bounds)) - math.log(gauss)) <= 1e-13
+        assert abs(math.log(partition_z(0.0, bounds)) - math.log(cauchy)) <= 1e-13
+
+    def test_whole_line_rule_matches_closed_forms(self):
+        for alpha, z in ((2.0, math.sqrt(2.0 * math.pi)), (0.0, math.sqrt(2.0) * math.pi)):
+            assert abs(math.log(partition_z(alpha, WHOLE_LINE)) - math.log(z)) <= 1e-13
 
     def test_second_derivative_matches_fd_of_first(self):
         h = 1e-5
@@ -112,13 +137,13 @@ class TestPartitionZ:
             z, dz, _ = z_moments(alpha, (-span, span))
             ref_z, _ = quad(lambda x: np.exp(-rho(x, alpha)), -span, span,
                             epsabs=1e-12, limit=400)
-            ref_dz, _ = quad(lambda x: -np.exp(-rho(x, alpha)) * rho_alpha_derivs(x, alpha)[1],
+            ref_dz, _ = quad(lambda x: -np.exp(-rho(x, alpha)) * rho_derivs(x, alpha)[1],
                              -span, span, epsabs=1e-12, limit=400)
             assert abs(np.log(z) - np.log(ref_z)) <= 1e-10
             assert abs(dz - ref_dz) / ref_z <= 1e-8
 
     # Near alpha = 0 the derivative integrands carry the cancellation noise of
-    # rho_alpha_derivs, which quad reports as roundoff; the tolerances absorb it.
+    # the kernel, which quad reports as roundoff; the tolerances absorb it.
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("alpha", [4 * BRANCH_TOL, 1e-3, 0.01, 0.1, 0.5, 1.5])
     def test_barron_whole_line_moments_match_adaptive_quad(self, alpha):
@@ -133,7 +158,7 @@ class TestPartitionZ:
         def moment(k):
             def f(s):
                 e = np.exp(s)
-                r, dr, d2r = rho_alpha_derivs(e, alpha)
+                r, dr, d2r = rho_derivs(e, alpha)
                 return e * np.exp(-r) * (1.0, -dr, dr * dr - d2r)[k]
             cuts = (-40.0, 0.0, np.log(40.0), 20.0, 60.0, 200.0)
             return 2.0 * sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
@@ -150,7 +175,19 @@ class TestPartitionZ:
             obj = _Objective([0.3, 1.7, 95.0], BARRON_DOMAIN, (-tau, tau))
             assert obj.bounds == WHOLE_LINE
             assert obj.residuals.max() == min(95.0, max(tau, 40.0))
-        assert _gl_rule(*WHOLE_LINE)[0].size == 1440
+        assert _gl_rule(*WHOLE_LINE)[0].size == 288
+
+    def test_panels_double_in_width(self):
+        # 24 nodes per panel; [0, b] holds [0, 1], [1, 2], [2, 4], ...,
+        # [2^m, b], and a symmetric interval folds onto its half; an
+        # interval across 0 is graded from 0 both ways, one below 0 from b.
+        sizes = {(0.0, 0.02): 24, (0.0, 1.0): 24, (0.0, 2.0): 48, (-10.0, 10.0): 120,
+                 (0.0, 16.0): 120, (0.0, 17.4): 144, (-20.0, 20.0): 144, (-TAU_MAX, TAU_MAX): 264,
+                 (-100.0, 100.5): 384, (-50.0, -0.5): 168}
+        for bounds, size in sizes.items():
+            x2, w = _gl_rule(*bounds)
+            assert x2.size == w.size == size, bounds
+            assert w.sum() == pytest.approx(bounds[1] - bounds[0], rel=1e-14)
 
     def test_limit_branches_have_no_derivatives(self):
         # Z exists on the limit branches; its alpha derivatives do not, and
@@ -220,7 +257,7 @@ class TestPartitionZMemo:
         # a key evicted between a hit and its reordering raises KeyError.
         monkeypatch.setattr(adaptive, "Z_MEMO_SIZE", 4)
         alphas = np.linspace(-3.0, 1.5, 6)
-        expected = {float(a): _z_pass(float(a), 0.0, 0.5) for a in alphas}
+        expected = {float(a): _z_pass(float(a), *_gl_rule(0.0, 0.5)) for a in alphas}
         _Z_MEMO.clear()
         wrong = []
 
@@ -250,19 +287,21 @@ class TestPartitionZMemo:
 
 def value_derivs_reference(residuals, domain, bounds, alpha):
     """Lam and its alpha derivatives as two passes: the ``Z`` moments on the
-    rule of :func:`partition_z` (over the whole line for Barron) and the sums
-    of :func:`rho_alpha_derivs` over the clipped residuals."""
+    rule of :func:`partition_z` (over the whole line for Barron) and the
+    sums of the kernel terms over the clipped residuals."""
     if domain.whole_line:
         t = max(abs(bounds[0]), abs(bounds[1]), 40.0)
         clip, (z, dz, d2z) = (-t, t), z_moments(alpha, WHOLE_LINE)
     else:
         clip, (z, dz, d2z) = bounds, z_moments(alpha, bounds)
-    r, dr, d2r = rho_alpha_derivs(np.clip(residuals, *clip), alpha)
+    eps = np.clip(residuals, *clip)
+    em1, dem1, d2em1 = rho_alpha_terms(eps * eps, alpha)
+    r, dr, d2r = rho_alpha_sums(alpha, em1.sum(), dem1.sum(), d2em1.sum())
     n, g = len(residuals), dz / z
     return (
-        float(n * np.log(z) + np.sum(r)),
-        float(n * g + np.sum(dr)),
-        float(n * (d2z / z - g * g) + np.sum(d2r)),
+        float(n * np.log(z) + r),
+        float(n * g + dr),
+        float(n * (d2z / z - g * g) + d2r),
     )
 
 

@@ -137,7 +137,7 @@ class TestPinnedOutputs:
         (["icp-bench", "--trials", "1"], {
             "trials.csv": "14e31667c2367180eb1f58692d857af9586fe6dbbf5f7a1334d7aadca70aebdb",
             "summary.csv": "7491c035bd9d6c920fce7cdcf0efea0d74c787f363dbb4ab069d4fb3916d0742",
-            "traces": "c224c31cd47ecb4c0abc8d4480ca69b037ebfe1dd5b1a9ab845e06386f2dfade",
+            "traces": "358f0523c40e82234bb412c384d7c3ba95bba09cd167b655a22e728a11c66dbe",
         }),
     ], ids=["pose-avg-bench", "icp-bench"])
     def test_trials_csv_hash(self, tmp_path, command, digests):
@@ -183,9 +183,9 @@ class TestPinnedOutputs:
             "tukey": "f9dac92b8f47833da3ce4834cf0694499ca03065d0c44b2a94e8d0823fa1070b",
             "welsch": "b5ad0e8209e91ce1f2aea7665668ee234f19aee93aa590b93e634c6dd43b4c64",
             "var_trimmed": "e06c4d57fcd93cfb362c6a799f82cddb6532dea8e01be427f5cc233fcbda83a3",
-            "barron": "4ef6db2c1a3368f6bbed2e5ee98a08440c85a0fc5b19fd99a47a12d02fb17711",
-            "chebrolu": "939558ef227f71ece317e79810e716def8ff9dc77728ab0de5bc3577abcd36ee",
-            "adaptive_mb": "fd738823c423fa4a54085406adda5e362b8bac148c4fcf5dfcf99bef44a70c0f",
+            "barron": "1db8d318e819652450bb9ddf8c4bcea2e2ba599964f780f5676c439b302a9302",
+            "chebrolu": "bd25c485c466015c29561a71cdddd6209c254a98260567b602ecc1b6d4269c67",
+            "adaptive_mb": "ffa73d4b8fe787b3bf137ac7936fbb71c84c735cc3bc3a414f881c82e2ce9592",
         }),
         (6, 20, {
             "none": "5c305a0c141226d777dec68e75276ae68a48c57947d70a0f0917527e2dce6e19",
@@ -193,9 +193,9 @@ class TestPinnedOutputs:
             "tukey": "aba51f8d077e501a2f579f720cc47e475813b426b05a15fa97c3df92244e1e9f",
             "welsch": "1e808871237944e86c0dd898240636b4d87595aa0e298d9d4f9c686a1f6d7d04",
             "var_trimmed": "8dfe6381a5d4e8f75bac90ceae78fb8ccd043b626c9716027fcc2ca6f79b5357",
-            "barron": "32058f7b7d5afcb52e377090ad2b59b43e19241d830e888b81a4e33273aa85aa",
-            "chebrolu": "27afe4d43c7cfb03665a0cbf0f7b5b2ec94e20527e46240b1a8304d47cd5a67c",
-            "adaptive_mb": "8dc27338df9af188bbbd66c76fde54845179cae25a0d9d5b664bc90d9648048a",
+            "barron": "8e2a18ce01bdf9634afc111c32e605eec301dc259ac043dfe565f56055dbb343",
+            "chebrolu": "4bb16d708737058f14a6fb8af9c0f5b812d3a3c6828b91ff028df5bc40d469e0",
+            "adaptive_mb": "8219f0d69fcfa90abdfeebded9f2722505cb9aa3e78662acff8db243d02b5fa1",
         }),
     ], ids=["n_e3-tau10", "n_e6-tau20"])
     def test_weights_hashes(self, tmp_path, n_e, tau, digests):
@@ -232,7 +232,7 @@ class TestPinnedOutputs:
         assert got == {
             "pose_avg": "9de7440f4f4ba163fe98b3e825093981bc75d43bf477e2d76993852785287eeb",
             "icp": "125df57ec1145539b64e4fab704b39d5ef6a93cce8ded97b0021b87af3358f36",
-            "weights_cold": "52ad39c5fb3e473b4f986680ca7cd111fb32ac734d93611447f5097b67fd10d1",
+            "weights_cold": "a6f9e4bdf95ff19742068a03da494159668090af150d48cfaf62bb3c4bc9c943",
         }
         assert checker.violations == 0, checker.messages
 

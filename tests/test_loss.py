@@ -10,14 +10,22 @@ from robls.loss import (
     DEFAULT_TUNING,
     fixed_weight,
     rho,
-    rho_alpha_derivs,
+    rho_alpha_sums,
+    rho_alpha_terms,
     var_trimmed_weights,
     weight,
 )
 from robls.mbfit import adaptive_mb_weights, fit_mb
 from robls.weighting import RLF_KINDS, RobustLoss, _median
 
-from oracles import PROPERTY, fd_d2rho_dalpha2, fd_drho_deps, fd_drho_dalpha, rho_reference
+from oracles import (
+    PROPERTY,
+    fd_d2rho_dalpha2,
+    fd_drho_dalpha,
+    fd_drho_deps,
+    rho_derivs,
+    rho_reference,
+)
 
 
 class TestRho:
@@ -143,29 +151,50 @@ class TestKernelProperties:
 
 class TestDrhoDalpha:
     def test_zero_at_eps_zero(self):
-        assert rho_alpha_derivs(0.0, 1.3)[1] == 0.0
+        assert rho_derivs(0.0, 1.3)[1] == 0.0
 
     @pytest.mark.parametrize("eps,alpha", [(1.0, 1.0), (3.0, -2.0)])
     def test_matches_finite_difference(self, eps, alpha):
         fd = float(fd_drho_dalpha(eps, alpha))
-        assert rho_alpha_derivs(eps, alpha)[1] == pytest.approx(fd, rel=1e-6)
+        assert rho_derivs(eps, alpha)[1] == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize(
         "eps,alpha", [(1.0, 1.0), (3.0, -2.0), (0.5, 1.875), (0.3, 1.5), (2.0, 0.25), (7.0, -12.0)]
     )
     def test_second_derivative_matches_finite_difference(self, eps, alpha):
         fd = float(fd_d2rho_dalpha2(eps, alpha))
-        assert rho_alpha_derivs(eps, alpha)[2] == pytest.approx(fd, rel=1e-6)
+        assert rho_derivs(eps, alpha)[2] == pytest.approx(fd, rel=1e-6)
 
     def test_value_matches_rho(self):
         eps = np.linspace(0.0, 30.0, 61)
         for alpha in (1.9, 0.4, -0.4, -7.0, ALPHA_MIN):
-            assert np.array_equal(rho_alpha_derivs(eps, alpha)[0], rho(eps, alpha))
+            assert np.array_equal(rho_derivs(eps, alpha)[0], rho(eps, alpha))
 
     def test_rejects_branch_points(self):
         for a in [0.0, 2.0, BRANCH_TOL / 2, 2.0 - BRANCH_TOL / 2, -np.inf]:
             with pytest.raises(ValueError):
-                rho_alpha_derivs(1.0, a)
+                rho_alpha_terms(1.0, a)
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.5, 0.1, -2.0, -30.0])
+    def test_sums_match_mpmath(self, alpha):
+        # The sums the alpha search takes over a residual set, against the
+        # loss summed at 50 digits and differentiated in alpha by mpmath.
+        # Closer to alpha = 0 the product rule cancels terms of size 1/alpha^2,
+        # so the second-derivative sum loses digits there.
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.concatenate([np.geomspace(1e-3, 1.0, 200), np.linspace(1.0, 40.0, 200)])
+        terms = rho_alpha_terms(eps * eps, alpha)
+        got = rho_alpha_sums(alpha, *(t.sum() for t in terms))
+        with mpmath.workdps(50):
+            e2 = [mpmath.mpf(float(e)) ** 2 for e in eps]
+
+            def total(a):
+                b = 2 - a
+                return mpmath.fsum((b / a) * ((x / b + 1) ** (a / 2) - 1) for x in e2)
+
+            want = [mpmath.diff(total, mpmath.mpf(alpha), n) for n in range(3)]
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-12 * abs(w), n
 
 
 class TestFixedKernelScale:

@@ -123,7 +123,7 @@ class TestGoldenWeights:
 
 
 # Objective passes of each adaptive kind over its six golden calls:
-# rho_alpha_derivs passes (one per alpha-search evaluation) and Chi-fit
+# rho_alpha_terms passes (one per alpha-search evaluation) and Chi-fit
 # criterion calls (one for the scan of a cold fit, one per Newton
 # evaluation).  Neither depends on the Z memo, so they repeat exactly; a
 # search that spends a pass more, such as evaluating the point that a
@@ -135,7 +135,7 @@ class TestGoldenPasses:
     @pytest.mark.parametrize("kind", ADAPTIVE_KINDS)
     def test_passes_per_search_kept(self, kind, monkeypatch):
         calls = {"derivs": 0, "criterion": 0}
-        derivs, criterion_of = adaptive.rho_alpha_derivs, mbfit._fit_criterion
+        derivs, criterion_of = adaptive.rho_alpha_terms, mbfit._fit_criterion
 
         def counted_derivs(*args):
             calls["derivs"] += 1
@@ -150,7 +150,7 @@ class TestGoldenPasses:
 
             return counted
 
-        monkeypatch.setattr(adaptive, "rho_alpha_derivs", counted_derivs)
+        monkeypatch.setattr(adaptive, "rho_alpha_terms", counted_derivs)
         monkeypatch.setattr(mbfit, "_fit_criterion", counted_criterion_of)
         for n_e in sorted(TAUS):
             golden_results(kind, n_e)
