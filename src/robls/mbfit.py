@@ -185,6 +185,20 @@ def chi_quantile(n_e: int, p: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@lru_cache(maxsize=256)
+def _bin_geometry(upper: float, k: int) -> tuple[np.ndarray, float]:
+    """Edges ``linspace(0, upper, k + 1)``, read-only, and width ``upper / k``
+    of ``k`` equal bins over ``[0, upper]``.
+
+    A fit's ``upper`` is its Chi threshold, so one ``n_e`` reuses one entry
+    per bin count: the 256 entries hold two thresholds at every count from
+    ``MIN_BINS`` to ``MAX_BINS``.
+    """
+    edges = np.linspace(0.0, upper, k + 1)
+    edges.flags.writeable = False
+    return edges, upper / k
+
+
 def build_histogram(residuals, upper: float) -> HistogramBins:
     """Equal-width density histogram over ``[0, upper]`` in
     ``clip(ceil(sqrt(N)), MIN_BINS, MAX_BINS)`` bins for ``N`` residuals.
@@ -195,7 +209,10 @@ def build_histogram(residuals, upper: float) -> HistogramBins:
     bin edge.  Within half a bin of either end all of it goes to the end bin.
 
     The fit passes its threshold as ``upper``, so that bin edges stay put
-    while the residual set evolves between IRLS iterations.
+    while the residual set evolves between IRLS iterations.  They come
+    from a cache keyed by ``(upper, bins)`` (:func:`_bin_geometry`), the same
+    ``np.linspace`` edges and ``upper / bins`` width bit for bit, and are
+    read-only; only the binning runs on every call.
 
     Expects norms that its caller checked (:func:`~robls.loss.check_norms`);
     an empty set raises :class:`DegenerateHistogramError`, as identical ones do.
@@ -207,10 +224,10 @@ def build_histogram(residuals, upper: float) -> HistogramBins:
         )
     if upper < r.max():
         raise ValueError("histogram upper edge must cover the residuals")
-    k = int(np.clip(np.ceil(np.sqrt(r.size)), MIN_BINS, MAX_BINS))
-    edges = np.linspace(0.0, upper, k + 1)
-    width = upper / k
-    u = np.clip(r / width - 0.5, 0.0, k - 1.0)  # position in bin-centre units
+    k = min(max(math.ceil(math.sqrt(r.size)), MIN_BINS), MAX_BINS)
+    edges, width = _bin_geometry(float(upper), k)
+    # Position in bin-centre units: np.clip's bits on finite input, at less cost.
+    u = np.minimum(np.maximum(r / width - 0.5, 0.0), k - 1.0)
     j = u.astype(np.intp)
     frac = u - j
     mass = np.bincount(j, 1.0 - frac, minlength=k + 1) + np.bincount(j + 1, frac, minlength=k + 1)

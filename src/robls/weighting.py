@@ -86,16 +86,20 @@ class RobustLoss:
         fixed kernels' scale and the norm-aware kind's Chi model.
 
         ``warm_start`` is the previous call's result.  Its diagnostics'
-        ``alpha_star`` seeds the alpha search, unless it is not finite (the
-        -inf sentinel), and ``a_star`` seeds the Chi fit.  Reusing them keeps
-        consecutive IRLS refits in the same local basin, which suppresses
-        weight flapping near convergence.
+        ``alpha_star`` seeds the alpha search and ``a_star`` seeds the Chi
+        fit.  Reusing them keeps consecutive IRLS refits in the same local
+        basin, which suppresses weight flapping near convergence.  The -inf
+        sentinel seeds ``adaptive_mb``'s search at the domain floor
+        ``CHEBROLU_DOMAIN.lo``, the point it stands for; for ``chebrolu``, as
+        for any alpha that is not finite, the search restarts cold.
         """
         r = check_norms(residuals)
         n_e = mbfit._dof(n_e)
         seeds = warm_start.diagnostics if warm_start is not None else {}
         seed_alpha = seeds.get("alpha_star")
-        if seed_alpha is not None and not np.isfinite(seed_alpha):
+        if seed_alpha == -np.inf and self.kind == "adaptive_mb":
+            seed_alpha = CHEBROLU_DOMAIN.lo
+        elif seed_alpha is not None and not np.isfinite(seed_alpha):
             seed_alpha = None
         seed_a = seeds.get("a_star")
 

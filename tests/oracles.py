@@ -9,7 +9,14 @@ from scipy.special import gammainc
 
 from robls.adaptive import CHEBROLU_DOMAIN, _gl_rule, _Objective, _z_moments
 from robls.loss import _branch, rho_alpha_sums, rho_alpha_terms, rho_sq
-from robls.mbfit import HistogramBins, _chi_norm, build_histogram, chi_quantile
+from robls.mbfit import (
+    MAX_BINS,
+    MIN_BINS,
+    HistogramBins,
+    _chi_norm,
+    build_histogram,
+    chi_quantile,
+)
 from robls.se3 import _batch_se3_log
 
 
@@ -239,6 +246,21 @@ def fit_criterion_reference(hist: HistogramBins, a, n_e: int):
     d2p = p * (u * u - 3.0 * e2 / a**4 + n_e / a**2)
     diff = p - hist.density
     return (diff * diff) @ w, 2.0 * ((diff * dp) @ w), 2.0 * ((dp * dp + diff * d2p) @ w)
+
+
+def build_histogram_reference(residuals, upper: float) -> HistogramBins:
+    """:func:`robls.mbfit.build_histogram` with its geometry laid per call:
+    ``np.linspace`` edges, ``np.clip`` on the scalar bin count and on the
+    positions.  The residuals must not be empty or all identical."""
+    r = np.asarray(residuals, dtype=float)
+    k = int(np.clip(np.ceil(np.sqrt(r.size)), MIN_BINS, MAX_BINS))
+    edges = np.linspace(0.0, upper, k + 1)
+    width = upper / k
+    u = np.clip(r / width - 0.5, 0.0, k - 1.0)
+    j = u.astype(np.intp)
+    frac = u - j
+    mass = np.bincount(j, 1.0 - frac, minlength=k + 1) + np.bincount(j + 1, frac, minlength=k + 1)
+    return HistogramBins(edges=edges, density=mass[:k] / (r.size * width))
 
 
 def chi_quantile_reference(n_e: int, p: float) -> float:

@@ -32,6 +32,7 @@ from robls.mbfit import (
 
 from oracles import (
     PROPERTY,
+    build_histogram_reference,
     chi_quantile_reference,
     dmb_da,
     fit_criterion_reference,
@@ -204,6 +205,18 @@ class TestBuildHistogram:
         hard, _ = np.histogram(r, bins=k, range=(0.0, top), density=True)
         assert len(hist.density) == k
         assert np.allclose(hist.density, hard, rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(n_e=st.sampled_from([3, 6]), n=st.integers(2, 10_000), seed=st.integers(0, 2**16))
+    def test_cached_geometry_is_the_linspace_histogram(self, n_e, n, seed):
+        # The fit's thresholds at the n_e of the ICP and pose-averaging
+        # settings: bin edges from the (upper, bins) cache, bit for bit.
+        upper = chi_quantile(n_e, CHI_THRESHOLD_P)
+        r = np.random.default_rng(seed).uniform(0.0, upper, n)
+        hist, ref = build_histogram(r, upper), build_histogram_reference(r, upper)
+        assert hist.edges.tobytes() == ref.edges.tobytes()
+        assert hist.density.tobytes() == ref.density.tobytes()
+        assert not hist.edges.flags.writeable
 
     def test_mass_splits_between_neighbouring_centres(self):
         # MIN_BINS = 5 bins, centres at 0.5, 1.5, 2.5, 3.5, 4.5: 1.25 gives

@@ -158,18 +158,27 @@ class TestGoldenPasses:
 
 
 class TestSentinelWarmStart:
-    def test_minus_inf_alpha_seeds_only_the_chi_fit(self):
-        # alpha* at the -inf sentinel seeds no alpha search; a* still seeds
-        # the Chi fit of the next call.
+    def test_minus_inf_alpha_seeds_adaptive_mb_at_the_floor(self):
+        # alpha* at the -inf sentinel stands for the domain floor: it seeds
+        # adaptive_mb's alpha search there, and a* seeds the Chi fit.
         loss = RobustLoss("adaptive_mb", tau=10.0)
         first = loss.weights(residual_set(3, 60, 0.5, 131), 3)
         assert first.diagnostics["alpha_star"] == -np.inf
         r = residual_set(3, 60, 0.5, 1131)
         got = loss.weights(r, 3, first)
-        w, diag = mbfit.adaptive_mb_weights(r, n_e=3, tau=10.0, alpha_x0=None,
+        w, diag = mbfit.adaptive_mb_weights(r, n_e=3, tau=10.0, alpha_x0=adaptive.CHEBROLU_DOMAIN.lo,
                                             a_x0=first.diagnostics["a_star"])
         assert np.array_equal(got.weights, w)
         assert got.diagnostics == diag.as_dict()
+
+    def test_minus_inf_alpha_restarts_chebrolu_cold(self):
+        # chebrolu's sentinel seeds nothing: its search starts from the scan.
+        loss = RobustLoss("chebrolu", tau=10.0)
+        first = WeightResult(np.empty(0), {"alpha_star": -np.inf})
+        r = residual_set(3, 60, 0.5, 1131)
+        got, cold = loss.weights(r, 3, first), loss.weights(r, 3)
+        assert np.array_equal(got.weights, cold.weights)
+        assert got.diagnostics == cold.diagnostics
 
 
 class TestDofCheck:
